@@ -11,8 +11,8 @@ are ``fractions.Fraction`` and matrices are arbitrary-precision integers.
 from .cfrac import Rational, cf_eval, cf_expand, prefix_r
 from .classifier import (Branch, Evidence, Reason, Status, Verdict, classify,
                          enumerate_family, explain, render_explain, verify)
-from .errors import (NotNegativeDefiniteError, ParseError, StepLimitError,
-                     TruncationNotFoundError)
+from .errors import (InternalError, NotNegativeDefiniteError, ParseError,
+                     StepLimitError, TruncationNotFoundError)
 from .lattice import (Embedding, ObstructionResult, enumerate_embeddings,
                       gram_matches, gram_matrix, minor_check,
                       qa_lattice_obstruction, rigidity_check, support_set,
@@ -41,7 +41,7 @@ __all__ = [
     "support_set", "truncate_legs", "rigidity_check", "qa_lattice_obstruction",
     "Status", "Reason", "Branch", "Verdict", "Evidence",
     "classify", "verify", "enumerate_family", "explain", "render_explain",
-    "ParseError", "NotNegativeDefiniteError", "StepLimitError",
-    "TruncationNotFoundError",
+    "ParseError", "NotNegativeDefiniteError", "InternalError",
+    "StepLimitError", "TruncationNotFoundError",
     "__version__",
 ]

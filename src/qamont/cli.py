@@ -22,8 +22,7 @@ from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from .classifier import classify, enumerate_family, explain, render_explain, verify
-from .errors import (NotNegativeDefiniteError, ParseError, StepLimitError,
-                     TruncationNotFoundError)
+from .errors import InternalError, NotNegativeDefiniteError, ParseError
 from .lattice import enumerate_embeddings, qa_lattice_obstruction, transpose_surjective
 from .laufer import laufer_run
 from .montesinos import canonical_form, format_link, parse_link
@@ -69,8 +68,9 @@ def _build_record(task: tuple[str, bool, bool, bool]) -> dict:
 
 def _records(texts: list[str], args) -> "list[dict]":
     tasks = [(t, args.verify, args.explain, args.timing) for t in texts]
-    if args.jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    workers = min(args.jobs, len(tasks))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(_build_record, tasks, chunksize=4))
     return [_build_record(task) for task in tasks]
 
@@ -101,21 +101,23 @@ def _emit(records: list[dict], args) -> None:
             print(render_explain(record["explain"]))
 
 
-def _check_explain_format(args) -> None:
+def _check_record_flags(args) -> None:
     if args.explain and args.format == "tsv":
         raise ValueError("--explain is not available with tsv output; "
                          "use jsonl or table")
+    if args.jobs < 1:
+        raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
 
 
 def cmd_classify(args) -> int:
-    _check_explain_format(args)
+    _check_record_flags(args)
     records = _records([t.strip() for t in args.links], args)
     _emit(records, args)
     return 0
 
 
 def cmd_enumerate(args) -> int:
-    _check_explain_format(args)
+    _check_record_flags(args)
     p_min, p_max = (args.p, args.p) if args.p is not None else (1, args.p_max)
     family = enumerate_family(p_max, args.alpha_max, args.e_min, args.e_max,
                               p_min=p_min)
@@ -240,7 +242,7 @@ def main(argv=None) -> int:
     except NotNegativeDefiniteError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (StepLimitError, TruncationNotFoundError) as exc:
+    except InternalError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 4
     except ValueError as exc:

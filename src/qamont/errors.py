@@ -15,11 +15,15 @@ class NotNegativeDefiniteError(ValueError):
     """An operation that requires a negative definite form received one that is not."""
 
 
-class StepLimitError(RuntimeError):
+class InternalError(RuntimeError):
+    """An internal guard tripped: a guaranteed invariant failed, which is a bug."""
+
+
+class StepLimitError(InternalError):
     """The step guard of an iterative algorithm fired; indicates a caller bug."""
 
 
-class TruncationNotFoundError(RuntimeError):
+class TruncationNotFoundError(InternalError):
     """No prefix truncation with r0 + s0 = 1 exists although the precondition held.
 
     This can only happen if a guaranteed combinatorial invariant fails, so it

@@ -6,12 +6,13 @@ condition is column_i . column_j = -Q[i][j] in the ordinary dot product.
 Signed permutations of the coordinates act on the rows, and the
 enumeration yields exactly one representative per orbit:
 
-* the backtracking search assigns columns in vertex order, allowing each
-  new column arbitrary entries on already-touched coordinates plus a block
-  of fresh coordinates whose entries must be positive and non-increasing;
-* each completed matrix is then canonicalised (rows sign-normalised so
-  their first nonzero entry is positive, then sorted in decreasing order)
-  and deduplicated on that key.
+* the backtracking search places columns in ascending norm order (ties by
+  vertex index), allowing each new column arbitrary entries on
+  already-touched coordinates plus a block of fresh coordinates whose
+  entries must be positive and non-increasing;
+* each completed column set is mapped back to the caller's vertex order,
+  canonicalised (rows sign-normalised so their first nonzero entry is
+  positive, then sorted in decreasing order) and deduplicated on that key.
 
 Rows of yielded embeddings are therefore sorted; coordinates never touched
 by any column are not represented, so enumeration at ambient rank n only
@@ -122,7 +123,26 @@ def _canonical_rows(cols: Sequence[Sequence[int]], n: int) -> Matrix:
 def enumerate_embeddings(q: Matrix, n: int) -> Iterator[Embedding]:
     """All embeddings of (Z^k, q) into (Z^n, -Id) touching every coordinate,
     one representative per signed-permutation orbit, in a deterministic
-    order.  The stream is empty when no embedding exists."""
+    order.  The stream is empty when no embedding exists.
+
+    Columns are placed in ascending norm order (-q[v][v], ties by vertex
+    index): a low-norm vertex has few images, and once placed it constrains
+    every later neighbour, so the search tree stays small.  The search runs
+    on the permuted form and each completed column set is mapped back to
+    the caller's vertex order before it is canonicalised and deduplicated.
+    This loses nothing:
+
+    * a fixed vertex permutation is a bijection on column assignments;
+    * the capacity prune and the Cauchy-Schwarz prune are valid bounds
+      whatever the placement order;
+    * orbit keys are computed in the caller's column order;
+
+    so every ambient rank yields exactly the same set of orbits as a search
+    in vertex order would, and yielded matrices satisfy the Gram condition
+    against the caller's ``q``.  The rank bound of ``qa_lattice_obstruction``
+    depends only on the norms, so it is untouched.  Only the order of the
+    stream depends on the placement order.
+    """
     q = freeze(q)
     if not is_symmetric(q):
         raise ValueError("the pairing matrix must be symmetric")
@@ -132,6 +152,9 @@ def enumerate_embeddings(q: Matrix, n: int) -> Iterator[Embedding]:
     if n < 1:
         raise ValueError("ambient rank must be positive")
     k = len(q)
+    order = sorted(range(k), key=lambda v: (-q[v][v], v))
+    slot = {v: i for i, v in enumerate(order)}  # caller vertex -> placement
+    q = tuple(tuple(q[u][v] for v in order) for u in order)
     norms = [-q[i][i] for i in range(k)]
     # Column i touches at most norms[i] coordinates, which bounds how many
     # fresh coordinates the remaining columns can still cover.
@@ -173,7 +196,7 @@ def enumerate_embeddings(q: Matrix, n: int) -> Iterator[Embedding]:
     def place(i: int, touched: int) -> Iterator[Embedding]:
         if i == k:
             if touched == n:
-                key = _canonical_rows(cols, n)
+                key = _canonical_rows([cols[slot[v]] for v in range(k)], n)
                 if key not in seen:
                     seen.add(key)
                     yield Embedding(key)
@@ -327,9 +350,11 @@ def qa_lattice_obstruction(graph: PlumbingGraph,
     weights: an embedding may have its zero rows deleted without changing
     the Gram condition or the surjectivity of the transpose, and a zero-row
     free embedding fits in that many coordinates, so the default bound loses
-    nothing.  Returns the first surjective witness in canonical order
-    (hence at minimal ambient rank), or the obstructed outcome after
-    exhausting every rank.
+    nothing.  Ranks are searched in increasing order, so the witness
+    returned is the first surjective embedding that
+    ``enumerate_embeddings`` yields at the minimal ambient rank; the stream
+    is deterministic, so the witness is too.  Exhausting every rank without
+    one gives the obstructed outcome.
     """
     if not is_negative_definite(graph):
         raise NotNegativeDefiniteError(

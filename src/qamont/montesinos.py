@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
 
-from .errors import ParseError
+from .errors import InternalError, ParseError
 
 __all__ = [
     "MontesinosLink",
@@ -66,7 +66,8 @@ class MontesinosLink:
             if alpha < 2:
                 raise ValueError(
                     f"tangle {t} has alpha = {alpha}; tangles must have alpha >= 2")
-            assert beta != 0
+            if beta == 0:
+                raise InternalError(f"tangle {t} has beta = 0")
         object.__setattr__(self, "tangles", tangles)
 
     # Equality is by value across the standard-form subclass too.
@@ -139,7 +140,8 @@ def epsilon(link: MontesinosLink) -> Fraction:
 def determinant(link: MontesinosLink) -> int:
     """Link determinant |alpha_1 ... alpha_p * eps|; always a nonnegative integer."""
     value = epsilon(link) * prod(link.alphas)
-    assert value.denominator == 1
+    if value.denominator != 1:
+        raise InternalError(f"determinant {value} of {link} is not an integer")
     return abs(value.numerator)
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cfrac import cf_eval, cf_expand
-from .errors import ParseError
+from .errors import InternalError, ParseError
 from .intmat import Matrix, det, freeze, is_negative_definite_matrix
 from .montesinos import MontesinosLink
 
@@ -106,7 +106,7 @@ def is_negative_definite(graph: PlumbingGraph) -> bool:
     by_minors = negative_definite_by_minors(graph)
     if _legs_are_continued_fractions(graph):
         if negative_definite_by_sign(graph) != by_minors:
-            raise RuntimeError(
+            raise InternalError(
                 f"definiteness checks disagree on {format_graph(graph)!r}")
     return by_minors
 

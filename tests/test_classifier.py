@@ -114,6 +114,18 @@ class TestVerify:
             positive = verify(link).branch is Branch.POSITIVE_CHECK
             assert qa == positive, format_link(link)
 
+    @pytest.mark.parametrize("p, alpha_max, e_min, e_max, size", [
+        (2, 5, -3, 4, 360),
+        (4, 3, -2, 5, 120),
+    ])
+    def test_equivalence_on_wider_families(self, p, alpha_max, e_min, e_max, size):
+        family = list(enumerate_family(p, alpha_max, e_min, e_max, p_min=p))
+        assert len(family) == size
+        mismatches = [format_link(link) for link in family
+                      if (classify(link).status is Status.QA)
+                      != (verify(link).branch is Branch.POSITIVE_CHECK)]
+        assert mismatches == []
+
 
 class TestEnumerateFamily:
     def test_single_option(self):

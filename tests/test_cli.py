@@ -1,6 +1,10 @@
 import json
 
+import pytest
+
+from qamont import plumbing
 from qamont.cli import main
+from qamont.lattice import qa_lattice_obstruction
 from qamont.montesinos import canonical_form, parse_link
 
 E8_TEXT = "central: -2\nleg: -2\nleg: -2 -2\nleg: -2 -2 -2 -2\n"
@@ -41,6 +45,13 @@ class TestClassify:
         code, _, err = run(capsys, "classify", "M(1; 2, huh)")
         assert code == 2
         assert "huh" in err
+
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_jobs_below_one_exit_2(self, capsys, jobs):
+        code, out, err = run(capsys, "classify", "M(0; 2)", "--jobs", jobs)
+        assert code == 2
+        assert out == ""
+        assert "--jobs" in err
 
     def test_explain_table(self, capsys):
         code, out, _ = run(capsys, "classify", "M(1; 2, 2, 2)",
@@ -187,3 +198,14 @@ class TestGraphCommands:
         path.write_text(INDEFINITE_TEXT)
         code, _, err = run(capsys, "embed", str(path))
         assert code == 3
+
+    def test_definiteness_disagreement_exits_4(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "d4.graph"
+        path.write_text(D4_TEXT)
+        monkeypatch.setattr(plumbing, "negative_definite_by_sign",
+                            lambda graph: not plumbing.negative_definite_by_minors(graph))
+        qa_lattice_obstruction.cache_clear()  # force the definiteness check
+        code, out, err = run(capsys, "embed", str(path))
+        assert code == 4
+        assert out == ""
+        assert err.startswith("internal error:") and "disagree" in err

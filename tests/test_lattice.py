@@ -85,16 +85,20 @@ def brute_force_orbits(q, n, bound=2):
         by_norm.setdefault(sum(v * v for v in col), []).append(col)
     out = set()
     pools = [by_norm.get(-q[i][i], []) for i in range(k)]
-    for combo in itertools.product(*pools):
-        ok = all(
-            sum(a * b for a, b in zip(combo[i], combo[j])) == -q[i][j]
-            for i in range(k) for j in range(i))
-        if not ok:
-            continue
-        rows = list(zip(*combo))
-        if any(not any(row) for row in rows):
-            continue
-        out.add(canonical_rows(rows))
+
+    def extend(combo):
+        i = len(combo)
+        if i == k:
+            rows = list(zip(*combo))
+            if all(any(row) for row in rows):
+                out.add(canonical_rows(rows))
+            return
+        for col in pools[i]:
+            if all(sum(a * b for a, b in zip(col, combo[j])) == -q[i][j]
+                   for j in range(i)):
+                extend(combo + [col])
+
+    extend([])
     return out
 
 
@@ -111,6 +115,54 @@ class TestCompleteness:
             for n in range(1, 5):
                 mine = {e.matrix for e in enumerate_embeddings(q, n)}
                 assert mine == brute_force_orbits(q, n), (q, n)
+
+    def test_matches_brute_force_on_stars_placed_out_of_index_order(self):
+        # Norm order differs from index order on each of these stars, so the
+        # search places vertices in a different order than it reports them.
+        stars = [PlumbingGraph(-3, ((-2,), (-2,), (-2,))),
+                 PlumbingGraph(-2, ((-3,), (-2,))),
+                 PlumbingGraph(-2, ((-2,), (-3,), (-2,))),
+                 PlumbingGraph(-4, ((-2, -2),))]
+        for graph in stars:
+            q = adjacency_matrix(graph)
+            found = 0
+            for n in range(len(q), 6):
+                mine = {e.matrix for e in enumerate_embeddings(q, n)}
+                assert mine == brute_force_orbits(q, n), (graph, n)
+                found += len(mine)
+            assert found > 0, graph
+
+    def test_leg_relabelling_permutes_the_orbits(self):
+        # Reordering the legs relabels the vertices; each rank's orbits must
+        # be the same up to that relabelling, whatever order the search uses.
+        stars = [PlumbingGraph(-2, ((-2,), (-3,), (-4,))),
+                 PlumbingGraph(-3, ((-2, -2), (-3,), (-2,))),
+                 PlumbingGraph(-2, ((-3,), (-2, -2), (-5,))),
+                 PlumbingGraph(-3, ((-2,), (-4,), (-2, -2)))]
+        for graph in stars:
+            base = adjacency_matrix(graph)
+            cap = sum(-base[i][i] for i in range(len(base)))
+            starts = [1]
+            for leg in graph.legs:
+                starts.append(starts[-1] + len(leg))
+            reference = {n: {e.matrix for e in enumerate_embeddings(base, n)}
+                         for n in range(len(base), cap + 1)}
+            assert any(reference.values()), graph
+            for perm in itertools.permutations(range(len(graph.legs))):
+                relabelled = PlumbingGraph(graph.central_weight,
+                                           tuple(graph.legs[i] for i in perm))
+                # old vertex index of each vertex of the relabelled graph
+                source = [0] + [v for i in perm
+                                for v in range(starts[i], starts[i + 1])]
+                q = adjacency_matrix(relabelled)
+                for n, orbits in reference.items():
+                    back = set()
+                    for emb in enumerate_embeddings(q, n):
+                        cols = [None] * len(source)
+                        for new, old in enumerate(source):
+                            cols[old] = emb.column(new)
+                        back.add(canonical_rows(zip(*cols)))
+                    assert back == orbits, (relabelled, n)
 
 
 class TestSurjectivity:
