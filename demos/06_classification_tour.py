@@ -26,7 +26,8 @@ for text in showcase:
 
 print()
 print("Full trace for the lattice-obstructed case:")
-print(render_explain(explain(parse_link("M(1; 2, 2, 2)"), include_verify=True)))
+obstructed = parse_link("M(1; 2, 2, 2)")
+print(render_explain(explain(obstructed, verify(obstructed))))
 
 print()
 print("Sweep of the p = 3, alpha <= 2 family (e from -1 to 3):")

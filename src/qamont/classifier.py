@@ -29,9 +29,10 @@ from typing import Iterator
 from .lattice import ObstructionResult, qa_lattice_obstruction
 from .laufer import LauferResult, LauferVerdict, laufer_run
 from .montesinos import (MontesinosLink, StandardForm, canonical_form,
-                         determinant, epsilon, format_link, reflect,
-                         tangle_alpha_beta, to_negative_form, to_standard_form)
-from .plumbing import adjacency_matrix, build_graph, format_graph
+                         determinant, epsilon, format_link, tangle_alpha_beta,
+                         to_negative_form, to_standard_form)
+from .plumbing import (PlumbingGraph, adjacency_matrix, format_graph,
+                       oriented_graph)
 
 __all__ = [
     "Status",
@@ -80,8 +81,12 @@ class Verdict:
 
 @dataclass(frozen=True)
 class Evidence:
+    """What ``verify`` derived; ``side`` and ``graph`` are None on DetZero."""
+
     branch: Branch
     reflected: bool
+    side: StandardForm | None  # the oriented standard form, eps < 0
+    graph: PlumbingGraph | None  # the plumbing of its negative form
     laufer: LauferResult | None
     obstruction: ObstructionResult | None
 
@@ -134,24 +139,25 @@ def classify(link: MontesinosLink) -> Verdict:
 def verify(link: MontesinosLink) -> Evidence:
     """Re-derive the verdict from the two obstructions.
 
-    Orient by reflection so eps < 0, build the (then negative definite)
-    plumbing, and run the computation sequence; a non-rational singularity
-    means no L-space and settles NotQA.  Otherwise search for a lattice
-    embedding with surjective transpose: obstructed means NotQA, a witness
-    completes the positive check.
+    Orient by reflection so eps < 0 and build the (then negative definite)
+    plumbing with ``oriented_graph``, and run the computation sequence; a
+    non-rational singularity means no L-space and settles NotQA.  Otherwise
+    search for a lattice embedding with surjective transpose: obstructed
+    means NotQA, a witness completes the positive check.  The evidence
+    carries the oriented side and its graph, so callers such as ``explain``
+    need not derive them again.
     """
     std = to_standard_form(link)
     if determinant(std) == 0:
-        return Evidence(Branch.DET_ZERO, False, None, None)
-    reflected = epsilon(std) > 0
-    side = reflect(std) if reflected else std
-    graph = build_graph(to_negative_form(side))
+        return Evidence(Branch.DET_ZERO, False, None, None, None, None)
+    side, graph = oriented_graph(std)
+    reflected = side != std
     laufer = laufer_run(adjacency_matrix(graph))
     if laufer.verdict is LauferVerdict.NOT_RATIONAL:
-        return Evidence(Branch.LAUFER_NOT_LSPACE, reflected, laufer, None)
+        return Evidence(Branch.LAUFER_NOT_LSPACE, reflected, side, graph, laufer, None)
     obstruction = qa_lattice_obstruction(graph)
     branch = Branch.LATTICE_OBSTRUCTED if obstruction.obstructed else Branch.POSITIVE_CHECK
-    return Evidence(branch, reflected, laufer, obstruction)
+    return Evidence(branch, reflected, side, graph, laufer, obstruction)
 
 
 def enumerate_family(p_max: int, alpha_max: int, e_min: int, e_max: int,
@@ -160,6 +166,7 @@ def enumerate_family(p_max: int, alpha_max: int, e_min: int, e_max: int,
 
     Tangle multisets are deduplicated; the order (p ascending, e ascending,
     multisets lexicographic over the descending tangle list) is deterministic.
+    Invalid bounds raise at the call, before any link is produced.
     """
     if p_min < 1 or p_max < p_min:
         raise ValueError(f"invalid tangle-count range {p_min}..{p_max}")
@@ -167,6 +174,11 @@ def enumerate_family(p_max: int, alpha_max: int, e_min: int, e_max: int,
         raise ValueError(f"alpha_max must be at least 2, got {alpha_max}")
     if e_min > e_max:
         raise ValueError(f"empty e range {e_min}..{e_max}")
+    return _family(p_min, p_max, alpha_max, e_min, e_max)
+
+
+def _family(p_min: int, p_max: int, alpha_max: int, e_min: int,
+            e_max: int) -> Iterator[StandardForm]:
     tangles = sorted((Fraction(a, b)
                       for a in range(2, alpha_max + 1)
                       for b in range(1, a) if gcd(a, b) == 1),
@@ -226,15 +238,15 @@ def _condition_rows(std: StandardForm) -> list[dict]:
     return rows
 
 
-def explain(link: MontesinosLink, include_verify: bool = False) -> dict:
+def explain(link: MontesinosLink, evidence: Evidence | None = None) -> dict:
     """Structured classification trace; JSON-friendly throughout.
 
-    With ``include_verify`` the report also carries the reflection decision,
-    the plumbing graph, a summary of the computation sequence, and the
-    embedding search statistics.
+    Given ``evidence``, the result of ``verify(link)``, the report also
+    carries the reflection decision, the plumbing graph, a summary of the
+    computation sequence, and the embedding search statistics.
     """
-    std = to_standard_form(link)
     verdict = classify(link)
+    std = verdict.normalized
 
     normalization = []
     for idx, t in enumerate(link.tangles):
@@ -252,7 +264,7 @@ def explain(link: MontesinosLink, include_verify: bool = False) -> dict:
     report = {
         "input": format_link(link),
         "standard_form": format_link(std),
-        "canonical_form": format_link(canonical_form(link)),
+        "canonical_form": format_link(canonical_form(std)),
         "normalization": normalization,
         "epsilon": f"{verdict.epsilon.numerator}/{verdict.epsilon.denominator}",
         "det": verdict.det,
@@ -263,23 +275,18 @@ def explain(link: MontesinosLink, include_verify: bool = False) -> dict:
         "witness_pair": list(verdict.witness_pair) if verdict.witness_pair else None,
         "verify": None,
     }
-    if include_verify:
-        report["verify"] = _verify_trace(link)
+    if evidence is not None:
+        report["verify"] = _verify_trace(evidence)
     return report
 
 
-def _verify_trace(link: MontesinosLink) -> dict:
-    evidence = verify(link)
+def _verify_trace(evidence: Evidence) -> dict:
     trace: dict = {"branch": evidence.branch.value, "reflected": evidence.reflected}
     if evidence.branch is Branch.DET_ZERO:
         return trace
-    std = to_standard_form(link)
-    side = reflect(std) if evidence.reflected else std
-    negative = to_negative_form(side)
-    graph = build_graph(negative)
-    trace["oriented_form"] = format_link(side)
-    trace["negative_form"] = format_link(negative)
-    trace["graph"] = format_graph(graph).strip().splitlines()
+    trace["oriented_form"] = format_link(evidence.side)
+    trace["negative_form"] = format_link(to_negative_form(evidence.side))
+    trace["graph"] = format_graph(evidence.graph).strip().splitlines()
     laufer = evidence.laufer
     trace["laufer"] = {
         "verdict": laufer.verdict.value,

@@ -8,7 +8,8 @@ error, 3 precondition error (e.g. an indefinite graph), 4 internal guard
 tripped.
 
 Records are bit-exact across runs and worker counts; per-record timing is
-therefore only emitted when ``--timing`` is requested.
+therefore only emitted when ``--timing`` is requested.  jsonl and tsv
+print each record as soon as it is built, in input order.
 """
 
 from __future__ import annotations
@@ -20,12 +21,13 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
+from typing import Iterable, Iterator
 
 from .classifier import classify, enumerate_family, explain, render_explain, verify
 from .errors import InternalError, NotNegativeDefiniteError, ParseError
-from .lattice import enumerate_embeddings, qa_lattice_obstruction, transpose_surjective
+from .lattice import embeddings_by_rank, qa_lattice_obstruction, transpose_surjective
 from .laufer import laufer_run
-from .montesinos import canonical_form, format_link, parse_link
+from .montesinos import MontesinosLink, canonical_form, format_link, parse_link
 from .plumbing import adjacency_matrix, parse_graph
 
 _RECORD_FIELDS = ["link", "canonical", "e", "p", "det", "epsilon",
@@ -42,15 +44,14 @@ def _default_jobs() -> int:
         return 1
 
 
-def _build_record(task: tuple[str, bool, bool, bool]) -> dict:
-    text, with_verify, with_explain, with_timing = task
+def _build_record(task: tuple[str, MontesinosLink, bool, bool, bool]) -> dict:
+    text, link, with_verify, with_explain, with_timing = task
     start = time.perf_counter_ns()
-    link = parse_link(text)
     verdict = classify(link)
-    evidence = verify(link) if with_verify else None
+    evidence = verify(verdict.normalized) if with_verify else None
     record = {
         "link": text,
-        "canonical": format_link(canonical_form(link)),
+        "canonical": format_link(canonical_form(verdict.normalized)),
         "e": verdict.normalized.e,
         "p": verdict.normalized.p,
         "det": verdict.det,
@@ -62,20 +63,26 @@ def _build_record(task: tuple[str, bool, bool, bool]) -> dict:
     if with_timing:
         record["ms"] = (time.perf_counter_ns() - start) // 1_000_000
     if with_explain:
-        record["explain"] = explain(link, include_verify=with_verify)
+        record["explain"] = explain(link, evidence)
     return record
 
 
-def _records(texts: list[str], args) -> "list[dict]":
-    tasks = [(t, args.verify, args.explain, args.timing) for t in texts]
-    workers = min(args.jobs, len(tasks))
+def _records(links: Iterable[tuple[str, MontesinosLink]], args) -> Iterator[dict]:
+    """Records in input order.  Up to ``--jobs`` workers build them, but no
+    more than there are CPUs or records; one worker builds them lazily."""
+    tasks = ((text, link, args.verify, args.explain, args.timing) for text, link in links)
+    workers = min(args.jobs, os.cpu_count() or 1)
+    if workers > 1:
+        tasks = list(tasks)
+        workers = min(workers, len(tasks))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_build_record, tasks, chunksize=4))
-    return [_build_record(task) for task in tasks]
+            yield from pool.map(_build_record, tasks, chunksize=4)
+    else:
+        yield from map(_build_record, tasks)
 
 
-def _emit(records: list[dict], args) -> None:
+def _emit(records: Iterator[dict], args) -> None:
     fields = _RECORD_FIELDS + (["ms"] if args.timing else [])
     if args.format == "jsonl":
         for record in records:
@@ -88,6 +95,7 @@ def _emit(records: list[dict], args) -> None:
                             for f in fields))
         return
     # table: aligned columns, then any explain traces
+    records = list(records)
     rows = [[str(record[f]) if record[f] is not None else "-" for f in fields]
             for record in records]
     widths = [max(len(f), *(len(row[i]) for row in rows)) if rows else len(f)
@@ -111,8 +119,11 @@ def _check_record_flags(args) -> None:
 
 def cmd_classify(args) -> int:
     _check_record_flags(args)
-    records = _records([t.strip() for t in args.links], args)
-    _emit(records, args)
+    # Parse every expression before the first record is printed, so a bad
+    # one exits with nothing on stdout.
+    texts = [t.strip() for t in args.links]
+    links = [(text, parse_link(text)) for text in texts]
+    _emit(_records(links, args), args)
     return 0
 
 
@@ -121,9 +132,7 @@ def cmd_enumerate(args) -> int:
     p_min, p_max = (args.p, args.p) if args.p is not None else (1, args.p_max)
     family = enumerate_family(p_max, args.alpha_max, args.e_min, args.e_max,
                               p_min=p_min)
-    texts = [format_link(link) for link in family]
-    records = _records(texts, args)
-    _emit(records, args)
+    _emit(_records(((format_link(link), link) for link in family), args), args)
     return 0
 
 
@@ -150,14 +159,15 @@ def cmd_laufer(args) -> int:
 
 
 def cmd_embed(args) -> int:
+    if args.n_max is not None and not args.all:
+        raise ValueError("--n-max needs --all: the obstruction search runs to its "
+                         "complete rank bound, since a lower one could report "
+                         "Obstructed where a witness exists")
     graph = _read_graph(args.graph_file)
     if args.all:
-        q = adjacency_matrix(graph)
-        k = len(q)
-        high = args.n_max if args.n_max is not None else sum(-q[i][i] for i in range(k))
         total = 0
-        for n in range(k, high + 1):
-            for emb in enumerate_embeddings(q, n):
+        for n, embeddings in embeddings_by_rank(adjacency_matrix(graph), args.n_max):
+            for emb in embeddings:
                 total += 1
                 surjective = "true" if transpose_surjective(emb) else "false"
                 print(f"embedding n={n} index={total} surjective={surjective}")
@@ -166,7 +176,7 @@ def cmd_embed(args) -> int:
                 print()
         print(f"total: {total}")
         return 0
-    result = qa_lattice_obstruction(graph, args.n_max)
+    result = qa_lattice_obstruction(graph)
     if result.obstructed:
         print("Obstructed")
     else:
@@ -221,7 +231,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_embed = sub.add_parser("embed", help="search lattice embeddings of a graph file")
     p_embed.add_argument("graph_file")
     p_embed.add_argument("--n-max", type=int, default=None,
-                         help="override the ambient rank bound")
+                         help="with --all: list ranks up to N only")
     mode = p_embed.add_mutually_exclusive_group()
     mode.add_argument("--all", action="store_true",
                       help="print every embedding with its surjectivity verdict")

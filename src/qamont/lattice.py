@@ -16,8 +16,10 @@ enumeration yields exactly one representative per orbit:
 
 Rows of yielded embeddings are therefore sorted; coordinates never touched
 by any column are not represented, so enumeration at ambient rank n only
-yields matrices with no zero row.  Coordinate and vertex indices are
-0-based throughout.
+yields matrices with no zero row.  ``embeddings_by_rank`` runs the ranks
+from k up to the bound that makes the search complete, and states why
+that bound loses nothing.  Coordinate and vertex indices are 0-based
+throughout.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ __all__ = [
     "gram_matrix",
     "gram_matches",
     "enumerate_embeddings",
+    "embeddings_by_rank",
     "transpose_surjective",
     "minor_check",
     "support_set",
@@ -139,7 +142,7 @@ def enumerate_embeddings(q: Matrix, n: int) -> Iterator[Embedding]:
 
     so every ambient rank yields exactly the same set of orbits as a search
     in vertex order would, and yielded matrices satisfy the Gram condition
-    against the caller's ``q``.  The rank bound of ``qa_lattice_obstruction``
+    against the caller's ``q``.  The rank bound of ``embeddings_by_rank``
     depends only on the norms, so it is untouched.  Only the order of the
     stream depends on the placement order.
     """
@@ -211,6 +214,30 @@ def enumerate_embeddings(q: Matrix, n: int) -> Iterator[Embedding]:
             colsq.pop()
 
     yield from place(0, 0)
+
+
+def embeddings_by_rank(q: Matrix, n_max: int | None = None
+                       ) -> Iterator[tuple[int, Iterator[Embedding]]]:
+    """``(n, enumerate_embeddings(q, n))`` for each ambient rank n in turn.
+
+    Ranks run from the vertex count k up to the sum of the vertex norms
+    -q[i][i], and that bound makes the search complete.  Deleting a zero
+    row of an embedding changes neither the Gram condition nor the
+    surjectivity of the transpose, so every embedding has a zero-row free
+    counterpart.  Each row of that counterpart holds a nonzero entry, and
+    column i holds at most -q[i][i] nonzero entries (each adds at least 1
+    to its norm), so it has at most the sum of the norms rows.  No rank
+    beyond the bound has an embedding; ``n_max`` stops the ranks earlier.
+
+    Each rank's stream is looked up on this module at call time, so a
+    wrapper installed there (``perfbench/tracing.py`` counts ranks that way)
+    sees every rank.  Consume a rank's stream before asking for the next.
+    """
+    high = sum(-q[i][i] for i in range(len(q)))
+    if n_max is not None:
+        high = min(high, n_max)
+    for n in range(len(q), high + 1):
+        yield n, enumerate_embeddings(q, n)
 
 
 def transpose_surjective(emb: Embedding) -> bool:
@@ -342,16 +369,12 @@ class ObstructionResult:
 
 
 @lru_cache(maxsize=None)
-def qa_lattice_obstruction(graph: PlumbingGraph,
-                           n_max: int | None = None) -> ObstructionResult:
+def qa_lattice_obstruction(graph: PlumbingGraph) -> ObstructionResult:
     """Search every ambient rank for an embedding with surjective transpose.
 
-    Ranks run from the vertex count k up to the sum of the absolute vertex
-    weights: an embedding may have its zero rows deleted without changing
-    the Gram condition or the surjectivity of the transpose, and a zero-row
-    free embedding fits in that many coordinates, so the default bound loses
-    nothing.  Ranks are searched in increasing order, so the witness
-    returned is the first surjective embedding that
+    The ranks are those of ``embeddings_by_rank``, whose docstring shows
+    that they make the search complete.  They are searched in increasing
+    order, so the witness returned is the first surjective embedding that
     ``enumerate_embeddings`` yields at the minimal ambient rank; the stream
     is deterministic, so the witness is too.  Exhausting every rank without
     one gives the obstructed outcome.
@@ -359,13 +382,10 @@ def qa_lattice_obstruction(graph: PlumbingGraph,
     if not is_negative_definite(graph):
         raise NotNegativeDefiniteError(
             "the embedding obstruction requires a negative definite plumbing")
-    q = adjacency_matrix(graph)
-    k = len(q)
-    high = sum(-q[i][i] for i in range(k)) if n_max is None else n_max
     examined: list[tuple[int, int]] = []
-    for n in range(k, high + 1):
+    for n, embeddings in embeddings_by_rank(adjacency_matrix(graph)):
         count = 0
-        for emb in enumerate_embeddings(q, n):
+        for emb in embeddings:
             count += 1
             if transpose_surjective(emb):
                 examined.append((n, count))

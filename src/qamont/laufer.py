@@ -17,9 +17,8 @@ from typing import Callable, Sequence, Union
 
 from .errors import NotNegativeDefiniteError, StepLimitError
 from .intmat import Matrix, freeze, is_negative_definite_matrix, is_symmetric, mat_vec
-from .montesinos import (MontesinosLink, determinant, epsilon, reflect,
-                         to_negative_form, to_standard_form)
-from .plumbing import adjacency_matrix, build_graph, is_negative_definite
+from .montesinos import MontesinosLink, to_standard_form
+from .plumbing import adjacency_matrix, is_negative_definite, oriented_graph
 
 __all__ = ["LauferVerdict", "LauferResult", "laufer_run", "is_lspace"]
 
@@ -86,16 +85,11 @@ def is_lspace(link: MontesinosLink) -> bool:
     """Whether the double branched cover of the link is an L-space.
 
     Requires nonzero determinant (a rational homology sphere).  The link is
-    reflected if necessary so that eps < 0, which makes the plumbing of its
-    negative form negative definite; the L-space property does not depend
-    on that orientation choice.
+    oriented by ``oriented_graph`` so that eps < 0, which makes the plumbing
+    of its negative form negative definite; the L-space property does not
+    depend on that orientation choice.
     """
-    std = to_standard_form(link)
-    if determinant(std) == 0:
-        raise ValueError(
-            "determinant zero: the double branched cover is not a rational homology sphere")
-    side = std if epsilon(std) < 0 else reflect(std)
-    graph = build_graph(to_negative_form(side))
+    _, graph = oriented_graph(to_standard_form(link))
     if not is_negative_definite(graph):  # cannot happen when eps < 0
         raise NotNegativeDefiniteError("oriented plumbing is not negative definite")
     result = laufer_run(adjacency_matrix(graph))

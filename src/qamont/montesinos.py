@@ -110,8 +110,11 @@ def to_standard_form(link: MontesinosLink) -> StandardForm:
     """Slide each tangle until 0 < beta < alpha, absorbing full twists into e.
 
     Replacing beta by beta + k*alpha while adding k to e leaves the link
-    unchanged, so eps is preserved exactly.
+    unchanged, so eps is preserved exactly.  A ``StandardForm`` is returned
+    as it is: it is frozen and was validated as standard when it was made.
     """
+    if isinstance(link, StandardForm):
+        return link
     new_e = link.e
     new_tangles = []
     for t in link.tangles:

@@ -16,11 +16,13 @@ from fractions import Fraction
 from .cfrac import cf_eval, cf_expand
 from .errors import InternalError, ParseError
 from .intmat import Matrix, det, freeze, is_negative_definite_matrix
-from .montesinos import MontesinosLink
+from .montesinos import (MontesinosLink, StandardForm, epsilon, reflect,
+                         to_negative_form)
 
 __all__ = [
     "PlumbingGraph",
     "build_graph",
+    "oriented_graph",
     "adjacency_matrix",
     "seifert_euler_number",
     "negative_definite_by_sign",
@@ -60,6 +62,22 @@ def build_graph(link: MontesinosLink) -> PlumbingGraph:
                 f"tangle {t} is not < -1; bring the link to negative form first")
         legs.append(cf_expand(t))
     return PlumbingGraph(link.e, tuple(legs))
+
+
+def oriented_graph(link: StandardForm) -> tuple[StandardForm, PlumbingGraph]:
+    """The side of the link with eps < 0 and the plumbing of its negative form.
+
+    The link is reflected when eps > 0; reflection negates eps, so the
+    returned side differs from the input exactly when it was reflected.
+    With eps < 0 the plumbing is negative definite.  A zero eps (zero
+    determinant) has no such side and is rejected.
+    """
+    eps = epsilon(link)
+    if eps == 0:
+        raise ValueError(
+            "determinant zero: the double branched cover is not a rational homology sphere")
+    side = reflect(link) if eps > 0 else link
+    return side, build_graph(to_negative_form(side))
 
 
 def adjacency_matrix(graph: PlumbingGraph) -> Matrix:

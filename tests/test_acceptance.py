@@ -15,15 +15,14 @@ from qamont.cfrac import prefix_r
 from qamont.classifier import Branch, Status, classify, enumerate_family, verify
 from qamont.cli import main
 from qamont.intmat import freeze, mat_vec
-from qamont.lattice import (enumerate_embeddings, minor_check,
-                            rigidity_check, support_set,
-                            transpose_surjective, truncate_legs)
+from qamont.lattice import (embeddings_by_rank, minor_check, rigidity_check,
+                            support_set, transpose_surjective, truncate_legs)
 from qamont.laufer import LauferVerdict, is_lspace, laufer_run
 from qamont.montesinos import (MontesinosLink, canonical_form, determinant,
                                epsilon, format_link, reflect, slide,
                                to_negative_form)
 from qamont.plumbing import (PlumbingGraph, adjacency_matrix, build_graph,
-                             h1_order, is_negative_definite)
+                             h1_order, is_negative_definite, oriented_graph)
 
 FAMILY = list(enumerate_family(3, 4, -3, 4, p_min=3))
 
@@ -31,11 +30,6 @@ FAMILY = list(enumerate_family(3, 4, -3, 4, p_min=3))
 def report(number: int, ok: bool, summary: str) -> None:
     print(f"[criterion {number}] {'PASS' if ok else 'FAIL'}: {summary}")
     assert ok, summary
-
-
-def oriented_negative_graph(link):
-    side = link if epsilon(link) < 0 else reflect(link)
-    return build_graph(to_negative_form(side)), side
 
 
 def test_criterion_1_theorem_obstruction_equivalence():
@@ -134,35 +128,26 @@ def test_criterion_5_unit_minors_whenever_surjective():
     for link in FAMILY:
         if determinant(link) == 0:
             continue
-        graph, _ = oriented_negative_graph(link)
+        _, graph = oriented_graph(link)
         q = adjacency_matrix(graph)
         if laufer_run(q).verdict is not LauferVerdict.RATIONAL:
             continue
-        k = len(q)
-        cap = sum(-q[i][i] for i in range(k))
-        done = False
-        for n in range(k, cap + 1):
-            if done:
-                break
-            for emb in enumerate_embeddings(q, n):
-                if transpose_surjective(emb):
-                    inspect(emb)
-                    done = True  # the pipeline stops at the first witness
-                    break
+        for _, embeddings in embeddings_by_rank(q):
+            witness = next(filter(transpose_surjective, embeddings), None)
+            if witness is not None:
+                inspect(witness)
+                break  # the pipeline stops at the first witness
 
     # Supplementary sweep where supported subsets do occur: every embedding
     # of every one-tangle (lens space) graph, across the full rank range.
     for link in enumerate_family(1, 5, -2, 2):
         if determinant(link) == 0:
             continue
-        graph, _ = oriented_negative_graph(link)
+        _, graph = oriented_graph(link)
         q = adjacency_matrix(graph)
-        k = len(q)
-        cap = sum(-q[i][i] for i in range(k))
-        for n in range(k, cap + 1):
-            for emb in enumerate_embeddings(q, n):
-                if transpose_surjective(emb):
-                    inspect(emb)
+        for _, embeddings in embeddings_by_rank(q):
+            for emb in filter(transpose_surjective, embeddings):
+                inspect(emb)
 
     report(5, surjective_seen > 0 and subsets_checked > 0 and violations == 0,
            f"{subsets_checked} supported minors on {surjective_seen} surjective "
@@ -209,8 +194,8 @@ def test_criterion_7_rigidity_property():
         q = freeze(q)
         psi1 = tuple(range(k1))
         psi2 = tuple(range(k1, k1 + k2))
-        for n in range(k1 + k2, total_weight + 1):
-            for emb in enumerate_embeddings(q, n):
+        for _, embeddings in embeddings_by_rank(q):
+            for emb in embeddings:
                 if not (support_set(emb, (psi1[0],)) & support_set(emb, (psi2[0],))):
                     continue
                 embeddings_checked += 1

@@ -6,8 +6,13 @@ import pytest
 from qamont.classifier import (Branch, Reason, Status, classify,
                                enumerate_family, explain, render_explain,
                                verify)
+from qamont.lattice import gram_matches
 from qamont.montesinos import (MontesinosLink, canonical_form, determinant,
-                               format_link, reflect, slide)
+                               epsilon, format_link, reflect, slide)
+from qamont.plumbing import adjacency_matrix
+
+# The acceptance family: p = 3, tangles from {2, 3, 3/2, 4, 4/3}, e in [-3, 4].
+FAMILY = list(enumerate_family(3, 4, -3, 4, p_min=3))
 
 
 def M(e, *tangles):
@@ -107,6 +112,17 @@ class TestVerify:
     def test_det_zero_branch(self):
         evidence = verify(M(1, Fraction(3, 2), 3))
         assert evidence.branch is Branch.DET_ZERO
+        assert evidence.side is None and evidence.graph is None
+
+    def test_witness_matches_the_carried_graph(self):
+        positive = 0
+        for link in FAMILY:
+            evidence = verify(link)
+            if evidence.branch is Branch.POSITIVE_CHECK:
+                positive += 1
+                witness = evidence.obstruction.witness
+                assert gram_matches(witness, adjacency_matrix(evidence.graph))
+        assert positive > 0
 
     def test_equivalence_on_small_family(self):
         for link in enumerate_family(2, 4, -2, 3):
@@ -175,13 +191,25 @@ class TestExplain:
         assert "2 > " in condition2["detail"] and "= 2" in condition2["detail"]
 
     def test_verify_trace(self):
-        report = explain(M(1, 2, 2, 2), include_verify=True)
+        link = M(1, 2, 2, 2)
+        report = explain(link, verify(link))
         trace = report["verify"]
         assert trace["branch"] == "LatticeObstructed"
         assert trace["laufer"]["verdict"] == "Rational"
         assert trace["embedding_search"]["obstructed"] is True
         text = render_explain(report)
         assert "no embedding has surjective transpose" in text
+
+    def test_trace_reads_the_oriented_side_from_the_evidence(self):
+        for link in FAMILY:
+            evidence = verify(link)
+            trace = explain(link, evidence)["verify"]
+            if evidence.side is None:
+                assert "oriented_form" not in trace
+                continue
+            assert trace["oriented_form"] == format_link(evidence.side)
+            assert epsilon(evidence.side) < 0
+            assert evidence.side == (reflect(link) if evidence.reflected else link)
 
     def test_render_is_text(self):
         text = render_explain(explain(M(0, Fraction(5, 2), Fraction(7, 3))))

@@ -1,9 +1,11 @@
 import json
+import os
 
 import pytest
 
-from qamont import plumbing
+from qamont import classifier, cli, plumbing
 from qamont.cli import main
+from qamont.errors import InternalError
 from qamont.lattice import qa_lattice_obstruction
 from qamont.montesinos import canonical_form, parse_link
 
@@ -45,6 +47,57 @@ class TestClassify:
         code, _, err = run(capsys, "classify", "M(1; 2, huh)")
         assert code == 2
         assert "huh" in err
+
+    def test_bad_expression_prints_no_record(self, capsys):
+        code, out, _ = run(capsys, "classify", "M(0; 2)", "M(1; 2, huh)")
+        assert code == 2
+        assert out == ""
+
+    @pytest.mark.parametrize("fmt", ["jsonl", "tsv"])
+    def test_records_stream_as_they_are_built(self, capsys, monkeypatch, fmt):
+        real = cli.classify
+        calls = []
+
+        def classify_then_fail(link):
+            calls.append(link)
+            if len(calls) == 2:
+                raise InternalError("second record")
+            return real(link)
+
+        monkeypatch.setattr(cli, "classify", classify_then_fail)
+        code, out, _ = run(capsys, "classify", "M(0; 5/2, 7/3)", "M(0; 2)",
+                           "--format", fmt, "--jobs", "1")
+        assert code == 4
+        assert "M(0; 5/2, 7/3)" in out and "M(0; 2)" not in out
+
+    def test_jobs_capped_at_cpu_count(self, capsys, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a worker pool was started")
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
+        code, out, _ = run(capsys, "classify", "M(0; 2)", "M(1; 2, 2, 2)",
+                           "--jobs", "2")
+        assert code == 0
+        assert len(out.splitlines()) == 2
+
+    def test_verify_explain_verifies_once_per_record(self, capsys, monkeypatch):
+        real = classifier.verify
+        calls = []
+
+        def counting_verify(link):
+            calls.append(link)
+            return real(link)
+
+        monkeypatch.setattr(cli, "verify", counting_verify)
+        monkeypatch.setattr(classifier, "verify", counting_verify)
+        code, out, _ = run(capsys, "classify", "M(1; 2, 2, 2)", "M(0; 3/2)",
+                           "--verify", "--explain", "--jobs", "1")
+        assert code == 0
+        records = [json.loads(line) for line in out.splitlines()]
+        assert [r["explain"]["verify"]["branch"] for r in records] == \
+            ["LatticeObstructed", "PositiveCheck"]
+        assert len(calls) == 2
 
     @pytest.mark.parametrize("jobs", ["0", "-1"])
     def test_jobs_below_one_exit_2(self, capsys, jobs):
@@ -101,6 +154,12 @@ class TestEnumerate:
                            "--e-min", "0", "--e-max", "0")
         assert code == 2
         assert "alpha_max" in err
+
+    def test_invalid_bounds_print_no_tsv_header(self, capsys):
+        code, out, _ = run(capsys, "enumerate", "--p", "2", "--alpha-max", "3",
+                           "--e-min", "1", "--e-max", "0", "--format", "tsv")
+        assert code == 2
+        assert out == ""
 
     def test_round_trip_of_printed_canonical(self, capsys):
         _, out, _ = run(capsys, "enumerate", "--p-max", "2", "--alpha-max", "4",
@@ -184,6 +243,27 @@ class TestGraphCommands:
         lines = out.splitlines()
         assert lines[0] == "NotObstructed n=4"
         assert lines[1:] == ["1", "1", "1", "1"]
+
+    def test_embed_n_max_without_all_exits_2(self, tmp_path, capsys):
+        # A witness exists at n = 4, so a search stopped at 3 would report
+        # Obstructed falsely.
+        path = tmp_path / "v4.graph"
+        path.write_text("central: -4\n")
+        code, out, err = run(capsys, "embed", str(path), "--n-max", "3")
+        assert code == 2
+        assert out == ""
+        assert "--n-max" in err and "--all" in err
+
+    def test_embed_all_n_max_bounds_the_listing(self, tmp_path, capsys):
+        path = tmp_path / "v4.graph"
+        path.write_text("central: -4\n")
+        code, out, _ = run(capsys, "embed", str(path), "--all", "--n-max", "3")
+        assert code == 0
+        assert out == "embedding n=1 index=1 surjective=false\n2\n\ntotal: 1\n"
+        code, out, _ = run(capsys, "embed", str(path), "--all", "--n-max", "4")
+        assert code == 0
+        assert out.endswith("embedding n=4 index=2 surjective=true\n"
+                            "1\n1\n1\n1\n\ntotal: 2\n")
 
     def test_embed_all_lists_embeddings(self, tmp_path, capsys):
         path = tmp_path / "v2.graph"

@@ -7,7 +7,8 @@ from conftest import random_cf
 from qamont.cfrac import prefix_r
 from qamont.errors import NotNegativeDefiniteError
 from qamont.intmat import freeze, is_negative_definite_matrix
-from qamont.lattice import (Embedding, enumerate_embeddings, gram_matches,
+from qamont.lattice import (Embedding, embeddings_by_rank,
+                            enumerate_embeddings, gram_matches,
                             minor_check, qa_lattice_obstruction,
                             rigidity_check, support_set, transpose_surjective,
                             truncate_legs)
@@ -59,13 +60,20 @@ class TestEnumerate:
                   PlumbingGraph(-1, ((-3,), (-2,)))]
         for graph in graphs:
             q = adjacency_matrix(graph)
-            k = len(q)
-            cap = sum(-q[i][i] for i in range(k))
-            for n in range(k, cap + 1):
-                for emb in enumerate_embeddings(q, n):
+            for _, embeddings in embeddings_by_rank(q):
+                for emb in embeddings:
                     assert gram_matches(emb, q)
                     assert all(any(row) for row in emb.matrix)
                     assert emb.matrix == canonical_rows(emb.matrix)
+
+    def test_embeddings_by_rank_runs_to_the_norm_sum(self):
+        q = adjacency_matrix(PlumbingGraph(-3, ((-2, -2), (-4,))))  # k = 4, sum 11
+        assert [n for n, _ in embeddings_by_rank(q)] == list(range(4, 12))
+        assert [n for n, _ in embeddings_by_rank(q, 6)] == [4, 5, 6]
+        assert list(embeddings_by_rank(q, 3)) == []
+        for n, embeddings in embeddings_by_rank(q):
+            assert [e.matrix for e in embeddings] == \
+                [e.matrix for e in enumerate_embeddings(q, n)]
 
     def test_deterministic_order(self):
         first = [e.matrix for e in enumerate_embeddings(D4_Q, 4)]
@@ -141,12 +149,11 @@ class TestCompleteness:
                  PlumbingGraph(-3, ((-2,), (-4,), (-2, -2)))]
         for graph in stars:
             base = adjacency_matrix(graph)
-            cap = sum(-base[i][i] for i in range(len(base)))
             starts = [1]
             for leg in graph.legs:
                 starts.append(starts[-1] + len(leg))
-            reference = {n: {e.matrix for e in enumerate_embeddings(base, n)}
-                         for n in range(len(base), cap + 1)}
+            reference = {n: {e.matrix for e in embeddings}
+                         for n, embeddings in embeddings_by_rank(base)}
             assert any(reference.values()), graph
             for perm in itertools.permutations(range(len(graph.legs))):
                 relabelled = PlumbingGraph(graph.central_weight,
