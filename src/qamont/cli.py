@@ -19,7 +19,9 @@ import json
 import os
 import sys
 import time
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
+from itertools import chain, islice
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -28,12 +30,17 @@ from .errors import InternalError, NotNegativeDefiniteError, ParseError
 from .lattice import embeddings_by_rank, qa_lattice_obstruction, transpose_surjective
 from .laufer import laufer_run
 from .montesinos import MontesinosLink, canonical_form, format_link, parse_link
-from .plumbing import adjacency_matrix, parse_graph
+from .plumbing import adjacency_matrix, is_negative_definite, parse_graph
 
 _RECORD_FIELDS = ["link", "canonical", "e", "p", "det", "epsilon",
                   "status", "reason", "evidence"]
 
 _JOBS_ENV = "QAMONT_JOBS"  # advisory default for --jobs
+
+# A worker pool takes tasks in chunks of _CHUNK and has at most _AHEAD
+# chunks per worker in flight, so memory does not grow with the family.
+_CHUNK = 4
+_AHEAD = 2
 
 
 def _default_jobs() -> int:
@@ -67,19 +74,32 @@ def _build_record(task: tuple[str, MontesinosLink, bool, bool, bool]) -> dict:
     return record
 
 
+def _build_records(chunk: list[tuple]) -> list[dict]:
+    return [_build_record(task) for task in chunk]
+
+
 def _records(links: Iterable[tuple[str, MontesinosLink]], args) -> Iterator[dict]:
     """Records in input order.  Up to ``--jobs`` workers build them, but no
-    more than there are CPUs or records; one worker builds them lazily."""
+    more than there are CPUs or records; one worker builds them lazily, and
+    a pool keeps a bounded window of tasks in flight."""
     tasks = ((text, link, args.verify, args.explain, args.timing) for text, link in links)
     workers = min(args.jobs, os.cpu_count() or 1)
     if workers > 1:
-        tasks = list(tasks)
-        workers = min(workers, len(tasks))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            yield from pool.map(_build_record, tasks, chunksize=4)
-    else:
+        head = list(islice(tasks, workers))
+        workers = len(head)
+        tasks = chain(head, tasks)
+    if workers <= 1:
         yield from map(_build_record, tasks)
+        return
+    chunks = iter(lambda: list(islice(tasks, _CHUNK)), [])
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        pending = deque()
+        for chunk in chunks:
+            if len(pending) == _AHEAD * workers:
+                yield from pending.popleft().result()
+            pending.append(pool.submit(_build_records, chunk))
+        while pending:
+            yield from pending.popleft().result()
 
 
 def _emit(records: Iterator[dict], args) -> None:
@@ -165,6 +185,11 @@ def cmd_embed(args) -> int:
                          "Obstructed where a witness exists")
     graph = _read_graph(args.graph_file)
     if args.all:
+        # An empty rank range would otherwise print "total: 0" for a form
+        # that has no embeddings to list.
+        if not is_negative_definite(graph):
+            raise NotNegativeDefiniteError(
+                "embedding enumeration requires a negative definite form")
         total = 0
         for n, embeddings in embeddings_by_rank(adjacency_matrix(graph), args.n_max):
             for emb in embeddings:
@@ -232,11 +257,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_embed.add_argument("graph_file")
     p_embed.add_argument("--n-max", type=int, default=None,
                          help="with --all: list ranks up to N only")
-    mode = p_embed.add_mutually_exclusive_group()
-    mode.add_argument("--all", action="store_true",
-                      help="print every embedding with its surjectivity verdict")
-    mode.add_argument("--first-surjective", action="store_true",
-                      help="stop at the first surjective-transpose embedding (default)")
+    p_embed.add_argument("--all", action="store_true",
+                         help="print every embedding with its surjectivity verdict")
     p_embed.set_defaults(func=cmd_embed)
 
     return parser

@@ -32,7 +32,7 @@ from typing import Iterable, Iterator, Sequence
 from .cfrac import prefix_r
 from .errors import NotNegativeDefiniteError, TruncationNotFoundError
 from .intmat import (Matrix, det, freeze, invariant_factors,
-                     is_negative_definite_matrix, is_symmetric)
+                     is_negative_definite_matrix)
 from .plumbing import PlumbingGraph, adjacency_matrix, is_negative_definite
 
 __all__ = [
@@ -147,8 +147,6 @@ def enumerate_embeddings(q: Matrix, n: int) -> Iterator[Embedding]:
     stream depends on the placement order.
     """
     q = freeze(q)
-    if not is_symmetric(q):
-        raise ValueError("the pairing matrix must be symmetric")
     if not is_negative_definite_matrix(q):
         raise NotNegativeDefiniteError(
             "embedding enumeration requires a negative definite form")

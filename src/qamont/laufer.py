@@ -16,7 +16,7 @@ from enum import Enum
 from typing import Callable, Sequence, Union
 
 from .errors import NotNegativeDefiniteError, StepLimitError
-from .intmat import Matrix, freeze, is_negative_definite_matrix, is_symmetric, mat_vec
+from .intmat import Matrix, freeze, is_negative_definite_matrix, mat_vec
 from .montesinos import MontesinosLink, to_standard_form
 from .plumbing import adjacency_matrix, is_negative_definite, oriented_graph
 
@@ -61,8 +61,6 @@ def laufer_run(q: Matrix, policy: Policy = "lowest",
     incremented, and which witness is reported, when there is a choice.
     """
     q = freeze(q)
-    if not is_symmetric(q):
-        raise ValueError("the pairing matrix must be symmetric")
     if not is_negative_definite_matrix(q):
         raise NotNegativeDefiniteError(
             "the computation sequence requires a negative definite matrix")

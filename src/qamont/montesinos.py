@@ -164,10 +164,14 @@ def canonical_form(link: MontesinosLink) -> StandardForm:
 
     Parameter tuples related by slide moves and tangle reordering map to
     equal canonical forms, so this is the deduplication key used by the
-    family enumeration.
+    family enumeration.  A standard form whose tangles are already sorted
+    is returned as it is.
     """
     std = to_standard_form(link)
-    return StandardForm(std.e, tuple(sorted(std.tangles, reverse=True)))
+    tangles = tuple(sorted(std.tangles, reverse=True))
+    if tangles == std.tangles:
+        return std
+    return StandardForm(std.e, tangles)
 
 
 def slide(link: MontesinosLink, index: int, count: int = 1) -> MontesinosLink:

@@ -26,7 +26,6 @@ __all__ = [
     "adjacency_matrix",
     "seifert_euler_number",
     "negative_definite_by_sign",
-    "negative_definite_by_minors",
     "is_negative_definite",
     "h1_order",
     "parse_graph",
@@ -109,19 +108,15 @@ def negative_definite_by_sign(graph: PlumbingGraph) -> bool:
     return seifert_euler_number(graph) < 0
 
 
-def negative_definite_by_minors(graph: PlumbingGraph) -> bool:
-    """Exact leading-principal-minor sign alternation on the adjacency matrix."""
-    return is_negative_definite_matrix(adjacency_matrix(graph))
-
-
 def is_negative_definite(graph: PlumbingGraph) -> bool:
     """Negative definiteness, computed two ways when both apply.
 
-    The minor test always applies.  When every leg entry is <= -2 the sign
-    test applies as well and the two must agree; a mismatch would be a bug,
-    not a property of the input.
+    The exact test on the adjacency matrix (the sign alternation of its
+    leading principal minors) always applies.  When every leg entry is
+    <= -2 the sign test applies as well and the two must agree; a mismatch
+    would be a bug, not a property of the input.
     """
-    by_minors = negative_definite_by_minors(graph)
+    by_minors = is_negative_definite_matrix(adjacency_matrix(graph))
     if _legs_are_continued_fractions(graph):
         if negative_definite_by_sign(graph) != by_minors:
             raise InternalError(

@@ -6,8 +6,10 @@ import pytest
 from qamont import classifier, cli, plumbing
 from qamont.cli import main
 from qamont.errors import InternalError
+from qamont.intmat import is_negative_definite_matrix
 from qamont.lattice import qa_lattice_obstruction
 from qamont.montesinos import canonical_form, parse_link
+from qamont.plumbing import adjacency_matrix
 
 E8_TEXT = "central: -2\nleg: -2\nleg: -2 -2\nleg: -2 -2 -2 -2\n"
 SIGMA_237_TEXT = "central: -1\nleg: -2\nleg: -3\nleg: -7\n"
@@ -80,6 +82,69 @@ class TestClassify:
                            "--jobs", "2")
         assert code == 0
         assert len(out.splitlines()) == 2
+
+    def test_jobs_capped_at_record_count(self, capsys, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a worker pool was started")
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
+        code, out, _ = run(capsys, "classify", "M(0; 2)", "--jobs", "2")
+        assert code == 0
+        assert len(out.splitlines()) == 1
+
+    def test_pool_keeps_a_bounded_window(self, capsys, monkeypatch):
+        # A stub pool that runs nothing until a result is asked for, and
+        # fails as soon as more chunks are pending than the window allows.
+        window = cli._AHEAD * 2
+        state = {"read": 0, "read_at_start": None, "pending": 0, "peak": 0}
+        real_family = cli.enumerate_family
+
+        def counting_family(*args, **kwargs):
+            for link in real_family(*args, **kwargs):
+                state["read"] += 1
+                yield link
+
+        class StubFuture:
+            def __init__(self, fn, chunk):
+                self.fn, self.chunk = fn, chunk
+
+            def result(self):
+                state["pending"] -= 1
+                return self.fn(self.chunk)
+
+        class StubPool:
+            def __init__(self, max_workers):
+                assert max_workers == 2
+                state["read_at_start"] = state["read"]
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, chunk):
+                assert len(chunk) <= cli._CHUNK
+                state["pending"] += 1
+                assert state["pending"] <= window, "too many chunks in flight"
+                state["peak"] = max(state["peak"], state["pending"])
+                return StubFuture(fn, chunk)
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", StubPool)
+        monkeypatch.setattr(cli, "enumerate_family", counting_family)
+        argv = ("enumerate", "--p", "2", "--alpha-max", "5", "--e-min", "0",
+                "--e-max", "1")
+        code, pooled, _ = run(capsys, *argv, "--jobs", "2")
+        assert code == 0
+        assert state["read_at_start"] == 2
+        assert state["peak"] == window
+        assert state["pending"] == 0
+        monkeypatch.setattr(cli, "enumerate_family", real_family)
+        _, serial, _ = run(capsys, *argv, "--jobs", "1")
+        assert pooled == serial
+        assert len(serial.splitlines()) > window * cli._CHUNK
 
     def test_verify_explain_verifies_once_per_record(self, capsys, monkeypatch):
         real = classifier.verify
@@ -231,9 +296,17 @@ class TestGraphCommands:
     def test_embed_d4_obstructed(self, tmp_path, capsys):
         path = tmp_path / "d4.graph"
         path.write_text(D4_TEXT)
-        code, out, _ = run(capsys, "embed", str(path), "--first-surjective")
+        code, out, _ = run(capsys, "embed", str(path))
         assert code == 0
         assert out.strip() == "Obstructed"
+
+    def test_embed_first_surjective_flag_is_gone(self, tmp_path, capsys):
+        path = tmp_path / "d4.graph"
+        path.write_text(D4_TEXT)
+        with pytest.raises(SystemExit) as exc:
+            main(["embed", str(path), "--first-surjective"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
 
     def test_embed_single_vertex_witness(self, tmp_path, capsys):
         path = tmp_path / "v4.graph"
@@ -279,13 +352,29 @@ class TestGraphCommands:
         code, _, err = run(capsys, "embed", str(path))
         assert code == 3
 
-    def test_definiteness_disagreement_exits_4(self, tmp_path, capsys, monkeypatch):
+    @pytest.mark.parametrize("text,extra", [
+        ("central: 1\n", ()),  # the rank range is empty: norm sum below k
+        ("central: 0\nleg: -2\n", ("--n-max", "1")),  # n_max below k
+        (INDEFINITE_TEXT, ()),
+    ], ids=["positive", "below-k", "indefinite"])
+    def test_embed_all_not_definite_exits_3(self, tmp_path, capsys, text, extra):
+        path = tmp_path / "bad.graph"
+        path.write_text(text)
+        code, out, err = run(capsys, "embed", str(path), "--all", *extra)
+        assert code == 3
+        assert out == ""
+        assert "negative definite" in err
+
+    @pytest.mark.parametrize("extra", [(), ("--all",)], ids=["embed", "embed-all"])
+    def test_definiteness_disagreement_exits_4(self, tmp_path, capsys, monkeypatch,
+                                               extra):
         path = tmp_path / "d4.graph"
         path.write_text(D4_TEXT)
-        monkeypatch.setattr(plumbing, "negative_definite_by_sign",
-                            lambda graph: not plumbing.negative_definite_by_minors(graph))
+        monkeypatch.setattr(
+            plumbing, "negative_definite_by_sign",
+            lambda graph: not is_negative_definite_matrix(adjacency_matrix(graph)))
         qa_lattice_obstruction.cache_clear()  # force the definiteness check
-        code, out, err = run(capsys, "embed", str(path))
+        code, out, err = run(capsys, "embed", str(path), *extra)
         assert code == 4
         assert out == ""
         assert err.startswith("internal error:") and "disagree" in err

@@ -6,7 +6,7 @@ import pytest
 
 from qamont.intmat import (det, freeze, invariant_factors,
                            is_negative_definite_matrix, is_symmetric,
-                           leading_principal_minors, matmul, transpose)
+                           matmul, transpose)
 
 
 def det_by_permutations(m):
@@ -66,18 +66,54 @@ def test_det_known_values():
     assert det(((-2, 1), (1, -2))) == 3
 
 
-def test_leading_principal_minors():
-    m = freeze([[-2, 1, 0], [1, -2, 1], [0, 1, -2]])
-    assert leading_principal_minors(m) == [-2, 3, -4]
+def negative_definite_by_leading_dets(m):
+    """Reference: the j-th leading block's determinant has sign (-1)^j."""
+    for j in range(1, len(m) + 1):
+        minor = det(tuple(row[:j] for row in m[:j]))
+        if (minor < 0) if j % 2 else (minor > 0):
+            continue
+        return False
+    return True
+
+
+def random_symmetric(rng, n):
+    if rng.random() < 0.5:
+        # -B^T B is negative semidefinite, and definite when B has full rank.
+        b = random_matrix(rng, rng.randint(1, n + 1), n, bound=2)
+        return freeze([[-v for v in row] for row in matmul(transpose(b), b)])
+    m = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1):
+            m[i][j] = m[j][i] = rng.randint(-3, 3)
+        m[i][i] -= rng.randint(0, 4)
+    return freeze(m)
+
+
+def test_negative_definite_matches_leading_minor_signs():
+    rng = random.Random(14)
+    outcomes = {True: 0, False: 0}
+    for _ in range(3000):
+        m = random_symmetric(rng, rng.randint(1, 6))
+        expected = negative_definite_by_leading_dets(m)
+        assert is_negative_definite_matrix(m) == expected
+        outcomes[expected] += 1
+    assert min(outcomes.values()) > 500
 
 
 def test_negative_definite_matrix():
     assert is_negative_definite_matrix(freeze([[-2, 1], [1, -2]]))
+    assert is_negative_definite_matrix(freeze([[-2, 1, 0], [1, -2, 1], [0, 1, -2]]))
+    assert is_negative_definite_matrix(())
     assert not is_negative_definite_matrix(freeze([[-2, 1], [1, 0]]))
     # zero determinant is only semidefinite
     assert not is_negative_definite_matrix(freeze([[-1, 1], [1, -1]]))
+    # a zero leading minor in the middle is rejected before any division by it
+    assert not is_negative_definite_matrix(freeze([[-1, 1, 0], [1, -1, 0], [0, 0, -1]]))
+    assert not is_negative_definite_matrix(freeze([[0, 1], [1, -1]]))
     with pytest.raises(ValueError):
         is_negative_definite_matrix(freeze([[0, 1], [2, 0]]))
+    with pytest.raises(ValueError):
+        is_negative_definite_matrix(freeze([[-2, 1, 0], [1, -2, 0]]))
 
 
 def test_invariant_factors_known():

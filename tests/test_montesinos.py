@@ -132,6 +132,16 @@ class TestCanonicalFormAndSlides:
         assert canonical_form(M(1, 2)) == M(1, 2)
         assert canonical_form(M(1, Fraction(3, 2), 2)) == M(1, 2, Fraction(3, 2))
 
+    def test_sorted_standard_form_is_returned_as_is(self):
+        std = StandardForm(1, (Fraction(5, 2), Fraction(2), Fraction(3, 2)))
+        assert canonical_form(std) is std
+        unsorted = StandardForm(1, (Fraction(3, 2), Fraction(5, 2), Fraction(2)))
+        canonical = canonical_form(unsorted)
+        assert canonical is not unsorted
+        assert isinstance(canonical, StandardForm)
+        assert canonical.e == 1
+        assert canonical.tangles == std.tangles
+
     def test_slide_invariance(self, rng):
         for _ in range(200):
             link = random_link(rng)

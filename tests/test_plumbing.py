@@ -5,17 +5,21 @@ import pytest
 from conftest import random_star_graph
 from qamont.classifier import enumerate_family
 from qamont.errors import ParseError
+from qamont.intmat import is_negative_definite_matrix
 from qamont.montesinos import (MontesinosLink, determinant, epsilon,
                                to_negative_form)
 from qamont.plumbing import (PlumbingGraph, adjacency_matrix, build_graph,
                              format_graph, h1_order, is_negative_definite,
-                             negative_definite_by_minors,
                              negative_definite_by_sign, parse_graph,
                              seifert_euler_number)
 
 
 def M(e, *tangles):
     return MontesinosLink(e, tuple(Fraction(t) for t in tangles))
+
+
+def negative_definite_by_matrix(graph):
+    return is_negative_definite_matrix(adjacency_matrix(graph))
 
 
 class TestBuildGraph:
@@ -75,21 +79,21 @@ class TestDefiniteness:
     def test_sign_test_needs_cf_legs(self):
         with pytest.raises(ValueError):
             negative_definite_by_sign(PlumbingGraph(-9, ((-1,),)))
-        # ... but the minor test still decides it
-        assert negative_definite_by_minors(PlumbingGraph(-9, ((-1,),)))
+        # ... but the matrix test still decides it
+        assert negative_definite_by_matrix(PlumbingGraph(-9, ((-1,),)))
 
     def test_methods_agree_on_random_graphs(self, rng):
         for _ in range(500):
             graph = random_star_graph(rng, max_legs=4, max_leg_len=4,
                                       central_range=(-7, -1))
-            assert negative_definite_by_sign(graph) == negative_definite_by_minors(graph)
+            assert negative_definite_by_sign(graph) == negative_definite_by_matrix(graph)
 
     def test_methods_agree_on_family_graphs(self):
         for link in enumerate_family(3, 4, -2, 3):
             if determinant(link) != 0 and epsilon(link) < 0:
                 graph = build_graph(to_negative_form(link))
                 assert negative_definite_by_sign(graph)
-                assert negative_definite_by_minors(graph)
+                assert negative_definite_by_matrix(graph)
 
 
 class TestH1Order:
