@@ -9,7 +9,10 @@ exactly when
     (3) e > p - 1, or
     (4) e = p - 1 and alpha_i/(alpha_i - beta_i) < alpha_j/beta_j for some i != j,
 
-with all inequalities strict.  ``verify`` re-derives the same answer from
+with all inequalities strict.  ``_conditions`` is the one place these
+four conditions are evaluated: ``classify`` takes its verdict from the
+first that holds, and ``explain`` prints its rows from the same pass.
+``verify`` re-derives the same answer from
 first principles: orient the link so eps < 0, build the negative definite
 plumbing, test the L-space property via the singularity computation
 sequence, and then hunt for a lattice embedding with surjective transpose.
@@ -108,31 +111,37 @@ def _strict_pair(std: StandardForm, bigger_reflected: bool) -> tuple[int, int] |
     return None
 
 
+def _conditions(std: StandardForm) -> Iterator[tuple[Reason, bool, tuple[int, int] | None]]:
+    """(reason, holds, witness pair) for conditions (1), (3), (2), (4), in that order.
+
+    (2) and (4) search for a pair only when e sits on their boundary, 1 and
+    p - 1; being a generator, nothing after the first holding row is
+    evaluated by a caller that stops there.
+    """
+    e, p = std.e, std.p
+    yield Reason.CONDITION1, e < 1, None
+    yield Reason.CONDITION3, e > p - 1, None
+    for reason, boundary, bigger in ((Reason.CONDITION2, 1, True),
+                                     (Reason.CONDITION4, p - 1, False)):
+        pair = _strict_pair(std, bigger) if e == boundary else None
+        yield reason, pair is not None, pair
+
+
 def classify(link: MontesinosLink) -> Verdict:
     """Decide quasi-alternating status from the normalized parameters.
 
-    A zero determinant short-circuits to NotQA.  Conditions are evaluated
-    in the order (1), (3), (2), (4) with first-hit reporting; for p = 1
-    one of (1) and (3) always holds, so such links are always QA.
+    A zero determinant short-circuits to NotQA.  Otherwise the verdict is
+    the first condition of ``_conditions`` that holds; for p = 1 one of (1)
+    and (3) always holds, so such links are always QA.
     """
     std = to_standard_form(link)
     eps = epsilon(std)
     d = determinant(std)
     if d == 0:
         return Verdict(Status.NOT_QA, Reason.DET_ZERO, None, std, eps, 0)
-    e, p = std.e, std.p
-    if e < 1:
-        return Verdict(Status.QA, Reason.CONDITION1, None, std, eps, d)
-    if e > p - 1:
-        return Verdict(Status.QA, Reason.CONDITION3, None, std, eps, d)
-    if e == 1:
-        pair = _strict_pair(std, bigger_reflected=True)
-        if pair:
-            return Verdict(Status.QA, Reason.CONDITION2, pair, std, eps, d)
-    if e == p - 1:
-        pair = _strict_pair(std, bigger_reflected=False)
-        if pair:
-            return Verdict(Status.QA, Reason.CONDITION4, pair, std, eps, d)
+    for reason, holds, pair in _conditions(std):
+        if holds:
+            return Verdict(Status.QA, reason, pair, std, eps, d)
     return Verdict(Status.NOT_QA, Reason.NO_CONDITION, None, std, eps, d)
 
 
@@ -194,48 +203,41 @@ def _fmt(x: Fraction) -> str:
 
 
 def _condition_rows(std: StandardForm) -> list[dict]:
+    """One row per condition of ``_conditions``, with a detail line."""
     e, p = std.e, std.p
-    rows = [
-        {"name": Reason.CONDITION1.value, "holds": e < 1,
-         "detail": f"e = {e} < 1: {'yes' if e < 1 else 'no'}"},
-        {"name": Reason.CONDITION3.value, "holds": e > p - 1,
-         "detail": f"e = {e} > p - 1 = {p - 1}: {'yes' if e > p - 1 else 'no'}"},
-    ]
-    for reason, bigger in ((Reason.CONDITION2, True), (Reason.CONDITION4, False)):
-        boundary = 1 if bigger else p - 1
-        op = ">" if bigger else "<"
-        if std.e != boundary:
-            rows.append({"name": reason.value, "holds": False,
-                         "detail": f"e = {e} != {boundary}: not applicable"})
-            continue
-        pair = _strict_pair(std, bigger)
-        if pair:
-            i, j = pair
-            detail = (f"e = {boundary} and alpha_{i}/(alpha_{i}-beta_{i}) = "
-                      f"{_fmt(_reflected_value(std, i))} {op} "
-                      f"alpha_{j}/beta_{j} = {_fmt(std.tangles[j])}: yes")
-            rows.append({"name": reason.value, "holds": True, "detail": detail})
+    rows = []
+    for reason, holds, pair in _conditions(std):
+        if reason is Reason.CONDITION1:
+            detail = f"e = {e} < 1: {'yes' if holds else 'no'}"
+        elif reason is Reason.CONDITION3:
+            detail = f"e = {e} > p - 1 = {p - 1}: {'yes' if holds else 'no'}"
         else:
-            # Report the closest failing pair so the numbers are visible.
-            best = None
-            for i in range(p):
-                ri = _reflected_value(std, i)
-                for j in range(p):
-                    if i == j:
-                        continue
-                    gap = ri - std.tangles[j] if bigger else std.tangles[j] - ri
-                    if best is None or gap > best[0]:
-                        best = (gap, i, j)
-            if best is None:
-                rows.append({"name": reason.value, "holds": False,
-                             "detail": f"e = {boundary} but p = 1: no pair i != j"})
-            else:
-                _, i, j = best
-                detail = (f"e = {boundary} but alpha_{i}/(alpha_{i}-beta_{i}) = "
-                          f"{_fmt(_reflected_value(std, i))} {op} "
-                          f"alpha_{j}/beta_{j} = {_fmt(std.tangles[j])} fails")
-                rows.append({"name": reason.value, "holds": False, "detail": detail})
+            detail = _pair_detail(std, reason is Reason.CONDITION2, pair)
+        rows.append({"name": reason.value, "holds": holds, "detail": detail})
     return rows
+
+
+def _pair_detail(std: StandardForm, bigger: bool, pair: tuple[int, int] | None) -> str:
+    """Detail of (2) (``bigger``) or (4) given its witness pair, or None."""
+    boundary, op = (1, ">") if bigger else (std.p - 1, "<")
+    if std.e != boundary:
+        return f"e = {std.e} != {boundary}: not applicable"
+    holds = pair is not None
+    if not holds:
+        # Report the closest failing pair so the numbers are visible.
+        reflected = [_reflected_value(std, i) for i in range(std.p)]
+        gaps = ((reflected[i] - std.tangles[j] if bigger else std.tangles[j] - reflected[i],
+                 i, j) for i in range(std.p) for j in range(std.p) if i != j)
+        closest = max(gaps, key=lambda gap: gap[0], default=None)
+        if closest is None:
+            return f"e = {boundary} but p = 1: no pair i != j"
+        pair = closest[1:]
+    i, j = pair
+    comparison = (f"alpha_{i}/(alpha_{i}-beta_{i}) = {_fmt(_reflected_value(std, i))} "
+                  f"{op} alpha_{j}/beta_{j} = {_fmt(std.tangles[j])}")
+    if holds:
+        return f"e = {boundary} and {comparison}: yes"
+    return f"e = {boundary} but {comparison} fails"
 
 
 def explain(link: MontesinosLink, evidence: Evidence | None = None) -> dict:

@@ -35,20 +35,10 @@ from .plumbing import adjacency_matrix, is_negative_definite, parse_graph
 _RECORD_FIELDS = ["link", "canonical", "e", "p", "det", "epsilon",
                   "status", "reason", "evidence"]
 
-_JOBS_ENV = "QAMONT_JOBS"  # advisory default for --jobs
-
 # A worker pool takes tasks in chunks of _CHUNK and has at most _AHEAD
 # chunks per worker in flight, so memory does not grow with the family.
 _CHUNK = 4
 _AHEAD = 2
-
-
-def _default_jobs() -> int:
-    value = os.environ.get(_JOBS_ENV, "")
-    try:
-        return max(1, int(value))
-    except ValueError:
-        return 1
 
 
 def _build_record(task: tuple[str, MontesinosLink, bool, bool, bool]) -> dict:
@@ -79,11 +69,13 @@ def _build_records(chunk: list[tuple]) -> list[dict]:
 
 
 def _records(links: Iterable[tuple[str, MontesinosLink]], args) -> Iterator[dict]:
-    """Records in input order.  Up to ``--jobs`` workers build them, but no
-    more than there are CPUs or records; one worker builds them lazily, and
-    a pool keeps a bounded window of tasks in flight."""
+    """Records in input order.  With ``--verify``, up to ``--jobs`` workers
+    build them, but no more than there are CPUs or records, and a pool
+    keeps a bounded window of tasks in flight.  Otherwise, and with one
+    worker, they are built lazily in this process: a classify-only record
+    costs less to build than to send to a worker and back."""
     tasks = ((text, link, args.verify, args.explain, args.timing) for text, link in links)
-    workers = min(args.jobs, os.cpu_count() or 1)
+    workers = min(args.jobs, os.cpu_count() or 1) if args.verify else 1
     if workers > 1:
         head = list(islice(tasks, workers))
         workers = len(head)
@@ -218,8 +210,8 @@ def _add_record_flags(parser: argparse.ArgumentParser) -> None:
                         help="attach the classification trace")
     parser.add_argument("--format", choices=["jsonl", "tsv", "table"],
                         default="jsonl", help="output format (default jsonl)")
-    parser.add_argument("--jobs", type=int, default=_default_jobs(),
-                        help=f"worker processes (default from ${_JOBS_ENV} or 1)")
+    parser.add_argument("--jobs", type=int, default=1,
+                        help="worker processes for --verify records (default 1)")
     parser.add_argument("--timing", action="store_true",
                         help="include per-record milliseconds (breaks byte-for-byte "
                              "reproducibility)")

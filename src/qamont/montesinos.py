@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
 
-from .errors import InternalError, ParseError
+from .errors import ParseError
 
 __all__ = [
     "MontesinosLink",
@@ -62,12 +62,10 @@ class MontesinosLink:
         if not tangles:
             raise ValueError("a Montesinos link needs at least one tangle")
         for t in tangles:
-            alpha, beta = tangle_alpha_beta(t)
+            alpha, _ = tangle_alpha_beta(t)
             if alpha < 2:
                 raise ValueError(
                     f"tangle {t} has alpha = {alpha}; tangles must have alpha >= 2")
-            if beta == 0:
-                raise InternalError(f"tangle {t} has beta = 0")
         object.__setattr__(self, "tangles", tangles)
 
     # Equality is by value across the standard-form subclass too.
@@ -135,17 +133,24 @@ def reflect(link: StandardForm) -> StandardForm:
     return StandardForm(link.p - link.e, tangles)
 
 
+def _scaled_epsilon(link: MontesinosLink) -> tuple[int, int]:
+    """(N, A) with A = alpha_1 ... alpha_p and N = e*A - sum(beta_i * A/alpha_i).
+
+    Each A/alpha_i is an exact integer, so N is an integer and eps = N/A.
+    """
+    pairs = [tangle_alpha_beta(t) for t in link.tangles]
+    a = prod(alpha for alpha, _ in pairs)
+    return link.e * a - sum(beta * (a // alpha) for alpha, beta in pairs), a
+
+
 def epsilon(link: MontesinosLink) -> Fraction:
     """The slide invariant e - sum(beta_i/alpha_i)."""
-    return Fraction(link.e) - sum(1 / t for t in link.tangles)
+    return Fraction(*_scaled_epsilon(link))
 
 
 def determinant(link: MontesinosLink) -> int:
     """Link determinant |alpha_1 ... alpha_p * eps|; always a nonnegative integer."""
-    value = epsilon(link) * prod(link.alphas)
-    if value.denominator != 1:
-        raise InternalError(f"determinant {value} of {link} is not an integer")
-    return abs(value.numerator)
+    return abs(_scaled_epsilon(link)[0])
 
 
 def to_negative_form(link: StandardForm) -> MontesinosLink:

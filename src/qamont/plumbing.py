@@ -53,14 +53,9 @@ class PlumbingGraph:
 
 
 def build_graph(link: MontesinosLink) -> PlumbingGraph:
-    """Plumbing graph of a link in negative form (every tangle < -1)."""
-    legs = []
-    for t in link.tangles:
-        if t >= -1:
-            raise ValueError(
-                f"tangle {t} is not < -1; bring the link to negative form first")
-        legs.append(cf_expand(t))
-    return PlumbingGraph(link.e, tuple(legs))
+    """Plumbing graph of a link in negative form (every tangle < -1);
+    ``cf_expand`` raises ``ValueError`` on any other tangle."""
+    return PlumbingGraph(link.e, tuple(cf_expand(t) for t in link.tangles))
 
 
 def oriented_graph(link: StandardForm) -> tuple[StandardForm, PlumbingGraph]:

@@ -79,7 +79,7 @@ class TestClassify:
         monkeypatch.setattr(os, "cpu_count", lambda: 1)
         monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
         code, out, _ = run(capsys, "classify", "M(0; 2)", "M(1; 2, 2, 2)",
-                           "--jobs", "2")
+                           "--verify", "--jobs", "2")
         assert code == 0
         assert len(out.splitlines()) == 2
 
@@ -89,9 +89,23 @@ class TestClassify:
 
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
-        code, out, _ = run(capsys, "classify", "M(0; 2)", "--jobs", "2")
+        code, out, _ = run(capsys, "classify", "M(0; 2)", "--verify", "--jobs", "2")
         assert code == 0
         assert len(out.splitlines()) == 1
+
+    def test_classify_only_records_start_no_pool(self, capsys, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a worker pool was started")
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
+        argv = ("enumerate", "--p", "2", "--alpha-max", "4", "--e-min", "0",
+                "--e-max", "1")
+        code, pooled, _ = run(capsys, *argv, "--jobs", "2")
+        assert code == 0
+        _, serial, _ = run(capsys, *argv, "--jobs", "1")
+        assert pooled == serial
+        assert len(serial.splitlines()) == 2 * 15
 
     def test_pool_keeps_a_bounded_window(self, capsys, monkeypatch):
         # A stub pool that runs nothing until a result is asked for, and
@@ -135,7 +149,7 @@ class TestClassify:
         monkeypatch.setattr(cli, "ProcessPoolExecutor", StubPool)
         monkeypatch.setattr(cli, "enumerate_family", counting_family)
         argv = ("enumerate", "--p", "2", "--alpha-max", "5", "--e-min", "0",
-                "--e-max", "1")
+                "--e-max", "1", "--verify")
         code, pooled, _ = run(capsys, *argv, "--jobs", "2")
         assert code == 0
         assert state["read_at_start"] == 2
