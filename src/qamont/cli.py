@@ -175,6 +175,8 @@ def cmd_embed(args) -> int:
         raise ValueError("--n-max needs --all: the obstruction search runs to its "
                          "complete rank bound, since a lower one could report "
                          "Obstructed where a witness exists")
+    if args.n_max is not None and args.n_max < 1:
+        raise ValueError(f"--n-max must be at least 1, got {args.n_max}")
     graph = _read_graph(args.graph_file)
     if args.all:
         # An empty rank range would otherwise print "total: 0" for a form

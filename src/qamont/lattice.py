@@ -4,15 +4,21 @@ An embedding of (Z^k, Q) into (Z^n, -Id) is recorded as an n x k integer
 matrix A whose column i is the image of vertex i; the defining Gram
 condition is column_i . column_j = -Q[i][j] in the ordinary dot product.
 Signed permutations of the coordinates act on the rows, and the
-enumeration yields exactly one representative per orbit:
+enumeration yields exactly one representative per orbit by orderly
+generation: the backtracking search places columns in ascending norm order
+(ties by vertex index) and its tree holds exactly one matrix per orbit, the
+orbit's lex leader in placement order (rows sign-normalised so their first
+nonzero entry is positive, then sorted in decreasing order).  Two rules
+make it so:
 
-* the backtracking search places columns in ascending norm order (ties by
-  vertex index), allowing each new column arbitrary entries on
-  already-touched coordinates plus a block of fresh coordinates whose
-  entries must be positive and non-increasing;
-* each completed column set is mapped back to the caller's vertex order,
-  canonicalised (rows sign-normalised so their first nonzero entry is
-  positive, then sorted in decreasing order) and deduplicated on that key.
+* a new column may use already-touched coordinates plus a block of fresh
+  coordinates whose entries must be positive and non-increasing;
+* along each run of rows that agree on every column placed so far, the new
+  column's entries must be non-increasing.
+
+Every leaf is a new orbit, so nothing is stored to deduplicate; each leaf is
+mapped back to the caller's vertex order and canonicalised the same way.
+``enumerate_embeddings`` states the completeness argument.
 
 Rows of yielded embeddings are therefore sorted; coordinates never touched
 by any column are not represented, so enumeration at ambient rank n only
@@ -131,20 +137,44 @@ def enumerate_embeddings(q: Matrix, n: int) -> Iterator[Embedding]:
     Columns are placed in ascending norm order (-q[v][v], ties by vertex
     index): a low-norm vertex has few images, and once placed it constrains
     every later neighbour, so the search tree stays small.  The search runs
-    on the permuted form and each completed column set is mapped back to
-    the caller's vertex order before it is canonicalised and deduplicated.
-    This loses nothing:
+    on the permuted form; a fixed vertex permutation is a bijection on
+    column assignments that commutes with the action on rows, so it maps
+    orbits to orbits.
 
-    * a fixed vertex permutation is a bijection on column assignments;
-    * the capacity prune and the Cauchy-Schwarz prune are valid bounds
-      whatever the placement order;
-    * orbit keys are computed in the caller's column order;
+    The tree is pruned to one matrix per orbit by lex-leader symmetry
+    breaking (Crawford, Ginsberg, Luks and Roy, "Symmetry-breaking
+    predicates for search problems", KR 1996) applied as orderly generation
+    (McKay, "Isomorph-free exhaustive generation", J. Algorithms 1998).  The
+    leader of an orbit of zero-row free n x k matrices, columns in
+    placement order, has each row sign-normalised (first nonzero entry
+    positive) and the rows sorted in decreasing lexicographic order.
 
-    so every ambient rank yields exactly the same set of orbits as a search
-    in vertex order would, and yielded matrices satisfy the Gram condition
-    against the caller's ``q``.  The rank bound of ``embeddings_by_rank``
-    depends only on the norms, so it is untouched.  Only the order of the
-    stream depends on the placement order.
+    * Every orbit has exactly one leader: the sign of a nonzero row and the
+      sorted order of a multiset of rows are unique.
+    * The leader is a leaf of the tree.  Sorted descending, its rows group
+      by the column of their first nonzero entry, earliest column first, so
+      at column i the rows first touched there form a block right after the
+      touched ones, with positive (sign-normalised) and non-increasing
+      (sorted) entries: the fresh-block rule.  Rows that agree on every
+      earlier column are ordered by their entry in column i, so that entry
+      is non-increasing along each run of such rows: the cap on v.  The
+      capacity prune and the Cauchy-Schwarz prune are valid bounds on every
+      embedding, the leader included.
+    * Distinct leaves give distinct leaders.  A leaf's matrix is sign-
+      normalised (each row's first nonzero entry is a fresh-block entry,
+      hence positive) and sorted (adjacent rows either start in different
+      columns, the earlier one first, or agree up to a column where the
+      cap makes the lower row's entry no larger), so it is its own orbit's
+      leader; distinct paths place distinct column sets.
+
+    So every orbit is reached exactly once and no yield needs a duplicate
+    check.  Each leaf is mapped back to the caller's vertex order and
+    canonicalised there (rows sign-normalised and sorted), so every ambient
+    rank yields the same set of orbits as a search in vertex order would,
+    and yielded matrices satisfy the Gram condition against the caller's
+    ``q``.  The rank bound of ``embeddings_by_rank`` depends only on the
+    norms, so it is untouched.  Only the order of the stream depends on the
+    placement order and on the pruning.
     """
     q = freeze(q)
     if not is_negative_definite_matrix(q):
@@ -165,7 +195,8 @@ def enumerate_embeddings(q: Matrix, n: int) -> Iterator[Embedding]:
 
     cols: list[tuple[int, ...]] = []
     colsq: list[tuple[int, ...]] = []
-    seen: set[Matrix] = set()
+    # same[c]: row c agrees with row c - 1 on every column placed so far.
+    same = [False] * n
 
     def candidate_columns(i: int, touched: int):
         targets = [-q[i][j] for j in range(i)]
@@ -183,7 +214,10 @@ def enumerate_embeddings(q: Matrix, n: int) -> Iterator[Embedding]:
                     col = tuple(prefix) + part + (0,) * (n - touched - len(part))
                     yield col, len(part)
                 return
-            for v in range(-isqrt(rem), isqrt(rem) + 1):
+            bound = isqrt(rem)
+            # rows equal on every placed column keep non-increasing entries
+            top = min(bound, prefix[c - 1]) if same[c] else bound
+            for v in range(-bound, top + 1):
                 prefix[c] = v
                 if v == 0:
                     yield from walk(c + 1, rem, dots)
@@ -197,19 +231,24 @@ def enumerate_embeddings(q: Matrix, n: int) -> Iterator[Embedding]:
     def place(i: int, touched: int) -> Iterator[Embedding]:
         if i == k:
             if touched == n:
-                key = _canonical_rows([cols[slot[v]] for v in range(k)], n)
-                if key not in seen:
-                    seen.add(key)
-                    yield Embedding(key)
+                yield Embedding(_canonical_rows([cols[slot[v]] for v in range(k)], n))
             return
         if touched + remaining_capacity[i] < n:
             return
         for col, fresh in candidate_columns(i, touched):
+            end = touched + fresh
+            saved = same[:end]
+            # The first fresh row differs from the touched rows above it on
+            # an earlier column; later fresh rows are zero there.
+            for c in range(1, end):
+                same[c] = col[c] == col[c - 1] and (same[c] if c < touched
+                                                    else c > touched)
             cols.append(col)
             colsq.append(_suffix_squares(col))
-            yield from place(i + 1, touched + fresh)
+            yield from place(i + 1, end)
             cols.pop()
             colsq.pop()
+            same[:end] = saved
 
     yield from place(0, 0)
 

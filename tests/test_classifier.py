@@ -133,6 +133,8 @@ class TestVerify:
     @pytest.mark.parametrize("p, alpha_max, e_min, e_max, size", [
         (2, 5, -3, 4, 360),
         (4, 3, -2, 5, 120),
+        (4, 4, -2, 5, 560),
+        (3, 5, -3, 4, 1320),
     ])
     def test_equivalence_on_wider_families(self, p, alpha_max, e_min, e_max, size):
         family = list(enumerate_family(p, alpha_max, e_min, e_max, p_min=p))

@@ -352,6 +352,15 @@ class TestGraphCommands:
         assert out.endswith("embedding n=4 index=2 surjective=true\n"
                             "1\n1\n1\n1\n\ntotal: 2\n")
 
+    @pytest.mark.parametrize("n_max", ["0", "-3"])
+    def test_embed_all_n_max_below_one_exits_2(self, tmp_path, capsys, n_max):
+        path = tmp_path / "d4.graph"
+        path.write_text(D4_TEXT)
+        code, out, err = run(capsys, "embed", str(path), "--all", "--n-max", n_max)
+        assert code == 2
+        assert out == ""
+        assert "--n-max" in err
+
     def test_embed_all_lists_embeddings(self, tmp_path, capsys):
         path = tmp_path / "v2.graph"
         path.write_text("central: -2\n")

@@ -12,8 +12,12 @@ from qamont.lattice import (Embedding, embeddings_by_rank,
                             minor_check, qa_lattice_obstruction,
                             rigidity_check, support_set, transpose_surjective,
                             truncate_legs)
-from qamont.montesinos import MontesinosLink, to_negative_form, to_standard_form
-from qamont.plumbing import PlumbingGraph, adjacency_matrix, build_graph
+from qamont.classifier import enumerate_family
+from qamont.intmat import det
+from qamont.montesinos import (MontesinosLink, determinant, to_negative_form,
+                               to_standard_form)
+from qamont.plumbing import (PlumbingGraph, adjacency_matrix, build_graph,
+                             oriented_graph)
 
 D4_GRAPH = PlumbingGraph(-2, ((-2,), (-2,), (-2,)))
 D4_Q = adjacency_matrix(D4_GRAPH)
@@ -26,6 +30,16 @@ D4_SAMPLE = Embedding(freeze([
     [0, 1, -1, 0],
     [0, 0, 0, 1],
 ]))
+
+
+def oriented_graphs(p, alpha_max, e_min, e_max):
+    """Distinct oriented plumbings of a family's links with det != 0."""
+    graphs = {}
+    for link in enumerate_family(p, alpha_max, e_min, e_max, p_min=p):
+        std = to_standard_form(link)
+        if determinant(std) != 0:
+            graphs.setdefault(oriented_graph(std)[1])
+    return list(graphs)
 
 
 def canonical_rows(matrix):
@@ -61,6 +75,8 @@ class TestEnumerate:
         for graph in graphs:
             q = adjacency_matrix(graph)
             for _, embeddings in embeddings_by_rank(q):
+                embeddings = list(embeddings)
+                assert len({e.matrix for e in embeddings}) == len(embeddings)
                 for emb in embeddings:
                     assert gram_matches(emb, q)
                     assert all(any(row) for row in emb.matrix)
@@ -121,8 +137,9 @@ class TestCompleteness:
                         qs.append(q)
         for q in qs:
             for n in range(1, 5):
-                mine = {e.matrix for e in enumerate_embeddings(q, n)}
-                assert mine == brute_force_orbits(q, n), (q, n)
+                mine = [e.matrix for e in enumerate_embeddings(q, n)]
+                assert len(set(mine)) == len(mine), (q, n)
+                assert set(mine) == brute_force_orbits(q, n), (q, n)
 
     def test_matches_brute_force_on_stars_placed_out_of_index_order(self):
         # Norm order differs from index order on each of these stars, so the
@@ -135,10 +152,38 @@ class TestCompleteness:
             q = adjacency_matrix(graph)
             found = 0
             for n in range(len(q), 6):
-                mine = {e.matrix for e in enumerate_embeddings(q, n)}
-                assert mine == brute_force_orbits(q, n), (graph, n)
+                mine = [e.matrix for e in enumerate_embeddings(q, n)]
+                assert len(set(mine)) == len(mine), (graph, n)
+                assert set(mine) == brute_force_orbits(q, n), (graph, n)
                 found += len(mine)
             assert found > 0, graph
+
+    def test_only_rows_equal_on_every_placed_column_are_ordered(self):
+        # Placed as the legs -3, -3, -4, then the centre.  In each orbit's
+        # leader the row first touched by the third column equals the row
+        # above it in that column and has the larger entry in the last one;
+        # they differ on an earlier column, so no cap may order them.  These
+        # are the two orbits brute_force_orbits(q, 5) finds; it takes
+        # seconds, so they are pinned.
+        q = adjacency_matrix(PlumbingGraph(-6, ((-3,), (-3,), (-4,))))
+        assert {e.matrix for e in enumerate_embeddings(q, 5)} == {
+            ((2, -1, 0, -1), (1, 1, -1, 0), (1, 0, 0, 1), (0, 1, 1, -1),
+             (0, 0, 1, 1)),
+            ((2, 0, -1, -1), (1, 0, 0, 1), (1, -1, 1, 0), (0, 1, 1, -1),
+             (0, 1, 0, 1))}
+
+    def test_no_rank_yields_a_duplicate(self):
+        # The search keeps no set of orbit keys: each leaf is its own orbit's
+        # lex leader, so a repeated matrix means the pruning argument broke.
+        graphs = oriented_graphs(2, 5, -2, 3)
+        assert len(graphs) == 243
+        yielded = 0
+        for graph in graphs:
+            for n, embeddings in embeddings_by_rank(adjacency_matrix(graph)):
+                matrices = [e.matrix for e in embeddings]
+                assert len(set(matrices)) == len(matrices), (graph, n)
+                yielded += len(matrices)
+        assert yielded > 0
 
     def test_leg_relabelling_permutes_the_orbits(self):
         # Reordering the legs relabels the vertices; each rank's orbits must
@@ -172,11 +217,64 @@ class TestCompleteness:
                     assert back == orbits, (relabelled, n)
 
 
+def rank_mod(matrix, p):
+    """Rank of an integer matrix over the field with p elements."""
+    rows = [[v % p for v in row] for row in matrix]
+    rank = 0
+    for col in range(len(rows[0])):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = pow(rows[rank][col], -1, p)
+        for r in range(len(rows)):
+            if r != rank and rows[r][col]:
+                f = rows[r][col] * inv % p
+                rows[r] = [(a - f * b) % p for a, b in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+def primes_with_square_dividing(d):
+    d = abs(d)
+    primes = []
+    f = 2
+    while f * f <= d:
+        power = 0
+        while d % f == 0:
+            d //= f
+            power += 1
+        if power >= 2:
+            primes.append(f)
+        f += 1
+    return primes
+
+
 class TestSurjectivity:
     def test_examples(self):
         assert transpose_surjective(Embedding(((2,),))) is False
         assert transpose_surjective(Embedding(((1,), (1,), (1,), (1,)))) is True
         assert transpose_surjective(D4_SAMPLE) is False  # determinant +-2
+
+    def test_matches_the_cauchy_binet_oracle(self):
+        # |det q| = det(A^T A) is the sum of the squared maximal minors of A
+        # (Cauchy-Binet), so a prime dividing all of them has its square
+        # dividing det q.  A^T is onto exactly when no prime divides them
+        # all, i.e. when A keeps full column rank mod each such prime; with
+        # det q square-free every embedding is onto.
+        square_free = onto = not_onto = 0
+        for graph in oriented_graphs(2, 5, -2, 3):
+            q = adjacency_matrix(graph)
+            primes = primes_with_square_dividing(det(q))
+            for _, embeddings in embeddings_by_rank(q):
+                for emb in embeddings:
+                    expected = all(rank_mod(emb.matrix, p) == emb.k
+                                   for p in primes)
+                    assert transpose_surjective(emb) == expected, emb
+                    square_free += not primes
+                    onto += expected
+                    not_onto += not expected
+        assert (square_free, onto, not_onto) == (556, 826, 75)
 
     def test_invariant_under_signed_row_permutations(self, rng):
         embeddings = list(enumerate_embeddings(D4_Q, 4))
