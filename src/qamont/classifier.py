@@ -302,6 +302,8 @@ def _verify_trace(evidence: Evidence) -> dict:
             "obstructed": obstruction.obstructed,
             "examined_per_rank": [list(pair) for pair in obstruction.examined],
             "total_examined": obstruction.total_examined,
+            "nodes": obstruction.nodes,
+            "leaves": obstruction.leaves,
             "witness_rank": obstruction.witness_n,
             "witness_rows": ([list(row) for row in obstruction.witness.matrix]
                              if obstruction.witness else None),
@@ -339,6 +341,8 @@ def render_explain(report: dict) -> str:
             if search:
                 per_rank = ", ".join(f"n={n}: {c}" for n, c in search["examined_per_rank"])
                 lines.append(f"  embeddings examined: {search['total_examined']} ({per_rank})")
+                lines.append(f"  search tree: {search['nodes']} columns placed,"
+                             f" {search['leaves']} leaves")
                 if search["witness_rows"] is not None:
                     lines.append(f"  surjective witness at n={search['witness_rank']}:")
                     for row in search["witness_rows"]:

@@ -22,10 +22,11 @@ mapped back to the caller's vertex order and canonicalised the same way.
 
 Rows of yielded embeddings are therefore sorted; coordinates never touched
 by any column are not represented, so enumeration at ambient rank n only
-yields matrices with no zero row.  ``embeddings_by_rank`` runs the ranks
-from k up to the bound that makes the search complete, and states why
-that bound loses nothing.  Coordinate and vertex indices are 0-based
-throughout.
+yields matrices with no zero row.  ``_rank_bound`` is the rank that makes
+the search complete, and states why it loses nothing; ``embeddings_by_rank``
+runs the ranks from k up to it, one tree each, while
+``qa_lattice_obstruction`` walks one tree for all of them.  Coordinate and
+vertex indices are 0-based throughout.
 """
 
 from __future__ import annotations
@@ -129,6 +130,111 @@ def _canonical_rows(cols: Sequence[Sequence[int]], n: int) -> Matrix:
     return tuple(rows)
 
 
+class _OrderlyTree:
+    """The orderly search tree of embeddings of a negative definite (Z^k, q)
+    into (Z^n, -Id), the one walk behind both searches of this module.
+
+    A leaf places every column; its rank is the number of coordinates its
+    columns touch, always the first ones.  ``leaves`` walks the tree depth
+    first and yields the rank of each leaf whose rank is at least ``low``,
+    with ``cols`` holding the leaf's columns in placement order.  ``high``
+    starts at n and may be lowered between leaves: from then on every node
+    and every fresh block that would touch more than ``high`` coordinates is
+    pruned.  ``low`` drives the capacity prune: a node whose remaining
+    columns cannot reach ``low`` touched coordinates is cut.  ``nodes``
+    counts the columns placed.  ``enumerate_embeddings`` states why the tree
+    holds exactly one leaf per signed-permutation orbit.
+    """
+
+    def __init__(self, q: Matrix, n: int, low: int):
+        k = len(q)
+        order = sorted(range(k), key=lambda v: (-q[v][v], v))
+        self.q = tuple(tuple(q[u][v] for v in order) for u in order)
+        self.slots = [order.index(v) for v in range(k)]  # caller vertex -> placement
+        self.n = n
+        self.low = low
+        self.high = n
+        self.cols: list[tuple[int, ...]] = []
+        self.nodes = 0
+
+    def embedding(self, rank: int) -> Embedding:
+        """The current leaf in the caller's vertex order, canonicalised."""
+        return Embedding(_canonical_rows([self.cols[s] for s in self.slots], rank))
+
+    def leaves(self) -> Iterator[int]:
+        q, n, cols = self.q, self.n, self.cols
+        k = len(q)
+        norms = [-q[i][i] for i in range(k)]
+        # Column i touches at most norms[i] coordinates, which bounds how many
+        # fresh coordinates the remaining columns can still cover.
+        remaining_capacity = [0] * (k + 1)
+        for i in range(k - 1, -1, -1):
+            remaining_capacity[i] = remaining_capacity[i + 1] + norms[i]
+        colsq: list[tuple[int, ...]] = []
+        # same[c]: row c agrees with row c - 1 on every column placed so far.
+        same = [False] * n
+
+        def candidate_columns(i: int, touched: int):
+            targets = [-q[i][j] for j in range(i)]
+            prefix = [0] * touched
+
+            def walk(c: int, rem: int, dots: list[int]):
+                for j in range(i):
+                    d = targets[j] - dots[j]
+                    # Cauchy-Schwarz: the remaining coordinates cannot close a
+                    # dot-product gap larger than sqrt(rem * leftover norm).
+                    if d * d > rem * colsq[j][c]:
+                        return
+                if c == touched:
+                    for part in _square_partitions(rem, self.high - touched):
+                        col = tuple(prefix) + part + (0,) * (n - touched - len(part))
+                        yield col, len(part)
+                    return
+                bound = isqrt(rem)
+                # rows equal on every placed column keep non-increasing entries
+                top = min(bound, prefix[c - 1]) if same[c] else bound
+                for v in range(-bound, top + 1):
+                    prefix[c] = v
+                    if v == 0:
+                        yield from walk(c + 1, rem, dots)
+                    else:
+                        yield from walk(c + 1, rem - v * v,
+                                        [dots[j] + v * cols[j][c] for j in range(i)])
+                prefix[c] = 0
+
+            yield from walk(0, norms[i], [0] * i)
+
+        def place(i: int, touched: int) -> Iterator[int]:
+            if i == k:
+                if touched >= self.low:
+                    yield touched
+                return
+            if touched + remaining_capacity[i] < self.low:
+                return
+            for col, fresh in candidate_columns(i, touched):
+                end = touched + fresh
+                # ``high`` may have fallen since this fresh block was cut
+                if end > self.high:
+                    continue
+                saved = same[:end]
+                # The first fresh row differs from the touched rows above it on
+                # an earlier column; later fresh rows are zero there.
+                for c in range(1, end):
+                    same[c] = col[c] == col[c - 1] and (same[c] if c < touched
+                                                        else c > touched)
+                cols.append(col)
+                colsq.append(_suffix_squares(col))
+                self.nodes += 1
+                yield from place(i + 1, end)
+                cols.pop()
+                colsq.pop()
+                same[:end] = saved
+                if touched > self.high:
+                    return  # every further child touches too many coordinates
+
+        yield from place(0, 0)
+
+
 def enumerate_embeddings(q: Matrix, n: int) -> Iterator[Embedding]:
     """All embeddings of (Z^k, q) into (Z^n, -Id) touching every coordinate,
     one representative per signed-permutation orbit, in a deterministic
@@ -182,95 +288,38 @@ def enumerate_embeddings(q: Matrix, n: int) -> Iterator[Embedding]:
             "embedding enumeration requires a negative definite form")
     if n < 1:
         raise ValueError("ambient rank must be positive")
-    k = len(q)
-    order = sorted(range(k), key=lambda v: (-q[v][v], v))
-    slot = {v: i for i, v in enumerate(order)}  # caller vertex -> placement
-    q = tuple(tuple(q[u][v] for v in order) for u in order)
-    norms = [-q[i][i] for i in range(k)]
-    # Column i touches at most norms[i] coordinates, which bounds how many
-    # fresh coordinates the remaining columns can still cover.
-    remaining_capacity = [0] * (k + 1)
-    for i in range(k - 1, -1, -1):
-        remaining_capacity[i] = remaining_capacity[i + 1] + norms[i]
+    tree = _OrderlyTree(q, n, low=n)
+    for rank in tree.leaves():
+        yield tree.embedding(rank)
 
-    cols: list[tuple[int, ...]] = []
-    colsq: list[tuple[int, ...]] = []
-    # same[c]: row c agrees with row c - 1 on every column placed so far.
-    same = [False] * n
 
-    def candidate_columns(i: int, touched: int):
-        targets = [-q[i][j] for j in range(i)]
-        prefix = [0] * touched
+def _rank_bound(q: Matrix) -> int:
+    """The largest ambient rank with a zero-row free embedding: the sum of
+    the vertex norms -q[i][i].
 
-        def walk(c: int, rem: int, dots: list[int]):
-            for j in range(i):
-                d = targets[j] - dots[j]
-                # Cauchy-Schwarz: the remaining coordinates cannot close a
-                # dot-product gap larger than sqrt(rem * leftover norm).
-                if d * d > rem * colsq[j][c]:
-                    return
-            if c == touched:
-                for part in _square_partitions(rem, n - touched):
-                    col = tuple(prefix) + part + (0,) * (n - touched - len(part))
-                    yield col, len(part)
-                return
-            bound = isqrt(rem)
-            # rows equal on every placed column keep non-increasing entries
-            top = min(bound, prefix[c - 1]) if same[c] else bound
-            for v in range(-bound, top + 1):
-                prefix[c] = v
-                if v == 0:
-                    yield from walk(c + 1, rem, dots)
-                else:
-                    yield from walk(c + 1, rem - v * v,
-                                    [dots[j] + v * cols[j][c] for j in range(i)])
-            prefix[c] = 0
-
-        yield from walk(0, norms[i], [0] * i)
-
-    def place(i: int, touched: int) -> Iterator[Embedding]:
-        if i == k:
-            if touched == n:
-                yield Embedding(_canonical_rows([cols[slot[v]] for v in range(k)], n))
-            return
-        if touched + remaining_capacity[i] < n:
-            return
-        for col, fresh in candidate_columns(i, touched):
-            end = touched + fresh
-            saved = same[:end]
-            # The first fresh row differs from the touched rows above it on
-            # an earlier column; later fresh rows are zero there.
-            for c in range(1, end):
-                same[c] = col[c] == col[c - 1] and (same[c] if c < touched
-                                                    else c > touched)
-            cols.append(col)
-            colsq.append(_suffix_squares(col))
-            yield from place(i + 1, end)
-            cols.pop()
-            colsq.pop()
-            same[:end] = saved
-
-    yield from place(0, 0)
+    Deleting a zero row of an embedding changes neither the Gram condition
+    nor the surjectivity of the transpose, so every embedding has a
+    zero-row free counterpart.  Each row of that counterpart holds a nonzero
+    entry, and column i holds at most -q[i][i] nonzero entries (each adds
+    at least 1 to its norm), so it has at most the sum of the norms rows.
+    Searching the ranks from k up to this bound is therefore complete.
+    """
+    return sum(-q[i][i] for i in range(len(q)))
 
 
 def embeddings_by_rank(q: Matrix, n_max: int | None = None
                        ) -> Iterator[tuple[int, Iterator[Embedding]]]:
     """``(n, enumerate_embeddings(q, n))`` for each ambient rank n in turn.
 
-    Ranks run from the vertex count k up to the sum of the vertex norms
-    -q[i][i], and that bound makes the search complete.  Deleting a zero
-    row of an embedding changes neither the Gram condition nor the
-    surjectivity of the transpose, so every embedding has a zero-row free
-    counterpart.  Each row of that counterpart holds a nonzero entry, and
-    column i holds at most -q[i][i] nonzero entries (each adds at least 1
-    to its norm), so it has at most the sum of the norms rows.  No rank
-    beyond the bound has an embedding; ``n_max`` stops the ranks earlier.
+    Ranks run from the vertex count k up to ``_rank_bound(q)``, the sum of
+    the vertex norms, which makes the search complete; ``n_max`` stops the
+    ranks earlier.
 
     Each rank's stream is looked up on this module at call time, so a
     wrapper installed there (``perfbench/tracing.py`` counts ranks that way)
     sees every rank.  Consume a rank's stream before asking for the next.
     """
-    high = sum(-q[i][i] for i in range(len(q)))
+    high = _rank_bound(q)
     if n_max is not None:
         high = min(high, n_max)
     for n in range(len(q), high + 1):
@@ -399,6 +448,8 @@ class ObstructionResult:
     witness: Embedding | None
     witness_n: int | None
     examined: tuple[tuple[int, int], ...]  # (ambient rank, embeddings inspected)
+    nodes: int  # columns placed by the search
+    leaves: int  # zero-row free embeddings reached, at any rank
 
     @property
     def total_examined(self) -> int:
@@ -409,23 +460,52 @@ class ObstructionResult:
 def qa_lattice_obstruction(graph: PlumbingGraph) -> ObstructionResult:
     """Search every ambient rank for an embedding with surjective transpose.
 
-    The ranks are those of ``embeddings_by_rank``, whose docstring shows
-    that they make the search complete.  They are searched in increasing
-    order, so the witness returned is the first surjective embedding that
-    ``enumerate_embeddings`` yields at the minimal ambient rank; the stream
-    is deterministic, so the witness is too.  Exhausting every rank without
-    one gives the obstructed outcome.
+    The result is that of searching the ranks k, k + 1, ... of
+    ``embeddings_by_rank`` in turn: the witness is the first surjective
+    embedding that ``enumerate_embeddings`` yields at the minimal ambient
+    rank, ``examined`` holds (n, count) for each rank up to the witness
+    rank (all of the ranks up to ``_rank_bound`` when none is surjective),
+    and the stream is deterministic, so the witness is too.  Exhausting
+    every rank without one gives the obstructed outcome.
+
+    It is computed in one traversal of the orderly tree at the top rank
+    N = ``_rank_bound``, where a leaf's rank is the number of coordinates it
+    touches.  Nothing is lost and nothing changes:
+
+    * The rank-n tree is the subtree of leaves of rank n, with their
+      depth-first order preserved.  The walk over touched coordinates, the
+      orderly cap and the fresh-block rule are the same at every n, and a
+      fresh block of the rank-n tree is one of the N tree's
+      ``_square_partitions`` of length at most n - touched, in the same
+      order.  The capacity prune is the only rule that depends on n; it
+      only cuts nodes with no rank-n leaf, and the traversal drops it.
+    * Once a surjective leaf of rank w is found, every node and every fresh
+      block touching w or more coordinates is pruned.  A pruned leaf has
+      rank at least w, so it is neither a smaller-rank witness nor one that
+      precedes the one found at rank w.  No leaf of rank below w is cut,
+      since touched counts only grow along a path, so those ranks are
+      counted in full; the leaves of rank w counted are those before the
+      witness, in the order the rank-w search meets them.  Leaves of ranks
+      above the final witness rank, reached before it was found, are
+      tested and counted in ``leaves`` but not reported in ``examined``.
+
+    One definiteness guard runs per search, on the graph.
     """
     if not is_negative_definite(graph):
         raise NotNegativeDefiniteError(
             "the embedding obstruction requires a negative definite plumbing")
-    examined: list[tuple[int, int]] = []
-    for n, embeddings in embeddings_by_rank(adjacency_matrix(graph)):
-        count = 0
-        for emb in embeddings:
-            count += 1
-            if transpose_surjective(emb):
-                examined.append((n, count))
-                return ObstructionResult(False, emb, n, tuple(examined))
-        examined.append((n, count))
-    return ObstructionResult(True, None, None, tuple(examined))
+    q = adjacency_matrix(graph)
+    top = _rank_bound(q)
+    tree = _OrderlyTree(q, top, low=0)
+    counts = [0] * (top + 1)  # leaves reached per rank
+    witness = None
+    for rank in tree.leaves():
+        counts[rank] += 1
+        emb = tree.embedding(rank)
+        if transpose_surjective(emb):
+            witness = emb
+            tree.high = rank - 1  # a better witness touches fewer coordinates
+    witness_n = witness.n if witness else None
+    examined = tuple((n, counts[n]) for n in range(len(q), (witness_n or top) + 1))
+    return ObstructionResult(witness is None, witness, witness_n, examined,
+                             tree.nodes, sum(counts))

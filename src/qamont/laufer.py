@@ -7,6 +7,19 @@ with the fundamental cycle of a rational singularity.  For the star-shaped
 graphs built from Montesinos links this verdict decides whether the double
 branched cover is an L-space; that equivalence is only invoked through
 :func:`is_lspace`, never for arbitrary graphs.
+
+References:
+
+* H. B. Laufer, "On rational singularities", Amer. J. Math. 94 (1972):
+  the computation sequence and its rationality criterion.
+* A. Némethi, "On the Ozsváth–Szabó invariant of negative definite plumbed
+  3-manifolds", Geom. Topol. 9 (2005): for star-shaped negative definite
+  plumbings, the link is an L-space exactly when the singularity is
+  rational.
+* P. Ozsváth and Z. Szabó, "On the Heegaard Floer homology of branched
+  double-covers", Adv. Math. 194 (2005): the double branched cover of a
+  quasi-alternating link is an L-space, so a non-rational verdict rules a
+  link out.
 """
 
 from __future__ import annotations

@@ -135,6 +135,7 @@ class TestVerify:
         (4, 3, -2, 5, 120),
         (4, 4, -2, 5, 560),
         (3, 5, -3, 4, 1320),
+        pytest.param(4, 5, -1, 4, 2970, marks=pytest.mark.slow),
     ])
     def test_equivalence_on_wider_families(self, p, alpha_max, e_min, e_max, size):
         family = list(enumerate_family(p, alpha_max, e_min, e_max, p_min=p))
@@ -198,9 +199,12 @@ class TestExplain:
         trace = report["verify"]
         assert trace["branch"] == "LatticeObstructed"
         assert trace["laufer"]["verdict"] == "Rational"
-        assert trace["embedding_search"]["obstructed"] is True
+        search = trace["embedding_search"]
+        assert search["obstructed"] is True
+        assert search["nodes"] >= search["leaves"] >= search["total_examined"] > 0
         text = render_explain(report)
         assert "no embedding has surjective transpose" in text
+        assert f"search tree: {search['nodes']} columns placed" in text
 
     def test_trace_reads_the_oriented_side_from_the_evidence(self):
         for link in FAMILY:

@@ -397,6 +397,21 @@ class TestRigidity:
             rigidity_check(emb, (0,), (1,))
 
 
+def replay_obstruction(graph):
+    """The obstruction search rank by rank: each rank's stream in turn,
+    stopping at the first embedding with surjective transpose."""
+    examined = []
+    for n, embeddings in embeddings_by_rank(adjacency_matrix(graph)):
+        count = 0
+        for emb in embeddings:
+            count += 1
+            if transpose_surjective(emb):
+                examined.append((n, count))
+                return False, emb, n, tuple(examined)
+        examined.append((n, count))
+    return True, None, None, tuple(examined)
+
+
 class TestObstruction:
     def test_single_vertex_minus_four(self):
         result = qa_lattice_obstruction(PlumbingGraph(-4, ()))
@@ -419,6 +434,25 @@ class TestObstruction:
     def test_rejects_indefinite(self):
         with pytest.raises(NotNegativeDefiniteError):
             qa_lattice_obstruction(PlumbingGraph(0, ((-2,),) * 4))
+
+    @pytest.mark.parametrize("p, alpha_max, e_min, e_max", [
+        (3, 4, -3, 4),  # the acceptance family
+        (2, 5, -3, 4),
+    ])
+    def test_one_traversal_matches_a_per_rank_replay(self, p, alpha_max, e_min, e_max):
+        for graph in oriented_graphs(p, alpha_max, e_min, e_max):
+            result = qa_lattice_obstruction(graph)
+            got = (result.obstructed, result.witness, result.witness_n, result.examined)
+            assert got == replay_obstruction(graph), graph
+            assert result.leaves >= result.total_examined
+            assert result.nodes >= result.leaves
+
+    def test_search_counters(self):
+        result = qa_lattice_obstruction(PlumbingGraph(-2, ()))
+        # the column (1, 1) at rank 2 is the only leaf
+        assert (result.nodes, result.leaves) == (1, 1)
+        result = qa_lattice_obstruction(D4_GRAPH)
+        assert result.leaves == result.total_examined  # obstructed: every rank counts
 
 
 def test_link_pipeline_obstruction_matches_expectation():
