@@ -16,9 +16,10 @@ make it so:
 * along each run of rows that agree on every column placed so far, the new
   column's entries must be non-increasing.
 
-Every leaf is a new orbit, so nothing is stored to deduplicate; each leaf is
-mapped back to the caller's vertex order and canonicalised the same way.
-``enumerate_embeddings`` states the completeness argument.
+Every leaf is a new orbit, so nothing is stored to deduplicate; each leaf
+that is reported is mapped back to the caller's vertex order and
+canonicalised the same way.  ``enumerate_embeddings`` states the
+completeness argument.
 
 Rows of yielded embeddings are therefore sorted; coordinates never touched
 by any column are not represented, so enumeration at ambient rank n only
@@ -38,8 +39,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .cfrac import prefix_r
 from .errors import NotNegativeDefiniteError, TruncationNotFoundError
-from .intmat import (Matrix, det, freeze, invariant_factors,
-                     is_negative_definite_matrix)
+from .intmat import Matrix, det, freeze, is_negative_definite_matrix
 from .plumbing import PlumbingGraph, adjacency_matrix, is_negative_definite
 
 __all__ = [
@@ -108,13 +108,6 @@ def _square_partitions(total: int, max_len: int,
     return tuple(out)
 
 
-def _suffix_squares(col: Sequence[int]) -> tuple[int, ...]:
-    out = [0] * (len(col) + 1)
-    for c in range(len(col) - 1, -1, -1):
-        out[c] = out[c + 1] + col[c] * col[c]
-    return tuple(out)
-
-
 def _canonical_rows(cols: Sequence[Sequence[int]], n: int) -> Matrix:
     rows = []
     for r in range(n):
@@ -144,6 +137,18 @@ class _OrderlyTree:
     columns cannot reach ``low`` touched coordinates is cut.  ``nodes``
     counts the columns placed.  ``enumerate_embeddings`` states why the tree
     holds exactly one leaf per signed-permutation orbit.
+
+    A node's candidate columns are built eagerly, as one list in search
+    order, when the node is entered, so their fresh blocks are cut under the
+    ``high`` in force then; ``_place`` drops each candidate that touches
+    more than the ``high`` in force when its turn comes.  That is exactly
+    the set of children, in the same order, of a node whose fresh blocks
+    were cut lazily: ``_square_partitions`` lists the blocks of a shorter
+    bound as a subsequence of those of a longer one.
+
+    Nothing the walk builds refers to itself (``_candidates`` drops its
+    recursive closure before it returns), so a finished or abandoned walk is
+    freed by reference counting, not left to the cyclic collector.
     """
 
     def __init__(self, q: Matrix, n: int, low: int):
@@ -156,83 +161,127 @@ class _OrderlyTree:
         self.high = n
         self.cols: list[tuple[int, ...]] = []
         self.nodes = 0
-
-    def embedding(self, rank: int) -> Embedding:
-        """The current leaf in the caller's vertex order, canonicalised."""
-        return Embedding(_canonical_rows([self.cols[s] for s in self.slots], rank))
-
-    def leaves(self) -> Iterator[int]:
-        q, n, cols = self.q, self.n, self.cols
-        k = len(q)
-        norms = [-q[i][i] for i in range(k)]
+        self.norms = [-self.q[i][i] for i in range(k)]
         # Column i touches at most norms[i] coordinates, which bounds how many
         # fresh coordinates the remaining columns can still cover.
-        remaining_capacity = [0] * (k + 1)
+        self.remaining_capacity = [0] * (k + 1)
         for i in range(k - 1, -1, -1):
-            remaining_capacity[i] = remaining_capacity[i + 1] + norms[i]
-        colsq: list[tuple[int, ...]] = []
+            self.remaining_capacity[i] = self.remaining_capacity[i + 1] + self.norms[i]
+        # colsq[j][c]: the squared norm of placed column j on coordinates >= c.
+        self.colsq: list[list[int]] = []
+        # support[c]: (j, cols[j][c], colsq[j][c + 1]) for each placed column j
+        # nonzero at coordinate c, in placement order.
+        self.support: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
         # same[c]: row c agrees with row c - 1 on every column placed so far.
-        same = [False] * n
+        self.same = [False] * n
 
-        def candidate_columns(i: int, touched: int):
-            targets = [-q[i][j] for j in range(i)]
-            prefix = [0] * touched
+    def embedding(self, rank: int, cols: Sequence[tuple[int, ...]]) -> Embedding:
+        """A leaf's columns ``cols`` (placement order) as an embedding of
+        rank ``rank`` in the caller's vertex order, canonicalised."""
+        return Embedding(_canonical_rows([cols[s] for s in self.slots], rank))
 
-            def walk(c: int, rem: int, dots: list[int]):
-                for j in range(i):
-                    d = targets[j] - dots[j]
-                    # Cauchy-Schwarz: the remaining coordinates cannot close a
-                    # dot-product gap larger than sqrt(rem * leftover norm).
-                    if d * d > rem * colsq[j][c]:
-                        return
-                if c == touched:
-                    for part in _square_partitions(rem, self.high - touched):
-                        col = tuple(prefix) + part + (0,) * (n - touched - len(part))
-                        yield col, len(part)
-                    return
-                bound = isqrt(rem)
-                # rows equal on every placed column keep non-increasing entries
-                top = min(bound, prefix[c - 1]) if same[c] else bound
-                for v in range(-bound, top + 1):
+    def leaves(self) -> Iterator[int]:
+        return self._place(0, 0)
+
+    def _place(self, i: int, touched: int) -> Iterator[int]:
+        if i == len(self.q):
+            if touched >= self.low:
+                yield touched
+            return
+        if touched + self.remaining_capacity[i] < self.low:
+            return
+        cols, colsq, support, same = self.cols, self.colsq, self.support, self.same
+        for col, fresh in self._candidates(i, touched):
+            end = touched + fresh
+            # ``high`` may have fallen since the candidates were cut
+            if end > self.high:
+                continue
+            saved = same[:end]
+            # The first fresh row differs from the touched rows above it on
+            # an earlier column; later fresh rows are zero there.
+            for c in range(1, end):
+                same[c] = col[c] == col[c - 1] and (same[c] if c < touched
+                                                    else c > touched)
+            sq = [0] * (self.n + 1)
+            nonzero = []
+            for c in range(end - 1, -1, -1):
+                v = col[c]
+                sq[c] = sq[c + 1] + v * v
+                if v:
+                    support[c].append((i, v, sq[c + 1]))
+                    nonzero.append(c)
+            cols.append(col)
+            colsq.append(sq)
+            self.nodes += 1
+            yield from self._place(i + 1, end)
+            for c in nonzero:
+                support[c].pop()
+            cols.pop()
+            colsq.pop()
+            same[:end] = saved
+            if touched > self.high:
+                return  # every further child touches too many coordinates
+
+    def _candidates(self, i: int, touched: int) -> list[tuple[tuple[int, ...], int]]:
+        """The columns that may be placed as column i after ``touched``
+        coordinates are in use, each with the size of its fresh block, in
+        search order: entries on the touched coordinates in increasing order
+        coordinate by coordinate, then the fresh blocks.
+
+        ``gap[j]`` is the dot product column j still needs with column i.
+        Cauchy-Schwarz cuts a prefix whose remaining norm cannot close a gap:
+        gap^2 > rem * colsq[j][c].  It is tested before descending to c + 1.
+        A column zero at c keeps its gap, so for all of those together it
+        bounds |v| by isqrt(rem - max ceil(gap^2 / colsq[j][c])); only the
+        columns nonzero at c (``support[c]``) change their gap and are
+        tested value by value.  At the fresh block every gap is zero, since
+        no placed column reaches past ``touched``.
+        """
+        cols, colsq, support, same = self.cols, self.colsq, self.support, self.same
+        n, high = self.n, self.high
+        norm = self.norms[i]
+        gap = [-x for x in self.q[i][:i]]
+        out: list[tuple[tuple[int, ...], int]] = []
+        if any(d * d > norm * colsq[j][0] for j, d in enumerate(gap)):
+            return out
+        prefix = [0] * touched
+
+        def walk(c: int, rem: int) -> None:
+            if c == touched:
+                head = tuple(prefix)
+                for part in _square_partitions(rem, high - touched):
+                    out.append((head + part + (0,) * (n - touched - len(part)),
+                                len(part)))
+                return
+            floor = 0
+            for j in range(i):
+                d = gap[j]
+                if d and not cols[j][c]:
+                    need = -(-d * d // colsq[j][c])
+                    if need > floor:
+                        floor = need
+            bound = isqrt(rem - floor)
+            # rows equal on every placed column keep non-increasing entries
+            top = min(bound, prefix[c - 1]) if same[c] else bound
+            nz = support[c]
+            for v in range(-bound, top + 1):
+                rest = rem - v * v
+                for j, a, s in nz:
+                    d = gap[j] - v * a
+                    if d * d > rest * s:
+                        break
+                else:
                     prefix[c] = v
-                    if v == 0:
-                        yield from walk(c + 1, rem, dots)
-                    else:
-                        yield from walk(c + 1, rem - v * v,
-                                        [dots[j] + v * cols[j][c] for j in range(i)])
-                prefix[c] = 0
+                    for j, a, _ in nz:
+                        gap[j] -= v * a
+                    walk(c + 1, rest)
+                    for j, a, _ in nz:
+                        gap[j] += v * a
+            prefix[c] = 0
 
-            yield from walk(0, norms[i], [0] * i)
-
-        def place(i: int, touched: int) -> Iterator[int]:
-            if i == k:
-                if touched >= self.low:
-                    yield touched
-                return
-            if touched + remaining_capacity[i] < self.low:
-                return
-            for col, fresh in candidate_columns(i, touched):
-                end = touched + fresh
-                # ``high`` may have fallen since this fresh block was cut
-                if end > self.high:
-                    continue
-                saved = same[:end]
-                # The first fresh row differs from the touched rows above it on
-                # an earlier column; later fresh rows are zero there.
-                for c in range(1, end):
-                    same[c] = col[c] == col[c - 1] and (same[c] if c < touched
-                                                        else c > touched)
-                cols.append(col)
-                colsq.append(_suffix_squares(col))
-                self.nodes += 1
-                yield from place(i + 1, end)
-                cols.pop()
-                colsq.pop()
-                same[:end] = saved
-                if touched > self.high:
-                    return  # every further child touches too many coordinates
-
-        yield from place(0, 0)
+        walk(0, norm)
+        walk = None  # the closure refers to itself; drop that cycle here
+        return out
 
 
 def enumerate_embeddings(q: Matrix, n: int) -> Iterator[Embedding]:
@@ -290,7 +339,7 @@ def enumerate_embeddings(q: Matrix, n: int) -> Iterator[Embedding]:
         raise ValueError("ambient rank must be positive")
     tree = _OrderlyTree(q, n, low=n)
     for rank in tree.leaves():
-        yield tree.embedding(rank)
+        yield tree.embedding(rank, tree.cols)
 
 
 def _rank_bound(q: Matrix) -> int:
@@ -327,10 +376,44 @@ def embeddings_by_rank(q: Matrix, n_max: int | None = None
 
 
 def transpose_surjective(emb: Embedding) -> bool:
-    """Whether A^T maps Z^n onto Z^k: all k invariant factors equal 1."""
-    if emb.n < emb.k:
-        return False
-    return all(f == 1 for f in invariant_factors(emb.matrix))
+    """Whether A^T maps Z^n onto Z^k, that is, whether the rows of A
+    generate Z^k.
+
+    Integer row operations (swapping two rows, adding a multiple of one row
+    to another) are invertible over Z, so they keep the lattice the rows
+    generate.  Reduced to row echelon form, the nonzero rows are a basis of
+    that lattice: they are triangular with nonzero pivots.  The lattice is
+    Z^k exactly when there are k pivots and each is +-1, since its index in
+    Z^k is then the product of their absolute values, and with fewer than k
+    pivots its rank is short.  Column t's pivot is the gcd of column t over
+    the rows not yet used as pivots, found by Euclid's algorithm on those
+    rows, so the test stops at the first column whose pivot is not a unit.
+    The answer does not depend on the order or the signs of the rows, nor on
+    the order of the columns.
+    """
+    rows = [row for row in emb.matrix if any(row)]
+    for t in range(emb.k):
+        hit = [row for row in rows if row[t]]
+        rows = [row for row in rows if not row[t]]
+        while hit:
+            pivot = hit.pop(min(range(len(hit)), key=lambda r: abs(hit[r][t])))
+            p = pivot[t]
+            if p == 1 or p == -1:
+                for row in hit:
+                    f = row[t] * p
+                    rows.append([x - f * y for x, y in zip(row, pivot)])
+                break
+            rest = []
+            for row in hit:
+                f = row[t] // p
+                row = [x - f * y for x, y in zip(row, pivot)]
+                (rest if row[t] else rows).append(row)
+            if not rest:
+                return False  # the pivot |p| > 1 divides the whole column
+            hit = rest + [pivot]
+        else:
+            return False  # column t is zero on every remaining row
+    return True
 
 
 def minor_check(emb: Embedding, cols: Iterable[int]) -> int:
@@ -489,7 +572,12 @@ def qa_lattice_obstruction(graph: PlumbingGraph) -> ObstructionResult:
       above the final witness rank, reached before it was found, are
       tested and counted in ``leaves`` but not reported in ``examined``.
 
-    One definiteness guard runs per search, on the graph.
+    Each leaf is tested on its raw rows, columns in placement order: the
+    surjectivity of the transpose depends neither on the order or the signs
+    of the rows nor on the order of the columns.  Only the witness is mapped
+    back to the caller's vertex order and canonicalised, once, from a copy
+    of its columns saved when it was found.  One definiteness guard runs per
+    search, on the graph.
     """
     if not is_negative_definite(graph):
         raise NotNegativeDefiniteError(
@@ -498,14 +586,13 @@ def qa_lattice_obstruction(graph: PlumbingGraph) -> ObstructionResult:
     top = _rank_bound(q)
     tree = _OrderlyTree(q, top, low=0)
     counts = [0] * (top + 1)  # leaves reached per rank
-    witness = None
+    witness_cols, witness_n = None, None
     for rank in tree.leaves():
         counts[rank] += 1
-        emb = tree.embedding(rank)
-        if transpose_surjective(emb):
-            witness = emb
+        if transpose_surjective(Embedding(tuple(zip(*tree.cols))[:rank])):
+            witness_cols, witness_n = tree.cols[:], rank
             tree.high = rank - 1  # a better witness touches fewer coordinates
-    witness_n = witness.n if witness else None
+    witness = None if witness_n is None else tree.embedding(witness_n, witness_cols)
     examined = tuple((n, counts[n]) for n in range(len(q), (witness_n or top) + 1))
     return ObstructionResult(witness is None, witness, witness_n, examined,
                              tree.nodes, sum(counts))

@@ -1,4 +1,7 @@
+import gc
+import hashlib
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -6,7 +9,7 @@ import pytest
 from conftest import random_cf
 from qamont.cfrac import prefix_r
 from qamont.errors import NotNegativeDefiniteError
-from qamont.intmat import freeze, is_negative_definite_matrix
+from qamont.intmat import freeze, invariant_factors, is_negative_definite_matrix
 from qamont.lattice import (Embedding, embeddings_by_rank,
                             enumerate_embeddings, gram_matches,
                             minor_check, qa_lattice_obstruction,
@@ -276,6 +279,48 @@ class TestSurjectivity:
                     not_onto += not expected
         assert (square_free, onto, not_onto) == (556, 826, 75)
 
+    def test_matches_the_smith_form_on_random_matrices(self):
+        # intmat.invariant_factors is the independent reference: A^T is onto
+        # exactly when A has k invariant factors and all of them are 1.
+        rng = random.Random(80)
+        kinds = {"n < k": 0, "zero row": 0, "rank deficient": 0,
+                 "non-unit index": 0, "onto": 0}
+        for trial in range(800):
+            n, k = rng.randint(1, 6), rng.randint(1, 5)
+            m = [[rng.randint(-3, 3) for _ in range(k)] for _ in range(n)]
+            if trial % 4 == 1:
+                m[rng.randrange(n)] = [0] * k
+            elif trial % 4 == 2 and k > 1:  # the last column depends on the others
+                a, b = rng.randint(-2, 2), rng.randint(-2, 2)
+                for row in m:
+                    row[-1] = a * row[0] + b * row[1 % (k - 1)]
+            elif trial % 4 == 3:  # scale a column: a full rank index stays > 1
+                t, f = rng.randrange(k), rng.choice([2, 3, -2])
+                for row in m:
+                    row[t] *= f
+            m = freeze(m)
+            factors = invariant_factors(m)
+            expected = n >= k and all(f == 1 for f in factors)
+            assert transpose_surjective(Embedding(m)) == expected, m
+            if n < k:
+                kinds["n < k"] += 1
+            elif not expected:
+                kinds["rank deficient" if 0 in factors else "non-unit index"] += 1
+            else:
+                kinds["onto"] += 1
+            kinds["zero row"] += not all(any(row) for row in m)
+        assert min(kinds.values()) >= 50, kinds
+
+    def test_matches_the_smith_form_on_every_embedding(self):
+        checked = 0
+        for graph in oriented_graphs(2, 5, -2, 3):
+            for _, embeddings in embeddings_by_rank(adjacency_matrix(graph)):
+                for emb in embeddings:
+                    expected = all(f == 1 for f in invariant_factors(emb.matrix))
+                    assert transpose_surjective(emb) == expected, emb
+                    checked += 1
+        assert checked == 901
+
     def test_invariant_under_signed_row_permutations(self, rng):
         embeddings = list(enumerate_embeddings(D4_Q, 4))
         embeddings += list(enumerate_embeddings(adjacency_matrix(
@@ -453,6 +498,36 @@ class TestObstruction:
         assert (result.nodes, result.leaves) == (1, 1)
         result = qa_lattice_obstruction(D4_GRAPH)
         assert result.leaves == result.total_examined  # obstructed: every rank counts
+
+
+    def test_tree_is_pinned_on_the_acceptance_family(self):
+        # Pinned sums and digest: a change to the tree, to its pruning or to
+        # the order of its leaves moves at least one of them.
+        results = [qa_lattice_obstruction(graph)
+                   for graph in oriented_graphs(3, 4, -3, 4)]
+        assert len(results) == 262
+        assert sum(result.nodes for result in results) == 3188
+        assert sum(result.leaves for result in results) == 818
+        examined = repr([result.examined for result in results]).encode()
+        assert hashlib.sha256(examined).hexdigest() == \
+            "97541a2ffa588fb336cf4bcae26cdfe6360673107babc4ad0f816e92c3fbc97b"
+
+    def test_searches_leave_no_reference_cycles(self):
+        # Reference counting alone must free a finished search and a finished
+        # or abandoned stream; a cycle would wait for the cyclic collector.
+        graphs = oriented_graphs(2, 4, -2, 3)
+        gc.collect()
+        gc.disable()
+        try:
+            for graph in graphs:
+                qa_lattice_obstruction.__wrapped__(graph)
+            assert len(list(enumerate_embeddings(D4_Q, 4))) == 3
+            stream = enumerate_embeddings(D4_Q, 4)
+            next(stream)
+            del stream
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 def test_link_pipeline_obstruction_matches_expectation():
