@@ -25,9 +25,8 @@ Rows of yielded embeddings are therefore sorted; coordinates never touched
 by any column are not represented, so enumeration at ambient rank n only
 yields matrices with no zero row.  ``_rank_bound`` is the rank that makes
 the search complete, and states why it loses nothing; ``embeddings_by_rank``
-runs the ranks from k up to it, one tree each, while
-``qa_lattice_obstruction`` walks one tree for all of them.  Coordinate and
-vertex indices are 0-based throughout.
+and ``qa_lattice_obstruction`` each walk one tree for all the ranks from k
+up to it.  Coordinate and vertex indices are 0-based throughout.
 """
 
 from __future__ import annotations
@@ -129,14 +128,12 @@ class _OrderlyTree:
 
     A leaf places every column; its rank is the number of coordinates its
     columns touch, always the first ones.  ``leaves`` walks the tree depth
-    first and yields the rank of each leaf whose rank is at least ``low``,
-    with ``cols`` holding the leaf's columns in placement order.  ``high``
-    starts at n and may be lowered between leaves: from then on every node
-    and every fresh block that would touch more than ``high`` coordinates is
-    pruned.  ``low`` drives the capacity prune: a node whose remaining
-    columns cannot reach ``low`` touched coordinates is cut.  ``nodes``
-    counts the columns placed.  ``enumerate_embeddings`` states why the tree
-    holds exactly one leaf per signed-permutation orbit.
+    first and yields the rank of each leaf, with ``cols`` holding the leaf's
+    columns in placement order.  ``high`` starts at n and may be lowered
+    between leaves: from then on every node and every fresh block that would
+    touch more than ``high`` coordinates is pruned.  ``nodes`` counts the
+    columns placed.  ``enumerate_embeddings`` states why the tree holds
+    exactly one leaf per signed-permutation orbit.
 
     A node's candidate columns are built eagerly, as one list in search
     order, when the node is entered, so their fresh blocks are cut under the
@@ -151,22 +148,16 @@ class _OrderlyTree:
     freed by reference counting, not left to the cyclic collector.
     """
 
-    def __init__(self, q: Matrix, n: int, low: int):
+    def __init__(self, q: Matrix, n: int):
         k = len(q)
         order = sorted(range(k), key=lambda v: (-q[v][v], v))
         self.q = tuple(tuple(q[u][v] for v in order) for u in order)
         self.slots = [order.index(v) for v in range(k)]  # caller vertex -> placement
         self.n = n
-        self.low = low
         self.high = n
         self.cols: list[tuple[int, ...]] = []
         self.nodes = 0
         self.norms = [-self.q[i][i] for i in range(k)]
-        # Column i touches at most norms[i] coordinates, which bounds how many
-        # fresh coordinates the remaining columns can still cover.
-        self.remaining_capacity = [0] * (k + 1)
-        for i in range(k - 1, -1, -1):
-            self.remaining_capacity[i] = self.remaining_capacity[i + 1] + self.norms[i]
         # colsq[j][c]: the squared norm of placed column j on coordinates >= c.
         self.colsq: list[list[int]] = []
         # support[c]: (j, cols[j][c], colsq[j][c + 1]) for each placed column j
@@ -185,10 +176,7 @@ class _OrderlyTree:
 
     def _place(self, i: int, touched: int) -> Iterator[int]:
         if i == len(self.q):
-            if touched >= self.low:
-                yield touched
-            return
-        if touched + self.remaining_capacity[i] < self.low:
+            yield touched
             return
         cols, colsq, support, same = self.cols, self.colsq, self.support, self.same
         for col, fresh in self._candidates(i, touched):
@@ -313,8 +301,8 @@ def enumerate_embeddings(q: Matrix, n: int) -> Iterator[Embedding]:
       (sorted) entries: the fresh-block rule.  Rows that agree on every
       earlier column are ordered by their entry in column i, so that entry
       is non-increasing along each run of such rows: the cap on v.  The
-      capacity prune and the Cauchy-Schwarz prune are valid bounds on every
-      embedding, the leader included.
+      Cauchy-Schwarz prune is a valid bound on every embedding, the leader
+      included.
     * Distinct leaves give distinct leaders.  A leaf's matrix is sign-
       normalised (each row's first nonzero entry is a fresh-block entry,
       hence positive) and sorted (adjacent rows either start in different
@@ -323,13 +311,14 @@ def enumerate_embeddings(q: Matrix, n: int) -> Iterator[Embedding]:
       leader; distinct paths place distinct column sets.
 
     So every orbit is reached exactly once and no yield needs a duplicate
-    check.  Each leaf is mapped back to the caller's vertex order and
-    canonicalised there (rows sign-normalised and sorted), so every ambient
-    rank yields the same set of orbits as a search in vertex order would,
-    and yielded matrices satisfy the Gram condition against the caller's
-    ``q``.  The rank bound of ``embeddings_by_rank`` depends only on the
-    norms, so it is untouched.  Only the order of the stream depends on the
-    placement order and on the pruning.
+    check.  The tree is walked at high = n and only its leaves of rank n,
+    those touching every coordinate, are yielded, each mapped back to the
+    caller's vertex order and canonicalised there (rows sign-normalised and
+    sorted).  So every ambient rank yields the same set of orbits as a
+    search in vertex order would, and yielded matrices satisfy the Gram
+    condition against the caller's ``q``.  The rank bound depends only on
+    the norms, so it is untouched.  Only the order of the stream depends on
+    the placement order and on the pruning.
     """
     q = freeze(q)
     if not is_negative_definite_matrix(q):
@@ -337,9 +326,10 @@ def enumerate_embeddings(q: Matrix, n: int) -> Iterator[Embedding]:
             "embedding enumeration requires a negative definite form")
     if n < 1:
         raise ValueError("ambient rank must be positive")
-    tree = _OrderlyTree(q, n, low=n)
+    tree = _OrderlyTree(q, n)
     for rank in tree.leaves():
-        yield tree.embedding(rank, tree.cols)
+        if rank == n:
+            yield tree.embedding(rank, tree.cols)
 
 
 def _rank_bound(q: Matrix) -> int:
@@ -358,21 +348,37 @@ def _rank_bound(q: Matrix) -> int:
 
 def embeddings_by_rank(q: Matrix, n_max: int | None = None
                        ) -> Iterator[tuple[int, Iterator[Embedding]]]:
-    """``(n, enumerate_embeddings(q, n))`` for each ambient rank n in turn.
+    """``(n, stream)`` for each ambient rank n from the vertex count k up to
+    N = ``_rank_bound(q)`` (complete; ``n_max`` lowers N), each stream
+    yielding what ``enumerate_embeddings(q, n)`` yields, in the same order.
 
-    Ranks run from the vertex count k up to ``_rank_bound(q)``, the sum of
-    the vertex norms, which makes the search complete; ``n_max`` stops the
-    ranks earlier.
+    One walk of the orderly tree at rank N files each leaf under its rank.
+    Its leaves of rank n are the rank-n tree's, in the same depth-first
+    order: the walk over touched coordinates, the orderly cap and the
+    Cauchy-Schwarz prune do not depend on n; the rank-n fresh blocks are the
+    N tree's ``_square_partitions`` of length at most n - touched, in the
+    same order; and touched counts only grow along a path, so a node cut
+    for touching more than n coordinates has no leaf of rank n.
 
-    Each rank's stream is looked up on this module at call time, so a
-    wrapper installed there (``perfbench/tracing.py`` counts ranks that way)
-    sees every rank.  Consume a rank's stream before asking for the next.
+    The whole form's embeddings are held until the walk ends, so a caller
+    printing the streams prints nothing before the search is done.  The
+    streams are independent lists, consumable in any order, and
+    ``enumerate_embeddings`` is not called.  One definiteness guard runs
+    per call, none when N < k.
     """
-    high = _rank_bound(q)
-    if n_max is not None:
-        high = min(high, n_max)
-    for n in range(len(q), high + 1):
-        yield n, enumerate_embeddings(q, n)
+    q = freeze(q)
+    top = _rank_bound(q) if n_max is None else min(_rank_bound(q), n_max)
+    if top < len(q):
+        return
+    if not is_negative_definite_matrix(q):
+        raise NotNegativeDefiniteError(
+            "embedding enumeration requires a negative definite form")
+    tree = _OrderlyTree(q, top)
+    found: list[list[Embedding]] = [[] for _ in range(top + 1)]
+    for rank in tree.leaves():
+        found[rank].append(tree.embedding(rank, tree.cols))
+    for n in range(len(q), top + 1):
+        yield n, iter(found[n])
 
 
 def transpose_surjective(emb: Embedding) -> bool:
@@ -555,13 +561,7 @@ def qa_lattice_obstruction(graph: PlumbingGraph) -> ObstructionResult:
     N = ``_rank_bound``, where a leaf's rank is the number of coordinates it
     touches.  Nothing is lost and nothing changes:
 
-    * The rank-n tree is the subtree of leaves of rank n, with their
-      depth-first order preserved.  The walk over touched coordinates, the
-      orderly cap and the fresh-block rule are the same at every n, and a
-      fresh block of the rank-n tree is one of the N tree's
-      ``_square_partitions`` of length at most n - touched, in the same
-      order.  The capacity prune is the only rule that depends on n; it
-      only cuts nodes with no rank-n leaf, and the traversal drops it.
+    * The rank-n tree is its subtree of rank-n leaves (``embeddings_by_rank``).
     * Once a surjective leaf of rank w is found, every node and every fresh
       block touching w or more coordinates is pruned.  A pruned leaf has
       rank at least w, so it is neither a smaller-rank witness nor one that
@@ -584,7 +584,7 @@ def qa_lattice_obstruction(graph: PlumbingGraph) -> ObstructionResult:
             "the embedding obstruction requires a negative definite plumbing")
     q = adjacency_matrix(graph)
     top = _rank_bound(q)
-    tree = _OrderlyTree(q, top, low=0)
+    tree = _OrderlyTree(q, top)
     counts = [0] * (top + 1)  # leaves reached per rank
     witness_cols, witness_n = None, None
     for rank in tree.leaves():

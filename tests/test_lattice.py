@@ -2,11 +2,13 @@ import gc
 import hashlib
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from conftest import random_cf
+from qamont import lattice
 from qamont.cfrac import prefix_r
 from qamont.errors import NotNegativeDefiniteError
 from qamont.intmat import freeze, invariant_factors, is_negative_definite_matrix
@@ -90,9 +92,35 @@ class TestEnumerate:
         assert [n for n, _ in embeddings_by_rank(q)] == list(range(4, 12))
         assert [n for n, _ in embeddings_by_rank(q, 6)] == [4, 5, 6]
         assert list(embeddings_by_rank(q, 3)) == []
-        for n, embeddings in embeddings_by_rank(q):
-            assert [e.matrix for e in embeddings] == \
-                [e.matrix for e in enumerate_embeddings(q, n)]
+        graphs = oriented_graphs(2, 5, -2, 3) + oriented_graphs(3, 3, -2, 3)
+        assert len(set(graphs)) == 296
+        for graph in graphs:
+            q = adjacency_matrix(graph)
+            for n_max in (None, len(q) + 1):
+                for n, embeddings in embeddings_by_rank(q, n_max):
+                    assert list(embeddings) == list(enumerate_embeddings(q, n)), \
+                        (graph, n)
+
+    def test_embeddings_by_rank_walks_one_tree(self, monkeypatch):
+        counts = Counter()
+
+        class CountingTree(lattice._OrderlyTree):
+            def __init__(self, *args, **kwargs):
+                counts["trees"] += 1
+                super().__init__(*args, **kwargs)
+
+        def counting_guard(q, guard=lattice.is_negative_definite_matrix):
+            counts["guards"] += 1
+            return guard(q)
+
+        monkeypatch.setattr(lattice, "_OrderlyTree", CountingTree)
+        monkeypatch.setattr(lattice, "is_negative_definite_matrix", counting_guard)
+        q = adjacency_matrix(PlumbingGraph(-3, ((-2, -2), (-4,))))
+        for n_max in (None, 6):
+            counts.clear()
+            ranks = [(n, list(embeddings)) for n, embeddings in embeddings_by_rank(q, n_max)]
+            assert len(ranks) > 1
+            assert counts == {"trees": 1, "guards": 1}
 
     def test_deterministic_order(self):
         first = [e.matrix for e in enumerate_embeddings(D4_Q, 4)]
@@ -102,6 +130,9 @@ class TestEnumerate:
     def test_rejects_indefinite(self):
         with pytest.raises(NotNegativeDefiniteError):
             list(enumerate_embeddings(freeze([[1]]), 1))
+        with pytest.raises(NotNegativeDefiniteError):
+            for _, embeddings in embeddings_by_rank(freeze([[-2, 3], [3, -2]])):
+                list(embeddings)
 
 
 def brute_force_orbits(q, n, bound=2):
@@ -525,6 +556,11 @@ class TestObstruction:
             stream = enumerate_embeddings(D4_Q, 4)
             next(stream)
             del stream
+            assert sum(len(list(embeddings))
+                       for _, embeddings in embeddings_by_rank(D4_Q)) == 3
+            ranks = embeddings_by_rank(D4_Q)
+            next(next(ranks)[1])
+            del ranks
             assert gc.collect() == 0
         finally:
             gc.enable()
