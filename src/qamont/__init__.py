@@ -8,7 +8,7 @@ embedding with surjective transpose.  All arithmetic is exact: rationals
 are ``fractions.Fraction`` and matrices are arbitrary-precision integers.
 """
 
-from .cfrac import Rational, cf_eval, cf_expand, prefix_r
+from .cfrac import cf_eval, cf_expand, prefix_r
 from .classifier import (Branch, Evidence, Reason, Status, Verdict, classify,
                          enumerate_family, explain, render_explain, verify)
 from .errors import (InternalError, NotNegativeDefiniteError, ParseError,
@@ -28,7 +28,7 @@ from .plumbing import (PlumbingGraph, adjacency_matrix, build_graph,
 __version__ = "0.1.0"
 
 __all__ = [
-    "Rational", "cf_expand", "cf_eval", "prefix_r",
+    "cf_expand", "cf_eval", "prefix_r",
     "MontesinosLink", "StandardForm", "parse_link", "format_link",
     "to_standard_form", "reflect", "epsilon", "determinant",
     "to_negative_form", "canonical_form", "slide",

@@ -20,9 +20,7 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
-Rational = Fraction
-
-__all__ = ["Rational", "cf_expand", "cf_eval", "prefix_r", "check_coeffs"]
+__all__ = ["cf_expand", "cf_eval", "prefix_r", "check_coeffs"]
 
 
 def check_coeffs(coeffs: Sequence[int]) -> tuple[int, ...]:

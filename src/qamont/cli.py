@@ -179,8 +179,8 @@ def cmd_embed(args) -> int:
         raise ValueError(f"--n-max must be at least 1, got {args.n_max}")
     graph = _read_graph(args.graph_file)
     if args.all:
-        # An empty rank range would otherwise print "total: 0" for a form
-        # that has no embeddings to list.
+        # The graph test, unlike the matrix test inside embeddings_by_rank,
+        # cross-checks the matrix verdict against the Seifert sign test.
         if not is_negative_definite(graph):
             raise NotNegativeDefiniteError(
                 "embedding enumeration requires a negative definite form")

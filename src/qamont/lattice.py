@@ -18,8 +18,8 @@ make it so:
 
 Every leaf is a new orbit, so nothing is stored to deduplicate; each leaf
 that is reported is mapped back to the caller's vertex order and
-canonicalised the same way.  ``enumerate_embeddings`` states the
-completeness argument.
+canonicalised the same way.  ``_OrderlyTree`` states the completeness
+argument.
 
 Rows of yielded embeddings are therefore sorted; coordinates never touched
 by any column are not represented, so enumeration at ambient rank n only
@@ -132,8 +132,50 @@ class _OrderlyTree:
     columns in placement order.  ``high`` starts at n and may be lowered
     between leaves: from then on every node and every fresh block that would
     touch more than ``high`` coordinates is pruned.  ``nodes`` counts the
-    columns placed.  ``enumerate_embeddings`` states why the tree holds
-    exactly one leaf per signed-permutation orbit.
+    columns placed.
+
+    Columns are placed in ascending norm order (-q[v][v], ties by vertex
+    index): a low-norm vertex has few images, and once placed it constrains
+    every later neighbour, so the search tree stays small.  The search runs
+    on the permuted form; a fixed vertex permutation is a bijection on
+    column assignments that commutes with the action on rows, so it maps
+    orbits to orbits.
+
+    The tree is pruned to one matrix per orbit by lex-leader symmetry
+    breaking (Crawford, Ginsberg, Luks and Roy, "Symmetry-breaking
+    predicates for search problems", KR 1996) applied as orderly generation
+    (McKay, "Isomorph-free exhaustive generation", J. Algorithms 1998).  The
+    leader of an orbit of zero-row free matrices of rank r, columns in
+    placement order, has each row sign-normalised (first nonzero entry
+    positive) and the rows sorted in decreasing lexicographic order.  For
+    every r <= n, the tree's leaves of rank r are exactly the leaders of
+    the rank-r orbits:
+
+    * Every orbit has exactly one leader: the sign of a nonzero row and the
+      sorted order of a multiset of rows are unique.
+    * The leader is a leaf of the tree.  Sorted descending, its rows group
+      by the column of their first nonzero entry, earliest column first, so
+      at column i the rows first touched there form a block right after the
+      touched ones, with positive (sign-normalised) and non-increasing
+      (sorted) entries: the fresh-block rule.  Rows that agree on every
+      earlier column are ordered by their entry in column i, so that entry
+      is non-increasing along each run of such rows: the cap on v.  The
+      Cauchy-Schwarz prune is a valid bound on every embedding, the leader
+      included.
+    * Distinct leaves give distinct leaders.  A leaf's matrix is sign-
+      normalised (each row's first nonzero entry is a fresh-block entry,
+      hence positive) and sorted (adjacent rows either start in different
+      columns, the earlier one first, or agree up to a column where the
+      cap makes the lower row's entry no larger), so it is its own orbit's
+      leader; distinct paths place distinct column sets.
+
+    So every orbit is reached exactly once and no leaf needs a duplicate
+    check.  ``embedding`` maps a leaf back to the caller's vertex order and
+    canonicalises it there (rows sign-normalised and sorted), so every rank
+    yields the same set of orbits as a search in vertex order would, and
+    the matrices satisfy the Gram condition against the caller's ``q``.
+    The rank bound depends only on the norms, so it is untouched.  Only the
+    order of the leaves depends on the placement order and on the pruning.
 
     A node's candidate columns are built eagerly, as one list in search
     order, when the node is entered, so their fresh blocks are cut under the
@@ -275,61 +317,12 @@ class _OrderlyTree:
 def enumerate_embeddings(q: Matrix, n: int) -> Iterator[Embedding]:
     """All embeddings of (Z^k, q) into (Z^n, -Id) touching every coordinate,
     one representative per signed-permutation orbit, in a deterministic
-    order.  The stream is empty when no embedding exists.
-
-    Columns are placed in ascending norm order (-q[v][v], ties by vertex
-    index): a low-norm vertex has few images, and once placed it constrains
-    every later neighbour, so the search tree stays small.  The search runs
-    on the permuted form; a fixed vertex permutation is a bijection on
-    column assignments that commutes with the action on rows, so it maps
-    orbits to orbits.
-
-    The tree is pruned to one matrix per orbit by lex-leader symmetry
-    breaking (Crawford, Ginsberg, Luks and Roy, "Symmetry-breaking
-    predicates for search problems", KR 1996) applied as orderly generation
-    (McKay, "Isomorph-free exhaustive generation", J. Algorithms 1998).  The
-    leader of an orbit of zero-row free n x k matrices, columns in
-    placement order, has each row sign-normalised (first nonzero entry
-    positive) and the rows sorted in decreasing lexicographic order.
-
-    * Every orbit has exactly one leader: the sign of a nonzero row and the
-      sorted order of a multiset of rows are unique.
-    * The leader is a leaf of the tree.  Sorted descending, its rows group
-      by the column of their first nonzero entry, earliest column first, so
-      at column i the rows first touched there form a block right after the
-      touched ones, with positive (sign-normalised) and non-increasing
-      (sorted) entries: the fresh-block rule.  Rows that agree on every
-      earlier column are ordered by their entry in column i, so that entry
-      is non-increasing along each run of such rows: the cap on v.  The
-      Cauchy-Schwarz prune is a valid bound on every embedding, the leader
-      included.
-    * Distinct leaves give distinct leaders.  A leaf's matrix is sign-
-      normalised (each row's first nonzero entry is a fresh-block entry,
-      hence positive) and sorted (adjacent rows either start in different
-      columns, the earlier one first, or agree up to a column where the
-      cap makes the lower row's entry no larger), so it is its own orbit's
-      leader; distinct paths place distinct column sets.
-
-    So every orbit is reached exactly once and no yield needs a duplicate
-    check.  The tree is walked at high = n and only its leaves of rank n,
-    those touching every coordinate, are yielded, each mapped back to the
-    caller's vertex order and canonicalised there (rows sign-normalised and
-    sorted).  So every ambient rank yields the same set of orbits as a
-    search in vertex order would, and yielded matrices satisfy the Gram
-    condition against the caller's ``q``.  The rank bound depends only on
-    the norms, so it is untouched.  Only the order of the stream depends on
-    the placement order and on the pruning.
+    order: the rank-n stream of ``embeddings_by_rank(q, n)``.  The stream is
+    empty when no embedding exists.
     """
-    q = freeze(q)
-    if not is_negative_definite_matrix(q):
-        raise NotNegativeDefiniteError(
-            "embedding enumeration requires a negative definite form")
     if n < 1:
         raise ValueError("ambient rank must be positive")
-    tree = _OrderlyTree(q, n)
-    for rank in tree.leaves():
-        if rank == n:
-            yield tree.embedding(rank, tree.cols)
+    return iter(dict(embeddings_by_rank(q, n)).get(n, ()))
 
 
 def _rank_bound(q: Matrix) -> int:
@@ -350,7 +343,8 @@ def embeddings_by_rank(q: Matrix, n_max: int | None = None
                        ) -> Iterator[tuple[int, Iterator[Embedding]]]:
     """``(n, stream)`` for each ambient rank n from the vertex count k up to
     N = ``_rank_bound(q)`` (complete; ``n_max`` lowers N), each stream
-    yielding what ``enumerate_embeddings(q, n)`` yields, in the same order.
+    yielding the embeddings that touch all n coordinates, one per
+    signed-permutation orbit (``_OrderlyTree``), in a deterministic order.
 
     One walk of the orderly tree at rank N files each leaf under its rank.
     Its leaves of rank n are the rank-n tree's, in the same depth-first
@@ -362,17 +356,18 @@ def embeddings_by_rank(q: Matrix, n_max: int | None = None
 
     The whole form's embeddings are held until the walk ends, so a caller
     printing the streams prints nothing before the search is done.  The
-    streams are independent lists, consumable in any order, and
-    ``enumerate_embeddings`` is not called.  One definiteness guard runs
-    per call, none when N < k.
+    streams are independent lists, consumable in any order.  One
+    definiteness guard runs per call, before the rank range is computed, so
+    a form that is not negative definite is rejected even when the range is
+    empty.
     """
     q = freeze(q)
-    top = _rank_bound(q) if n_max is None else min(_rank_bound(q), n_max)
-    if top < len(q):
-        return
     if not is_negative_definite_matrix(q):
         raise NotNegativeDefiniteError(
             "embedding enumeration requires a negative definite form")
+    top = _rank_bound(q) if n_max is None else min(_rank_bound(q), n_max)
+    if top < len(q):
+        return
     tree = _OrderlyTree(q, top)
     found: list[list[Embedding]] = [[] for _ in range(top + 1)]
     for rank in tree.leaves():
@@ -545,17 +540,18 @@ class ObstructionResult:
         return sum(count for _, count in self.examined)
 
 
-@lru_cache(maxsize=None)
+# Bounded so that a long enumeration does not keep every search it meets.
+@lru_cache(maxsize=1024)
 def qa_lattice_obstruction(graph: PlumbingGraph) -> ObstructionResult:
     """Search every ambient rank for an embedding with surjective transpose.
 
     The result is that of searching the ranks k, k + 1, ... of
     ``embeddings_by_rank`` in turn: the witness is the first surjective
-    embedding that ``enumerate_embeddings`` yields at the minimal ambient
-    rank, ``examined`` holds (n, count) for each rank up to the witness
-    rank (all of the ranks up to ``_rank_bound`` when none is surjective),
-    and the stream is deterministic, so the witness is too.  Exhausting
-    every rank without one gives the obstructed outcome.
+    embedding of the stream at the minimal ambient rank, ``examined``
+    holds (n, count) for each rank up to the witness rank (all of the
+    ranks up to ``_rank_bound`` when none is surjective), and the stream is
+    deterministic, so the witness is too.  Exhausting every rank without
+    one gives the obstructed outcome.
 
     It is computed in one traversal of the orderly tree at the top rank
     N = ``_rank_bound``, where a leaf's rank is the number of coordinates it

@@ -26,9 +26,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Sequence, Union
 
-from .errors import NotNegativeDefiniteError, StepLimitError
+from .errors import InternalError, NotNegativeDefiniteError, StepLimitError
 from .intmat import Matrix, freeze, is_negative_definite_matrix, mat_vec
 from .montesinos import MontesinosLink, to_standard_form
 from .plumbing import adjacency_matrix, is_negative_definite, oriented_graph
@@ -49,29 +48,13 @@ class LauferResult:
     witness: int | None  # vertex with pairing >= 2 when NOT_RATIONAL
 
 
-Policy = Union[str, Callable[[Sequence[int]], int]]
-
-
-def _select(policy: Policy, candidates: list[int]) -> int:
-    if policy == "lowest":
-        return candidates[0]
-    if policy == "highest":
-        return candidates[-1]
-    if callable(policy):
-        choice = policy(candidates)
-        if choice not in candidates:
-            raise ValueError(f"policy picked {choice}, not among {candidates}")
-        return choice
-    raise ValueError(f"unknown selection policy {policy!r}")
-
-
-def laufer_run(q: Matrix, policy: Policy = "lowest",
-               step_limit: int = 1_000_000) -> LauferResult:
+def laufer_run(q: Matrix, step_limit: int = 1_000_000) -> LauferResult:
     """Run the computation sequence on a symmetric negative definite matrix.
 
-    The verdict (and the final cycle in the rational case) does not depend
-    on the selection policy; the policy only fixes which eligible vertex is
-    incremented, and which witness is reported, when there is a choice.
+    Each step increments the lowest vertex with pairing 1, and a
+    non-rational verdict reports the lowest vertex with pairing >= 2.  The
+    verdict, and the final cycle in the rational case, do not depend on
+    which eligible vertex is incremented (Laufer 1972).
     """
     q = freeze(q)
     if not is_negative_definite_matrix(q):
@@ -84,11 +67,11 @@ def laufer_run(q: Matrix, policy: Policy = "lowest",
         high = [j for j, v in enumerate(pairing) if v >= 2]
         if high:
             return LauferResult(LauferVerdict.NOT_RATIONAL, step, tuple(cycle),
-                                _select(policy, high))
+                                high[0])
         ones = [j for j, v in enumerate(pairing) if v == 1]
         if not ones:
             return LauferResult(LauferVerdict.RATIONAL, step, tuple(cycle), None)
-        cycle[_select(policy, ones)] += 1
+        cycle[ones[0]] += 1
     raise StepLimitError(f"no termination within {step_limit} steps")
 
 
@@ -102,6 +85,6 @@ def is_lspace(link: MontesinosLink) -> bool:
     """
     _, graph = oriented_graph(to_standard_form(link))
     if not is_negative_definite(graph):  # cannot happen when eps < 0
-        raise NotNegativeDefiniteError("oriented plumbing is not negative definite")
+        raise InternalError("oriented plumbing is not negative definite")
     result = laufer_run(adjacency_matrix(graph))
     return result.verdict is LauferVerdict.RATIONAL

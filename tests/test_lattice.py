@@ -134,6 +134,18 @@ class TestEnumerate:
             for _, embeddings in embeddings_by_rank(freeze([[-2, 3], [3, -2]])):
                 list(embeddings)
 
+    def test_rejects_a_bad_form_whatever_its_rank_range(self):
+        # Both rank ranges are empty (the norm sum, or n_max, is below k).
+        with pytest.raises(NotNegativeDefiniteError):
+            list(embeddings_by_rank(((1,),)))
+        with pytest.raises(ValueError, match="symmetric"):
+            list(embeddings_by_rank(((-2, 1), (0, -2)), 1))
+
+    def test_rejects_a_rank_below_one(self):
+        for n in (0, -1):
+            with pytest.raises(ValueError, match="ambient rank"):
+                list(enumerate_embeddings(D4_Q, n))
+
 
 def brute_force_orbits(q, n, bound=2):
     """All embeddings with entries in [-bound, bound], deduped by orbit."""
@@ -522,6 +534,11 @@ class TestObstruction:
             assert got == replay_obstruction(graph), graph
             assert result.leaves >= result.total_examined
             assert result.nodes >= result.leaves
+
+    def test_cache_is_bounded_above_one_family_pass(self):
+        # One pass over the 280-link acceptance family must fit in it.
+        maxsize = qa_lattice_obstruction.cache_info().maxsize
+        assert maxsize is not None and maxsize >= 280
 
     def test_search_counters(self):
         result = qa_lattice_obstruction(PlumbingGraph(-2, ()))

@@ -4,8 +4,10 @@ from fractions import Fraction
 import pytest
 
 from conftest import random_star_graph
+from qamont import laufer
 from qamont.classifier import enumerate_family
-from qamont.errors import NotNegativeDefiniteError, StepLimitError
+from qamont.errors import (InternalError, NotNegativeDefiniteError,
+                           StepLimitError)
 from qamont.intmat import freeze, mat_vec
 from qamont.laufer import LauferVerdict, is_lspace, laufer_run
 from qamont.montesinos import (MontesinosLink, determinant, epsilon,
@@ -20,6 +22,20 @@ D4 = PlumbingGraph(-2, ((-2,), (-2,), (-2,)))
 
 def M(e, *tangles):
     return MontesinosLink(e, tuple(Fraction(t) for t in tangles))
+
+
+def reference_sequence(q, pick):
+    """The computation sequence incrementing the vertex ``pick`` chooses
+    among those with pairing 1: (verdict, final cycle)."""
+    cycle = [1] * len(q)
+    while True:
+        pairing = mat_vec(q, cycle)
+        if any(v >= 2 for v in pairing):
+            return LauferVerdict.NOT_RATIONAL, tuple(cycle)
+        ones = [j for j, v in enumerate(pairing) if v == 1]
+        if not ones:
+            return LauferVerdict.RATIONAL, tuple(cycle)
+        cycle[pick(ones)] += 1
 
 
 class TestRun:
@@ -69,12 +85,12 @@ class TestRun:
         seeded = random.Random(99)
         for graph in graphs:
             q = adjacency_matrix(graph)
-            low = laufer_run(q, policy="lowest")
-            high = laufer_run(q, policy="highest")
-            rand = laufer_run(q, policy=seeded.choice)
-            assert low.verdict == high.verdict == rand.verdict
-            if low.verdict is LauferVerdict.RATIONAL:
-                assert low.cycle == high.cycle == rand.cycle
+            low = laufer_run(q)
+            for pick in (max, seeded.choice):
+                verdict, cycle = reference_sequence(q, pick)
+                assert verdict is low.verdict
+                if verdict is LauferVerdict.RATIONAL:
+                    assert cycle == low.cycle
 
     def test_linear_chains_are_rational(self):
         # length <= 3 smoke here; the acceptance suite covers length <= 6
@@ -109,6 +125,11 @@ class TestIsLspace:
         assert is_lspace(M(1, 2, 2, 2)) is True
         assert is_lspace(M(2, 2, 2, 2, 2, 2)) is False
         assert is_lspace(M(0, Fraction(3, 2))) is True
+
+    def test_indefinite_oriented_plumbing_is_an_internal_error(self, monkeypatch):
+        monkeypatch.setattr(laufer, "is_negative_definite", lambda graph: False)
+        with pytest.raises(InternalError):
+            is_lspace(M(1, 2, 2, 2))
 
     def test_requires_nonzero_determinant(self):
         with pytest.raises(ValueError):
