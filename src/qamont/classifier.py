@@ -31,9 +31,9 @@ from typing import Iterator
 
 from .lattice import ObstructionResult, qa_lattice_obstruction
 from .laufer import LauferResult, LauferVerdict, laufer_run
-from .montesinos import (MontesinosLink, StandardForm, canonical_form,
-                         determinant, epsilon, format_link, tangle_alpha_beta,
-                         to_negative_form, to_standard_form)
+from .montesinos import (MontesinosLink, StandardForm, _scaled_epsilon,
+                         canonical_form, determinant, format_link,
+                         tangle_alpha_beta, to_negative_form, to_standard_form)
 from .plumbing import (PlumbingGraph, adjacency_matrix, format_graph,
                        oriented_graph)
 
@@ -100,13 +100,21 @@ def _reflected_value(std: StandardForm, i: int) -> Fraction:
 
 
 def _strict_pair(std: StandardForm, bigger_reflected: bool) -> tuple[int, int] | None:
-    """First (i, j), i != j, with refl(t_i) > t_j (or < for condition 4)."""
-    for i in range(std.p):
-        ri = _reflected_value(std, i)
-        for j in range(std.p):
+    """First (i, j), i != j, with refl(t_i) > t_j (or < for condition 4).
+
+    In standard form 0 < beta < alpha, so both denominators of
+    alpha_i/(alpha_i - beta_i) and alpha_j/beta_j are positive, and
+    multiplying through by them keeps the direction of the inequality:
+    refl(t_i) > t_j exactly when alpha_i*beta_j > alpha_j*(alpha_i - beta_i).
+    Both sides are integers, so the comparison is exact.
+    """
+    pairs = list(zip(std.alphas, std.betas))
+    for i, (alpha_i, beta_i) in enumerate(pairs):
+        for j, (alpha_j, beta_j) in enumerate(pairs):
             if i == j:
                 continue
-            if (ri > std.tangles[j]) if bigger_reflected else (ri < std.tangles[j]):
+            lhs, rhs = alpha_i * beta_j, alpha_j * (alpha_i - beta_i)
+            if (lhs > rhs) if bigger_reflected else (lhs < rhs):
                 return (i, j)
     return None
 
@@ -135,8 +143,8 @@ def classify(link: MontesinosLink) -> Verdict:
     and (3) always holds, so such links are always QA.
     """
     std = to_standard_form(link)
-    eps = epsilon(std)
-    d = determinant(std)
+    n, a = _scaled_epsilon(std)  # eps = N/A and det = |N|, from one pass
+    eps, d = Fraction(n, a), abs(n)
     if d == 0:
         return Verdict(Status.NOT_QA, Reason.DET_ZERO, None, std, eps, 0)
     for reason, holds, pair in _conditions(std):
@@ -198,10 +206,6 @@ def _family(p_min: int, p_max: int, alpha_max: int, e_min: int,
                 yield StandardForm(e, combo)
 
 
-def _fmt(x: Fraction) -> str:
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-
-
 def _condition_rows(std: StandardForm) -> list[dict]:
     """One row per condition of ``_conditions``, with a detail line."""
     e, p = std.e, std.p
@@ -233,8 +237,8 @@ def _pair_detail(std: StandardForm, bigger: bool, pair: tuple[int, int] | None) 
             return f"e = {boundary} but p = 1: no pair i != j"
         pair = closest[1:]
     i, j = pair
-    comparison = (f"alpha_{i}/(alpha_{i}-beta_{i}) = {_fmt(_reflected_value(std, i))} "
-                  f"{op} alpha_{j}/beta_{j} = {_fmt(std.tangles[j])}")
+    comparison = (f"alpha_{i}/(alpha_{i}-beta_{i}) = {_reflected_value(std, i)} "
+                  f"{op} alpha_{j}/beta_{j} = {std.tangles[j]}")
     if holds:
         return f"e = {boundary} and {comparison}: yes"
     return f"e = {boundary} but {comparison} fails"
@@ -256,7 +260,7 @@ def explain(link: MontesinosLink, evidence: Evidence | None = None) -> dict:
         shift = ((beta % alpha) - beta) // alpha
         if shift:
             normalization.append(
-                f"tangle {idx}: {_fmt(t)} -> {_fmt(std.tangles[idx])} (e adjusted by {shift})")
+                f"tangle {idx}: {t} -> {std.tangles[idx]} (e adjusted by {shift})")
     if not normalization:
         normalization.append("already in standard form")
 

@@ -15,6 +15,7 @@ print each record as soon as it is built, in input order.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -219,7 +220,10 @@ def _add_record_flags(parser: argparse.ArgumentParser) -> None:
                              "reproducibility)")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: ``parse_args`` keeps no state
+    between calls, so every ``main`` call can share it."""
     parser = argparse.ArgumentParser(
         prog="qamont",
         description="Classify quasi-alternating Montesinos links and verify "

@@ -32,7 +32,7 @@ up to it.  Coordinate and vertex indices are 0-based throughout.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import isqrt
 from typing import Iterable, Iterator, Sequence
 
@@ -354,9 +354,11 @@ def embeddings_by_rank(q: Matrix, n_max: int | None = None
     same order; and touched counts only grow along a path, so a node cut
     for touching more than n coordinates has no leaf of rank n.
 
-    The whole form's embeddings are held until the walk ends, so a caller
-    printing the streams prints nothing before the search is done.  The
-    streams are independent lists, consumable in any order.  One
+    The leaves' raw columns are held until the walk ends, so a caller
+    printing the streams prints nothing before the search is done.  A leaf
+    is canonicalised into its ``Embedding`` only when its stream reaches
+    it, so a caller that reads one rank pays for that rank alone.  The
+    streams are independent, consumable in any order.  One
     definiteness guard runs per call, before the rank range is computed, so
     a form that is not negative definite is rejected even when the range is
     empty.
@@ -369,11 +371,11 @@ def embeddings_by_rank(q: Matrix, n_max: int | None = None
     if top < len(q):
         return
     tree = _OrderlyTree(q, top)
-    found: list[list[Embedding]] = [[] for _ in range(top + 1)]
+    found: list[list[list[tuple[int, ...]]]] = [[] for _ in range(top + 1)]
     for rank in tree.leaves():
-        found[rank].append(tree.embedding(rank, tree.cols))
+        found[rank].append(tree.cols[:])
     for n in range(len(q), top + 1):
-        yield n, iter(found[n])
+        yield n, map(partial(tree.embedding, n), found[n])
 
 
 def transpose_surjective(emb: Embedding) -> bool:

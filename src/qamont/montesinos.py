@@ -42,10 +42,15 @@ __all__ = [
 
 
 def tangle_alpha_beta(t: Fraction) -> tuple[int, int]:
-    """Write a tangle parameter as alpha/beta with alpha > 0, gcd(alpha, |beta|) = 1."""
-    if t > 0:
-        return t.numerator, t.denominator
-    return -t.numerator, -t.denominator
+    """Write a tangle parameter as alpha/beta with alpha > 0, gcd(alpha, |beta|) = 1.
+
+    A Fraction keeps its denominator positive, so the sign of t is the sign
+    of its numerator.
+    """
+    num, den = t.numerator, t.denominator
+    if num > 0:
+        return num, den
+    return -num, -den
 
 
 @dataclass(frozen=True, eq=False)
@@ -58,14 +63,14 @@ class MontesinosLink:
     def __post_init__(self):
         if not isinstance(self.e, int):
             raise ValueError(f"half-twist count e must be an integer, got {self.e!r}")
-        tangles = tuple(Fraction(t) for t in self.tangles)
+        tangles = tuple(t if isinstance(t, Fraction) else Fraction(t)
+                        for t in self.tangles)
         if not tangles:
             raise ValueError("a Montesinos link needs at least one tangle")
         for t in tangles:
-            alpha, _ = tangle_alpha_beta(t)
-            if alpha < 2:
-                raise ValueError(
-                    f"tangle {t} has alpha = {alpha}; tangles must have alpha >= 2")
+            if abs(t.numerator) < 2:
+                raise ValueError(f"tangle {t} has alpha = {abs(t.numerator)}; "
+                                 "tangles must have alpha >= 2")
         object.__setattr__(self, "tangles", tangles)
 
     # Equality is by value across the standard-form subclass too.
@@ -95,12 +100,17 @@ class MontesinosLink:
 
 @dataclass(frozen=True, eq=False)
 class StandardForm(MontesinosLink):
-    """A Montesinos link with every tangle > 1, i.e. 0 < beta < alpha."""
+    """A Montesinos link with every tangle > 1, i.e. 0 < beta < alpha.
+
+    The check runs once, here: a frozen ``StandardForm`` stays standard, so
+    the functions that need one take it on trust.  With a positive
+    denominator, t > 1 exactly when its numerator exceeds its denominator.
+    """
 
     def __post_init__(self):
         super().__post_init__()
         for t in self.tangles:
-            if t <= 1:
+            if t.numerator <= t.denominator:
                 raise ValueError(f"tangle {t} is not > 1; not in standard form")
 
 
@@ -170,13 +180,15 @@ def canonical_form(link: MontesinosLink) -> StandardForm:
     Parameter tuples related by slide moves and tangle reordering map to
     equal canonical forms, so this is the deduplication key used by the
     family enumeration.  A standard form whose tangles are already sorted
-    is returned as it is.
+    is returned as it is; that is decided on integers, since with positive
+    denominators a/b >= c/d exactly when a*d >= c*b.
     """
     std = to_standard_form(link)
-    tangles = tuple(sorted(std.tangles, reverse=True))
-    if tangles == std.tangles:
-        return std
-    return StandardForm(std.e, tangles)
+    tangles = std.tangles
+    for s, t in zip(tangles, tangles[1:]):
+        if s.numerator * t.denominator < t.numerator * s.denominator:
+            return StandardForm(std.e, tuple(sorted(tangles, reverse=True)))
+    return std
 
 
 def slide(link: MontesinosLink, index: int, count: int = 1) -> MontesinosLink:
@@ -194,8 +206,10 @@ def slide(link: MontesinosLink, index: int, count: int = 1) -> MontesinosLink:
 
 
 def _require_standard(link: MontesinosLink) -> None:
+    if isinstance(link, StandardForm):
+        return  # validated when it was built
     for t in link.tangles:
-        if t <= 1:
+        if t.numerator <= t.denominator:
             raise ValueError(f"operation requires standard form; tangle {t} is not > 1")
 
 
@@ -232,8 +246,6 @@ def parse_link(text: str) -> MontesinosLink:
 
 
 def format_link(link: MontesinosLink) -> str:
-    """Print in the same grammar, tangles in reduced form."""
-    parts = []
-    for t in link.tangles:
-        parts.append(str(t.numerator) if t.denominator == 1 else f"{t.numerator}/{t.denominator}")
-    return f"M({link.e}; " + ", ".join(parts) + ")"
+    """Print in the same grammar, tangles in reduced form (``str`` of a
+    Fraction: ``a/b``, or ``a`` when b = 1)."""
+    return f"M({link.e}; " + ", ".join(map(str, link.tangles)) + ")"

@@ -1,14 +1,17 @@
+import itertools
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
-from qamont.classifier import (Branch, Reason, Status, classify,
+from qamont.classifier import (Branch, Reason, Status, _strict_pair, classify,
                                enumerate_family, explain, render_explain,
                                verify)
 from qamont.lattice import gram_matches
-from qamont.montesinos import (MontesinosLink, canonical_form, determinant,
-                               epsilon, format_link, reflect, slide)
+from qamont.montesinos import (MontesinosLink, StandardForm, canonical_form,
+                               determinant, epsilon, format_link, reflect,
+                               slide, tangle_alpha_beta)
 from qamont.plumbing import adjacency_matrix
 
 # The acceptance family: p = 3, tangles from {2, 3, 3/2, 4, 4/3}, e in [-3, 4].
@@ -144,6 +147,71 @@ class TestVerify:
                       if (classify(link).status is Status.QA)
                       != (verify(link).branch is Branch.POSITIVE_CHECK)]
         assert mismatches == []
+
+    def test_equivalence_on_typed_orders(self):
+        # The 560 links of p = 4, alpha <= 4, e in [-2, 5], each typed with
+        # its tangles in a seeded order and slid off standard form, so the
+        # plumbing legs, and with them the embedding search, come in
+        # another order than the canonical one.
+        rng = random.Random(11)
+        family = list(enumerate_family(4, 4, -2, 5, p_min=4))
+        assert len(family) == 560
+        mismatches = []
+        for link in family:
+            typed = MontesinosLink(link.e, tuple(rng.sample(link.tangles, link.p)))
+            for index in range(typed.p):
+                typed = slide(typed, index, rng.randint(-2, 2))
+            verdict = classify(typed)
+            assert verdict.status is classify(link).status, format_link(typed)
+            if (verdict.status is Status.QA) != (verify(typed).branch is Branch.POSITIVE_CHECK):
+                mismatches.append(format_link(typed))
+        assert mismatches == []
+
+
+# Every standard tangle alpha/beta, 0 < beta < alpha <= 9, gcd 1: 27 of them.
+STANDARD_TANGLES = [Fraction(a, b) for a in range(2, 10) for b in range(1, a)
+                    if gcd(a, b) == 1]
+
+
+def fraction_alpha_beta(t):
+    """``tangle_alpha_beta`` by its Fraction definition: the sign of t."""
+    return (t.numerator, t.denominator) if t > 0 else (-t.numerator, -t.denominator)
+
+
+def fraction_strict_pair(std, bigger_reflected):
+    """``_strict_pair`` by its Fraction definition."""
+    for i, t_i in enumerate(std.tangles):
+        alpha, beta = fraction_alpha_beta(t_i)
+        reflected = Fraction(alpha, alpha - beta)
+        for j, t_j in enumerate(std.tangles):
+            if i != j and ((reflected > t_j) if bigger_reflected else (reflected < t_j)):
+                return (i, j)
+    return None
+
+
+class TestIntegerForms:
+    """The integer comparisons of the classify path against their Fraction
+    definitions, on every standard tangle with alpha <= 9 and every ordered
+    pair and triple of them."""
+
+    def test_tangle_alpha_beta(self):
+        assert len(STANDARD_TANGLES) == 27
+        for t in STANDARD_TANGLES:
+            for shifted in (t + k for k in range(-4, 4)):
+                for u in (shifted, -shifted):
+                    assert tangle_alpha_beta(u) == fraction_alpha_beta(u), u
+
+    def test_strict_pair_and_canonical_form(self):
+        for p in (2, 3):
+            for tangles in itertools.product(STANDARD_TANGLES, repeat=p):
+                std = StandardForm(1, tangles)
+                for bigger in (True, False):
+                    assert _strict_pair(std, bigger) == fraction_strict_pair(std, bigger), \
+                        (tangles, bigger)
+                expected = tuple(sorted(tangles, reverse=True))
+                canonical = canonical_form(std)
+                assert canonical.tangles == expected and canonical.e == 1
+                assert (canonical is std) == (tangles == expected), tangles
 
 
 class TestEnumerateFamily:

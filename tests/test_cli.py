@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 
@@ -268,6 +269,44 @@ class TestDeterminism:
         assert "ms" in json.loads(out)
         _, out, _ = run(capsys, "classify", "M(0; 2)")
         assert "ms" not in json.loads(out)
+
+    # sha256 of the classify-only output of the acceptance family, taken at
+    # commit 860c7a6, before the classify path compared tangles as integers.
+    FAMILY_ARGS = ("enumerate", "--p", "3", "--alpha-max", "4", "--e-min", "-3", "--e-max", "4")
+    FAMILY_DIGESTS = {
+        "jsonl": "b24be61ef6bffe2a2a0702ffca779d2efcaf31c61818c434ff3d000133a8f991",
+        "tsv": "ec8e73a324c69368811113f2251fe8747dfc071625771d694aacf2423e334ce2",
+    }
+
+    @pytest.mark.parametrize("fmt", ["jsonl", "tsv"])
+    def test_family_records_are_pinned(self, capsys, fmt):
+        code, out, _ = run(capsys, *self.FAMILY_ARGS, "--format", fmt)
+        assert code == 0
+        assert len(out.splitlines()) == 280 + (fmt == "tsv")
+        assert hashlib.sha256(out.encode()).hexdigest() == self.FAMILY_DIGESTS[fmt]
+
+    def test_calls_in_one_process_share_no_state(self, tmp_path, capsys):
+        # One parser serves every call of main; each call starts from the
+        # defaults, whatever subcommand and flags the call before it had.
+        assert cli._build_parser() is cli._build_parser()
+        path = tmp_path / "v4.graph"
+        path.write_text("central: -4\n")
+        code, out, _ = run(capsys, "embed", str(path), "--all", "--n-max", "2")
+        assert (code, out) == (0, "embedding n=1 index=1 surjective=false\n2\n\ntotal: 1\n")
+        code, out, _ = run(capsys, "embed", str(path))
+        assert (code, out) == (0, "NotObstructed n=4\n1\n1\n1\n1\n")
+        code, out, _ = run(capsys, "classify", "M(1; 3/2, 3)", "--verify", "--timing",
+                           "--format", "tsv")
+        assert code == 0 and out.startswith("link\t")
+        code, out, _ = run(capsys, "classify", "M(1; 3/2, 3)")
+        record = json.loads(out)
+        assert record["evidence"] is None and "ms" not in record
+        code, out, _ = run(capsys, "enumerate", "--p", "2", "--alpha-max", "2",
+                           "--e-min", "0", "--e-max", "0")
+        assert code == 0 and [json.loads(line)["p"] for line in out.splitlines()] == [2]
+        code, out, _ = run(capsys, "enumerate", "--p-max", "2", "--alpha-max", "2",
+                           "--e-min", "0", "--e-max", "0")
+        assert code == 0 and [json.loads(line)["p"] for line in out.splitlines()] == [1, 2]
 
 
 class TestGraphCommands:

@@ -122,6 +122,30 @@ class TestEnumerate:
             assert len(ranks) > 1
             assert counts == {"trees": 1, "guards": 1}
 
+    def test_only_the_leaves_read_are_canonicalised(self, monkeypatch):
+        calls = Counter()
+
+        def counting_rows(cols, n, rows=lattice._canonical_rows):
+            calls[n] += 1
+            return rows(cols, n)
+
+        monkeypatch.setattr(lattice, "_canonical_rows", counting_rows)
+        q = adjacency_matrix(PlumbingGraph(-3, ((-2, -2), (-4,))))
+        yielded = Counter()
+        for n in range(len(q), lattice._rank_bound(q) + 1):
+            calls.clear()
+            yielded[n] = sum(1 for _ in enumerate_embeddings(q, n))
+            assert calls == Counter({n: yielded[n]}), n
+        assert sum(yielded.values()) > max(yielded.values())  # several ranks hold leaves
+
+    def test_streams_keep_their_rank_when_read_late(self):
+        q = adjacency_matrix(PlumbingGraph(-3, ((-2, -2), (-4,))))
+        in_order = {n: list(stream) for n, stream in embeddings_by_rank(q)}
+        streams = list(embeddings_by_rank(q))
+        late = {n: list(stream) for n, stream in reversed(streams)}
+        assert late == in_order
+        assert all(emb.n == n for n, embs in late.items() for emb in embs)
+
     def test_deterministic_order(self):
         first = [e.matrix for e in enumerate_embeddings(D4_Q, 4)]
         second = [e.matrix for e in enumerate_embeddings(D4_Q, 4)]
