@@ -8,7 +8,8 @@ Run: python3 demos/05_lattice_embeddings.py
 """
 
 from qamont import (PlumbingGraph, adjacency_matrix, enumerate_embeddings,
-                    gram_matches, qa_lattice_obstruction, transpose_surjective)
+                    gram_matches, h1_order, qa_lattice_obstruction,
+                    transpose_surjective)
 
 D4 = PlumbingGraph(-2, ((-2,), (-2,), (-2,)))
 q = adjacency_matrix(D4)
@@ -18,8 +19,11 @@ for emb in enumerate_embeddings(q, 4):
           f"surjective transpose: {transpose_surjective(emb)}")
 
 result = qa_lattice_obstruction(D4)
-print(f"\nExhausting ranks {[n for n, _ in result.examined]}: "
+print(f"\nExhausting ranks 4 to {-sum(q[i][i] for i in range(len(q)))}: "
       f"{'Obstructed' if result.obstructed else 'NotObstructed'}")
+print(f"|det| = {h1_order(D4)} = 2^2, so the search keeps the placed columns"
+      f" independent mod 2: {result.pruned} candidate columns were dependent"
+      f" and cut, and {result.leaves} leaves remained.")
 print("This is the computational reason M(1; 2, 2, 2) is not quasi-alternating.")
 
 print()

@@ -244,14 +244,18 @@ def _pair_detail(std: StandardForm, bigger: bool, pair: tuple[int, int] | None) 
     return f"e = {boundary} but {comparison} fails"
 
 
-def explain(link: MontesinosLink, evidence: Evidence | None = None) -> dict:
+def explain(link: MontesinosLink, evidence: Evidence | None = None,
+            verdict: Verdict | None = None) -> dict:
     """Structured classification trace; JSON-friendly throughout.
 
     Given ``evidence``, the result of ``verify(link)``, the report also
     carries the reflection decision, the plumbing graph, a summary of the
-    computation sequence, and the embedding search statistics.
+    computation sequence, and the embedding search statistics.  A caller
+    that already holds ``classify(link)`` passes it as ``verdict``, so the
+    link is not classified again.
     """
-    verdict = classify(link)
+    if verdict is None:
+        verdict = classify(link)
     std = verdict.normalized
 
     normalization = []
@@ -304,10 +308,9 @@ def _verify_trace(evidence: Evidence) -> dict:
         obstruction = evidence.obstruction
         trace["embedding_search"] = {
             "obstructed": obstruction.obstructed,
-            "examined_per_rank": [list(pair) for pair in obstruction.examined],
-            "total_examined": obstruction.total_examined,
             "nodes": obstruction.nodes,
             "leaves": obstruction.leaves,
+            "pruned": obstruction.pruned,
             "witness_rank": obstruction.witness_n,
             "witness_rows": ([list(row) for row in obstruction.witness.matrix]
                              if obstruction.witness else None),
@@ -343,10 +346,8 @@ def render_explain(report: dict) -> str:
                          f" cycle {laufer['cycle']}, witness {laufer['witness']}")
             search = trace.get("embedding_search")
             if search:
-                per_rank = ", ".join(f"n={n}: {c}" for n, c in search["examined_per_rank"])
-                lines.append(f"  embeddings examined: {search['total_examined']} ({per_rank})")
                 lines.append(f"  search tree: {search['nodes']} columns placed,"
-                             f" {search['leaves']} leaves")
+                             f" {search['leaves']} leaves, {search['pruned']} pruned mod p")
                 if search["witness_rows"] is not None:
                     lines.append(f"  surjective witness at n={search['witness_rank']}:")
                     for row in search["witness_rows"]:

@@ -61,7 +61,7 @@ def _build_record(task: tuple[str, MontesinosLink, bool, bool, bool]) -> dict:
     if with_timing:
         record["ms"] = (time.perf_counter_ns() - start) // 1_000_000
     if with_explain:
-        record["explain"] = explain(link, evidence)
+        record["explain"] = explain(link, evidence, verdict)
     return record
 
 

@@ -26,7 +26,10 @@ by any column are not represented, so enumeration at ambient rank n only
 yields matrices with no zero row.  ``_rank_bound`` is the rank that makes
 the search complete, and states why it loses nothing; ``embeddings_by_rank``
 and ``qa_lattice_obstruction`` each walk one tree for all the ranks from k
-up to it.  Coordinate and vertex indices are 0-based throughout.
+up to it.  The obstruction search also prunes every column set that is
+dependent mod a prime whose square divides det q, so that every leaf it
+reaches has surjective transpose (``_OrderlyTree``).  Coordinate and
+vertex indices are 0-based throughout.
 """
 
 from __future__ import annotations
@@ -132,7 +135,10 @@ class _OrderlyTree:
     columns in placement order.  ``high`` starts at n and may be lowered
     between leaves: from then on every node and every fresh block that would
     touch more than ``high`` coordinates is pruned.  ``nodes`` counts the
-    columns placed.
+    columns placed.  Given ``primes``, the tree also drops every candidate
+    column that would make the placed columns dependent mod one of them,
+    and ``pruned`` counts those; its leaves are then exactly the
+    surjective ones (below).
 
     Columns are placed in ascending norm order (-q[v][v], ties by vertex
     index): a low-norm vertex has few images, and once placed it constrains
@@ -185,12 +191,37 @@ class _OrderlyTree:
     were cut lazily: ``_square_partitions`` lists the blocks of a shorter
     bound as a subsequence of those of a longer one.
 
+    The mod-p prune, given the critical primes of q (the primes p with
+    p^2 | det q), keeps exactly the leaves whose transpose is onto, in the
+    same order, and never tests a leaf:
+
+    * Lemma.  Let A be a leaf's matrix, on the rank rows it touches, and d
+      the index in Z^k of the lattice L its rows generate (full rank, since
+      det(A^T A) = det(-q) != 0).  A^T is onto exactly when d = 1, that is
+      when no prime p divides d, and p | d exactly when the rows span less
+      than F_p^k, that is when A's columns are dependent mod p.  By
+      Cauchy-Binet det q = +-sum of the squared k x k minors of A, and d
+      divides each minor (its rows lie in L), so d^2 | det q.  So only a
+      critical prime can divide d: A^T is onto exactly when A's columns
+      are independent mod every critical prime.  When det q is square-free
+      there is none, and every leaf is onto.
+    * The columns placed at a node are columns of every leaf below it, and
+      a dependent set of columns stays dependent in every extension.  So a
+      candidate that makes the placed columns dependent mod a critical
+      prime has no onto leaf below it, and dropping it loses none; a leaf
+      that is reached has every column accepted, so it is onto.
+    * ``bases[t]`` holds the placed columns in echelon form mod primes[t],
+      one entry per column, in placement order; ``_extend_bases`` appends
+      to each basis when a column is placed and ``_place`` pops it when the
+      column is removed, so a basis always matches ``cols``.  With no
+      primes the prune costs one truth test per candidate.
+
     Nothing the walk builds refers to itself (``_candidates`` drops its
     recursive closure before it returns), so a finished or abandoned walk is
     freed by reference counting, not left to the cyclic collector.
     """
 
-    def __init__(self, q: Matrix, n: int):
+    def __init__(self, q: Matrix, n: int, primes: tuple[int, ...] = ()):
         k = len(q)
         order = sorted(range(k), key=lambda v: (-q[v][v], v))
         self.q = tuple(tuple(q[u][v] for v in order) for u in order)
@@ -207,6 +238,12 @@ class _OrderlyTree:
         self.support: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
         # same[c]: row c agrees with row c - 1 on every column placed so far.
         self.same = [False] * n
+        self.primes = primes
+        # bases[t]: (pivot, vector) per placed column, the placed columns in
+        # echelon form mod primes[t], each vector 1 at its pivot and 0 at the
+        # pivots before it.
+        self.bases: list[list[tuple[int, list[int]]]] = [[] for _ in primes]
+        self.pruned = 0
 
     def embedding(self, rank: int, cols: Sequence[tuple[int, ...]]) -> Embedding:
         """A leaf's columns ``cols`` (placement order) as an embedding of
@@ -221,10 +258,14 @@ class _OrderlyTree:
             yield touched
             return
         cols, colsq, support, same = self.cols, self.colsq, self.support, self.same
+        primes = self.primes
         for col, fresh in self._candidates(i, touched):
             end = touched + fresh
             # ``high`` may have fallen since the candidates were cut
             if end > self.high:
+                continue
+            if primes and not self._extend_bases(col, end):
+                self.pruned += 1
                 continue
             saved = same[:end]
             # The first fresh row differs from the touched rows above it on
@@ -249,8 +290,34 @@ class _OrderlyTree:
             cols.pop()
             colsq.pop()
             same[:end] = saved
+            if primes:
+                for basis in self.bases:
+                    basis.pop()
             if touched > self.high:
                 return  # every further child touches too many coordinates
+
+    def _extend_bases(self, col: tuple[int, ...], end: int) -> bool:
+        """Reduce ``col`` (zero from ``end`` on) against the echelon basis
+        mod each of ``primes``.  If it reduces to zero mod one of them,
+        change nothing and return False; else append its reduction to
+        every basis and return True."""
+        reduced = []
+        for p, basis in zip(self.primes, self.bases):
+            v = [x % p for x in col[:end]]
+            for pivot, b in basis:
+                c = v[pivot]
+                if c:
+                    v[:len(b)] = [(x - c * y) % p for x, y in zip(v, b)]
+            for pivot, x in enumerate(v):
+                if x:
+                    break
+            else:
+                return False
+            inverse = pow(x, -1, p)
+            reduced.append((pivot, [y * inverse % p for y in v]))
+        for basis, entry in zip(self.bases, reduced):
+            basis.append(entry)
+        return True
 
     def _candidates(self, i: int, touched: int) -> list[tuple[tuple[int, ...], int]]:
         """The columns that may be placed as column i after ``touched``
@@ -526,6 +593,22 @@ def rigidity_check(emb: Embedding, psi1: Sequence[int], psi2: Sequence[int]) -> 
     return u1 == u2 and len(u1 | u2) == len(indices)
 
 
+def _critical_primes(d: int) -> tuple[int, ...]:
+    """The primes p with p^2 | d, ascending, by trial division; d != 0."""
+    d = abs(d)
+    primes = []
+    p = 2
+    while p * p <= d:
+        if d % p == 0:
+            d //= p
+            if d % p == 0:
+                primes.append(p)
+            while d % p == 0:
+                d //= p
+        p += 1
+    return tuple(primes)
+
+
 @dataclass(frozen=True)
 class ObstructionResult:
     """Outcome of the exhaustive surjective-transpose embedding search."""
@@ -533,13 +616,9 @@ class ObstructionResult:
     obstructed: bool
     witness: Embedding | None
     witness_n: int | None
-    examined: tuple[tuple[int, int], ...]  # (ambient rank, embeddings inspected)
     nodes: int  # columns placed by the search
-    leaves: int  # zero-row free embeddings reached, at any rank
-
-    @property
-    def total_examined(self) -> int:
-        return sum(count for _, count in self.examined)
+    leaves: int  # surjective embeddings reached, at any rank
+    pruned: int  # candidate columns dropped as dependent mod a critical prime
 
 
 # Bounded so that a long enumeration does not keep every search it meets.
@@ -548,49 +627,43 @@ def qa_lattice_obstruction(graph: PlumbingGraph) -> ObstructionResult:
     """Search every ambient rank for an embedding with surjective transpose.
 
     The result is that of searching the ranks k, k + 1, ... of
-    ``embeddings_by_rank`` in turn: the witness is the first surjective
-    embedding of the stream at the minimal ambient rank, ``examined``
-    holds (n, count) for each rank up to the witness rank (all of the
-    ranks up to ``_rank_bound`` when none is surjective), and the stream is
+    ``embeddings_by_rank`` in turn and testing each embedding with
+    ``transpose_surjective``: the witness is the first surjective embedding
+    of the stream at the minimal ambient rank, and the stream is
     deterministic, so the witness is too.  Exhausting every rank without
     one gives the obstructed outcome.
 
     It is computed in one traversal of the orderly tree at the top rank
     N = ``_rank_bound``, where a leaf's rank is the number of coordinates it
-    touches.  Nothing is lost and nothing changes:
+    touches, pruned mod the critical primes of q, the primes p with
+    p^2 | det q.  Nothing is lost and nothing changes:
 
     * The rank-n tree is its subtree of rank-n leaves (``embeddings_by_rank``).
-    * Once a surjective leaf of rank w is found, every node and every fresh
-      block touching w or more coordinates is pruned.  A pruned leaf has
-      rank at least w, so it is neither a smaller-rank witness nor one that
-      precedes the one found at rank w.  No leaf of rank below w is cut,
-      since touched counts only grow along a path, so those ranks are
-      counted in full; the leaves of rank w counted are those before the
-      witness, in the order the rank-w search meets them.  Leaves of ranks
-      above the final witness rank, reached before it was found, are
-      tested and counted in ``leaves`` but not reported in ``examined``.
+    * The mod-p prune cuts exactly the subtrees that hold no surjective
+      leaf, and the leaves it keeps are exactly the surjective ones
+      (``_OrderlyTree``), met in the same order.  So no leaf is tested.
+    * Each leaf reached is the new witness, and from then on every node and
+      every fresh block touching its rank w or more coordinates is pruned.
+      A pruned leaf has rank at least w, so it is neither a smaller-rank
+      witness nor one that precedes the one found at rank w.  No leaf of
+      rank below w is cut, since touched counts only grow along a path.
 
-    Each leaf is tested on its raw rows, columns in placement order: the
-    surjectivity of the transpose depends neither on the order or the signs
-    of the rows nor on the order of the columns.  Only the witness is mapped
-    back to the caller's vertex order and canonicalised, once, from a copy
-    of its columns saved when it was found.  One definiteness guard runs per
-    search, on the graph.
+    So the search is obstructed exactly when it reaches no leaf.  Only the
+    witness is mapped back to the caller's vertex order and canonicalised,
+    once, from a copy of its columns saved when it was found.  One
+    definiteness guard runs per search, on the graph.
     """
     if not is_negative_definite(graph):
         raise NotNegativeDefiniteError(
             "the embedding obstruction requires a negative definite plumbing")
     q = adjacency_matrix(graph)
-    top = _rank_bound(q)
-    tree = _OrderlyTree(q, top)
-    counts = [0] * (top + 1)  # leaves reached per rank
+    tree = _OrderlyTree(q, _rank_bound(q), _critical_primes(det(q)))
+    leaves = 0
     witness_cols, witness_n = None, None
     for rank in tree.leaves():
-        counts[rank] += 1
-        if transpose_surjective(Embedding(tuple(zip(*tree.cols))[:rank])):
-            witness_cols, witness_n = tree.cols[:], rank
-            tree.high = rank - 1  # a better witness touches fewer coordinates
+        leaves += 1
+        witness_cols, witness_n = tree.cols[:], rank
+        tree.high = rank - 1  # a better witness touches fewer coordinates
     witness = None if witness_n is None else tree.embedding(witness_n, witness_cols)
-    examined = tuple((n, counts[n]) for n in range(len(q), (witness_n or top) + 1))
-    return ObstructionResult(witness is None, witness, witness_n, examined,
-                             tree.nodes, sum(counts))
+    return ObstructionResult(witness is None, witness, witness_n,
+                             tree.nodes, leaves, tree.pruned)

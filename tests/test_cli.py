@@ -179,6 +179,23 @@ class TestClassify:
             ["LatticeObstructed", "PositiveCheck"]
         assert len(calls) == 2
 
+    def test_explain_classifies_once_per_record(self, capsys, monkeypatch):
+        real = classifier.classify
+        calls = []
+
+        def counting_classify(link):
+            calls.append(link)
+            return real(link)
+
+        monkeypatch.setattr(cli, "classify", counting_classify)
+        monkeypatch.setattr(classifier, "classify", counting_classify)
+        code, out, _ = run(capsys, "classify", "M(1; 2, 2, 2)", "M(0; 3/2)",
+                           "M(2; 3/2, 5/3, 2)", "--verify", "--explain", "--jobs", "1")
+        assert code == 0
+        records = [json.loads(line) for line in out.splitlines()]
+        assert [r["explain"]["status"] for r in records] == [r["status"] for r in records]
+        assert len(calls) == 3
+
     @pytest.mark.parametrize("jobs", ["0", "-1"])
     def test_jobs_below_one_exit_2(self, capsys, jobs):
         code, out, err = run(capsys, "classify", "M(0; 2)", "--jobs", jobs)

@@ -4,6 +4,7 @@ import itertools
 import random
 from collections import Counter
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
@@ -306,18 +307,9 @@ def rank_mod(matrix, p):
 
 
 def primes_with_square_dividing(d):
-    d = abs(d)
-    primes = []
-    f = 2
-    while f * f <= d:
-        power = 0
-        while d % f == 0:
-            d //= f
-            power += 1
-        if power >= 2:
-            primes.append(f)
-        f += 1
-    return primes
+    """By brute force: each prime p, ascending, with p * p dividing d."""
+    return [p for p in range(2, isqrt(abs(d)) + 1)
+            if all(p % f for f in range(2, p)) and d % (p * p) == 0]
 
 
 class TestSurjectivity:
@@ -345,6 +337,38 @@ class TestSurjectivity:
                     onto += expected
                     not_onto += not expected
         assert (square_free, onto, not_onto) == (556, 826, 75)
+
+    def test_critical_primes_match_brute_force(self):
+        for d in range(-2000, 2001):
+            if d:
+                assert lattice._critical_primes(d) == \
+                    tuple(primes_with_square_dividing(d)), d
+
+    @pytest.mark.parametrize("family, counts", [
+        ((2, 5, -3, 4), (1036, 1460, 118)),
+        ((3, 4, -3, 4), (522, 2345, 584)),
+    ], ids=["p2-alpha5", "p3-alpha4"])
+    def test_onto_exactly_when_independent_mod_the_critical_primes(self, family, counts):
+        # The lemma behind the mod-p prune (``_OrderlyTree``), on every
+        # embedding at every rank: the tree's own mod-p bases accept every
+        # column exactly when the transpose is onto, and agree with the
+        # rank over each field.  With det q square-free both always hold.
+        square_free = onto = not_onto = 0
+        for graph in oriented_graphs(*family):
+            q = adjacency_matrix(graph)
+            primes = lattice._critical_primes(det(q))
+            for n, embeddings in embeddings_by_rank(q):
+                for emb in embeddings:
+                    tree = lattice._OrderlyTree(q, n, primes)
+                    independent = all(tree._extend_bases(col, n)
+                                      for col in emb.columns())
+                    assert independent == all(rank_mod(emb.matrix, p) == emb.k
+                                              for p in primes)
+                    assert transpose_surjective(emb) == independent, emb
+                    square_free += not primes
+                    onto += independent
+                    not_onto += not independent
+        assert (square_free, onto, not_onto) == counts
 
     def test_matches_the_smith_form_on_random_matrices(self):
         # intmat.invariant_factors is the independent reference: A^T is onto
@@ -510,18 +534,14 @@ class TestRigidity:
 
 
 def replay_obstruction(graph):
-    """The obstruction search rank by rank: each rank's stream in turn,
-    stopping at the first embedding with surjective transpose."""
-    examined = []
+    """The obstruction search rank by rank, with no mod-p prune: each
+    rank's stream in turn, stopping at the first embedding with surjective
+    transpose."""
     for n, embeddings in embeddings_by_rank(adjacency_matrix(graph)):
-        count = 0
         for emb in embeddings:
-            count += 1
             if transpose_surjective(emb):
-                examined.append((n, count))
-                return False, emb, n, tuple(examined)
-        examined.append((n, count))
-    return True, None, None, tuple(examined)
+                return False, emb, n
+    return True, None, None
 
 
 class TestObstruction:
@@ -540,8 +560,8 @@ class TestObstruction:
         result = qa_lattice_obstruction(D4_GRAPH)
         assert result.obstructed
         assert result.witness is None
-        # ranks 4 through 8 were all exhausted
-        assert [n for n, _ in result.examined] == [4, 5, 6, 7, 8]
+        # det = 4: every leaf of ranks 4 through 8 is cut mod 2
+        assert result.leaves == 0 and result.pruned > 0
 
     def test_rejects_indefinite(self):
         with pytest.raises(NotNegativeDefiniteError):
@@ -550,14 +570,31 @@ class TestObstruction:
     @pytest.mark.parametrize("p, alpha_max, e_min, e_max", [
         (3, 4, -3, 4),  # the acceptance family
         (2, 5, -3, 4),
+        (4, 4, -3, 4),
     ])
     def test_one_traversal_matches_a_per_rank_replay(self, p, alpha_max, e_min, e_max):
         for graph in oriented_graphs(p, alpha_max, e_min, e_max):
             result = qa_lattice_obstruction(graph)
-            got = (result.obstructed, result.witness, result.witness_n, result.examined)
+            got = (result.obstructed, result.witness, result.witness_n)
             assert got == replay_obstruction(graph), graph
-            assert result.leaves >= result.total_examined
+            assert result.obstructed == (result.leaves == 0)
             assert result.nodes >= result.leaves
+
+    @pytest.mark.parametrize("family", [(3, 4, -3, 4), (2, 5, -3, 4)],
+                             ids=["p3-alpha4", "p2-alpha5"])
+    def test_the_mod_p_prune_keeps_exactly_the_onto_leaves(self, family):
+        # Walked in full (``high`` never lowered), the pruned tree's leaves
+        # are the unpruned tree's leaves with surjective transpose, in the
+        # same order.
+        for graph in oriented_graphs(*family):
+            q = adjacency_matrix(graph)
+            top = lattice._rank_bound(q)
+            pruned = lattice._OrderlyTree(q, top, lattice._critical_primes(det(q)))
+            full = lattice._OrderlyTree(q, top)
+            kept = [(rank, pruned.cols[:]) for rank in pruned.leaves()]
+            onto = [(rank, full.cols[:]) for rank in full.leaves()
+                    if transpose_surjective(Embedding(tuple(zip(*full.cols))[:rank]))]
+            assert kept == onto, graph
 
     def test_cache_is_bounded_above_one_family_pass(self):
         # One pass over the 280-link acceptance family must fit in it.
@@ -566,10 +603,10 @@ class TestObstruction:
 
     def test_search_counters(self):
         result = qa_lattice_obstruction(PlumbingGraph(-2, ()))
-        # the column (1, 1) at rank 2 is the only leaf
-        assert (result.nodes, result.leaves) == (1, 1)
+        # the column (1, 1) at rank 2 is the only leaf; det = -2 is square-free
+        assert (result.nodes, result.leaves, result.pruned) == (1, 1, 0)
         result = qa_lattice_obstruction(D4_GRAPH)
-        assert result.leaves == result.total_examined  # obstructed: every rank counts
+        assert result.leaves == 0 and result.pruned > 0
 
 
     def test_tree_is_pinned_on_the_acceptance_family(self):
@@ -578,11 +615,13 @@ class TestObstruction:
         results = [qa_lattice_obstruction(graph)
                    for graph in oriented_graphs(3, 4, -3, 4)]
         assert len(results) == 262
-        assert sum(result.nodes for result in results) == 3188
-        assert sum(result.leaves for result in results) == 818
-        examined = repr([result.examined for result in results]).encode()
-        assert hashlib.sha256(examined).hexdigest() == \
-            "97541a2ffa588fb336cf4bcae26cdfe6360673107babc4ad0f816e92c3fbc97b"
+        assert sum(result.nodes for result in results) == 2126
+        assert sum(result.leaves for result in results) == 527
+        assert sum(result.pruned for result in results) == 486
+        counters = repr([(result.witness_n, result.nodes, result.leaves, result.pruned)
+                         for result in results]).encode()
+        assert hashlib.sha256(counters).hexdigest() == \
+            "c0b30fc2b9c24cbdfc0d22fdb36cea77cb77222af160f238c901c23b4625951f"
 
     def test_searches_leave_no_reference_cycles(self):
         # Reference counting alone must free a finished search and a finished
