@@ -8,7 +8,8 @@ diagonal form with the divisibility chain enforced.
 Negative definiteness is one fraction-free elimination without row
 exchanges.  By Sylvester's identity (Bareiss 1968) its j-th pivot is the
 j-th leading principal minor, so the sign alternation of all the minors is
-read off a single O(k^3) pass instead of k separate determinants.
+read off a single O(k^3) pass instead of k separate determinants, and the
+last pivot is the determinant itself.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ __all__ = [
     "mat_vec",
     "is_symmetric",
     "det",
+    "negative_definite_det",
     "is_negative_definite_matrix",
     "invariant_factors",
 ]
@@ -86,16 +88,17 @@ def det(m: Matrix) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def is_negative_definite_matrix(m: Matrix) -> bool:
-    """Strict sign alternation of the leading principal minors, starting negative.
+def negative_definite_det(m: Matrix) -> int | None:
+    """det m when m is negative definite, None when it is not: strict sign
+    alternation of the leading principal minors, starting negative.
 
     Bareiss elimination without row exchanges: when row j is reached, its
     pivot a[j][j] is the determinant of the top-left (j+1) x (j+1) block,
-    and each elimination step divides exactly by the pivot before it.  The
-    test returns False at the first pivot of the wrong sign, before that
-    pivot is ever used as a divisor, so a zero minor never reaches a
-    division.  The trailing block stays symmetric, so only its upper
-    triangle is updated.
+    and each elimination step divides exactly by the pivot before it, so
+    the last pivot is det m (1 for the empty matrix).  The test returns
+    None at the first pivot of the wrong sign, before that pivot is ever
+    used as a divisor, so a zero minor never reaches a division.  The
+    trailing block stays symmetric, so only its upper triangle is updated.
     """
     if not is_symmetric(m):
         raise ValueError("definiteness test requires a symmetric matrix")
@@ -107,7 +110,7 @@ def is_negative_definite_matrix(m: Matrix) -> bool:
         row_i = a[i]
         piv = row_i[i]
         if piv * sign <= 0:
-            return False
+            return None
         for j in range(i + 1, n):
             row_j = a[j]
             aij = row_i[j]
@@ -115,7 +118,13 @@ def is_negative_definite_matrix(m: Matrix) -> bool:
                 row_j[c] = (row_j[c] * piv - aij * row_i[c]) // prev
         prev = piv
         sign = -sign
-    return True
+    return prev
+
+
+def is_negative_definite_matrix(m: Matrix) -> bool:
+    """Strict sign alternation of the leading principal minors, starting
+    negative, in one elimination (``negative_definite_det``)."""
+    return negative_definite_det(m) is not None
 
 
 def invariant_factors(m: Matrix) -> list[int]:

@@ -28,8 +28,9 @@ the search complete, and states why it loses nothing; ``embeddings_by_rank``
 and ``qa_lattice_obstruction`` each walk one tree for all the ranks from k
 up to it.  The obstruction search also prunes every column set that is
 dependent mod a prime whose square divides det q, so that every leaf it
-reaches has surjective transpose (``_OrderlyTree``).  Coordinate and
-vertex indices are 0-based throughout.
+reaches has surjective transpose (``_OrderlyTree``), and it runs once per
+star up to the order of its legs.  Coordinate and vertex indices are
+0-based throughout.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from typing import Iterable, Iterator, Sequence
 from .cfrac import prefix_r
 from .errors import NotNegativeDefiniteError, TruncationNotFoundError
 from .intmat import Matrix, det, freeze, is_negative_definite_matrix
-from .plumbing import PlumbingGraph, adjacency_matrix, is_negative_definite
+from .plumbing import PlumbingGraph, adjacency_matrix, definite_det
 
 __all__ = [
     "Embedding",
@@ -213,8 +214,9 @@ class _OrderlyTree:
     * ``bases[t]`` holds the placed columns in echelon form mod primes[t],
       one entry per column, in placement order; ``_extend_bases`` appends
       to each basis when a column is placed and ``_place`` pops it when the
-      column is removed, so a basis always matches ``cols``.  With no
-      primes the prune costs one truth test per candidate.
+      column is removed, so a basis always matches ``cols``.  A leaf's last
+      column is only tested, never appended: no child reads its entry.
+      With no primes the prune costs one truth test per candidate.
 
     Nothing the walk builds refers to itself (``_candidates`` drops its
     recursive closure before it returns), so a finished or abandoned walk is
@@ -239,10 +241,11 @@ class _OrderlyTree:
         # same[c]: row c agrees with row c - 1 on every column placed so far.
         self.same = [False] * n
         self.primes = primes
-        # bases[t]: (pivot, vector) per placed column, the placed columns in
-        # echelon form mod primes[t], each vector 1 at its pivot and 0 at the
-        # pivots before it.
-        self.bases: list[list[tuple[int, list[int]]]] = [[] for _ in primes]
+        # bases[t]: (pivot, tail) per placed column, the placed columns in
+        # echelon form mod primes[t]: each vector is 1 at its pivot, 0 before
+        # it and at the pivots before it, and tail lists its nonzero entries
+        # (coordinate, value) after the pivot.
+        self.bases: list[list[tuple[int, list[tuple[int, int]]]]] = [[] for _ in primes]
         self.pruned = 0
 
     def embedding(self, rank: int, cols: Sequence[tuple[int, ...]]) -> Embedding:
@@ -259,12 +262,13 @@ class _OrderlyTree:
             return
         cols, colsq, support, same = self.cols, self.colsq, self.support, self.same
         primes = self.primes
+        last = i + 1 == len(self.q)
         for col, fresh in self._candidates(i, touched):
             end = touched + fresh
             # ``high`` may have fallen since the candidates were cut
             if end > self.high:
                 continue
-            if primes and not self._extend_bases(col, end):
+            if primes and not self._extend_bases(col, end, last):
                 self.pruned += 1
                 continue
             saved = same[:end]
@@ -290,31 +294,36 @@ class _OrderlyTree:
             cols.pop()
             colsq.pop()
             same[:end] = saved
-            if primes:
+            if primes and not last:
                 for basis in self.bases:
                     basis.pop()
             if touched > self.high:
                 return  # every further child touches too many coordinates
 
-    def _extend_bases(self, col: tuple[int, ...], end: int) -> bool:
-        """Reduce ``col`` (zero from ``end`` on) against the echelon basis
-        mod each of ``primes``.  If it reduces to zero mod one of them,
-        change nothing and return False; else append its reduction to
-        every basis and return True."""
+    def _extend_bases(self, col: tuple[int, ...], end: int, last: bool = False) -> bool:
+        """Reduce ``col`` (zero from ``end`` on) in place against the
+        echelon basis mod each of ``primes``.  If it reduces to zero mod one
+        of them, change nothing and return False.  Else, unless ``col`` is
+        a leaf's ``last`` column, append its reduction, scaled to 1 at its
+        pivot, to every basis; return True."""
         reduced = []
         for p, basis in zip(self.primes, self.bases):
             v = [x % p for x in col[:end]]
-            for pivot, b in basis:
+            for pivot, tail in basis:
                 c = v[pivot]
                 if c:
-                    v[:len(b)] = [(x - c * y) % p for x, y in zip(v, b)]
+                    v[pivot] = 0
+                    for t, y in tail:
+                        v[t] = (v[t] - c * y) % p
             for pivot, x in enumerate(v):
                 if x:
                     break
             else:
                 return False
-            inverse = pow(x, -1, p)
-            reduced.append((pivot, [y * inverse % p for y in v]))
+            if not last:
+                inverse = pow(x, -1, p)
+                reduced.append((pivot, [(t, y * inverse % p)
+                                        for t in range(pivot + 1, end) if (y := v[t])]))
         for basis, entry in zip(self.bases, reduced):
             basis.append(entry)
         return True
@@ -621,10 +630,45 @@ class ObstructionResult:
     pruned: int  # candidate columns dropped as dependent mod a critical prime
 
 
-# Bounded so that a long enumeration does not keep every search it meets.
-@lru_cache(maxsize=1024)
 def qa_lattice_obstruction(graph: PlumbingGraph) -> ObstructionResult:
     """Search every ambient rank for an embedding with surjective transpose.
+
+    The search runs on the star with its legs sorted, and its result is
+    cached under that star (one bounded cache, ``cache_info`` and
+    ``cache_clear`` as with ``lru_cache``), so every leg order of a star
+    shares one search.  Permuting the legs is a graph isomorphism: it
+    permutes the vertices, and q with them.  Permuting an embedding's
+    columns the same way therefore maps the embeddings of one form to
+    those of the other, a bijection at each rank that keeps the rows
+    touched and keeps surjectivity (A^T changes by an invertible
+    permutation).  So ``obstructed`` and ``witness_n`` do not depend on
+    the leg order.  The witness is the sorted star's first surjective
+    embedding (``_obstruction_search``), with its columns relabelled to
+    the caller's vertex order and canonicalised once; it satisfies the
+    Gram condition against the caller's ``adjacency_matrix(graph)``.
+    ``nodes``, ``leaves`` and ``pruned`` count the sorted star's search.
+    An input whose legs are already sorted is searched as given.
+    """
+    order = sorted(range(len(graph.legs)), key=graph.legs.__getitem__)
+    cols, witness_n, nodes, leaves, pruned = _cached_search(
+        PlumbingGraph(graph.central_weight, tuple(graph.legs[i] for i in order)))
+    if cols is None:
+        return ObstructionResult(True, None, None, nodes, leaves, pruned)
+    # The sorted star holds the centre, then the legs order[0], order[1], ...
+    blocks: list[tuple[tuple[int, ...], ...]] = [()] * len(order)
+    at = 1
+    for i in order:
+        blocks[i] = cols[at:at + len(graph.legs[i])]
+        at += len(graph.legs[i])
+    relabelled = [cols[0]] + [col for block in blocks for col in block]
+    witness = Embedding(_canonical_rows(relabelled, witness_n))
+    return ObstructionResult(False, witness, witness_n, nodes, leaves, pruned)
+
+
+def _obstruction_search(graph: PlumbingGraph) -> tuple[
+        tuple[tuple[int, ...], ...] | None, int | None, int, int, int]:
+    """The obstruction search on ``graph`` in its own vertex order:
+    ``(witness columns or None, witness_n, nodes, leaves, pruned)``.
 
     The result is that of searching the ranks k, k + 1, ... of
     ``embeddings_by_rank`` in turn and testing each embedding with
@@ -648,22 +692,31 @@ def qa_lattice_obstruction(graph: PlumbingGraph) -> ObstructionResult:
       witness nor one that precedes the one found at rank w.  No leaf of
       rank below w is cut, since touched counts only grow along a path.
 
-    So the search is obstructed exactly when it reaches no leaf.  Only the
-    witness is mapped back to the caller's vertex order and canonicalised,
-    once, from a copy of its columns saved when it was found.  One
-    definiteness guard runs per search, on the graph.
+    So the search is obstructed exactly when it reaches no leaf.  The
+    witness's columns, copied when it was found, are returned in vertex
+    order on the ``witness_n`` coordinates it touches, not yet
+    canonicalised.  One elimination of q serves both the definiteness
+    guard and det q (``definite_det``).
     """
-    if not is_negative_definite(graph):
+    d = definite_det(graph)
+    if d is None:
         raise NotNegativeDefiniteError(
             "the embedding obstruction requires a negative definite plumbing")
     q = adjacency_matrix(graph)
-    tree = _OrderlyTree(q, _rank_bound(q), _critical_primes(det(q)))
+    tree = _OrderlyTree(q, _rank_bound(q), _critical_primes(d))
     leaves = 0
     witness_cols, witness_n = None, None
     for rank in tree.leaves():
         leaves += 1
         witness_cols, witness_n = tree.cols[:], rank
         tree.high = rank - 1  # a better witness touches fewer coordinates
-    witness = None if witness_n is None else tree.embedding(witness_n, witness_cols)
-    return ObstructionResult(witness is None, witness, witness_n,
-                             tree.nodes, leaves, tree.pruned)
+    witness = None if witness_cols is None else tuple(
+        witness_cols[s][:witness_n] for s in tree.slots)
+    return witness, witness_n, tree.nodes, leaves, tree.pruned
+
+
+# The one cache, keyed on the leg-sorted star; bounded so that a long
+# enumeration does not keep every search it meets.
+_cached_search = lru_cache(maxsize=1024)(_obstruction_search)
+qa_lattice_obstruction.cache_info = _cached_search.cache_info
+qa_lattice_obstruction.cache_clear = _cached_search.cache_clear

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .cfrac import cf_eval, cf_expand
 from .errors import InternalError, ParseError
-from .intmat import Matrix, det, freeze, is_negative_definite_matrix
+from .intmat import Matrix, det, freeze, negative_definite_det
 from .montesinos import (MontesinosLink, StandardForm, epsilon, reflect,
                          to_negative_form)
 
@@ -26,6 +26,7 @@ __all__ = [
     "adjacency_matrix",
     "seifert_euler_number",
     "negative_definite_by_sign",
+    "definite_det",
     "is_negative_definite",
     "h1_order",
     "parse_graph",
@@ -103,20 +104,28 @@ def negative_definite_by_sign(graph: PlumbingGraph) -> bool:
     return seifert_euler_number(graph) < 0
 
 
-def is_negative_definite(graph: PlumbingGraph) -> bool:
-    """Negative definiteness, computed two ways when both apply.
+def definite_det(graph: PlumbingGraph) -> int | None:
+    """det Q when the plumbing is negative definite, None when it is not;
+    definiteness is computed two ways when both apply.
 
     The exact test on the adjacency matrix (the sign alternation of its
-    leading principal minors) always applies.  When every leg entry is
-    <= -2 the sign test applies as well and the two must agree; a mismatch
-    would be a bug, not a property of the input.
+    leading principal minors, ``negative_definite_det``) always applies,
+    and its last minor is det Q.  When every leg entry is <= -2 the sign
+    test applies as well and the two must agree; a mismatch would be a
+    bug, not a property of the input.
     """
-    by_minors = is_negative_definite_matrix(adjacency_matrix(graph))
+    d = negative_definite_det(adjacency_matrix(graph))
     if _legs_are_continued_fractions(graph):
-        if negative_definite_by_sign(graph) != by_minors:
+        if negative_definite_by_sign(graph) != (d is not None):
             raise InternalError(
                 f"definiteness checks disagree on {format_graph(graph)!r}")
-    return by_minors
+    return d
+
+
+def is_negative_definite(graph: PlumbingGraph) -> bool:
+    """Negative definiteness, computed two ways when both apply
+    (``definite_det``)."""
+    return definite_det(graph) is not None
 
 
 def h1_order(graph: PlumbingGraph) -> int:

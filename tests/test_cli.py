@@ -8,9 +8,10 @@ from qamont import classifier, cli, plumbing
 from qamont.cli import main
 from qamont.errors import InternalError
 from qamont.intmat import is_negative_definite_matrix
-from qamont.lattice import qa_lattice_obstruction
+from qamont.lattice import (Embedding, gram_matches, qa_lattice_obstruction,
+                            transpose_surjective)
 from qamont.montesinos import canonical_form, parse_link
-from qamont.plumbing import adjacency_matrix
+from qamont.plumbing import adjacency_matrix, parse_graph
 
 E8_TEXT = "central: -2\nleg: -2\nleg: -2 -2\nleg: -2 -2 -2 -2\n"
 SIGMA_237_TEXT = "central: -1\nleg: -2\nleg: -3\nleg: -7\n"
@@ -386,6 +387,23 @@ class TestGraphCommands:
         lines = out.splitlines()
         assert lines[0] == "NotObstructed n=4"
         assert lines[1:] == ["1", "1", "1", "1"]
+
+    def test_embed_witness_follows_the_leg_order(self, tmp_path, capsys):
+        # One star typed in two leg orders: the same rank, and each witness
+        # fits the form of its own file.
+        heads = set()
+        for name, text in [("a", "central: -3\nleg: -2 -2\nleg: -3\nleg: -4\n"),
+                           ("b", "central: -3\nleg: -4\nleg: -2 -2\nleg: -3\n")]:
+            path = tmp_path / f"{name}.graph"
+            path.write_text(text)
+            code, out, _ = run(capsys, "embed", str(path))
+            assert code == 0
+            head, *rows = out.splitlines()
+            heads.add(head)
+            witness = Embedding(tuple(tuple(map(int, row.split())) for row in rows))
+            assert gram_matches(witness, adjacency_matrix(parse_graph(text)))
+            assert transpose_surjective(witness)
+        assert heads == {"NotObstructed n=8"}
 
     def test_embed_n_max_without_all_exits_2(self, tmp_path, capsys):
         # A witness exists at n = 4, so a search stopped at 3 would report

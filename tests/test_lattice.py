@@ -8,7 +8,7 @@ from math import isqrt
 
 import pytest
 
-from conftest import random_cf
+from conftest import random_cf, random_star_graph
 from qamont import lattice
 from qamont.cfrac import prefix_r
 from qamont.errors import NotNegativeDefiniteError
@@ -23,7 +23,7 @@ from qamont.intmat import det
 from qamont.montesinos import (MontesinosLink, determinant, to_negative_form,
                                to_standard_form)
 from qamont.plumbing import (PlumbingGraph, adjacency_matrix, build_graph,
-                             oriented_graph)
+                             is_negative_definite, oriented_graph)
 
 D4_GRAPH = PlumbingGraph(-2, ((-2,), (-2,), (-2,)))
 D4_Q = adjacency_matrix(D4_GRAPH)
@@ -544,6 +544,45 @@ def replay_obstruction(graph):
     return True, None, None
 
 
+def leg_sorted(graph):
+    """The star with its legs sorted, and for each vertex of ``graph`` the
+    index of the same vertex in that star."""
+    starts = [1]
+    for leg in graph.legs:
+        starts.append(starts[-1] + len(leg))
+    order = sorted(range(len(graph.legs)), key=lambda i: graph.legs[i])
+    star = PlumbingGraph(graph.central_weight, tuple(graph.legs[i] for i in order))
+    # the vertex of ``graph`` at each index of the sorted star
+    source = [0] + [v for i in order for v in range(starts[i], starts[i + 1])]
+    position = [0] * len(source)
+    for index, v in enumerate(source):
+        position[v] = index
+    return star, position
+
+
+def relabel(emb, position):
+    """An embedding of the sorted star as one of the caller's graph: column
+    v is the star's column position[v]; rows canonicalised."""
+    return Embedding(canonical_rows(zip(*(emb.column(i) for i in position))))
+
+
+def replay_leg_sorted(graph):
+    """``replay_obstruction`` of the leg-sorted star, its witness relabelled
+    to ``graph``'s vertex order."""
+    star, position = leg_sorted(graph)
+    q, q_star = adjacency_matrix(graph), adjacency_matrix(star)
+    assert all(q[u][v] == q_star[position[u]][position[v]]
+               for u in range(len(q)) for v in range(len(q)))
+    obstructed, emb, n = replay_obstruction(star)
+    return obstructed, None if emb is None else relabel(emb, position), n
+
+
+def leg_permutations(graph):
+    """``graph`` with its legs in every order, the typed order first."""
+    return [PlumbingGraph(graph.central_weight, legs)
+            for legs in dict.fromkeys(itertools.permutations(graph.legs))]
+
+
 class TestObstruction:
     def test_single_vertex_minus_four(self):
         result = qa_lattice_obstruction(PlumbingGraph(-4, ()))
@@ -573,10 +612,12 @@ class TestObstruction:
         (4, 4, -3, 4),
     ])
     def test_one_traversal_matches_a_per_rank_replay(self, p, alpha_max, e_min, e_max):
+        # The search runs on the leg-sorted star, so its witness is that
+        # star's replay witness, relabelled to the caller's legs.
         for graph in oriented_graphs(p, alpha_max, e_min, e_max):
             result = qa_lattice_obstruction(graph)
             got = (result.obstructed, result.witness, result.witness_n)
-            assert got == replay_obstruction(graph), graph
+            assert got == replay_leg_sorted(graph), graph
             assert result.obstructed == (result.leaves == 0)
             assert result.nodes >= result.leaves
 
@@ -610,18 +651,19 @@ class TestObstruction:
 
 
     def test_tree_is_pinned_on_the_acceptance_family(self):
-        # Pinned sums and digest: a change to the tree, to its pruning or to
-        # the order of its leaves moves at least one of them.
+        # Pinned sums and digest of the leg-sorted stars' searches: a change
+        # to the tree, to its pruning or to the order of its leaves moves at
+        # least one of them.
         results = [qa_lattice_obstruction(graph)
                    for graph in oriented_graphs(3, 4, -3, 4)]
         assert len(results) == 262
-        assert sum(result.nodes for result in results) == 2126
-        assert sum(result.leaves for result in results) == 527
-        assert sum(result.pruned for result in results) == 486
+        assert sum(result.nodes for result in results) == 2102
+        assert sum(result.leaves for result in results) == 520
+        assert sum(result.pruned for result in results) == 516
         counters = repr([(result.witness_n, result.nodes, result.leaves, result.pruned)
                          for result in results]).encode()
         assert hashlib.sha256(counters).hexdigest() == \
-            "c0b30fc2b9c24cbdfc0d22fdb36cea77cb77222af160f238c901c23b4625951f"
+            "bd1c7a417b4f349cb108744ed5bd1d1a5a31d91dbd651b7741ed1f062fb1d372"
 
     def test_searches_leave_no_reference_cycles(self):
         # Reference counting alone must free a finished search and a finished
@@ -631,7 +673,7 @@ class TestObstruction:
         gc.disable()
         try:
             for graph in graphs:
-                qa_lattice_obstruction.__wrapped__(graph)
+                lattice._obstruction_search(graph)
             assert len(list(enumerate_embeddings(D4_Q, 4))) == 3
             stream = enumerate_embeddings(D4_Q, 4)
             next(stream)
@@ -644,6 +686,46 @@ class TestObstruction:
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+
+def random_definite_stars(count, seed):
+    """``count`` seeded random negative definite stars with two legs or more."""
+    rng = random.Random(seed)
+    stars = []
+    while len(stars) < count:
+        graph = random_star_graph(rng, max_legs=4, max_leg_len=3,
+                                  central_range=(-5, -1), leg_range=(-4, -2))
+        if len(graph.legs) >= 2 and is_negative_definite(graph):
+            stars.append(graph)
+    return stars
+
+
+class TestLegOrder:
+    @pytest.mark.parametrize("graphs", [
+        lambda: oriented_graphs(3, 4, -3, 4),
+        lambda: random_definite_stars(60, 20261018),
+    ], ids=["p3-alpha4", "random"])
+    def test_every_leg_order_shares_one_search(self, graphs):
+        # A leg permutation is an isomorphism of q: every order of a star
+        # gets the same verdict, rank and counters from one cached search,
+        # and a witness that fits its own form.
+        orders = verdicts = 0
+        for graph in graphs():
+            qa_lattice_obstruction.cache_clear()
+            counters = set()
+            for index, typed in enumerate(leg_permutations(graph)):
+                hits = qa_lattice_obstruction.cache_info().hits
+                result = qa_lattice_obstruction(typed)
+                assert qa_lattice_obstruction.cache_info().hits == hits + (index > 0)
+                counters.add((result.obstructed, result.witness_n, result.nodes,
+                              result.leaves, result.pruned))
+                if result.witness is not None:
+                    assert gram_matches(result.witness, adjacency_matrix(typed)), typed
+                    assert transpose_surjective(result.witness), typed
+                orders += index > 0
+            assert len(counters) == 1, graph
+            verdicts |= 1 << counters.pop()[0]
+        assert orders > 0 and verdicts == 3  # both verdicts, more than one order
 
 
 def test_link_pipeline_obstruction_matches_expectation():
