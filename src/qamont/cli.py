@@ -47,9 +47,12 @@ def _build_record(task: tuple[str, MontesinosLink, bool, bool, bool]) -> dict:
     start = time.perf_counter_ns()
     verdict = classify(link)
     evidence = verify(verdict.normalized) if with_verify else None
+    canonical = canonical_form(verdict.normalized)
     record = {
         "link": text,
-        "canonical": format_link(canonical_form(verdict.normalized)),
+        # An enumerated link is already canonical and its text is
+        # format_link(link); a parsed link is never a StandardForm.
+        "canonical": text if canonical is link else format_link(canonical),
         "e": verdict.normalized.e,
         "p": verdict.normalized.p,
         "det": verdict.det,

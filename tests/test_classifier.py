@@ -5,10 +5,11 @@ from math import gcd
 
 import pytest
 
+from qamont import classifier
 from qamont.classifier import (Branch, Reason, Status, _strict_pair, classify,
                                enumerate_family, explain, render_explain,
                                verify)
-from qamont.lattice import gram_matches
+from qamont.lattice import gram_matches, qa_lattice_obstruction
 from qamont.montesinos import (MontesinosLink, StandardForm, canonical_form,
                                determinant, epsilon, format_link, reflect,
                                slide, tangle_alpha_beta)
@@ -126,6 +127,22 @@ class TestVerify:
                 witness = evidence.obstruction.witness
                 assert gram_matches(witness, adjacency_matrix(evidence.graph))
         assert positive > 0
+
+    def test_never_consults_the_classifier_inequalities(self, monkeypatch):
+        # verify re-derives every verdict without classify's conditions, so
+        # with them made to raise it still reaches every branch, with the
+        # same evidence as an unpatched run.
+        expected = [verify(link).branch for link in FAMILY]
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("verify consulted the classifier's inequalities")
+
+        for name in ("classify", "_conditions", "_strict_pair"):
+            monkeypatch.setattr(classifier, name, forbidden)
+        qa_lattice_obstruction.cache_clear()
+        branches = [verify(link).branch for link in FAMILY]
+        assert branches == expected
+        assert set(branches) == set(Branch)
 
     def test_equivalence_on_small_family(self):
         for link in enumerate_family(2, 4, -2, 3):

@@ -259,6 +259,25 @@ class TestEnumerate:
         assert code == 2
         assert out == ""
 
+    def test_formats_each_link_once(self, capsys, monkeypatch):
+        # The family yields canonical forms, so the canonical field reuses
+        # the link's text instead of formatting the link a second time.
+        real = cli.format_link
+        calls = []
+
+        def counting_format(link):
+            calls.append(link)
+            return real(link)
+
+        monkeypatch.setattr(cli, "format_link", counting_format)
+        code, out, _ = run(capsys, "enumerate", "--p", "3", "--alpha-max", "4",
+                           "--e-min", "-3", "--e-max", "4")
+        assert code == 0
+        records = [json.loads(line) for line in out.splitlines()]
+        assert len(records) == 280
+        assert all(r["canonical"] == r["link"] for r in records)
+        assert len(calls) == len(records)
+
     def test_round_trip_of_printed_canonical(self, capsys):
         _, out, _ = run(capsys, "enumerate", "--p-max", "2", "--alpha-max", "4",
                         "--e-min", "-1", "--e-max", "2")
