@@ -32,7 +32,7 @@ from typing import Iterator
 from .lattice import ObstructionResult, qa_lattice_obstruction
 from .laufer import LauferResult, LauferVerdict, laufer_run
 from .montesinos import (MontesinosLink, StandardForm, _scaled_epsilon,
-                         canonical_form, determinant, format_link,
+                         canonical_form, determinant, format_link, reflect,
                          tangle_alpha_beta, to_negative_form, to_standard_form)
 from .plumbing import (PlumbingGraph, adjacency_matrix, format_graph,
                        oriented_graph)
@@ -92,11 +92,6 @@ class Evidence:
     graph: PlumbingGraph | None  # the plumbing of its negative form
     laufer: LauferResult | None
     obstruction: ObstructionResult | None
-
-
-def _reflected_value(std: StandardForm, i: int) -> Fraction:
-    alpha, beta = tangle_alpha_beta(std.tangles[i])
-    return Fraction(alpha, alpha - beta)
 
 
 def _strict_pair(std: StandardForm, bigger_reflected: bool) -> tuple[int, int] | None:
@@ -226,10 +221,10 @@ def _pair_detail(std: StandardForm, bigger: bool, pair: tuple[int, int] | None) 
     boundary, op = (1, ">") if bigger else (std.p - 1, "<")
     if std.e != boundary:
         return f"e = {std.e} != {boundary}: not applicable"
+    reflected = reflect(std).tangles  # alpha_i/(alpha_i - beta_i)
     holds = pair is not None
     if not holds:
         # Report the closest failing pair so the numbers are visible.
-        reflected = [_reflected_value(std, i) for i in range(std.p)]
         gaps = ((reflected[i] - std.tangles[j] if bigger else std.tangles[j] - reflected[i],
                  i, j) for i in range(std.p) for j in range(std.p) if i != j)
         closest = max(gaps, key=lambda gap: gap[0], default=None)
@@ -237,7 +232,7 @@ def _pair_detail(std: StandardForm, bigger: bool, pair: tuple[int, int] | None) 
             return f"e = {boundary} but p = 1: no pair i != j"
         pair = closest[1:]
     i, j = pair
-    comparison = (f"alpha_{i}/(alpha_{i}-beta_{i}) = {_reflected_value(std, i)} "
+    comparison = (f"alpha_{i}/(alpha_{i}-beta_{i}) = {reflected[i]} "
                   f"{op} alpha_{j}/beta_{j} = {std.tangles[j]}")
     if holds:
         return f"e = {boundary} and {comparison}: yes"

@@ -3,9 +3,9 @@
 Subcommands: ``classify`` for explicit link expressions, ``enumerate`` for
 parameter families, ``laufer`` and ``embed`` for plumbing graph files.
 Machine output is jsonl (one record per line) or tsv; ``table`` is for
-humans and carries no stability guarantee.  Exit codes: 0 success, 2 input
-error, 3 precondition error (e.g. an indefinite graph), 4 internal guard
-tripped.
+humans and carries no stability guarantee.  Exit codes: 0 success, 1
+standard output closed before the records ended, 2 input error, 3
+precondition error (e.g. an indefinite graph), 4 internal guard tripped.
 
 Records are bit-exact across runs and worker counts; per-record timing is
 therefore only emitted when ``--timing`` is requested.  jsonl and tsv
@@ -269,9 +269,11 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except BrokenPipeError:
+        # The reader closed standard output early (``| head``).  Point fd 1
+        # at devnull so that the flush at exit does not fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except NotNegativeDefiniteError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -300,7 +300,7 @@ class _OrderlyTree:
             if touched > self.high:
                 return  # every further child touches too many coordinates
 
-    def _extend_bases(self, col: tuple[int, ...], end: int, last: bool = False) -> bool:
+    def _extend_bases(self, col: tuple[int, ...], end: int, last: bool) -> bool:
         """Reduce ``col`` (zero from ``end`` on) in place against the
         echelon basis mod each of ``primes``.  If it reduces to zero mod one
         of them, change nothing and return False.  Else, unless ``col`` is
@@ -508,7 +508,7 @@ def minor_check(emb: Embedding, cols: Iterable[int]) -> int:
         raise ValueError("need at least one column")
     if len(set(chosen)) != len(chosen) or not all(0 <= c < emb.k for c in chosen):
         raise ValueError(f"invalid column subset {chosen}")
-    rows = [r for r in range(emb.n) if any(emb.matrix[r][c] for c in chosen)]
+    rows = sorted(support_set(emb, chosen))
     if len(rows) != len(chosen):
         raise ValueError(
             f"support condition violated: {len(chosen)} columns touch {len(rows)} rows")
@@ -565,30 +565,26 @@ def rigidity_check(emb: Embedding, psi1: Sequence[int], psi2: Sequence[int]) -> 
     if not all(0 <= v < emb.k for v in indices):
         raise ValueError("vertex index out of range")
 
-    col = {v: emb.column(v) for v in indices}
-
-    def pair(u: int, v: int) -> int:
-        return -sum(a * b for a, b in zip(col[u], col[v]))
-
+    pair = gram_matrix(emb)
     weights = {}
     for chain in (chain1, chain2):
         for pos, v in enumerate(chain):
-            w = pair(v, v)
+            w = pair[v][v]
             if w > -2:
                 raise ValueError(f"vertex {v} has weight {w} > -2; not a chain vertex")
             weights[v] = w
             for later_pos in range(pos + 1, len(chain)):
                 want = 1 if later_pos == pos + 1 else 0
-                got = pair(v, chain[later_pos])
+                got = pair[v][chain[later_pos]]
                 if got != want:
                     raise ValueError(
                         f"vertices {v} and {chain[later_pos]} pair to {got}, "
                         f"expected {want}; not a linear chain")
     for u in chain1:
         for v in chain2:
-            if pair(u, v) != 0:
+            if pair[u][v] != 0:
                 raise ValueError(
-                    f"chains are not orthogonal: vertices {u} and {v} pair to {pair(u, v)}")
+                    f"chains are not orthogonal: vertices {u} and {v} pair to {pair[u][v]}")
 
     r = prefix_r([weights[v] for v in chain1], len(chain1))
     s = prefix_r([weights[v] for v in chain2], len(chain2))

@@ -34,6 +34,8 @@ from .plumbing import adjacency_matrix, is_negative_definite, oriented_graph
 
 __all__ = ["LauferVerdict", "LauferResult", "laufer_run", "is_lspace"]
 
+STEP_LIMIT = 1_000_000  # a guard; on a negative definite form the sequence ends
+
 
 class LauferVerdict(str, Enum):
     RATIONAL = "Rational"
@@ -48,7 +50,7 @@ class LauferResult:
     witness: int | None  # vertex with pairing >= 2 when NOT_RATIONAL
 
 
-def laufer_run(q: Matrix, step_limit: int = 1_000_000) -> LauferResult:
+def laufer_run(q: Matrix) -> LauferResult:
     """Run the computation sequence on a symmetric negative definite matrix.
 
     Each step increments the lowest vertex with pairing 1, and a
@@ -62,7 +64,7 @@ def laufer_run(q: Matrix, step_limit: int = 1_000_000) -> LauferResult:
             "the computation sequence requires a negative definite matrix")
     k = len(q)
     cycle = [1] * k
-    for step in range(step_limit + 1):
+    for step in range(STEP_LIMIT + 1):
         pairing = mat_vec(q, cycle)
         high = [j for j, v in enumerate(pairing) if v >= 2]
         if high:
@@ -72,7 +74,7 @@ def laufer_run(q: Matrix, step_limit: int = 1_000_000) -> LauferResult:
         if not ones:
             return LauferResult(LauferVerdict.RATIONAL, step, tuple(cycle), None)
         cycle[ones[0]] += 1
-    raise StepLimitError(f"no termination within {step_limit} steps")
+    raise StepLimitError(f"no termination within {STEP_LIMIT} steps")
 
 
 def is_lspace(link: MontesinosLink) -> bool:

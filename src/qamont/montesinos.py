@@ -208,9 +208,7 @@ def slide(link: MontesinosLink, index: int, count: int = 1) -> MontesinosLink:
 def _require_standard(link: MontesinosLink) -> None:
     if isinstance(link, StandardForm):
         return  # validated when it was built
-    for t in link.tangles:
-        if t.numerator <= t.denominator:
-            raise ValueError(f"operation requires standard form; tangle {t} is not > 1")
+    StandardForm(link.e, link.tangles)  # raises ValueError unless every tangle is > 1
 
 
 # Text grammar: M(e; t1, t2, ...) with tangles written a/b or as integers.

@@ -1,9 +1,13 @@
 import hashlib
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import qamont
 from qamont import classifier, cli, plumbing
 from qamont.cli import main
 from qamont.errors import InternalError
@@ -494,3 +498,29 @@ class TestGraphCommands:
         assert code == 4
         assert out == ""
         assert err.startswith("internal error:") and "disagree" in err
+
+
+class TestClosedOutput:
+    """A reader that closes standard output early (``| head -1``) ends the
+    command with exit code 1 and no traceback, with or without a pool."""
+
+    @pytest.mark.parametrize("argv", [
+        ("enumerate", "--p", "4", "--alpha-max", "7", "--e-min", "-2", "--e-max", "5"),
+        ("enumerate", "--p", "3", "--alpha-max", "5", "--e-min", "-3", "--e-max", "6",
+         "--verify", "--jobs", "2"),
+    ], ids=["classify-only", "verify-pool"])
+    def test_closed_stdout_exits_1(self, argv):
+        src = str(Path(qamont.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.Popen(
+            [sys.executable, "-c", "import sys; from qamont.cli import main; sys.exit(main())",
+             *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        try:
+            first = proc.stdout.readline()
+            proc.stdout.close()
+            _, err = proc.communicate(timeout=60)
+        finally:
+            proc.kill()
+        assert json.loads(first)["link"].startswith("M(")
+        assert proc.returncode == 1
+        assert b"Traceback" not in err and b"Exception ignored" not in err

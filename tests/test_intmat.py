@@ -5,7 +5,7 @@ from math import gcd
 import pytest
 
 from qamont.intmat import (det, freeze, is_negative_definite_matrix,
-                           is_symmetric)
+                           is_symmetric, negative_definite_det)
 from smith_form import invariant_factors, matmul, transpose
 
 
@@ -96,6 +96,7 @@ def test_negative_definite_matches_leading_minor_signs():
         m = random_symmetric(rng, rng.randint(1, 6))
         expected = negative_definite_by_leading_dets(m)
         assert is_negative_definite_matrix(m) == expected
+        assert negative_definite_det(m) == (det(m) if expected else None)
         outcomes[expected] += 1
     assert min(outcomes.values()) > 500
 

@@ -115,9 +115,10 @@ class TestRun:
         with pytest.raises(NotNegativeDefiniteError):
             laufer_run(adjacency_matrix(PlumbingGraph(0, ((-2,),) * 4)))
 
-    def test_step_guard(self):
+    def test_step_guard(self, monkeypatch):
+        monkeypatch.setattr(laufer, "STEP_LIMIT", 0)
         with pytest.raises(StepLimitError):
-            laufer_run(adjacency_matrix(D4), step_limit=0)
+            laufer_run(adjacency_matrix(D4))
 
 
 class TestIsLspace:

@@ -5,11 +5,11 @@ import pytest
 from conftest import random_star_graph
 from qamont.classifier import enumerate_family
 from qamont.errors import ParseError
-from qamont.intmat import is_negative_definite_matrix
+from qamont.intmat import det, is_negative_definite_matrix
 from qamont.montesinos import (MontesinosLink, determinant, epsilon,
                                to_negative_form)
 from qamont.plumbing import (PlumbingGraph, adjacency_matrix, build_graph,
-                             format_graph, h1_order, is_negative_definite,
+                             definite_det, format_graph, h1_order, is_negative_definite,
                              negative_definite_by_sign, parse_graph,
                              seifert_euler_number)
 
@@ -86,7 +86,9 @@ class TestDefiniteness:
         for _ in range(500):
             graph = random_star_graph(rng, max_legs=4, max_leg_len=4,
                                       central_range=(-7, -1))
-            assert negative_definite_by_sign(graph) == negative_definite_by_matrix(graph)
+            definite = negative_definite_by_matrix(graph)
+            assert negative_definite_by_sign(graph) == definite
+            assert definite_det(graph) == (det(adjacency_matrix(graph)) if definite else None)
 
     def test_methods_agree_on_family_graphs(self):
         for link in enumerate_family(3, 4, -2, 3):
