@@ -12,11 +12,10 @@ from .cfrac import cf_eval, cf_expand, prefix_r
 from .classifier import (Branch, Evidence, Reason, Status, Verdict, classify,
                          enumerate_family, explain, render_explain, verify)
 from .errors import (InternalError, NotNegativeDefiniteError, ParseError,
-                     StepLimitError, TruncationNotFoundError)
+                     StepLimitError)
 from .lattice import (Embedding, ObstructionResult, embeddings_by_rank,
-                      enumerate_embeddings, gram_matches, gram_matrix, minor_check,
-                      qa_lattice_obstruction, rigidity_check, support_set,
-                      transpose_surjective, truncate_legs)
+                      enumerate_embeddings, gram_matches, gram_matrix,
+                      qa_lattice_obstruction, transpose_surjective)
 from .laufer import LauferResult, LauferVerdict, is_lspace, laufer_run
 from .montesinos import (MontesinosLink, StandardForm, canonical_form,
                          determinant, epsilon, format_link, parse_link,
@@ -37,11 +36,9 @@ __all__ = [
     "seifert_euler_number",
     "LauferResult", "LauferVerdict", "laufer_run", "is_lspace",
     "Embedding", "ObstructionResult", "enumerate_embeddings", "embeddings_by_rank",
-    "gram_matrix", "gram_matches", "transpose_surjective", "minor_check",
-    "support_set", "truncate_legs", "rigidity_check", "qa_lattice_obstruction",
+    "gram_matrix", "gram_matches", "transpose_surjective", "qa_lattice_obstruction",
     "Status", "Reason", "Branch", "Verdict", "Evidence",
     "classify", "verify", "enumerate_family", "explain", "render_explain",
-    "ParseError", "NotNegativeDefiniteError", "InternalError",
-    "StepLimitError", "TruncationNotFoundError",
+    "ParseError", "NotNegativeDefiniteError", "InternalError", "StepLimitError",
     "__version__",
 ]

@@ -138,6 +138,12 @@ def cmd_classify(args) -> int:
     # Parse every expression before the first record is printed, so a bad
     # one exits with nothing on stdout.
     texts = [t.strip() for t in args.links]
+    if args.format == "tsv":
+        # The link field echoes the text, and tsv has no escape for these.
+        for text in texts:
+            if any(c in text for c in "\t\n\r"):
+                raise ParseError(f"link expression {text!r} holds a tab or line "
+                                 "break, which tsv cannot carry; use jsonl")
     links = [(text, parse_link(text)) for text in texts]
     _emit(_records(links, args), args)
     return 0

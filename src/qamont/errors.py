@@ -21,11 +21,3 @@ class InternalError(RuntimeError):
 
 class StepLimitError(InternalError):
     """The step guard of an iterative algorithm fired; indicates a caller bug."""
-
-
-class TruncationNotFoundError(InternalError):
-    """No prefix truncation with r0 + s0 = 1 exists although the precondition held.
-
-    This can only happen if a guaranteed combinatorial invariant fails, so it
-    is treated as an internal error, never as a normal result.
-    """

@@ -13,6 +13,7 @@ last pivot is the determinant itself.
 
 from __future__ import annotations
 
+from operator import index
 from typing import Iterable, Sequence
 
 Matrix = tuple[tuple[int, ...], ...]
@@ -29,7 +30,10 @@ __all__ = [
 
 
 def freeze(rows: Iterable[Iterable[int]]) -> Matrix:
-    m = tuple(tuple(int(v) for v in row) for row in rows)
+    try:
+        m = tuple(tuple(map(index, row)) for row in rows)
+    except TypeError as exc:
+        raise ValueError(f"matrix entries must be integers: {exc}") from None
     if m and any(len(row) != len(m[0]) for row in m):
         raise ValueError("rows have unequal lengths")
     return m

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import index
 
 from .cfrac import cf_eval, cf_expand
 from .errors import InternalError, ParseError
@@ -42,7 +43,10 @@ class PlumbingGraph:
     def __post_init__(self):
         if not isinstance(self.central_weight, int):
             raise ValueError("central weight must be an integer")
-        legs = tuple(tuple(int(w) for w in leg) for leg in self.legs)
+        try:
+            legs = tuple(tuple(map(index, leg)) for leg in self.legs)
+        except TypeError as exc:
+            raise ValueError(f"leg weights must be integers: {exc}") from None
         for leg in legs:
             if not leg:
                 raise ValueError("legs must be nonempty")

@@ -11,12 +11,12 @@ import random
 from fractions import Fraction
 
 from conftest import random_cf
+from paper_lemmas import minor_check, rigidity_check, support_set, truncate_legs
 from qamont.cfrac import prefix_r
 from qamont.classifier import Branch, Status, classify, enumerate_family, verify
 from qamont.cli import main
 from qamont.intmat import freeze, mat_vec
-from qamont.lattice import (embeddings_by_rank, minor_check, rigidity_check,
-                            support_set, transpose_surjective, truncate_legs)
+from qamont.lattice import embeddings_by_rank, transpose_surjective
 from qamont.laufer import LauferVerdict, is_lspace, laufer_run
 from qamont.montesinos import (MontesinosLink, canonical_form, determinant,
                                epsilon, format_link, reflect, slide,

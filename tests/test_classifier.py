@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 from math import gcd
 
@@ -165,6 +166,22 @@ class TestVerify:
                       if (classify(link).status is Status.QA)
                       != (verify(link).branch is Branch.POSITIVE_CHECK)]
         assert mismatches == []
+
+    @pytest.mark.slow
+    def test_equivalence_on_the_largest_family(self):
+        # Every link of p = 4, alpha <= 7, e in [-2, 5]: about 100 s.
+        branches = Counter()
+        mismatches = []
+        for link in enumerate_family(4, 7, -2, 5, p_min=4):
+            branch = verify(link).branch
+            branches[branch] += 1
+            if (classify(link).status is Status.QA) != (branch is Branch.POSITIVE_CHECK):
+                mismatches.append(format_link(link))
+        assert mismatches == []
+        assert branches == {Branch.POSITIVE_CHECK: 32265,
+                            Branch.LAUFER_NOT_LSPACE: 5704,
+                            Branch.LATTICE_OBSTRUCTED: 718,
+                            Branch.DET_ZERO: 73}
 
     def test_equivalence_on_typed_orders(self):
         # The 560 links of p = 4, alpha <= 4, e in [-2, 5], each typed with

@@ -221,6 +221,20 @@ class TestClassify:
         assert code == 2
         assert "explain" in err
 
+    @pytest.mark.parametrize("text", ["M(0;\t5/2, 7/3)", "M(0; 5/2,\n 7/3)",
+                                      "M(0; 5/2,\r\n7/3)"])
+    def test_tsv_rejects_tab_or_line_break_in_a_link(self, capsys, text):
+        code, out, err = run(capsys, "classify", "M(0; 2)", text, "--format", "tsv")
+        assert code == 2
+        assert out == ""
+        assert "tsv" in err
+
+    def test_jsonl_escapes_tab_or_line_break_in_a_link(self, capsys):
+        text = "M(0;\t5/2,\n 7/3)"
+        code, out, _ = run(capsys, "classify", text)
+        assert code == 0
+        assert json.loads(out)["link"] == text
+
 
 class TestEnumerate:
     def test_p3_alpha2(self, capsys):

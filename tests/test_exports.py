@@ -1,5 +1,5 @@
 """Every exported name resolves, so a deleted function cannot linger in an
-export list."""
+export list, and the test-only oracles do not drift back into the package."""
 
 import importlib
 import pkgutil
@@ -31,3 +31,14 @@ def test_package_exports_import():
     namespace = {}
     exec("from qamont import *", namespace)  # raises on a name that is missing
     assert set(qamont.__all__) <= set(namespace)
+
+
+MOVED_TO_TESTS = ["minor_check", "support_set", "truncate_legs", "rigidity_check",
+                  "TruncationNotFoundError"]
+
+
+@pytest.mark.parametrize("module", ["qamont", "qamont.lattice", "qamont.errors"])
+def test_paper_lemma_checks_stay_in_the_tests(module):
+    # They live in tests/paper_lemmas.py: no program path runs them.
+    namespace = importlib.import_module(module)
+    assert [name for name in MOVED_TO_TESTS if hasattr(namespace, name)] == []

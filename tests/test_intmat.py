@@ -117,6 +117,13 @@ def test_negative_definite_matrix():
         is_negative_definite_matrix(freeze([[-2, 1, 0], [1, -2, 0]]))
 
 
+@pytest.mark.parametrize("rows", [[[-2.9, 1], [1, -2]], [[-2, "1"], [1, -2]]],
+                         ids=["float", "string"])
+def test_freeze_rejects_non_integer_entries(rows):
+    with pytest.raises(ValueError, match="integers"):
+        freeze(rows)
+
+
 def test_invariant_factors_known():
     assert invariant_factors(freeze([[2, 0], [0, 3]])) == [1, 6]
     assert invariant_factors(freeze([[1, 0], [0, 1]])) == [1, 1]

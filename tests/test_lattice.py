@@ -15,15 +15,14 @@ from qamont.errors import NotNegativeDefiniteError
 from qamont.intmat import freeze, is_negative_definite_matrix
 from qamont.lattice import (Embedding, embeddings_by_rank,
                             enumerate_embeddings, gram_matches,
-                            minor_check, qa_lattice_obstruction,
-                            rigidity_check, support_set, transpose_surjective,
-                            truncate_legs)
+                            qa_lattice_obstruction, transpose_surjective)
 from qamont.classifier import enumerate_family
 from qamont.intmat import det
 from qamont.montesinos import (MontesinosLink, determinant, to_negative_form,
                                to_standard_form)
 from qamont.plumbing import (PlumbingGraph, adjacency_matrix, build_graph,
                              is_negative_definite, oriented_graph)
+from paper_lemmas import minor_check, rigidity_check, support_set, truncate_legs
 from smith_form import invariant_factors
 
 D4_GRAPH = PlumbingGraph(-2, ((-2,), (-2,), (-2,)))

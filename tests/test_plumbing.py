@@ -37,6 +37,10 @@ class TestBuildGraph:
         with pytest.raises(ValueError):
             PlumbingGraph(-2, ((),))
 
+    def test_leg_weights_must_be_integers(self):
+        with pytest.raises(ValueError, match="integers"):
+            PlumbingGraph(-2, ((-2.7,),))
+
 
 class TestAdjacency:
     def test_single_vertex(self):
