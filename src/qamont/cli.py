@@ -36,6 +36,10 @@ from .plumbing import adjacency_matrix, is_negative_definite, parse_graph
 _RECORD_FIELDS = ["link", "canonical", "e", "p", "det", "epsilon",
                   "status", "reason", "evidence"]
 
+# A table cell shows a tab or line break in its text as an escape, so that
+# every record stays on one aligned row.
+_CELL_ESCAPES = str.maketrans({"\t": "\\t", "\n": "\\n", "\r": "\\r"})
+
 # A worker pool takes tasks in chunks of _CHUNK and has at most _AHEAD
 # chunks per worker in flight, so memory does not grow with the family.
 _CHUNK = 4
@@ -112,7 +116,8 @@ def _emit(records: Iterator[dict], args) -> None:
         return
     # table: aligned columns, then any explain traces
     records = list(records)
-    rows = [[str(record[f]) if record[f] is not None else "-" for f in fields]
+    rows = [[str(record[f]).translate(_CELL_ESCAPES) if record[f] is not None else "-"
+             for f in fields]
             for record in records]
     widths = [max(len(f), *(len(row[i]) for row in rows)) if rows else len(f)
               for i, f in enumerate(fields)]

@@ -38,6 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from math import isqrt
+from operator import itemgetter
 from typing import Iterator, Sequence
 
 from .errors import NotNegativeDefiniteError
@@ -121,6 +122,9 @@ def _canonical_rows(cols: Sequence[Sequence[int]], n: int) -> Matrix:
     return tuple(rows)
 
 
+_fresh = itemgetter(1)  # a candidate's fresh-block size
+
+
 class _OrderlyTree:
     """The orderly search tree of embeddings of a negative definite (Z^k, q)
     into (Z^n, -Id), the one walk behind both searches of this module.
@@ -177,15 +181,23 @@ class _OrderlyTree:
     yields the same set of orbits as a search in vertex order would, and
     the matrices satisfy the Gram condition against the caller's ``q``.
     The rank bound depends only on the norms, so it is untouched.  Only the
-    order of the leaves depends on the placement order and on the pruning.
+    order of the leaves depends on the placement order, on the order of
+    siblings and on the pruning; none of the arguments above reads an order.
 
-    A node's candidate columns are built eagerly, as one list in search
-    order, when the node is entered, so their fresh blocks are cut under the
-    ``high`` in force then; ``_place`` drops each candidate that touches
-    more than the ``high`` in force when its turn comes.  That is exactly
-    the set of children, in the same order, of a node whose fresh blocks
-    were cut lazily: ``_square_partitions`` lists the blocks of a shorter
-    bound as a subsequence of those of a longer one.
+    Siblings are met by the size of their fresh block, ascending, and in
+    walk order (``_candidates``) among blocks of one size: a child that
+    touches fewer coordinates comes first, so the obstruction search tends
+    to meet a low-rank leaf, and lower ``high``, before it enters the
+    subtrees that leaf would cut.  A node's candidate columns are built
+    eagerly, as one list in that order, when the node is entered, so their
+    fresh blocks are cut under the ``high`` in force then.  ``_place`` stops
+    at the first candidate that touches more than the ``high`` in force when
+    its turn comes, since every later one touches at least as many
+    coordinates.  That is exactly the set of children, in the same order, of
+    a node whose fresh blocks were cut lazily: ``_square_partitions`` lists
+    the blocks of a shorter bound as a subsequence of those of a longer one,
+    and a stable sort by size commutes with dropping every candidate above
+    a size: either way the ones kept come by size, then in walk order.
 
     The mod-p prune, given the critical primes of q (the primes p with
     p^2 | det q), keeps exactly the leaves whose transpose is onto, in the
@@ -260,9 +272,10 @@ class _OrderlyTree:
         last = i + 1 == len(self.q)
         for col, fresh in self._candidates(i, touched):
             end = touched + fresh
-            # ``high`` may have fallen since the candidates were cut
+            # ``high`` may have fallen since the candidates were cut; the
+            # rest touch at least as many coordinates
             if end > self.high:
-                continue
+                return
             if primes and not self._extend_bases(col, end, last):
                 self.pruned += 1
                 continue
@@ -326,7 +339,8 @@ class _OrderlyTree:
     def _candidates(self, i: int, touched: int) -> list[tuple[tuple[int, ...], int]]:
         """The columns that may be placed as column i after ``touched``
         coordinates are in use, each with the size of its fresh block, in
-        search order: entries on the touched coordinates in increasing order
+        search order: by fresh-block size, ascending, then in walk order,
+        that is entries on the touched coordinates in increasing order
         coordinate by coordinate, then the fresh blocks.
 
         ``gap[j]`` is the dot product column j still needs with column i.
@@ -382,6 +396,7 @@ class _OrderlyTree:
 
         walk(0, norm)
         walk = None  # the closure refers to itself; drop that cycle here
+        out.sort(key=_fresh)
         return out
 
 
@@ -421,9 +436,10 @@ def embeddings_by_rank(q: Matrix, n_max: int | None = None
     Its leaves of rank n are the rank-n tree's, in the same depth-first
     order: the walk over touched coordinates, the orderly cap and the
     Cauchy-Schwarz prune do not depend on n; the rank-n fresh blocks are the
-    N tree's ``_square_partitions`` of length at most n - touched, in the
-    same order; and touched counts only grow along a path, so a node cut
-    for touching more than n coordinates has no leaf of rank n.
+    N tree's ``_square_partitions`` of length at most n - touched, and the
+    stable sort by fresh-block size keeps them in the same order; and
+    touched counts only grow along a path, so a node cut for touching more
+    than n coordinates has no leaf of rank n.
 
     The leaves' raw columns are held until the walk ends, so a caller
     printing the streams prints nothing before the search is done.  A leaf
@@ -579,6 +595,12 @@ def _obstruction_search(graph: PlumbingGraph) -> tuple[
       A pruned leaf has rank at least w, so it is neither a smaller-rank
       witness nor one that precedes the one found at rank w.  No leaf of
       rank below w is cut, since touched counts only grow along a path.
+
+    The order of the walk decides how much is cut, not what is found.
+    Siblings are met by fresh-block size, ascending (``_OrderlyTree``), so
+    the first leaves the walk meets tend to have low rank, and the subtrees
+    they cut are never entered.  It is the order of the streams of
+    ``embeddings_by_rank`` too, so the witness is the one stated above.
 
     So the search is obstructed exactly when it reaches no leaf.  The
     witness's columns, copied when it was found, are returned in vertex

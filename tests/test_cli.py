@@ -235,6 +235,16 @@ class TestClassify:
         assert code == 0
         assert json.loads(out)["link"] == text
 
+    def test_table_escapes_tab_or_line_break_in_a_link(self, capsys):
+        code, out, _ = run(capsys, "classify", "M(0;\t5/2,\r\n 7/3)", "M(0; 2)",
+                           "--format", "table")
+        assert code == 0
+        header, *rows = out.splitlines()
+        assert len(rows) == 2  # one line per record
+        assert rows[0].startswith("M(0;\\t5/2,\\r\\n 7/3)  M(0; 5/2, 7/3)  ")
+        # the columns stay aligned
+        assert len({len(line) for line in (header, *rows)}) == 1
+
 
 class TestEnumerate:
     def test_p3_alpha2(self, capsys):

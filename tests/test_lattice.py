@@ -18,6 +18,7 @@ from qamont.lattice import (Embedding, embeddings_by_rank,
                             qa_lattice_obstruction, transpose_surjective)
 from qamont.classifier import enumerate_family
 from qamont.intmat import det
+from qamont.laufer import LauferVerdict, laufer_run
 from qamont.montesinos import (MontesinosLink, determinant, to_negative_form,
                                to_standard_form)
 from qamont.plumbing import (PlumbingGraph, adjacency_matrix, build_graph,
@@ -535,9 +536,11 @@ class TestRigidity:
 
 def replay_obstruction(graph):
     """The obstruction search rank by rank, with no mod-p prune: each
-    rank's stream in turn, stopping at the first embedding with surjective
-    transpose."""
-    for n, embeddings in embeddings_by_rank(adjacency_matrix(graph)):
+    rank's stream in turn, from a tree cut at that rank, stopping at the
+    first embedding with surjective transpose."""
+    q = adjacency_matrix(graph)
+    for n in range(len(q), lattice._rank_bound(q) + 1):
+        *_, (_, embeddings) = embeddings_by_rank(q, n)
         for emb in embeddings:
             if transpose_surjective(emb):
                 return False, emb, n
@@ -583,6 +586,25 @@ def leg_permutations(graph):
             for legs in dict.fromkeys(itertools.permutations(graph.legs))]
 
 
+def random_definite_stars(count, seed):
+    """``count`` seeded random negative definite stars with two legs or more."""
+    rng = random.Random(seed)
+    stars = []
+    while len(stars) < count:
+        graph = random_star_graph(rng, max_legs=4, max_leg_len=3,
+                                  central_range=(-5, -1), leg_range=(-4, -2))
+        if len(graph.legs) >= 2 and is_negative_definite(graph):
+            stars.append(graph)
+    return stars
+
+
+def verdict_digest(results):
+    """sha256 over (obstructed, witness_n) per search: it does not depend on
+    the order in which the search meets its leaves."""
+    return hashlib.sha256(repr([(result.obstructed, result.witness_n)
+                                for result in results]).encode()).hexdigest()
+
+
 class TestObstruction:
     def test_single_vertex_minus_four(self):
         result = qa_lattice_obstruction(PlumbingGraph(-4, ()))
@@ -606,20 +628,36 @@ class TestObstruction:
         with pytest.raises(NotNegativeDefiniteError):
             qa_lattice_obstruction(PlumbingGraph(0, ((-2,),) * 4))
 
-    @pytest.mark.parametrize("p, alpha_max, e_min, e_max", [
-        (3, 4, -3, 4),  # the acceptance family
-        (2, 5, -3, 4),
-        (4, 4, -3, 4),
-    ])
-    def test_one_traversal_matches_a_per_rank_replay(self, p, alpha_max, e_min, e_max):
+    @pytest.mark.parametrize("graphs", [
+        lambda: oriented_graphs(3, 4, -3, 4),  # the acceptance family
+        lambda: oriented_graphs(2, 5, -3, 4),
+        lambda: oriented_graphs(4, 4, -3, 4),
+        lambda: random_definite_stars(60, 20261018),
+    ], ids=["3-4--3-4", "2-5--3-4", "4-4--3-4", "random"])
+    def test_one_traversal_matches_a_per_rank_replay(self, graphs, monkeypatch):
         # The search runs on the leg-sorted star, so its witness is that
-        # star's replay witness, relabelled to the caller's legs.
-        for graph in oriented_graphs(p, alpha_max, e_min, e_max):
+        # star's replay witness, relabelled to the caller's legs.  Both
+        # searches meet each node's candidates by fresh-block size,
+        # ascending, which the early stop in ``_place`` relies on.
+        lengths = []
+
+        def checked_candidates(tree, i, touched,
+                               candidates=lattice._OrderlyTree._candidates):
+            out = candidates(tree, i, touched)
+            fresh = [size for _, size in out]
+            assert fresh == sorted(fresh)
+            lengths.append(len(out))
+            return out
+
+        monkeypatch.setattr(lattice._OrderlyTree, "_candidates", checked_candidates)
+        qa_lattice_obstruction.cache_clear()
+        for graph in graphs():
             result = qa_lattice_obstruction(graph)
             got = (result.obstructed, result.witness, result.witness_n)
             assert got == replay_leg_sorted(graph), graph
             assert result.obstructed == (result.leaves == 0)
             assert result.nodes >= result.leaves
+        assert any(length > 1 for length in lengths)
 
     @pytest.mark.parametrize("family", [(3, 4, -3, 4), (2, 5, -3, 4)],
                              ids=["p3-alpha4", "p2-alpha5"])
@@ -650,6 +688,15 @@ class TestObstruction:
         assert result.leaves == 0 and result.pruned > 0
 
 
+    def test_verdicts_are_pinned_on_the_acceptance_family(self):
+        # Pinned under another sibling order: no order of the search may
+        # move a verdict or a minimal rank.
+        results = [qa_lattice_obstruction(graph)
+                   for graph in oriented_graphs(3, 4, -3, 4)]
+        assert len(results) == 262
+        assert verdict_digest(results) == \
+            "6f083731e3aed288795b77dabd12cf9afdf5c2ede63b78cd948a4b7e9388350b"
+
     def test_tree_is_pinned_on_the_acceptance_family(self):
         # Pinned sums and digest of the leg-sorted stars' searches: a change
         # to the tree, to its pruning or to the order of its leaves moves at
@@ -657,13 +704,31 @@ class TestObstruction:
         results = [qa_lattice_obstruction(graph)
                    for graph in oriented_graphs(3, 4, -3, 4)]
         assert len(results) == 262
-        assert sum(result.nodes for result in results) == 2102
-        assert sum(result.leaves for result in results) == 520
-        assert sum(result.pruned for result in results) == 516
+        assert sum(result.nodes for result in results) == 1722
+        assert sum(result.leaves for result in results) == 258
+        assert sum(result.pruned for result in results) == 492
         counters = repr([(result.witness_n, result.nodes, result.leaves, result.pruned)
                          for result in results]).encode()
         assert hashlib.sha256(counters).hexdigest() == \
-            "bd1c7a417b4f349cb108744ed5bd1d1a5a31d91dbd651b7741ed1f062fb1d372"
+            "5f672f4800e883832d993c8a2c2b3e3345044dd5aa6cdf4fa93a1b20d981ce10"
+
+    @pytest.mark.slow
+    def test_verdicts_are_pinned_on_a_heavy_family(self):
+        # The 1,001 leg-sorted stars that ``verify`` searches on p=5,
+        # alpha<=4, e in [-6,8], in the order the family first meets them;
+        # pinned as on the acceptance family.
+        stars = {}
+        for link in enumerate_family(5, 4, -6, 8, p_min=5):
+            std = to_standard_form(link)
+            if determinant(std) == 0:
+                continue
+            graph = oriented_graph(std)[1]
+            laufer = laufer_run(adjacency_matrix(graph))
+            if laufer.verdict is not LauferVerdict.NOT_RATIONAL:
+                stars.setdefault(leg_sorted(graph)[0])
+        assert len(stars) == 1001
+        assert verdict_digest(map(qa_lattice_obstruction, stars)) == \
+            "d665e682b3684a3fa4b8b91ff2c5f65f124fd88a4e208c2d5bcf7aba9d9c4db7"
 
     def test_searches_leave_no_reference_cycles(self):
         # Reference counting alone must free a finished search and a finished
@@ -686,18 +751,6 @@ class TestObstruction:
             assert gc.collect() == 0
         finally:
             gc.enable()
-
-
-def random_definite_stars(count, seed):
-    """``count`` seeded random negative definite stars with two legs or more."""
-    rng = random.Random(seed)
-    stars = []
-    while len(stars) < count:
-        graph = random_star_graph(rng, max_legs=4, max_leg_len=3,
-                                  central_range=(-5, -1), leg_range=(-4, -2))
-        if len(graph.legs) >= 2 and is_negative_definite(graph):
-            stars.append(graph)
-    return stars
 
 
 class TestLegOrder:
