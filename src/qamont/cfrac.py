@@ -16,7 +16,6 @@ between the two presentations.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import Sequence
 
@@ -38,22 +37,34 @@ def check_coeffs(coeffs: Sequence[int]) -> tuple[int, ...]:
 def cf_expand(t: Fraction | int) -> tuple[int, ...]:
     """Expand a rational t < -1 into its unique coefficient tuple.
 
-    Take a1 = t when t is an integer and a1 = floor(t) otherwise, then
-    recurse on 1/(a1 - t).  Each tail stays below -1, so all coefficients
-    land at or below -2, and the denominator strictly shrinks, so the
-    loop terminates.
+    Only an ``int`` or a ``Fraction`` is accepted: a float is not exact, so
+    it raises ``ValueError`` like any other type.  The expansion itself is
+    ``_expand`` on t's numerator and denominator.
     """
-    t = Fraction(t)
+    if not isinstance(t, (int, Fraction)):
+        raise ValueError(f"cannot expand {t!r}: value must be an int or a Fraction")
     if t >= -1:
         raise ValueError(f"cannot expand {t}: value must be < -1")
+    return _expand(t.numerator, t.denominator)
+
+
+def _expand(num: int, den: int) -> tuple[int, ...]:
+    """The coefficients of t = num/den < -1, given den > 0 and
+    gcd(num, den) = 1.
+
+    Euclid's algorithm on the pair: take a1 = t when den = 1 and
+    a1 = floor(t) = num // den otherwise, then recurse on
+    1/(a1 - t) = -den/(num mod den), again reduced with a positive
+    denominator.  Each tail stays below -1, so all coefficients land at or
+    below -2, and the denominator strictly shrinks, so the loop terminates.
+    """
     coeffs = []
-    while True:
-        if t.denominator == 1:
-            coeffs.append(t.numerator)
-            return tuple(coeffs)
-        a = math.floor(t)
+    while den != 1:
+        a, rem = divmod(num, den)
         coeffs.append(a)
-        t = 1 / (a - t)
+        num, den = -den, rem
+    coeffs.append(num)
+    return tuple(coeffs)
 
 
 def cf_eval(coeffs: Sequence[int]) -> Fraction:

@@ -43,7 +43,7 @@ from typing import Iterator, Sequence
 
 from .errors import NotNegativeDefiniteError
 from .intmat import Matrix, freeze, is_negative_definite_matrix
-from .plumbing import PlumbingGraph, adjacency_matrix, definite_det
+from .plumbing import PlumbingGraph, _definite_det, adjacency_matrix
 
 __all__ = [
     "Embedding",
@@ -507,11 +507,20 @@ def transpose_surjective(emb: Embedding) -> bool:
 
 
 def _critical_primes(d: int) -> tuple[int, ...]:
-    """The primes p with p^2 | d, ascending, by trial division; d != 0."""
+    """The primes p with p^2 | d, ascending; d != 0.
+
+    Trial division takes each p in turn and divides it out of d while
+    p^3 <= d.  What is left then has no prime factor below p and is below
+    p^3, so it has at most two prime factors: it is 1, a prime, a product
+    of two distinct primes or the square of a prime, and only the last
+    holds a critical prime.  So it is critical exactly when it is a
+    perfect square above 1, tested with ``isqrt``; its root is at least p,
+    above every prime found before.
+    """
     d = abs(d)
     primes = []
     p = 2
-    while p * p <= d:
+    while p * p * p <= d:
         if d % p == 0:
             d //= p
             if d % p == 0:
@@ -519,6 +528,9 @@ def _critical_primes(d: int) -> tuple[int, ...]:
             while d % p == 0:
                 d //= p
         p += 1
+    root = isqrt(d)
+    if root > 1 and root * root == d:
+        primes.append(root)
     return tuple(primes)
 
 
@@ -605,14 +617,14 @@ def _obstruction_search(graph: PlumbingGraph) -> tuple[
     So the search is obstructed exactly when it reaches no leaf.  The
     witness's columns, copied when it was found, are returned in vertex
     order on the ``witness_n`` coordinates it touches, not yet
-    canonicalised.  One elimination of q serves both the definiteness
-    guard and det q (``definite_det``).
+    canonicalised.  q is built once, and one elimination of it serves
+    both the definiteness guard and det q (``definite_det``).
     """
-    d = definite_det(graph)
+    q = adjacency_matrix(graph)
+    d = _definite_det(graph, q)
     if d is None:
         raise NotNegativeDefiniteError(
             "the embedding obstruction requires a negative definite plumbing")
-    q = adjacency_matrix(graph)
     tree = _OrderlyTree(q, _rank_bound(q), _critical_primes(d))
     leaves = 0
     witness_cols, witness_n = None, None

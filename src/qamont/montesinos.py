@@ -53,9 +53,19 @@ def tangle_alpha_beta(t: Fraction) -> tuple[int, int]:
     return -num, -den
 
 
+def _integer_tangle(t) -> Fraction:
+    """An int tangle as a Fraction; any other type that is not a Fraction,
+    a float included, raises ``ValueError``: a float is not exact, and
+    ``Fraction(2.1)`` has alpha = 4,728,779,608,739,021."""
+    if not isinstance(t, int):
+        raise ValueError(f"tangle {t!r} must be an int or a Fraction")
+    return Fraction(t)
+
+
 @dataclass(frozen=True, eq=False)
 class MontesinosLink:
-    """Raw Montesinos parameters: integer e plus an ordered tangle tuple."""
+    """Raw Montesinos parameters: integer e plus an ordered tangle tuple,
+    each tangle an ``int`` or a ``Fraction``."""
 
     e: int
     tangles: tuple[Fraction, ...]
@@ -63,7 +73,7 @@ class MontesinosLink:
     def __post_init__(self):
         if not isinstance(self.e, int):
             raise ValueError(f"half-twist count e must be an integer, got {self.e!r}")
-        tangles = tuple(t if isinstance(t, Fraction) else Fraction(t)
+        tangles = tuple(t if isinstance(t, Fraction) else _integer_tangle(t)
                         for t in self.tangles)
         if not tangles:
             raise ValueError("a Montesinos link needs at least one tangle")

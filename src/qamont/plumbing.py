@@ -14,11 +14,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import index
 
-from .cfrac import cf_eval, cf_expand
+from .cfrac import _expand, cf_eval, cf_expand
 from .errors import InternalError, ParseError
 from .intmat import Matrix, det, freeze, negative_definite_det
-from .montesinos import (MontesinosLink, StandardForm, epsilon, reflect,
-                         to_negative_form)
+from .montesinos import MontesinosLink, StandardForm, _scaled_epsilon, reflect
 
 __all__ = [
     "PlumbingGraph",
@@ -59,7 +58,8 @@ class PlumbingGraph:
 
 def build_graph(link: MontesinosLink) -> PlumbingGraph:
     """Plumbing graph of a link in negative form (every tangle < -1);
-    ``cf_expand`` raises ``ValueError`` on any other tangle."""
+    ``cf_expand`` raises ``ValueError`` on any other tangle.  A standard
+    form goes through ``oriented_graph`` instead."""
     return PlumbingGraph(link.e, tuple(cf_expand(t) for t in link.tangles))
 
 
@@ -69,14 +69,23 @@ def oriented_graph(link: StandardForm) -> tuple[StandardForm, PlumbingGraph]:
     The link is reflected when eps > 0; reflection negates eps, so the
     returned side differs from the input exactly when it was reflected.
     With eps < 0 the plumbing is negative definite.  A zero eps (zero
-    determinant) has no such side and is rejected.
+    determinant) has no such side and is rejected.  eps = N/A with A > 0
+    (``_scaled_epsilon``), so its sign is that of the integer N.
+
+    The graph is ``build_graph(to_negative_form(side))``, built on integers:
+    the negative form of a standard tangle alpha/beta is
+    (-alpha)/(alpha - beta), already reduced with a positive denominator, so
+    its leg is ``_expand(-alpha, alpha - beta)``, and the central weight is
+    e - p.  A standard tangle is positive, so alpha and beta are its
+    numerator and denominator.
     """
-    eps = epsilon(link)
-    if eps == 0:
+    n, _ = _scaled_epsilon(link)
+    if n == 0:
         raise ValueError(
             "determinant zero: the double branched cover is not a rational homology sphere")
-    side = reflect(link) if eps > 0 else link
-    return side, build_graph(to_negative_form(side))
+    side = reflect(link) if n > 0 else link
+    legs = tuple(_expand(-t.numerator, t.numerator - t.denominator) for t in side.tangles)
+    return side, PlumbingGraph(side.e - side.p, legs)
 
 
 def adjacency_matrix(graph: PlumbingGraph) -> Matrix:
@@ -97,15 +106,34 @@ def adjacency_matrix(graph: PlumbingGraph) -> Matrix:
 
 
 def seifert_euler_number(graph: PlumbingGraph) -> Fraction:
-    """central weight - sum of 1/value(leg); needs every leg entry <= -2."""
+    """central weight - sum of 1/value(leg); needs every leg entry <= -2.
+
+    This is the ``Fraction`` reference; ``negative_definite_by_sign``
+    decides its sign on integers."""
     if not _legs_are_continued_fractions(graph):
         raise ValueError("leg weights above -2: the Seifert sign test does not apply")
     return Fraction(graph.central_weight) - sum(1 / cf_eval(leg) for leg in graph.legs)
 
 
 def negative_definite_by_sign(graph: PlumbingGraph) -> bool:
-    """Sign test: all legs evaluate below -1 and the Euler number is negative."""
-    return seifert_euler_number(graph) < 0
+    """Sign test: all legs evaluate below -1 and the Euler number is negative.
+
+    The Euler number e - sum of 1/value(leg) is summed as one fraction
+    num/den of integers.  A leg a1, ..., ah evaluates to p/q by the
+    continuant recurrence, right to left from p/q = ah/1: a - 1/(p/q) =
+    (a*p - q)/p.  Then num/den - q/p = (num*p - q*den)/(den*p).  Neither
+    den nor a leg's q keeps one sign, so the Euler number is negative
+    exactly when num * den < 0; it is 0, and the test False, when num is.
+    """
+    if not _legs_are_continued_fractions(graph):
+        raise ValueError("leg weights above -2: the Seifert sign test does not apply")
+    num, den = graph.central_weight, 1
+    for leg in graph.legs:
+        p, q = leg[-1], 1
+        for a in leg[-2::-1]:
+            p, q = a * p - q, p
+        num, den = num * p - q * den, den * p
+    return num * den < 0
 
 
 def definite_det(graph: PlumbingGraph) -> int | None:
@@ -118,7 +146,12 @@ def definite_det(graph: PlumbingGraph) -> int | None:
     test applies as well and the two must agree; a mismatch would be a
     bug, not a property of the input.
     """
-    d = negative_definite_det(adjacency_matrix(graph))
+    return _definite_det(graph, adjacency_matrix(graph))
+
+
+def _definite_det(graph: PlumbingGraph, q: Matrix) -> int | None:
+    """``definite_det`` on the caller's ``adjacency_matrix(graph)``, ``q``."""
+    d = negative_definite_det(q)
     if _legs_are_continued_fractions(graph):
         if negative_definite_by_sign(graph) != (d is not None):
             raise InternalError(

@@ -67,6 +67,17 @@ def test_expand_rejects_values_at_or_above_minus_one(bad):
         cf_expand(bad)
 
 
+@pytest.mark.parametrize("bad", [-2.5, -3.0, "-7/3"])
+def test_expand_rejects_anything_but_an_int_or_a_fraction(bad):
+    # a float is not exact: -2.5 once expanded to (-3, -2), the value -5/2
+    with pytest.raises(ValueError, match="int or a Fraction"):
+        cf_expand(bad)
+
+
+def test_expand_takes_an_int():
+    assert cf_expand(-4) == (-4,)
+
+
 def test_eval_rejects_bad_coefficients():
     with pytest.raises(ValueError):
         cf_eval([])

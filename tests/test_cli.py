@@ -350,6 +350,17 @@ class TestDeterminism:
         assert len(out.splitlines()) == 280 + (fmt == "tsv")
         assert hashlib.sha256(out.encode()).hexdigest() == self.FAMILY_DIGESTS[fmt]
 
+    # sha256 of the verified, explained jsonl of the same family, taken at
+    # commit a0dc7a5, before the verify set-up (sign test, legs, critical
+    # primes) ran on integers.
+    VERIFIED_DIGEST = "8ef1f3f1a632329396f75dc04cd2f0630220d542e1b0220a581f8d6e75304015"
+
+    def test_verified_family_explain_is_pinned(self, capsys):
+        code, out, _ = run(capsys, *self.FAMILY_ARGS, "--verify", "--explain")
+        assert code == 0
+        assert len(out.splitlines()) == 280
+        assert hashlib.sha256(out.encode()).hexdigest() == self.VERIFIED_DIGEST
+
     def test_calls_in_one_process_share_no_state(self, tmp_path, capsys):
         # One parser serves every call of main; each call starts from the
         # defaults, whatever subcommand and flags the call before it had.

@@ -345,6 +345,32 @@ class TestSurjectivity:
                 assert lattice._critical_primes(d) == \
                     tuple(primes_with_square_dividing(d)), d
 
+    def test_critical_primes_on_structured_values(self):
+        # Values built from known primes up to 10^4, so the expected primes
+        # are known by construction: p^2 q, p q^2, p^3, p^2 q^2, p q and
+        # p^5 q, and, for consecutive primes r < s, values whose cofactor
+        # left after trial division is a prime square just past the
+        # cube-root bound.
+        sieve = bytearray([1]) * 10_001
+        sieve[:2] = b"\0\0"
+        for i in range(2, 101):
+            if sieve[i]:
+                sieve[i * i::i] = bytearray(len(sieve[i * i::i]))
+        primes = [i for i, is_prime in enumerate(sieve) if is_prime]
+        rng = random.Random(18)
+        cases = []
+        for _ in range(100):
+            p, q = sorted(rng.sample(primes, 2))
+            cases += [(p * p * q, (p,)), (p * q * q, (q,)), (p ** 3, (p,)),
+                      (p * p * q * q, (p, q)), (p * q, ()), (p ** 5 * q, (p,))]
+        for r, s, t in zip(primes[-20:], primes[-19:], primes[-18:]):
+            cases += [(s * s, (s,)), (2 * s * s, (s,)), (r * s * s, (s,)),
+                      (r * r * s, (r,)), (r * s * t, ()), (4 * r * s, (2,)),
+                      (4 * s * s, (2, s)), (r ** 3 * t * t, (r, t))]
+        for d, expected in cases:
+            assert lattice._critical_primes(d) == expected, d
+            assert lattice._critical_primes(-d) == expected, -d
+
     @pytest.mark.parametrize("family, counts", [
         ((2, 5, -3, 4), (1036, 1460, 118)),
         ((3, 4, -3, 4), (522, 2345, 584)),

@@ -34,6 +34,16 @@ class TestConstruction:
         with pytest.raises(ValueError):
             M(0, Fraction(-1, 3))
 
+    @pytest.mark.parametrize("tangles", [(2.1, 3), (Fraction(5, 2), 3.0), ("5/2",)])
+    def test_rejects_tangles_that_are_not_ints_or_fractions(self, tangles):
+        # Fraction(2.1) has alpha = 4,728,779,608,739,021; verify on such a
+        # link did not finish
+        with pytest.raises(ValueError, match="int or a Fraction"):
+            MontesinosLink(0, tangles)
+
+    def test_int_tangles_become_fractions(self):
+        assert MontesinosLink(0, (2, -3)).tangles == (Fraction(2), Fraction(-3))
+
     def test_rejects_empty_tangle_list(self):
         with pytest.raises(ValueError):
             MontesinosLink(0, ())

@@ -6,11 +6,11 @@ from conftest import random_star_graph
 from qamont.classifier import enumerate_family
 from qamont.errors import ParseError
 from qamont.intmat import det, is_negative_definite_matrix
-from qamont.montesinos import (MontesinosLink, determinant, epsilon,
+from qamont.montesinos import (MontesinosLink, determinant, epsilon, reflect,
                                to_negative_form)
 from qamont.plumbing import (PlumbingGraph, adjacency_matrix, build_graph,
                              definite_det, format_graph, h1_order, is_negative_definite,
-                             negative_definite_by_sign, parse_graph,
+                             negative_definite_by_sign, oriented_graph, parse_graph,
                              seifert_euler_number)
 
 
@@ -40,6 +40,24 @@ class TestBuildGraph:
     def test_leg_weights_must_be_integers(self):
         with pytest.raises(ValueError, match="integers"):
             PlumbingGraph(-2, ((-2.7,),))
+
+
+class TestOrientedGraph:
+    def test_integer_legs_match_the_negative_form(self):
+        # oriented_graph builds its legs on integers; build_graph of the
+        # negative form, through Fractions, is the reference
+        checked = zero = 0
+        for std in enumerate_family(3, 5, -3, 5):
+            if determinant(std) == 0:
+                with pytest.raises(ValueError, match="determinant zero"):
+                    oriented_graph(std)
+                zero += 1
+                continue
+            side, graph = oriented_graph(std)
+            assert side == (reflect(std) if epsilon(std) > 0 else std)
+            assert graph == build_graph(to_negative_form(side))
+            checked += 1
+        assert (checked, zero) == (1958, 13)
 
 
 class TestAdjacency:
@@ -93,6 +111,31 @@ class TestDefiniteness:
             definite = negative_definite_by_matrix(graph)
             assert negative_definite_by_sign(graph) == definite
             assert definite_det(graph) == (det(adjacency_matrix(graph)) if definite else None)
+
+    def test_sign_test_matches_the_euler_number_on_random_stars(self, rng):
+        # the integer sign test against the Fraction reference, on central
+        # weights that make the Euler number negative, zero and positive
+        signs = set()
+        for _ in range(2000):
+            graph = random_star_graph(rng, max_legs=5, max_leg_len=4,
+                                      central_range=(-4, 2), leg_range=(-4, -2))
+            euler = seifert_euler_number(graph)
+            signs.add((euler > 0) - (euler < 0))
+            assert negative_definite_by_sign(graph) == (euler < 0), graph
+        assert signs == {-1, 0, 1}
+
+    @pytest.mark.parametrize("graph", [
+        PlumbingGraph(-1, ((-3,),) * 3),
+        PlumbingGraph(-1, ((-2,),) * 2),
+        PlumbingGraph(-1, ((-3,), (-2, -2))),
+    ], ids=["three-legs-of-3", "two-legs-of-2", "3-and-2-2"])
+    def test_zero_euler_number_is_not_definite(self, graph):
+        # num = 0 with a denominator of either sign: not negative, and the
+        # two definiteness checks in definite_det agree (det Q = 0)
+        assert seifert_euler_number(graph) == 0
+        assert not negative_definite_by_sign(graph)
+        assert definite_det(graph) is None
+        assert det(adjacency_matrix(graph)) == 0
 
     def test_methods_agree_on_family_graphs(self):
         for link in enumerate_family(3, 4, -2, 3):
