@@ -221,9 +221,9 @@ class _OrderlyTree:
     * ``bases[t]`` holds the placed columns in echelon form mod primes[t],
       one entry per column, in placement order; ``_extend_bases`` appends
       to each basis when a column is placed and ``_place`` pops it when the
-      column is removed, so a basis always matches ``cols``.  A leaf's last
-      column is only tested, never appended: no child reads its entry.
-      With no primes the prune costs one truth test per candidate.
+      column is removed, so a basis always matches ``cols``, a leaf's last
+      column included.  With no primes the prune costs one truth test per
+      candidate.
 
     Nothing the walk builds refers to itself (``_candidates`` drops its
     recursive closure before it returns), so a finished or abandoned walk is
@@ -239,11 +239,9 @@ class _OrderlyTree:
         self.high = n
         self.cols: list[tuple[int, ...]] = []
         self.nodes = 0
-        self.norms = [-self.q[i][i] for i in range(k)]
-        # colsq[j][c]: the squared norm of placed column j on coordinates >= c.
-        self.colsq: list[list[int]] = []
-        # support[c]: (j, cols[j][c], colsq[j][c + 1]) for each placed column j
-        # nonzero at coordinate c, in placement order.
+        # support[c]: (j, cols[j][c], the squared norm of cols[j] on the
+        # coordinates after c) for each placed column j nonzero at
+        # coordinate c, in placement order.
         self.support: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
         # same[c]: row c agrees with row c - 1 on every column placed so far.
         self.same = [False] * n
@@ -267,16 +265,15 @@ class _OrderlyTree:
         if i == len(self.q):
             yield touched
             return
-        cols, colsq, support, same = self.cols, self.colsq, self.support, self.same
+        cols, support, same = self.cols, self.support, self.same
         primes = self.primes
-        last = i + 1 == len(self.q)
         for col, fresh in self._candidates(i, touched):
             end = touched + fresh
             # ``high`` may have fallen since the candidates were cut; the
             # rest touch at least as many coordinates
             if end > self.high:
                 return
-            if primes and not self._extend_bases(col, end, last):
+            if primes and not self._extend_bases(col, end):
                 self.pruned += 1
                 continue
             saved = same[:end]
@@ -285,35 +282,29 @@ class _OrderlyTree:
             for c in range(1, end):
                 same[c] = col[c] == col[c - 1] and (same[c] if c < touched
                                                     else c > touched)
-            sq = [0] * (self.n + 1)
+            tail = 0
             nonzero = []
             for c in range(end - 1, -1, -1):
                 v = col[c]
-                sq[c] = sq[c + 1] + v * v
                 if v:
-                    support[c].append((i, v, sq[c + 1]))
+                    support[c].append((i, v, tail))
                     nonzero.append(c)
+                    tail += v * v
             cols.append(col)
-            colsq.append(sq)
             self.nodes += 1
             yield from self._place(i + 1, end)
             for c in nonzero:
                 support[c].pop()
             cols.pop()
-            colsq.pop()
             same[:end] = saved
-            if primes and not last:
-                for basis in self.bases:
-                    basis.pop()
-            if touched > self.high:
-                return  # every further child touches too many coordinates
+            for basis in self.bases:
+                basis.pop()
 
-    def _extend_bases(self, col: tuple[int, ...], end: int, last: bool) -> bool:
-        """Reduce ``col`` (zero from ``end`` on) in place against the
-        echelon basis mod each of ``primes``.  If it reduces to zero mod one
-        of them, change nothing and return False.  Else, unless ``col`` is
-        a leaf's ``last`` column, append its reduction, scaled to 1 at its
-        pivot, to every basis; return True."""
+    def _extend_bases(self, col: tuple[int, ...], end: int) -> bool:
+        """Reduce ``col`` (zero from ``end`` on) against the echelon basis
+        mod each of ``primes``.  If it reduces to zero mod one of them,
+        change nothing and return False.  Else append its reduction, scaled
+        to 1 at its pivot, to every basis and return True."""
         reduced = []
         for p, basis in zip(self.primes, self.bases):
             v = [x % p for x in col[:end]]
@@ -328,10 +319,9 @@ class _OrderlyTree:
                     break
             else:
                 return False
-            if not last:
-                inverse = pow(x, -1, p)
-                reduced.append((pivot, [(t, y * inverse % p)
-                                        for t in range(pivot + 1, end) if (y := v[t])]))
+            inverse = pow(x, -1, p)
+            reduced.append((pivot, [(t, y * inverse % p)
+                                    for t in range(pivot + 1, end) if (y := v[t])]))
         for basis, entry in zip(self.bases, reduced):
             basis.append(entry)
         return True
@@ -344,21 +334,23 @@ class _OrderlyTree:
         coordinate by coordinate, then the fresh blocks.
 
         ``gap[j]`` is the dot product column j still needs with column i.
-        Cauchy-Schwarz cuts a prefix whose remaining norm cannot close a gap:
-        gap^2 > rem * colsq[j][c].  It is tested before descending to c + 1.
-        A column zero at c keeps its gap, so for all of those together it
-        bounds |v| by isqrt(rem - max ceil(gap^2 / colsq[j][c])); only the
-        columns nonzero at c (``support[c]``) change their gap and are
-        tested value by value.  At the fresh block every gap is zero, since
-        no placed column reaches past ``touched``.
+        Only the columns nonzero at c (``support[c]``) change their gap
+        there, and each is tested value by value against its squared norm
+        ``s`` on the coordinates after c: Cauchy-Schwarz cuts a prefix whose
+        remaining norm cannot close the gap, gap^2 > rem * s.  That one test
+        also makes every gap exact.  At column j's last nonzero coordinate
+        s = 0, so the gap must be 0 there, and it stays 0 after, where
+        column j is zero.  Every placed column is nonzero somewhere below
+        ``touched``, so every gap is 0 at the fresh block, whose blocks then
+        fill the norm exactly.  A bound that cut a prefix earlier (on the
+        columns zero at c, or on whole norms before the walk) would cut
+        only prefixes that this test cuts later, so it would change no
+        candidate and no order.
         """
-        cols, colsq, support, same = self.cols, self.colsq, self.support, self.same
+        support, same = self.support, self.same
         n, high = self.n, self.high
-        norm = self.norms[i]
         gap = [-x for x in self.q[i][:i]]
         out: list[tuple[tuple[int, ...], int]] = []
-        if any(d * d > norm * colsq[j][0] for j, d in enumerate(gap)):
-            return out
         prefix = [0] * touched
 
         def walk(c: int, rem: int) -> None:
@@ -368,14 +360,7 @@ class _OrderlyTree:
                     out.append((head + part + (0,) * (n - touched - len(part)),
                                 len(part)))
                 return
-            floor = 0
-            for j in range(i):
-                d = gap[j]
-                if d and not cols[j][c]:
-                    need = -(-d * d // colsq[j][c])
-                    if need > floor:
-                        floor = need
-            bound = isqrt(rem - floor)
+            bound = isqrt(rem)
             # rows equal on every placed column keep non-increasing entries
             top = min(bound, prefix[c - 1]) if same[c] else bound
             nz = support[c]
@@ -394,7 +379,7 @@ class _OrderlyTree:
                         gap[j] += v * a
             prefix[c] = 0
 
-        walk(0, norm)
+        walk(0, -self.q[i][i])
         walk = None  # the closure refers to itself; drop that cycle here
         out.sort(key=_fresh)
         return out

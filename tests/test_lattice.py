@@ -387,7 +387,7 @@ class TestSurjectivity:
             for n, embeddings in embeddings_by_rank(q):
                 for emb in embeddings:
                     tree = lattice._OrderlyTree(q, n, primes)
-                    independent = all(tree._extend_bases(col, n, False)
+                    independent = all(tree._extend_bases(col, n)
                                       for col in emb.columns())
                     assert independent == all(rank_mod(emb.matrix, p) == emb.k
                                               for p in primes)
@@ -665,6 +665,10 @@ class TestObstruction:
         # star's replay witness, relabelled to the caller's legs.  Both
         # searches meet each node's candidates by fresh-block size,
         # ascending, which the early stop in ``_place`` relies on.
+        # ``_candidates`` tests only the placed columns nonzero at each
+        # coordinate, with no look-ahead on the others, so each column it
+        # returns is checked to close every gap and fill its norm exactly,
+        # and to touch nothing past its fresh block.
         lengths = []
 
         def checked_candidates(tree, i, touched,
@@ -672,6 +676,12 @@ class TestObstruction:
             out = candidates(tree, i, touched)
             fresh = [size for _, size in out]
             assert fresh == sorted(fresh)
+            assert len(tree.cols) == i
+            for col, size in out:
+                for j, placed in enumerate(tree.cols):
+                    assert sum(a * b for a, b in zip(col, placed)) == -tree.q[i][j]
+                assert sum(a * a for a in col) == -tree.q[i][i]
+                assert not any(col[touched + size:])
             lengths.append(len(out))
             return out
 
