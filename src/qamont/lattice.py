@@ -8,13 +8,12 @@ enumeration yields exactly one representative per orbit by orderly
 generation: the backtracking search places columns in ascending norm order
 (ties by vertex index) and its tree holds exactly one matrix per orbit, the
 orbit's lex leader in placement order (rows sign-normalised so their first
-nonzero entry is positive, then sorted in decreasing order).  Two rules
-make it so:
-
-* a new column may use already-touched coordinates plus a block of fresh
-  coordinates whose entries must be positive and non-increasing;
-* along each run of rows that agree on every column placed so far, the new
-  column's entries must be non-increasing.
+nonzero entry is positive, then sorted in decreasing order).  One rule
+makes it so: a new column's entries are non-increasing along each run of
+rows that agree on every column placed so far, and a row's first nonzero
+entry is positive.  The rows no column touches yet are all zero, so they
+are one such run, and on them the rule leaves a block of positive,
+non-increasing entries right after the touched rows.
 
 Every leaf is a new orbit, so nothing is stored to deduplicate; each leaf
 that is reported is mapped back to the caller's vertex order and
@@ -89,24 +88,6 @@ def gram_matches(emb: Embedding, q: Matrix) -> bool:
     return gram_matrix(emb) == freeze(q)
 
 
-@lru_cache(maxsize=None)
-def _square_partitions(total: int, max_len: int,
-                       max_val: int | None = None) -> tuple[tuple[int, ...], ...]:
-    """Non-increasing positive tuples whose squares sum to ``total``."""
-    if total == 0:
-        return ((),)
-    if max_len <= 0:
-        return ()
-    top = isqrt(total)
-    if max_val is not None and max_val < top:
-        top = max_val
-    out = []
-    for e in range(top, 0, -1):
-        for rest in _square_partitions(total - e * e, max_len - 1, e):
-            out.append((e,) + rest)
-    return tuple(out)
-
-
 def _canonical_rows(cols: Sequence[Sequence[int]], n: int) -> Matrix:
     rows = []
     for r in range(n):
@@ -159,21 +140,21 @@ class _OrderlyTree:
 
     * Every orbit has exactly one leader: the sign of a nonzero row and the
       sorted order of a multiset of rows are unique.
-    * The leader is a leaf of the tree.  Sorted descending, its rows group
-      by the column of their first nonzero entry, earliest column first, so
-      at column i the rows first touched there form a block right after the
-      touched ones, with positive (sign-normalised) and non-increasing
-      (sorted) entries: the fresh-block rule.  Rows that agree on every
-      earlier column are ordered by their entry in column i, so that entry
-      is non-increasing along each run of such rows: the cap on v.  The
-      Cauchy-Schwarz prune is a valid bound on every embedding, the leader
-      included.
+    * The leader is a leaf of the tree.  Sorted descending, its rows that
+      agree on every earlier column are ordered by their entry in column i,
+      so that entry is non-increasing along each run of such rows: the cap
+      on v, which ``same`` tracks for every row.  The rows zero on every
+      earlier column are one such run, so the rows first touched at column
+      i form a block right after the touched ones, with positive
+      (sign-normalised) and non-increasing entries: the fresh block is the
+      cap on the untouched rows.  The Cauchy-Schwarz prune is a valid bound
+      on every embedding, the leader included.
     * Distinct leaves give distinct leaders.  A leaf's matrix is sign-
       normalised (each row's first nonzero entry is a fresh-block entry,
-      hence positive) and sorted (adjacent rows either start in different
-      columns, the earlier one first, or agree up to a column where the
-      cap makes the lower row's entry no larger), so it is its own orbit's
-      leader; distinct paths place distinct column sets.
+      hence positive) and sorted (adjacent rows agree up to the first
+      column where they differ, and there the cap makes the lower row's
+      entry the smaller), so it is its own orbit's leader; distinct paths
+      place distinct column sets.
 
     So every orbit is reached exactly once and no leaf needs a duplicate
     check.  ``embedding`` maps a leaf back to the caller's vertex order and
@@ -194,10 +175,11 @@ class _OrderlyTree:
     at the first candidate that touches more than the ``high`` in force when
     its turn comes, since every later one touches at least as many
     coordinates.  That is exactly the set of children, in the same order, of
-    a node whose fresh blocks were cut lazily: ``_square_partitions`` lists
-    the blocks of a shorter bound as a subsequence of those of a longer one,
-    and a stable sort by size commutes with dropping every candidate above
-    a size: either way the ones kept come by size, then in walk order.
+    a node whose fresh blocks were cut lazily: the walk cut at a lower
+    ``high`` emits the candidates of the walk cut at a higher one that touch
+    no more than the lower ``high`` coordinates, in the same order, and a
+    stable sort by size commutes with dropping every candidate above a
+    size: either way the ones kept come by size, then in walk order.
 
     The mod-p prune, given the critical primes of q (the primes p with
     p^2 | det q), keeps exactly the leaves whose transpose is onto, in the
@@ -243,8 +225,9 @@ class _OrderlyTree:
         # coordinates after c) for each placed column j nonzero at
         # coordinate c, in placement order.
         self.support: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
-        # same[c]: row c agrees with row c - 1 on every column placed so far.
-        self.same = [False] * n
+        # same[c]: row c agrees with row c - 1 on every column placed so far;
+        # so far every row is zero.
+        self.same = [False] + [True] * (n - 1)
         self.primes = primes
         # bases[t]: (pivot, tail) per placed column, the placed columns in
         # echelon form mod primes[t]: each vector is 1 at its pivot, 0 before
@@ -276,12 +259,10 @@ class _OrderlyTree:
             if primes and not self._extend_bases(col, end):
                 self.pruned += 1
                 continue
-            saved = same[:end]
-            # The first fresh row differs from the touched rows above it on
-            # an earlier column; later fresh rows are zero there.
-            for c in range(1, end):
-                same[c] = col[c] == col[c - 1] and (same[c] if c < touched
-                                                    else c > touched)
+            # col is zero past end, so same changes at most up to end
+            saved = same[:end + 1]
+            for c in range(1, min(end + 1, self.n)):
+                same[c] = same[c] and col[c] == col[c - 1]
             tail = 0
             nonzero = []
             for c in range(end - 1, -1, -1):
@@ -296,7 +277,7 @@ class _OrderlyTree:
             for c in nonzero:
                 support[c].pop()
             cols.pop()
-            same[:end] = saved
+            same[:end + 1] = saved
             for basis in self.bases:
                 basis.pop()
 
@@ -330,8 +311,14 @@ class _OrderlyTree:
         """The columns that may be placed as column i after ``touched``
         coordinates are in use, each with the size of its fresh block, in
         search order: by fresh-block size, ascending, then in walk order,
-        that is entries on the touched coordinates in increasing order
-        coordinate by coordinate, then the fresh blocks.
+        coordinate by coordinate: entries on the touched coordinates in
+        increasing order, then fresh entries in decreasing order.
+
+        One walk builds the whole column under the orderly cap.  Past
+        ``touched`` the rows are zero on every placed column, so ``same``
+        holds among them and the cap makes the fresh block non-increasing;
+        its entries start their rows, so they are positive.  The walk emits
+        the column once the norm is filled there and stops at ``high``.
 
         ``gap[j]`` is the dot product column j still needs with column i.
         Only the columns nonzero at c (``support[c]``) change their gap
@@ -341,8 +328,8 @@ class _OrderlyTree:
         also makes every gap exact.  At column j's last nonzero coordinate
         s = 0, so the gap must be 0 there, and it stays 0 after, where
         column j is zero.  Every placed column is nonzero somewhere below
-        ``touched``, so every gap is 0 at the fresh block, whose blocks then
-        fill the norm exactly.  A bound that cut a prefix earlier (on the
+        ``touched``, so every gap is 0 at the fresh block, which then only
+        has to fill the norm.  A bound that cut a prefix earlier (on the
         columns zero at c, or on whole norms before the walk) would cut
         only prefixes that this test cuts later, so it would change no
         candidate and no order.
@@ -351,20 +338,19 @@ class _OrderlyTree:
         n, high = self.n, self.high
         gap = [-x for x in self.q[i][:i]]
         out: list[tuple[tuple[int, ...], int]] = []
-        prefix = [0] * touched
+        prefix = [0] * n
 
         def walk(c: int, rem: int) -> None:
-            if c == touched:
-                head = tuple(prefix)
-                for part in _square_partitions(rem, high - touched):
-                    out.append((head + part + (0,) * (n - touched - len(part)),
-                                len(part)))
+            if c >= touched and not rem:
+                out.append((tuple(prefix), c - touched))
+                return
+            if c == high:
                 return
             bound = isqrt(rem)
             # rows equal on every placed column keep non-increasing entries
             top = min(bound, prefix[c - 1]) if same[c] else bound
-            nz = support[c]
-            for v in range(-bound, top + 1):
+            nz = support[c]  # empty past touched
+            for v in range(-bound, top + 1) if c < touched else range(top, 0, -1):
                 rest = rem - v * v
                 for j, a, s in nz:
                     d = gap[j] - v * a
@@ -419,9 +405,9 @@ def embeddings_by_rank(q: Matrix, n_max: int | None = None
 
     One walk of the orderly tree at rank N files each leaf under its rank.
     Its leaves of rank n are the rank-n tree's, in the same depth-first
-    order: the walk over touched coordinates, the orderly cap and the
-    Cauchy-Schwarz prune do not depend on n; the rank-n fresh blocks are the
-    N tree's ``_square_partitions`` of length at most n - touched, and the
+    order: the walk, the orderly cap and the Cauchy-Schwarz prune do not
+    depend on n, except that the walk stops at ``high``, so the rank-n
+    candidates are the N tree's that touch at most n coordinates, and the
     stable sort by fresh-block size keeps them in the same order; and
     touched counts only grow along a path, so a node cut for touching more
     than n coordinates has no leaf of rank n.
@@ -545,8 +531,9 @@ def qa_lattice_obstruction(graph: PlumbingGraph) -> ObstructionResult:
     permutation).  So ``obstructed`` and ``witness_n`` do not depend on
     the leg order.  The witness is the sorted star's first surjective
     embedding (``_obstruction_search``), with its columns relabelled to
-    the caller's vertex order and canonicalised once; it satisfies the
-    Gram condition against the caller's ``adjacency_matrix(graph)``.
+    the caller's vertex order and canonicalised on every call, cache hits
+    included; it satisfies the Gram condition against the caller's
+    ``adjacency_matrix(graph)``.
     ``nodes``, ``leaves`` and ``pruned`` count the sorted star's search.
     An input whose legs are already sorted is searched as given.
     """

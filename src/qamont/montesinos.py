@@ -22,6 +22,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
+from operator import index
 
 from .errors import ParseError
 
@@ -71,8 +72,12 @@ class MontesinosLink:
     tangles: tuple[Fraction, ...]
 
     def __post_init__(self):
-        if not isinstance(self.e, int):
-            raise ValueError(f"half-twist count e must be an integer, got {self.e!r}")
+        if type(self.e) is not int:  # a bool or an integer type: store an int
+            try:
+                object.__setattr__(self, "e", index(self.e))
+            except TypeError:
+                raise ValueError(
+                    f"half-twist count e must be an integer, got {self.e!r}") from None
         tangles = tuple(t if isinstance(t, Fraction) else _integer_tangle(t)
                         for t in self.tangles)
         if not tangles:

@@ -40,8 +40,10 @@ class PlumbingGraph:
     legs: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        if not isinstance(self.central_weight, int):
-            raise ValueError("central weight must be an integer")
+        try:
+            central_weight = index(self.central_weight)
+        except TypeError:
+            raise ValueError("central weight must be an integer") from None
         try:
             legs = tuple(tuple(map(index, leg)) for leg in self.legs)
         except TypeError as exc:
@@ -49,6 +51,7 @@ class PlumbingGraph:
         for leg in legs:
             if not leg:
                 raise ValueError("legs must be nonempty")
+        object.__setattr__(self, "central_weight", central_weight)
         object.__setattr__(self, "legs", legs)
 
     @property

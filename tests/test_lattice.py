@@ -668,7 +668,10 @@ class TestObstruction:
         # ``_candidates`` tests only the placed columns nonzero at each
         # coordinate, with no look-ahead on the others, so each column it
         # returns is checked to close every gap and fill its norm exactly,
-        # and to touch nothing past its fresh block.
+        # and to touch nothing past its fresh block.  The walk builds that
+        # block under the orderly cap, which reads ``same`` on every row, so
+        # each block is checked positive, non-increasing and within
+        # ``high``, and ``same`` against the placed columns.
         lengths = []
 
         def checked_candidates(tree, i, touched,
@@ -677,11 +680,18 @@ class TestObstruction:
             fresh = [size for _, size in out]
             assert fresh == sorted(fresh)
             assert len(tree.cols) == i
+            rows = [tuple(col[r] for col in tree.cols) for r in range(tree.n)]
+            assert tree.same[1:] == [rows[c] == rows[c - 1]
+                                     for c in range(1, tree.n)]
             for col, size in out:
                 for j, placed in enumerate(tree.cols):
                     assert sum(a * b for a, b in zip(col, placed)) == -tree.q[i][j]
                 assert sum(a * a for a in col) == -tree.q[i][i]
                 assert not any(col[touched + size:])
+                block = col[touched:touched + size]
+                assert all(v > 0 for v in block)
+                assert list(block) == sorted(block, reverse=True)
+                assert touched + size <= tree.high
             lengths.append(len(out))
             return out
 

@@ -41,6 +41,17 @@ class TestConstruction:
         with pytest.raises(ValueError, match="int or a Fraction"):
             MontesinosLink(0, tangles)
 
+    @pytest.mark.parametrize("e", [1.0, 1.5, "1", None])
+    def test_rejects_a_half_twist_count_that_is_not_an_integer(self, e):
+        with pytest.raises(ValueError, match="must be an integer"):
+            MontesinosLink(e, (Fraction(5, 2), 3))
+
+    def test_bool_half_twist_count_is_stored_as_int(self):
+        link = MontesinosLink(True, (Fraction(5, 2), 3))
+        assert type(link.e) is int
+        assert format_link(link) == "M(1; 5/2, 3)"
+        assert parse_link(format_link(link)) == link
+
     def test_int_tangles_become_fractions(self):
         assert MontesinosLink(0, (2, -3)).tangles == (Fraction(2), Fraction(-3))
 

@@ -41,6 +41,10 @@ class TestBuildGraph:
         with pytest.raises(ValueError, match="integers"):
             PlumbingGraph(-2, ((-2.7,),))
 
+    def test_central_weight_must_be_an_integer(self):
+        with pytest.raises(ValueError, match="integer"):
+            PlumbingGraph(-2.0, ((-2,),))
+
 
 class TestOrientedGraph:
     def test_integer_legs_match_the_negative_form(self):
@@ -164,6 +168,12 @@ class TestGraphFiles:
         for _ in range(20):
             graph = random_star_graph(rng)
             assert parse_graph(format_graph(graph)) == graph
+
+    def test_bool_central_weight_round_trips(self):
+        graph = PlumbingGraph(True, ((-2,),))
+        assert type(graph.central_weight) is int
+        assert format_graph(graph) == "central: 1\nleg: -2\n"
+        assert parse_graph(format_graph(graph)) == graph
 
     def test_parses_comments_and_blanks(self):
         text = "# a comment\n\ncentral: -2\nleg: -2 -2\n"
