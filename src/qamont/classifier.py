@@ -33,7 +33,7 @@ from .lattice import ObstructionResult, qa_lattice_obstruction
 from .laufer import LauferResult, LauferVerdict, laufer_run
 from .montesinos import (MontesinosLink, StandardForm, _scaled_epsilon,
                          canonical_form, determinant, format_link, reflect,
-                         tangle_alpha_beta, to_negative_form, to_standard_form)
+                         to_negative_form, to_standard_form)
 from .plumbing import (PlumbingGraph, adjacency_matrix, format_graph,
                        oriented_graph)
 
@@ -103,7 +103,7 @@ def _strict_pair(std: StandardForm, bigger_reflected: bool) -> tuple[int, int] |
     refl(t_i) > t_j exactly when alpha_i*beta_j > alpha_j*(alpha_i - beta_i).
     Both sides are integers, so the comparison is exact.
     """
-    pairs = list(zip(std.alphas, std.betas))
+    pairs = std.pairs
     for i, (alpha_i, beta_i) in enumerate(pairs):
         for j, (alpha_j, beta_j) in enumerate(pairs):
             if i == j:
@@ -254,8 +254,7 @@ def explain(link: MontesinosLink, evidence: Evidence | None = None,
     std = verdict.normalized
 
     normalization = []
-    for idx, t in enumerate(link.tangles):
-        alpha, beta = tangle_alpha_beta(t)
+    for idx, (t, (alpha, beta)) in enumerate(zip(link.tangles, link.pairs)):
         shift = ((beta % alpha) - beta) // alpha
         if shift:
             normalization.append(
@@ -263,8 +262,8 @@ def explain(link: MontesinosLink, evidence: Evidence | None = None,
     if not normalization:
         normalization.append("already in standard form")
 
-    terms = " - ".join(f"{b}/{a}" for a, b in zip(std.alphas, std.betas))
-    det_computation = f"|{prod(std.alphas)}({std.e} - {terms})| = {verdict.det}"
+    terms = " - ".join(f"{b}/{a}" for a, b in std.pairs)
+    det_computation = f"|{prod(a for a, _ in std.pairs)}({std.e} - {terms})| = {verdict.det}"
 
     report = {
         "input": format_link(link),

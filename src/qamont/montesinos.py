@@ -19,7 +19,7 @@ plumbing.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import prod
 from operator import index
@@ -46,7 +46,9 @@ def tangle_alpha_beta(t: Fraction) -> tuple[int, int]:
     """Write a tangle parameter as alpha/beta with alpha > 0, gcd(alpha, |beta|) = 1.
 
     A Fraction keeps its denominator positive, so the sign of t is the sign
-    of its numerator.
+    of its numerator.  This is the one reader of a link tangle's numerator
+    and denominator: ``MontesinosLink`` calls it once per tangle, when the
+    link is validated, and keeps the results as ``pairs``.
     """
     num, den = t.numerator, t.denominator
     if num > 0:
@@ -66,10 +68,17 @@ def _integer_tangle(t) -> Fraction:
 @dataclass(frozen=True, eq=False)
 class MontesinosLink:
     """Raw Montesinos parameters: integer e plus an ordered tangle tuple,
-    each tangle an ``int`` or a ``Fraction``."""
+    each tangle an ``int`` or a ``Fraction``.
+
+    ``pairs`` holds each tangle's ``tangle_alpha_beta``, derived once, when
+    the link is validated; every reader of alpha and beta reads these
+    integers.  It is not an init, compare or repr field: equality, hash and
+    repr see only e and the tangles.
+    """
 
     e: int
     tangles: tuple[Fraction, ...]
+    pairs: tuple[tuple[int, int], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if type(self.e) is not int:  # a bool or an integer type: store an int
@@ -82,11 +91,13 @@ class MontesinosLink:
                         for t in self.tangles)
         if not tangles:
             raise ValueError("a Montesinos link needs at least one tangle")
-        for t in tangles:
-            if abs(t.numerator) < 2:
-                raise ValueError(f"tangle {t} has alpha = {abs(t.numerator)}; "
+        pairs = tuple(map(tangle_alpha_beta, tangles))
+        for t, (alpha, _) in zip(tangles, pairs):
+            if alpha < 2:
+                raise ValueError(f"tangle {t} has alpha = {alpha}; "
                                  "tangles must have alpha >= 2")
         object.__setattr__(self, "tangles", tangles)
+        object.__setattr__(self, "pairs", pairs)
 
     # Equality is by value across the standard-form subclass too.
     def __eq__(self, other):
@@ -101,14 +112,6 @@ class MontesinosLink:
     def p(self) -> int:
         return len(self.tangles)
 
-    @property
-    def alphas(self) -> tuple[int, ...]:
-        return tuple(tangle_alpha_beta(t)[0] for t in self.tangles)
-
-    @property
-    def betas(self) -> tuple[int, ...]:
-        return tuple(tangle_alpha_beta(t)[1] for t in self.tangles)
-
     def __str__(self) -> str:
         return format_link(self)
 
@@ -117,15 +120,16 @@ class MontesinosLink:
 class StandardForm(MontesinosLink):
     """A Montesinos link with every tangle > 1, i.e. 0 < beta < alpha.
 
-    The check runs once, here: a frozen ``StandardForm`` stays standard, so
-    the functions that need one take it on trust.  With a positive
-    denominator, t > 1 exactly when its numerator exceeds its denominator.
+    The check runs once, here, on the ``pairs`` derived when the link was
+    validated: a frozen ``StandardForm`` stays standard, so the functions
+    that need one take it on trust.  Its pairs are then each tangle's
+    numerator and denominator, alpha/beta read as integers.
     """
 
     def __post_init__(self):
         super().__post_init__()
-        for t in self.tangles:
-            if t.numerator <= t.denominator:
+        for t, (alpha, beta) in zip(self.tangles, self.pairs):
+            if not 0 < beta < alpha:
                 raise ValueError(f"tangle {t} is not > 1; not in standard form")
 
 
@@ -140,8 +144,7 @@ def to_standard_form(link: MontesinosLink) -> StandardForm:
         return link
     new_e = link.e
     new_tangles = []
-    for t in link.tangles:
-        alpha, beta = tangle_alpha_beta(t)
+    for alpha, beta in link.pairs:
         beta_std = beta % alpha  # nonzero: gcd(alpha, beta) = 1 and alpha >= 2
         new_e += (beta_std - beta) // alpha
         new_tangles.append(Fraction(alpha, beta_std))
@@ -154,7 +157,7 @@ def reflect(link: StandardForm) -> StandardForm:
     Reflection negates eps and is an involution on standard forms.
     """
     _require_standard(link)
-    tangles = tuple(Fraction(a, a - b) for a, b in zip(link.alphas, link.betas))
+    tangles = tuple(Fraction(a, a - b) for a, b in link.pairs)
     return StandardForm(link.p - link.e, tangles)
 
 
@@ -163,7 +166,7 @@ def _scaled_epsilon(link: MontesinosLink) -> tuple[int, int]:
 
     Each A/alpha_i is an exact integer, so N is an integer and eps = N/A.
     """
-    pairs = [tangle_alpha_beta(t) for t in link.tangles]
+    pairs = link.pairs
     a = prod(alpha for alpha, _ in pairs)
     return link.e * a - sum(beta * (a // alpha) for alpha, beta in pairs), a
 
@@ -185,7 +188,7 @@ def to_negative_form(link: StandardForm) -> MontesinosLink:
     is built; eps is unchanged.
     """
     _require_standard(link)
-    tangles = tuple(Fraction(a, b - a) for a, b in zip(link.alphas, link.betas))
+    tangles = tuple(Fraction(a, b - a) for a, b in link.pairs)
     return MontesinosLink(link.e - link.p, tangles)
 
 
@@ -195,14 +198,14 @@ def canonical_form(link: MontesinosLink) -> StandardForm:
     Parameter tuples related by slide moves and tangle reordering map to
     equal canonical forms, so this is the deduplication key used by the
     family enumeration.  A standard form whose tangles are already sorted
-    is returned as it is; that is decided on integers, since with positive
-    denominators a/b >= c/d exactly when a*d >= c*b.
+    is returned as it is; that is decided on its integer pairs, since with
+    positive betas a/b >= c/d exactly when a*d >= c*b.
     """
     std = to_standard_form(link)
-    tangles = std.tangles
-    for s, t in zip(tangles, tangles[1:]):
-        if s.numerator * t.denominator < t.numerator * s.denominator:
-            return StandardForm(std.e, tuple(sorted(tangles, reverse=True)))
+    pairs = std.pairs
+    for (a, b), (c, d) in zip(pairs, pairs[1:]):
+        if a * d < c * b:
+            return StandardForm(std.e, tuple(sorted(std.tangles, reverse=True)))
     return std
 
 
@@ -214,7 +217,7 @@ def slide(link: MontesinosLink, index: int, count: int = 1) -> MontesinosLink:
     """
     if not 0 <= index < link.p:
         raise ValueError(f"tangle index {index} out of range 0..{link.p - 1}")
-    alpha, beta = tangle_alpha_beta(link.tangles[index])
+    alpha, beta = link.pairs[index]
     tangles = list(link.tangles)
     tangles[index] = Fraction(alpha, beta + count * alpha)
     return MontesinosLink(link.e + count, tuple(tangles))

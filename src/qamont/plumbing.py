@@ -78,16 +78,15 @@ def oriented_graph(link: StandardForm) -> tuple[StandardForm, PlumbingGraph]:
     The graph is ``build_graph(to_negative_form(side))``, built on integers:
     the negative form of a standard tangle alpha/beta is
     (-alpha)/(alpha - beta), already reduced with a positive denominator, so
-    its leg is ``_expand(-alpha, alpha - beta)``, and the central weight is
-    e - p.  A standard tangle is positive, so alpha and beta are its
-    numerator and denominator.
+    its leg is ``_expand(-alpha, alpha - beta)`` on the side's ``pairs``,
+    and the central weight is e - p.
     """
     n, _ = _scaled_epsilon(link)
     if n == 0:
         raise ValueError(
             "determinant zero: the double branched cover is not a rational homology sphere")
     side = reflect(link) if n > 0 else link
-    legs = tuple(_expand(-t.numerator, t.numerator - t.denominator) for t in side.tangles)
+    legs = tuple(_expand(-alpha, alpha - beta) for alpha, beta in side.pairs)
     return side, PlumbingGraph(side.e - side.p, legs)
 
 

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import qamont
-from qamont import classifier, cli, plumbing
+from qamont import classifier, cli, montesinos, plumbing
 from qamont.cli import main
 from qamont.errors import InternalError
 from qamont.intmat import is_negative_definite_matrix
@@ -306,6 +306,23 @@ class TestEnumerate:
         assert all(r["canonical"] == r["link"] for r in records)
         assert len(calls) == len(records)
 
+    def test_derives_each_tangle_pair_once(self, capsys, monkeypatch):
+        # A classify-only record reads every alpha and beta from the pairs
+        # its link derived when it was built: p calls per record, no more.
+        real = montesinos.tangle_alpha_beta
+        calls = []
+
+        def counting_alpha_beta(t):
+            calls.append(t)
+            return real(t)
+
+        monkeypatch.setattr(montesinos, "tangle_alpha_beta", counting_alpha_beta)
+        code, out, _ = run(capsys, "enumerate", "--p", "3", "--alpha-max", "4",
+                           "--e-min", "-3", "--e-max", "4")
+        assert code == 0
+        assert len(out.splitlines()) == 280
+        assert len(calls) == 3 * 280
+
     def test_round_trip_of_printed_canonical(self, capsys):
         _, out, _ = run(capsys, "enumerate", "--p-max", "2", "--alpha-max", "4",
                         "--e-min", "-1", "--e-max", "2")
@@ -349,6 +366,22 @@ class TestDeterminism:
         assert code == 0
         assert len(out.splitlines()) == 280 + (fmt == "tsv")
         assert hashlib.sha256(out.encode()).hexdigest() == self.FAMILY_DIGESTS[fmt]
+
+    # sha256 of the classify-only output of p = 4, alpha <= 7, e in [-2, 5],
+    # 38,760 records, taken at commit c555bb5, before each link derived its
+    # tangles' integer pairs once.
+    BULK_ARGS = ("enumerate", "--p", "4", "--alpha-max", "7", "--e-min", "-2", "--e-max", "5")
+    BULK_DIGESTS = {
+        "jsonl": "0b1ff9c326cb2b594a193ae66544a49af8eb83808d3495cfe4687729b83d60bd",
+        "tsv": "88a76e2f692e068e59ef64fb66526a68d66cde4d30fdf20fb1d2aebe9babe723",
+    }
+
+    @pytest.mark.parametrize("fmt", ["jsonl", "tsv"])
+    def test_bulk_family_records_are_pinned(self, capsys, fmt):
+        code, out, _ = run(capsys, *self.BULK_ARGS, "--format", fmt)
+        assert code == 0
+        assert len(out.splitlines()) == 38760 + (fmt == "tsv")
+        assert hashlib.sha256(out.encode()).hexdigest() == self.BULK_DIGESTS[fmt]
 
     # sha256 of the verified, explained jsonl of the same family, taken at
     # commit a0dc7a5, before the verify set-up (sign test, legs, critical

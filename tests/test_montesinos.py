@@ -1,3 +1,5 @@
+import dataclasses
+import pickle
 from fractions import Fraction
 from math import prod
 
@@ -6,8 +8,8 @@ import pytest
 from qamont.errors import ParseError
 from qamont.montesinos import (MontesinosLink, StandardForm, canonical_form,
                                determinant, epsilon, format_link, parse_link,
-                               reflect, slide, to_negative_form,
-                               to_standard_form)
+                               reflect, slide, tangle_alpha_beta,
+                               to_negative_form, to_standard_form)
 from qamont.plumbing import build_graph, h1_order
 
 
@@ -70,6 +72,56 @@ class TestConstruction:
     def test_value_equality_across_classes(self):
         assert StandardForm(1, (Fraction(2),)) == MontesinosLink(1, (Fraction(2),))
 
+    def test_error_messages(self):
+        with pytest.raises(ValueError) as err:
+            M(0, 5, Fraction(-1, 3))
+        assert str(err.value) == "tangle -1/3 has alpha = 1; tangles must have alpha >= 2"
+        with pytest.raises(ValueError) as err:
+            M(0, 0)
+        assert str(err.value) == "tangle 0 has alpha = 0; tangles must have alpha >= 2"
+        with pytest.raises(ValueError) as err:
+            StandardForm(0, (Fraction(5, 2), Fraction(-7, 3)))
+        assert str(err.value) == "tangle -7/3 is not > 1; not in standard form"
+        with pytest.raises(ValueError) as err:
+            StandardForm(0, (Fraction(2, 3),))
+        assert str(err.value) == "tangle 2/3 is not > 1; not in standard form"
+
+
+class TestPairs:
+    """``pairs``: each tangle's (alpha, beta), derived once at validation."""
+
+    def test_pairs_are_tangle_alpha_beta(self, rng):
+        for _ in range(300):
+            link = random_link(rng)
+            assert link.pairs == tuple(map(tangle_alpha_beta, link.tangles))
+            std = to_standard_form(link)
+            assert std.pairs == tuple(map(tangle_alpha_beta, std.tangles))
+            assert all(0 < beta < alpha for alpha, beta in std.pairs)
+
+    def test_int_tangles_have_pairs(self):
+        assert MontesinosLink(0, (2, -3)).pairs == ((2, 1), (3, -1))
+
+    def test_pairs_is_no_init_compare_or_repr_field(self):
+        (field,) = [f for f in dataclasses.fields(MontesinosLink) if f.name == "pairs"]
+        assert not (field.init or field.compare or field.repr)
+        with pytest.raises(TypeError):
+            MontesinosLink(0, (Fraction(5, 2),), ((5, 2),))
+
+    def test_equality_hash_and_repr_ignore_pairs(self):
+        link = M(1, Fraction(5, 2), 3)
+        other = M(1, Fraction(5, 2), 3)
+        object.__setattr__(other, "pairs", ((7, 1), (7, 1)))
+        assert link == other and hash(link) == hash(other)
+        assert repr(link) == repr(other) == \
+            "MontesinosLink(e=1, tangles=(Fraction(5, 2), Fraction(3, 1)))"
+
+    def test_pickle_round_trip(self, rng):
+        for _ in range(50):
+            for link in (random_link(rng), to_standard_form(random_link(rng))):
+                copy = pickle.loads(pickle.dumps(link))
+                assert type(copy) is type(link)
+                assert copy == link and copy.pairs == link.pairs
+
 
 class TestStandardForm:
     def test_examples(self):
@@ -123,7 +175,7 @@ class TestEpsilonAndDeterminant:
     def test_integrality(self, rng):
         for _ in range(300):
             link = random_link(rng)
-            value = epsilon(link) * prod(link.alphas)
+            value = epsilon(link) * prod(alpha for alpha, _ in link.pairs)
             assert value.denominator == 1
 
     def test_det_zero_iff_epsilon_zero(self, rng):
@@ -162,6 +214,23 @@ class TestCanonicalFormAndSlides:
         assert isinstance(canonical, StandardForm)
         assert canonical.e == 1
         assert canonical.tangles == std.tangles
+
+    def test_matches_a_sort_of_the_standard_form(self, rng):
+        # Typed links in random order, slid and signed, so that the sort
+        # branch runs; an enumerated link is already sorted.
+        sorted_before = 0
+        for _ in range(300):
+            link = random_link(rng)
+            tangles = list(link.tangles)
+            rng.shuffle(tangles)
+            typed = MontesinosLink(link.e, tuple(tangles))
+            for _ in range(rng.randint(0, 6)):
+                typed = slide(typed, rng.randrange(typed.p), rng.randint(-3, 3))
+            std = to_standard_form(typed)
+            expected = tuple(sorted(std.tangles, reverse=True))
+            assert canonical_form(typed).tangles == expected
+            sorted_before += std.tangles == expected
+        assert 0 < sorted_before < 300
 
     def test_slide_invariance(self, rng):
         for _ in range(200):
