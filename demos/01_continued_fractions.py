@@ -7,20 +7,22 @@ plumbing leg.  Run: python3 demos/01_continued_fractions.py
 
 from fractions import Fraction
 
-from qamont import cf_eval, cf_expand, prefix_r
+from qamont import (build_graph, cf_expand, format_link, parse_link,
+                    to_negative_form, to_standard_form)
 
 print("Expansions of a few rationals below -1:")
 for t in (Fraction(-2), Fraction(-7, 3), Fraction(-5, 4), Fraction(-17, 5)):
-    coeffs = cf_expand(t)
-    print(f"  {str(t):>6}  ->  {list(coeffs)}  (round-trips: {cf_eval(coeffs) == t})")
+    print(f"  {str(t):>6}  ->  {list(cf_expand(t))}")
 
 print()
-print("The chain identity: n copies of -2 evaluate to -(n+1)/n")
+print("The chain identity: -(n+1)/n expands to n copies of -2")
 for n in range(1, 6):
-    print(f"  {[-2] * n}  ->  {cf_eval([-2] * n)}")
+    t = Fraction(-(n + 1), n)
+    print(f"  {str(t):>6}  ->  {list(cf_expand(t))}")
 
 print()
-print("Prefix values r = -1/value(prefix) always lie strictly between 0 and 1:")
-coeffs = cf_expand(Fraction(-17, 5))
-for length in range(1, len(coeffs) + 1):
-    print(f"  prefix {list(coeffs[:length])}  ->  r = {prefix_r(coeffs, length)}")
+print("Each tangle of a link's negative form expands into one plumbing leg:")
+negative = to_negative_form(to_standard_form(parse_link("M(0; 17/5, 7/3, 2)")))
+print(f"  negative form: {format_link(negative)}")
+for t, leg in zip(negative.tangles, build_graph(negative).legs):
+    print(f"  {str(t):>6}  ->  leg {list(leg)}")

@@ -6,8 +6,8 @@ otherwise unit pairings are absorbed until the fundamental cycle appears.
 Run: python3 demos/04_laufer_algorithm.py
 """
 
-from qamont import (PlumbingGraph, adjacency_matrix, is_lspace, laufer_run,
-                    parse_link)
+from qamont import (LauferVerdict, PlumbingGraph, adjacency_matrix, laufer_run,
+                    parse_link, verify)
 
 E8 = PlumbingGraph(-2, ((-2,), (-2, -2), (-2, -2, -2, -2)))
 print("E8 plumbing (central -2; legs [-2], [-2,-2], [-2,-2,-2,-2]):")
@@ -24,7 +24,9 @@ print(f"  verdict: {result.verdict.value} at step {result.steps}, "
       f"witness vertex {result.witness} (central pairing -1 + 3 = 2)")
 
 print()
-print("L-space detection on links (orientation handled internally):")
+print("L-space detection on links: verify orients each link so that its")
+print("plumbing is negative definite, then runs the sequence on it:")
 for text in ("M(1; 2, 2, 2)", "M(2; 2, 2, 2, 2, 2)", "M(0; 3/2)"):
-    link = parse_link(text)
-    print(f"  {text:<24} L-space: {is_lspace(link)}")
+    evidence = verify(parse_link(text))
+    lspace = evidence.laufer.verdict is LauferVerdict.RATIONAL
+    print(f"  {text:<24} L-space: {lspace}  (verify: {evidence.branch.value})")

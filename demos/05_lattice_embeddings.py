@@ -7,21 +7,22 @@ weights, one representative per signed-permutation orbit.
 Run: python3 demos/05_lattice_embeddings.py
 """
 
-from qamont import (PlumbingGraph, adjacency_matrix, enumerate_embeddings,
-                    gram_matches, h1_order, qa_lattice_obstruction,
-                    transpose_surjective)
+from qamont import (PlumbingGraph, adjacency_matrix, embeddings_by_rank,
+                    gram_matches, qa_lattice_obstruction, transpose_surjective)
+from qamont.plumbing import definite_det
 
 D4 = PlumbingGraph(-2, ((-2,), (-2,), (-2,)))
 q = adjacency_matrix(D4)
 print("All embeddings of the three-legged -2 star (D4 form) into rank 4:")
-for emb in enumerate_embeddings(q, 4):
-    print(f"  rows {emb.matrix}  gram ok: {gram_matches(emb, q)}  "
-          f"surjective transpose: {transpose_surjective(emb)}")
+for _, embeddings in embeddings_by_rank(q, 4):
+    for emb in embeddings:
+        print(f"  rows {emb.matrix}  gram ok: {gram_matches(emb, q)}  "
+              f"surjective transpose: {transpose_surjective(emb)}")
 
 result = qa_lattice_obstruction(D4)
 print(f"\nExhausting ranks 4 to {-sum(q[i][i] for i in range(len(q)))}: "
       f"{'Obstructed' if result.obstructed else 'NotObstructed'}")
-print(f"|det| = {h1_order(D4)} = 2^2, so the search keeps the placed columns"
+print(f"|det| = {abs(definite_det(D4))} = 2^2, so the search keeps the placed columns"
       f" independent mod 2: {result.pruned} candidate columns were dependent"
       f" and cut, and {result.leaves} leaves remained.")
 print("This is the computational reason M(1; 2, 2, 2) is not quasi-alternating.")

@@ -8,7 +8,7 @@ embedding with surjective transpose.  All arithmetic is exact: rationals
 are ``fractions.Fraction`` and matrices are arbitrary-precision integers.
 """
 
-from .cfrac import cf_eval, cf_expand, prefix_r
+from .cfrac import cf_expand
 from .classifier import (Branch, Evidence, Reason, Status, Verdict, classify,
                          enumerate_family, explain, render_explain, verify)
 from .errors import (InternalError, NotNegativeDefiniteError, ParseError,
@@ -16,25 +16,23 @@ from .errors import (InternalError, NotNegativeDefiniteError, ParseError,
 from .lattice import (Embedding, ObstructionResult, embeddings_by_rank,
                       enumerate_embeddings, gram_matches, gram_matrix,
                       qa_lattice_obstruction, transpose_surjective)
-from .laufer import LauferResult, LauferVerdict, is_lspace, laufer_run
+from .laufer import LauferResult, LauferVerdict, laufer_run
 from .montesinos import (MontesinosLink, StandardForm, canonical_form,
                          determinant, epsilon, format_link, parse_link,
                          reflect, slide, to_negative_form, to_standard_form)
 from .plumbing import (PlumbingGraph, adjacency_matrix, build_graph,
-                       format_graph, h1_order, is_negative_definite,
-                       oriented_graph, parse_graph, seifert_euler_number)
+                       format_graph, oriented_graph, parse_graph)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "cf_expand", "cf_eval", "prefix_r",
+    "cf_expand",
     "MontesinosLink", "StandardForm", "parse_link", "format_link",
     "to_standard_form", "reflect", "epsilon", "determinant",
     "to_negative_form", "canonical_form", "slide",
     "PlumbingGraph", "build_graph", "oriented_graph", "adjacency_matrix",
-    "is_negative_definite", "h1_order", "parse_graph", "format_graph",
-    "seifert_euler_number",
-    "LauferResult", "LauferVerdict", "laufer_run", "is_lspace",
+    "parse_graph", "format_graph",
+    "LauferResult", "LauferVerdict", "laufer_run",
     "Embedding", "ObstructionResult", "enumerate_embeddings", "embeddings_by_rank",
     "gram_matrix", "gram_matches", "transpose_surjective", "qa_lattice_obstruction",
     "Status", "Reason", "Branch", "Verdict", "Evidence",

@@ -9,29 +9,17 @@ A continued fraction is a nonempty tuple of integer coefficients, all
 
     a1 - 1/(a2 - 1/( ... - 1/ah)).
 
-Every rational below -1 has exactly one such expansion, and every
-evaluation lands below -1 again; the helpers here move back and forth
-between the two presentations.
+Every rational below -1 has exactly one such expansion, and the
+expansion of a tangle in negative form is the weight list of its plumbing
+leg.  The Fraction evaluation back from coefficients is a test reference
+(``tests/references.py``): no program path runs it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Sequence
 
-__all__ = ["cf_expand", "cf_eval", "prefix_r", "check_coeffs"]
-
-
-def check_coeffs(coeffs: Sequence[int]) -> tuple[int, ...]:
-    """Validate a coefficient sequence: nonempty integers, all <= -2."""
-    cf = tuple(coeffs)
-    if not cf:
-        raise ValueError("continued fraction needs at least one coefficient")
-    for a in cf:
-        if not isinstance(a, int) or a > -2:
-            raise ValueError(
-                f"continued fraction coefficient {a!r} is not an integer <= -2")
-    return cf
+__all__ = ["cf_expand"]
 
 
 def cf_expand(t: Fraction | int) -> tuple[int, ...]:
@@ -65,23 +53,3 @@ def _expand(num: int, den: int) -> tuple[int, ...]:
         num, den = -den, rem
     coeffs.append(num)
     return tuple(coeffs)
-
-
-def cf_eval(coeffs: Sequence[int]) -> Fraction:
-    """Evaluate a coefficient tuple right to left; the result is < -1."""
-    cf = check_coeffs(coeffs)
-    value = Fraction(cf[-1])
-    for a in reversed(cf[:-1]):
-        value = a - 1 / value
-    return value
-
-
-def prefix_r(coeffs: Sequence[int], length: int) -> Fraction:
-    """Return -1 / value of the first ``length`` coefficients.
-
-    The result always lies strictly between 0 and 1.
-    """
-    cf = check_coeffs(coeffs)
-    if not 1 <= length <= len(cf):
-        raise ValueError(f"prefix length {length} out of range 1..{len(cf)}")
-    return -1 / cf_eval(cf[:length])

@@ -31,14 +31,16 @@ from .errors import InternalError, NotNegativeDefiniteError, ParseError
 from .lattice import embeddings_by_rank, qa_lattice_obstruction, transpose_surjective
 from .laufer import laufer_run
 from .montesinos import MontesinosLink, canonical_form, format_link, parse_link
-from .plumbing import adjacency_matrix, is_negative_definite, parse_graph
+from .plumbing import adjacency_matrix, definite_det, parse_graph
 
 _RECORD_FIELDS = ["link", "canonical", "e", "p", "det", "epsilon",
                   "status", "reason", "evidence"]
 
-# A table cell shows a tab or line break in its text as an escape, so that
-# every record stays on one aligned row.
-_CELL_ESCAPES = str.maketrans({"\t": "\\t", "\n": "\\n", "\r": "\\r"})
+# Every line boundary that str.splitlines knows.  tsv cannot carry these or
+# a tab; a table cell shows each as its Python escape, so that every record
+# stays on one aligned row.
+_LINE_BREAKS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+_CELL_ESCAPES = str.maketrans({c: repr(c)[1:-1] for c in "\t" + _LINE_BREAKS})
 
 # A worker pool takes tasks in chunks of _CHUNK and has at most _AHEAD
 # chunks per worker in flight, so memory does not grow with the family.
@@ -146,7 +148,7 @@ def cmd_classify(args) -> int:
     if args.format == "tsv":
         # The link field echoes the text, and tsv has no escape for these.
         for text in texts:
-            if any(c in text for c in "\t\n\r"):
+            if any(c in text for c in "\t" + _LINE_BREAKS):
                 raise ParseError(f"link expression {text!r} holds a tab or line "
                                  "break, which tsv cannot carry; use jsonl")
     links = [(text, parse_link(text)) for text in texts]
@@ -196,7 +198,7 @@ def cmd_embed(args) -> int:
     if args.all:
         # The graph test, unlike the matrix test inside embeddings_by_rank,
         # cross-checks the matrix verdict against the Seifert sign test.
-        if not is_negative_definite(graph):
+        if definite_det(graph) is None:
             raise NotNegativeDefiniteError(
                 "embedding enumeration requires a negative definite form")
         total = 0

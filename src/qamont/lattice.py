@@ -85,6 +85,8 @@ def gram_matrix(emb: Embedding) -> Matrix:
 
 
 def gram_matches(emb: Embedding, q: Matrix) -> bool:
+    """Whether the embedding realises q; ``perfbench/workloads.py`` checks
+    every witness with it."""
     return gram_matrix(emb) == freeze(q)
 
 
@@ -376,6 +378,9 @@ def enumerate_embeddings(q: Matrix, n: int) -> Iterator[Embedding]:
     one representative per signed-permutation orbit, in a deterministic
     order: the rank-n stream of ``embeddings_by_rank(q, n)``.  The stream is
     empty when no embedding exists.
+
+    No program path calls it: ``perfbench/tracing.py`` wraps it by name
+    (``INTRA_MODULE``), and it goes once the tracer stops naming it.
     """
     if n < 1:
         raise ValueError("ambient rank must be positive")

@@ -5,8 +5,9 @@ Q * K: a pairing >= 2 anywhere stops with "not a rational singularity", a
 pairing equal to 1 increments that coordinate, and all pairings <= 0 stop
 with the fundamental cycle of a rational singularity.  For the star-shaped
 graphs built from Montesinos links this verdict decides whether the double
-branched cover is an L-space; that equivalence is only invoked through
-:func:`is_lspace`, never for arbitrary graphs.
+branched cover is an L-space; that equivalence is used only by
+``classifier.verify``, on the plumbing of a link's oriented side, never
+for arbitrary graphs.
 
 References:
 
@@ -27,12 +28,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import InternalError, NotNegativeDefiniteError, StepLimitError
+from .errors import NotNegativeDefiniteError, StepLimitError
 from .intmat import Matrix, freeze, is_negative_definite_matrix, mat_vec
-from .montesinos import MontesinosLink, to_standard_form
-from .plumbing import adjacency_matrix, is_negative_definite, oriented_graph
 
-__all__ = ["LauferVerdict", "LauferResult", "laufer_run", "is_lspace"]
+__all__ = ["LauferVerdict", "LauferResult", "laufer_run"]
 
 STEP_LIMIT = 1_000_000  # a guard; on a negative definite form the sequence ends
 
@@ -75,18 +74,3 @@ def laufer_run(q: Matrix) -> LauferResult:
             return LauferResult(LauferVerdict.RATIONAL, step, tuple(cycle), None)
         cycle[ones[0]] += 1
     raise StepLimitError(f"no termination within {STEP_LIMIT} steps")
-
-
-def is_lspace(link: MontesinosLink) -> bool:
-    """Whether the double branched cover of the link is an L-space.
-
-    Requires nonzero determinant (a rational homology sphere).  The link is
-    oriented by ``oriented_graph`` so that eps < 0, which makes the plumbing
-    of its negative form negative definite; the L-space property does not
-    depend on that orientation choice.
-    """
-    _, graph = oriented_graph(to_standard_form(link))
-    if not is_negative_definite(graph):  # cannot happen when eps < 0
-        raise InternalError("oriented plumbing is not negative definite")
-    result = laufer_run(adjacency_matrix(graph))
-    return result.verdict is LauferVerdict.RATIONAL

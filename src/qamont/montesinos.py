@@ -155,6 +155,8 @@ def reflect(link: StandardForm) -> StandardForm:
     """Mirror image in standard form: M(p - e; alpha_i/(alpha_i - beta_i)).
 
     Reflection negates eps and is an involution on standard forms.
+    ``oriented_graph`` and ``explain`` call it, and so does
+    ``perfbench/workloads.py``.
     """
     _require_standard(link)
     tangles = tuple(Fraction(a, a - b) for a, b in link.pairs)
@@ -172,7 +174,10 @@ def _scaled_epsilon(link: MontesinosLink) -> tuple[int, int]:
 
 
 def epsilon(link: MontesinosLink) -> Fraction:
-    """The slide invariant e - sum(beta_i/alpha_i)."""
+    """The slide invariant e - sum(beta_i/alpha_i).
+
+    The program reads ``_scaled_epsilon``; this public form is kept for
+    ``perfbench/workloads.py``, which orients its graphs by its sign."""
     return Fraction(*_scaled_epsilon(link))
 
 
@@ -185,7 +190,8 @@ def to_negative_form(link: StandardForm) -> MontesinosLink:
     """Slide every tangle below -1: M(e - p; alpha_i/(beta_i - alpha_i)).
 
     This is the parameter form from which the star-shaped plumbing graph
-    is built; eps is unchanged.
+    is built; eps is unchanged.  ``explain`` prints it, and
+    ``perfbench/workloads.py`` builds its graphs from it.
     """
     _require_standard(link)
     tangles = tuple(Fraction(a, b - a) for a, b in link.pairs)
@@ -214,6 +220,7 @@ def slide(link: MontesinosLink, index: int, count: int = 1) -> MontesinosLink:
 
     Each move trades a full twist between the tangle and e:
     (e, alpha/beta) -> (e + 1, alpha/(beta + alpha)).
+    ``perfbench/workloads.py`` types its links through random slides.
     """
     if not 0 <= index < link.p:
         raise ValueError(f"tangle index {index} out of range 0..{link.p - 1}")

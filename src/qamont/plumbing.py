@@ -11,12 +11,11 @@ reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from operator import index
 
-from .cfrac import _expand, cf_eval, cf_expand
+from .cfrac import _expand, cf_expand
 from .errors import InternalError, ParseError
-from .intmat import Matrix, det, freeze, negative_definite_det
+from .intmat import Matrix, freeze, negative_definite_det
 from .montesinos import MontesinosLink, StandardForm, _scaled_epsilon, reflect
 
 __all__ = [
@@ -24,11 +23,8 @@ __all__ = [
     "build_graph",
     "oriented_graph",
     "adjacency_matrix",
-    "seifert_euler_number",
     "negative_definite_by_sign",
     "definite_det",
-    "is_negative_definite",
-    "h1_order",
     "parse_graph",
     "format_graph",
 ]
@@ -62,7 +58,8 @@ class PlumbingGraph:
 def build_graph(link: MontesinosLink) -> PlumbingGraph:
     """Plumbing graph of a link in negative form (every tangle < -1);
     ``cf_expand`` raises ``ValueError`` on any other tangle.  A standard
-    form goes through ``oriented_graph`` instead."""
+    form goes through ``oriented_graph`` instead; ``perfbench/workloads.py``
+    builds its reference graphs here."""
     return PlumbingGraph(link.e, tuple(cf_expand(t) for t in link.tangles))
 
 
@@ -107,16 +104,6 @@ def adjacency_matrix(graph: PlumbingGraph) -> Matrix:
     return freeze(m)
 
 
-def seifert_euler_number(graph: PlumbingGraph) -> Fraction:
-    """central weight - sum of 1/value(leg); needs every leg entry <= -2.
-
-    This is the ``Fraction`` reference; ``negative_definite_by_sign``
-    decides its sign on integers."""
-    if not _legs_are_continued_fractions(graph):
-        raise ValueError("leg weights above -2: the Seifert sign test does not apply")
-    return Fraction(graph.central_weight) - sum(1 / cf_eval(leg) for leg in graph.legs)
-
-
 def negative_definite_by_sign(graph: PlumbingGraph) -> bool:
     """Sign test: all legs evaluate below -1 and the Euler number is negative.
 
@@ -159,17 +146,6 @@ def _definite_det(graph: PlumbingGraph, q: Matrix) -> int | None:
             raise InternalError(
                 f"definiteness checks disagree on {format_graph(graph)!r}")
     return d
-
-
-def is_negative_definite(graph: PlumbingGraph) -> bool:
-    """Negative definiteness, computed two ways when both apply
-    (``definite_det``)."""
-    return definite_det(graph) is not None
-
-
-def h1_order(graph: PlumbingGraph) -> int:
-    """|det Q|: the order of the first homology of the plumbed boundary."""
-    return abs(det(adjacency_matrix(graph)))
 
 
 def _legs_are_continued_fractions(graph: PlumbingGraph) -> bool:

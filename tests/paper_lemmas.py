@@ -8,10 +8,9 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from qamont.cfrac import prefix_r
 from qamont.errors import InternalError
-from qamont.intmat import det
 from qamont.lattice import Embedding, gram_matrix
+from references import det, prefix_r
 
 
 class TruncationNotFoundError(InternalError):

@@ -47,7 +47,8 @@ from typing import NamedTuple, Union
 
 from qamont.cfrac import cf_expand
 from qamont.montesinos import StandardForm
-from qamont.plumbing import PlumbingGraph, h1_order, oriented_graph
+from qamont.plumbing import PlumbingGraph, oriented_graph
+from references import h1_order
 
 Pair = tuple[int, int]
 

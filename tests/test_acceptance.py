@@ -12,17 +12,17 @@ from fractions import Fraction
 
 from conftest import random_cf
 from paper_lemmas import minor_check, rigidity_check, support_set, truncate_legs
-from qamont.cfrac import prefix_r
 from qamont.classifier import Branch, Status, classify, enumerate_family, verify
 from qamont.cli import main
 from qamont.intmat import freeze, mat_vec
 from qamont.lattice import embeddings_by_rank, transpose_surjective
-from qamont.laufer import LauferVerdict, is_lspace, laufer_run
+from qamont.laufer import LauferVerdict, laufer_run
 from qamont.montesinos import (MontesinosLink, canonical_form, determinant,
                                epsilon, format_link, reflect, slide,
                                to_negative_form)
 from qamont.plumbing import (PlumbingGraph, adjacency_matrix, build_graph,
-                             h1_order, is_negative_definite, oriented_graph)
+                             definite_det, oriented_graph)
+from references import h1_order, prefix_r
 
 FAMILY = list(enumerate_family(3, 4, -3, 4, p_min=3))
 
@@ -54,7 +54,7 @@ def test_criterion_2_determinant_consistency():
                 continue
             graph = build_graph(to_negative_form(side))
             checked += 1
-            if not is_negative_definite(graph) or h1_order(graph) != determinant(side):
+            if definite_det(graph) is None or h1_order(graph) != determinant(side):
                 bad.append(format_link(side))
     report(2, checked > 0 and not bad,
            f"det(L) = |det Q| exactly on {checked} oriented links "
@@ -78,7 +78,7 @@ def test_criterion_3_immediate_laufer_witness():
         ok = (pairing[0] == pos.p - pos.e and pairing[0] >= 2
               and result.verdict is LauferVerdict.NOT_RATIONAL
               and result.steps == 0 and result.witness == 0
-              and is_lspace(pos) is False)
+              and verify(pos).branch is Branch.LAUFER_NOT_LSPACE)
         if not ok:
             bad.append(format_link(pos))
     report(3, checked > 0 and not bad,

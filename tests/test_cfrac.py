@@ -4,7 +4,8 @@ from math import gcd
 
 import pytest
 
-from qamont.cfrac import cf_eval, cf_expand, prefix_r
+from qamont.cfrac import cf_expand
+from references import cf_eval, prefix_r
 
 
 def test_expand_examples():

@@ -22,6 +22,12 @@ SIGMA_237_TEXT = "central: -1\nleg: -2\nleg: -3\nleg: -7\n"
 D4_TEXT = "central: -2\nleg: -2\nleg: -2\nleg: -2\n"
 INDEFINITE_TEXT = "central: 0\nleg: -2\nleg: -2\nleg: -2\nleg: -2\n"
 
+# Every line boundary of str.splitlines besides \n and \r, each as it sits
+# inside a link expression and as a table cell shows it.
+OTHER_LINE_BREAKS = {"\v": "\\x0b", "\f": "\\x0c", "\x1c": "\\x1c", "\x1d": "\\x1d",
+                     "\x1e": "\\x1e", "\x85": "\\x85", "\u2028": "\\u2028",
+                     "\u2029": "\\u2029"}
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -222,7 +228,8 @@ class TestClassify:
         assert "explain" in err
 
     @pytest.mark.parametrize("text", ["M(0;\t5/2, 7/3)", "M(0; 5/2,\n 7/3)",
-                                      "M(0; 5/2,\r\n7/3)"])
+                                      "M(0; 5/2,\r\n7/3)"]
+                             + [f"M(0; 5/{c}2, 7/3)" for c in OTHER_LINE_BREAKS])
     def test_tsv_rejects_tab_or_line_break_in_a_link(self, capsys, text):
         code, out, err = run(capsys, "classify", "M(0; 2)", text, "--format", "tsv")
         assert code == 2
@@ -243,6 +250,16 @@ class TestClassify:
         assert len(rows) == 2  # one line per record
         assert rows[0].startswith("M(0;\\t5/2,\\r\\n 7/3)  M(0; 5/2, 7/3)  ")
         # the columns stay aligned
+        assert len({len(line) for line in (header, *rows)}) == 1
+
+    @pytest.mark.parametrize("char", OTHER_LINE_BREAKS)
+    def test_table_escapes_every_line_boundary_in_a_link(self, capsys, char):
+        code, out, _ = run(capsys, "classify", f"M(0; 5/{char}2, 7/3)", "M(0; 2)",
+                           "--format", "table")
+        assert code == 0
+        header, *rows = out.splitlines()
+        assert len(rows) == 2
+        assert rows[0].startswith(f"M(0; 5/{OTHER_LINE_BREAKS[char]}2, 7/3)  M(0; 5/2, 7/3)  ")
         assert len({len(line) for line in (header, *rows)}) == 1
 
 

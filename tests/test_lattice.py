@@ -10,20 +10,19 @@ import pytest
 
 from conftest import random_cf, random_star_graph
 from qamont import lattice
-from qamont.cfrac import prefix_r
 from qamont.errors import NotNegativeDefiniteError
 from qamont.intmat import freeze, is_negative_definite_matrix
 from qamont.lattice import (Embedding, embeddings_by_rank,
                             enumerate_embeddings, gram_matches,
                             qa_lattice_obstruction, transpose_surjective)
 from qamont.classifier import enumerate_family
-from qamont.intmat import det
 from qamont.laufer import LauferVerdict, laufer_run
 from qamont.montesinos import (MontesinosLink, determinant, to_negative_form,
                                to_standard_form)
 from qamont.plumbing import (PlumbingGraph, adjacency_matrix, build_graph,
-                             is_negative_definite, oriented_graph)
+                             definite_det, oriented_graph)
 from paper_lemmas import minor_check, rigidity_check, support_set, truncate_legs
+from references import det, prefix_r
 from smith_form import invariant_factors
 
 D4_GRAPH = PlumbingGraph(-2, ((-2,), (-2,), (-2,)))
@@ -619,7 +618,7 @@ def random_definite_stars(count, seed):
     while len(stars) < count:
         graph = random_star_graph(rng, max_legs=4, max_leg_len=3,
                                   central_range=(-5, -1), leg_range=(-4, -2))
-        if len(graph.legs) >= 2 and is_negative_definite(graph):
+        if len(graph.legs) >= 2 and definite_det(graph) is not None:
             stars.append(graph)
     return stars
 

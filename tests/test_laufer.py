@@ -5,15 +5,13 @@ import pytest
 
 from conftest import random_star_graph
 from qamont import laufer
-from qamont.classifier import enumerate_family
-from qamont.errors import (InternalError, NotNegativeDefiniteError,
-                           StepLimitError)
+from qamont.classifier import Branch, enumerate_family, verify
+from qamont.errors import NotNegativeDefiniteError, StepLimitError
 from qamont.intmat import freeze, mat_vec
-from qamont.laufer import LauferVerdict, is_lspace, laufer_run
-from qamont.montesinos import (MontesinosLink, determinant, epsilon,
+from qamont.laufer import LauferVerdict, laufer_run
+from qamont.montesinos import (MontesinosLink, determinant, epsilon, reflect,
                                to_negative_form)
-from qamont.plumbing import PlumbingGraph, adjacency_matrix, build_graph, \
-    is_negative_definite
+from qamont.plumbing import PlumbingGraph, adjacency_matrix, build_graph, definite_det
 
 E8 = PlumbingGraph(-2, ((-2,), (-2, -2), (-2, -2, -2, -2)))
 SIGMA_2_3_7 = PlumbingGraph(-1, ((-2,), (-3,), (-7,)))
@@ -65,7 +63,7 @@ class TestRun:
     def test_steps_count_increments(self, rng):
         for _ in range(50):
             graph = random_star_graph(rng)
-            if not is_negative_definite(graph):
+            if definite_det(graph) is None:
                 continue
             result = laufer_run(adjacency_matrix(graph))
             if result.verdict is LauferVerdict.RATIONAL:
@@ -79,7 +77,7 @@ class TestRun:
         found = 0
         while found < 20:
             graph = random_star_graph(rng)
-            if is_negative_definite(graph):
+            if definite_det(graph) is not None:
                 graphs.append(graph)
                 found += 1
         seeded = random.Random(99)
@@ -122,26 +120,19 @@ class TestRun:
 
 
 class TestIsLspace:
+    """The L-space test the program runs: ``verify``'s Laufer branch on the
+    plumbing of the link's oriented side."""
+
     def test_examples(self):
-        assert is_lspace(M(1, 2, 2, 2)) is True
-        assert is_lspace(M(2, 2, 2, 2, 2, 2)) is False
-        assert is_lspace(M(0, Fraction(3, 2))) is True
-
-    def test_indefinite_oriented_plumbing_is_an_internal_error(self, monkeypatch):
-        monkeypatch.setattr(laufer, "is_negative_definite", lambda graph: False)
-        with pytest.raises(InternalError):
-            is_lspace(M(1, 2, 2, 2))
-
-    def test_requires_nonzero_determinant(self):
-        with pytest.raises(ValueError):
-            is_lspace(M(1, Fraction(3, 2), 3))
+        assert verify(M(1, 2, 2, 2)).laufer.verdict is LauferVerdict.RATIONAL
+        assert verify(M(2, 2, 2, 2, 2, 2)).branch is Branch.LAUFER_NOT_LSPACE
+        assert verify(M(0, Fraction(3, 2))).laufer.verdict is LauferVerdict.RATIONAL
 
     def test_lemma_pattern_small_family(self):
         # eps > 0 with 1 <= e <= p - 2 forces an immediate central witness
         for link in enumerate_family(4, 3, -1, 4, p_min=3):
             if determinant(link) == 0:
                 continue
-            from qamont.montesinos import reflect
             pos = link if epsilon(link) > 0 else reflect(link)
             if not 1 <= pos.e <= pos.p - 2:
                 continue
@@ -151,4 +142,4 @@ class TestIsLspace:
             result = laufer_run(q)
             assert result.verdict is LauferVerdict.NOT_RATIONAL
             assert result.steps == 0 and result.witness == 0
-            assert is_lspace(pos) is False
+            assert verify(pos).branch is Branch.LAUFER_NOT_LSPACE

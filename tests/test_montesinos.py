@@ -10,7 +10,8 @@ from qamont.montesinos import (MontesinosLink, StandardForm, canonical_form,
                                determinant, epsilon, format_link, parse_link,
                                reflect, slide, tangle_alpha_beta,
                                to_negative_form, to_standard_form)
-from qamont.plumbing import build_graph, h1_order
+from qamont.plumbing import build_graph
+from references import h1_order
 
 
 def M(e, *tangles):
