@@ -27,6 +27,7 @@ from enum import Enum
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import gcd, prod
+from operator import index
 from typing import Iterator
 
 from .lattice import ObstructionResult, qa_lattice_obstruction
@@ -178,8 +179,18 @@ def enumerate_family(p_max: int, alpha_max: int, e_min: int, e_max: int,
 
     Tangle multisets are deduplicated; the order (p ascending, e ascending,
     multisets lexicographic over the descending tangle list) is deterministic.
-    Invalid bounds raise at the call, before any link is produced.
+    Invalid bounds raise ``ValueError`` at the call, before any link is
+    produced; so does a bound that is not an integer.
+
+    Each distinct tangle is validated once, as a one-tangle ``StandardForm``;
+    every link is then built from those parts by
+    ``StandardForm._from_validated``, which re-checks nothing.  The walk is
+    lazy and holds one item per tangle, never the multisets of a p.
     """
+    p_max, alpha_max, e_min, e_max, p_min = (
+        _integer_bound(name, value) for name, value in
+        (("p_max", p_max), ("alpha_max", alpha_max), ("e_min", e_min),
+         ("e_max", e_max), ("p_min", p_min)))
     if p_min < 1 or p_max < p_min:
         raise ValueError(f"invalid tangle-count range {p_min}..{p_max}")
     if alpha_max < 2:
@@ -189,16 +200,26 @@ def enumerate_family(p_max: int, alpha_max: int, e_min: int, e_max: int,
     return _family(p_min, p_max, alpha_max, e_min, e_max)
 
 
+def _integer_bound(name: str, value) -> int:
+    try:
+        return index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 def _family(p_min: int, p_max: int, alpha_max: int, e_min: int,
             e_max: int) -> Iterator[StandardForm]:
     tangles = sorted((Fraction(a, b)
                       for a in range(2, alpha_max + 1)
                       for b in range(1, a) if gcd(a, b) == 1),
                      reverse=True)
+    items = [(t, StandardForm(0, (t,)).pairs[0]) for t in tangles]
+    build = StandardForm._from_validated
     for p in range(p_min, p_max + 1):
         for e in range(e_min, e_max + 1):
-            for combo in combinations_with_replacement(tangles, p):
-                yield StandardForm(e, combo)
+            for combo in combinations_with_replacement(items, p):
+                combo_tangles, combo_pairs = zip(*combo)
+                yield build(e, combo_tangles, combo_pairs)
 
 
 def _condition_rows(std: StandardForm) -> list[dict]:

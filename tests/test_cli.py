@@ -324,8 +324,9 @@ class TestEnumerate:
         assert len(calls) == len(records)
 
     def test_derives_each_tangle_pair_once(self, capsys, monkeypatch):
-        # A classify-only record reads every alpha and beta from the pairs
-        # its link derived when it was built: p calls per record, no more.
+        # The family walk derives each distinct tangle's pair once, when it
+        # validates the tangle, not once per record; a classify-only record
+        # then reads every alpha and beta from its link's pairs.
         real = montesinos.tangle_alpha_beta
         calls = []
 
@@ -338,7 +339,7 @@ class TestEnumerate:
                            "--e-min", "-3", "--e-max", "4")
         assert code == 0
         assert len(out.splitlines()) == 280
-        assert len(calls) == 3 * 280
+        assert len(calls) == 5  # the tangles of alpha <= 4: 2, 3, 3/2, 4, 4/3
 
     def test_round_trip_of_printed_canonical(self, capsys):
         _, out, _ = run(capsys, "enumerate", "--p-max", "2", "--alpha-max", "4",
