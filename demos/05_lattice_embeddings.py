@@ -16,7 +16,7 @@ q = adjacency_matrix(D4)
 print("All embeddings of the three-legged -2 star (D4 form) into rank 4:")
 for _, embeddings in embeddings_by_rank(q, 4):
     for emb in embeddings:
-        print(f"  rows {emb.matrix}  gram ok: {gram_matches(emb, q)}  "
+        print(f"  rows {emb}  gram ok: {gram_matches(emb, q)}  "
               f"surjective transpose: {transpose_surjective(emb)}")
 
 result = qa_lattice_obstruction(D4)
@@ -31,6 +31,6 @@ print()
 vertex = PlumbingGraph(-4, ())
 result = qa_lattice_obstruction(vertex)
 print(f"A single -4 vertex instead finds a witness at rank {result.witness_n}:")
-for row in result.witness.matrix:
+for row in result.witness:
     print(f"  {list(row)}")
 print("(1,1,1,1) has unit 1x1 minors, so the transpose is onto.")

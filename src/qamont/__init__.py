@@ -13,7 +13,7 @@ from .classifier import (Branch, Evidence, Reason, Status, Verdict, classify,
                          enumerate_family, explain, render_explain, verify)
 from .errors import (InternalError, NotNegativeDefiniteError, ParseError,
                      StepLimitError)
-from .lattice import (Embedding, ObstructionResult, embeddings_by_rank,
+from .lattice import (ObstructionResult, embeddings_by_rank,
                       enumerate_embeddings, gram_matches, gram_matrix,
                       qa_lattice_obstruction, transpose_surjective)
 from .laufer import LauferResult, LauferVerdict, laufer_run
@@ -33,7 +33,7 @@ __all__ = [
     "PlumbingGraph", "build_graph", "oriented_graph", "adjacency_matrix",
     "parse_graph", "format_graph",
     "LauferResult", "LauferVerdict", "laufer_run",
-    "Embedding", "ObstructionResult", "enumerate_embeddings", "embeddings_by_rank",
+    "ObstructionResult", "enumerate_embeddings", "embeddings_by_rank",
     "gram_matrix", "gram_matches", "transpose_surjective", "qa_lattice_obstruction",
     "Status", "Reason", "Branch", "Verdict", "Evidence",
     "classify", "verify", "enumerate_family", "explain", "render_explain",

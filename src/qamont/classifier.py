@@ -327,7 +327,7 @@ def _verify_trace(evidence: Evidence) -> dict:
             "leaves": obstruction.leaves,
             "pruned": obstruction.pruned,
             "witness_rank": obstruction.witness_n,
-            "witness_rows": ([list(row) for row in obstruction.witness.matrix]
+            "witness_rows": ([list(row) for row in obstruction.witness]
                              if obstruction.witness else None),
         }
     return trace

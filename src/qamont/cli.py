@@ -48,17 +48,14 @@ _CHUNK = 4
 _AHEAD = 2
 
 
-def _build_record(task: tuple[str, MontesinosLink, bool, bool, bool]) -> dict:
-    text, link, with_verify, with_explain, with_timing = task
+def _build_record(task: tuple[str, str, MontesinosLink, bool, bool, bool]) -> dict:
+    text, canonical, link, with_verify, with_explain, with_timing = task
     start = time.perf_counter_ns()
     verdict = classify(link)
     evidence = verify(verdict.normalized) if with_verify else None
-    canonical = canonical_form(verdict.normalized)
     record = {
         "link": text,
-        # An enumerated link is already canonical and its text is
-        # format_link(link); a parsed link is never a StandardForm.
-        "canonical": text if canonical is link else format_link(canonical),
+        "canonical": canonical,
         "e": verdict.normalized.e,
         "p": verdict.normalized.p,
         "det": verdict.det,
@@ -78,13 +75,13 @@ def _build_records(chunk: list[tuple]) -> list[dict]:
     return [_build_record(task) for task in chunk]
 
 
-def _records(links: Iterable[tuple[str, MontesinosLink]], args) -> Iterator[dict]:
+def _records(links: Iterable[tuple[str, str, MontesinosLink]], args) -> Iterator[dict]:
     """Records in input order.  With ``--verify``, up to ``--jobs`` workers
     build them, but no more than there are CPUs or records, and a pool
     keeps a bounded window of tasks in flight.  Otherwise, and with one
     worker, they are built lazily in this process: a classify-only record
     costs less to build than to send to a worker and back."""
-    tasks = ((text, link, args.verify, args.explain, args.timing) for text, link in links)
+    tasks = ((*triple, args.verify, args.explain, args.timing) for triple in links)
     workers = min(args.jobs, os.cpu_count() or 1) if args.verify else 1
     if workers > 1:
         head = list(islice(tasks, workers))
@@ -151,8 +148,9 @@ def cmd_classify(args) -> int:
             if any(c in text for c in "\t" + _LINE_BREAKS):
                 raise ParseError(f"link expression {text!r} holds a tab or line "
                                  "break, which tsv cannot carry; use jsonl")
-    links = [(text, parse_link(text)) for text in texts]
-    _emit(_records(links, args), args)
+    links = [parse_link(text) for text in texts]
+    _emit(_records(((text, format_link(canonical_form(link)), link)
+                    for text, link in zip(texts, links)), args), args)
     return 0
 
 
@@ -161,7 +159,9 @@ def cmd_enumerate(args) -> int:
     p_min, p_max = (args.p, args.p) if args.p is not None else (1, args.p_max)
     family = enumerate_family(p_max, args.alpha_max, args.e_min, args.e_max,
                               p_min=p_min)
-    _emit(_records(((format_link(link), link) for link in family), args), args)
+    # enumerate_family yields canonical forms, so each text is its canonical text
+    links = ((format_link(link), link) for link in family)
+    _emit(_records(((text, text, link) for text, link in links), args), args)
     return 0
 
 
@@ -207,7 +207,7 @@ def cmd_embed(args) -> int:
                 total += 1
                 surjective = "true" if transpose_surjective(emb) else "false"
                 print(f"embedding n={n} index={total} surjective={surjective}")
-                for row in emb.matrix:
+                for row in emb:
                     print(" ".join(str(v) for v in row))
                 print()
         print(f"total: {total}")
@@ -217,7 +217,7 @@ def cmd_embed(args) -> int:
         print("Obstructed")
     else:
         print(f"NotObstructed n={result.witness_n}")
-        for row in result.witness.matrix:
+        for row in result.witness:
             print(" ".join(str(v) for v in row))
     return 0
 

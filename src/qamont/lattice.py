@@ -1,8 +1,8 @@
 """Embeddings of plumbing lattices into negative diagonal lattices.
 
-An embedding of (Z^k, Q) into (Z^n, -Id) is recorded as an n x k integer
-matrix A whose column i is the image of vertex i; the defining Gram
-condition is column_i . column_j = -Q[i][j] in the ordinary dot product.
+An embedding of (Z^k, Q) into (Z^n, -Id) is an n x k ``intmat.Matrix`` A,
+one row per coordinate, column i the image of vertex i, with the Gram
+condition column_i . column_j = -Q[i][j] in the ordinary dot product.
 Signed permutations of the coordinates act on the rows, and the
 enumeration yields exactly one representative per orbit by orderly
 generation: the backtracking search places columns in ascending norm order
@@ -45,7 +45,6 @@ from .intmat import Matrix, freeze, is_negative_definite_matrix
 from .plumbing import PlumbingGraph, _definite_det, adjacency_matrix
 
 __all__ = [
-    "Embedding",
     "ObstructionResult",
     "gram_matrix",
     "gram_matches",
@@ -56,35 +55,14 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Embedding:
-    """n x k integer matrix; column i is the image of vertex i."""
-
-    matrix: Matrix
-
-    @property
-    def n(self) -> int:
-        return len(self.matrix)
-
-    @property
-    def k(self) -> int:
-        return len(self.matrix[0]) if self.matrix else 0
-
-    def column(self, i: int) -> tuple[int, ...]:
-        return tuple(row[i] for row in self.matrix)
-
-    def columns(self) -> list[tuple[int, ...]]:
-        return [self.column(i) for i in range(self.k)]
-
-
-def gram_matrix(emb: Embedding) -> Matrix:
-    """The form -A^T A realised by the embedding."""
-    cols = emb.columns()
+def gram_matrix(emb: Matrix) -> Matrix:
+    """The form -A^T A realised by the embedding A."""
+    cols = list(zip(*emb))
     return tuple(tuple(-sum(a * b for a, b in zip(ci, cj)) for cj in cols)
                  for ci in cols)
 
 
-def gram_matches(emb: Embedding, q: Matrix) -> bool:
+def gram_matches(emb: Matrix, q: Matrix) -> bool:
     """Whether the embedding realises q; ``perfbench/workloads.py`` checks
     every witness with it."""
     return gram_matrix(emb) == freeze(q)
@@ -238,10 +216,10 @@ class _OrderlyTree:
         self.bases: list[list[tuple[int, list[tuple[int, int]]]]] = [[] for _ in primes]
         self.pruned = 0
 
-    def embedding(self, rank: int, cols: Sequence[tuple[int, ...]]) -> Embedding:
+    def embedding(self, rank: int, cols: Sequence[tuple[int, ...]]) -> Matrix:
         """A leaf's columns ``cols`` (placement order) as an embedding of
         rank ``rank`` in the caller's vertex order, canonicalised."""
-        return Embedding(_canonical_rows([cols[s] for s in self.slots], rank))
+        return _canonical_rows([cols[s] for s in self.slots], rank)
 
     def leaves(self) -> Iterator[int]:
         return self._place(0, 0)
@@ -373,7 +351,7 @@ class _OrderlyTree:
         return out
 
 
-def enumerate_embeddings(q: Matrix, n: int) -> Iterator[Embedding]:
+def enumerate_embeddings(q: Matrix, n: int) -> Iterator[Matrix]:
     """All embeddings of (Z^k, q) into (Z^n, -Id) touching every coordinate,
     one representative per signed-permutation orbit, in a deterministic
     order: the rank-n stream of ``embeddings_by_rank(q, n)``.  The stream is
@@ -402,7 +380,7 @@ def _rank_bound(q: Matrix) -> int:
 
 
 def embeddings_by_rank(q: Matrix, n_max: int | None = None
-                       ) -> Iterator[tuple[int, Iterator[Embedding]]]:
+                       ) -> Iterator[tuple[int, Iterator[Matrix]]]:
     """``(n, stream)`` for each ambient rank n from the vertex count k up to
     N = ``_rank_bound(q)`` (complete; ``n_max`` lowers N), each stream
     yielding the embeddings that touch all n coordinates, one per
@@ -419,7 +397,7 @@ def embeddings_by_rank(q: Matrix, n_max: int | None = None
 
     The leaves' raw columns are held until the walk ends, so a caller
     printing the streams prints nothing before the search is done.  A leaf
-    is canonicalised into its ``Embedding`` only when its stream reaches
+    is canonicalised into its matrix only when its stream reaches
     it, so a caller that reads one rank pays for that rank alone.  The
     streams are independent, consumable in any order.  One
     definiteness guard runs per call, before the rank range is computed, so
@@ -441,7 +419,7 @@ def embeddings_by_rank(q: Matrix, n_max: int | None = None
         yield n, map(partial(tree.embedding, n), found[n])
 
 
-def transpose_surjective(emb: Embedding) -> bool:
+def transpose_surjective(emb: Matrix) -> bool:
     """Whether A^T maps Z^n onto Z^k, that is, whether the rows of A
     generate Z^k.
 
@@ -457,8 +435,8 @@ def transpose_surjective(emb: Embedding) -> bool:
     The answer does not depend on the order or the signs of the rows, nor on
     the order of the columns.
     """
-    rows = [row for row in emb.matrix if any(row)]
-    for t in range(emb.k):
+    rows = [row for row in emb if any(row)]
+    for t in range(len(emb[0]) if emb else 0):
         hit = [row for row in rows if row[t]]
         rows = [row for row in rows if not row[t]]
         while hit:
@@ -515,7 +493,7 @@ class ObstructionResult:
     """Outcome of the exhaustive surjective-transpose embedding search."""
 
     obstructed: bool
-    witness: Embedding | None
+    witness: Matrix | None
     witness_n: int | None
     nodes: int  # columns placed by the search
     leaves: int  # surjective embeddings reached, at any rank
@@ -554,7 +532,7 @@ def qa_lattice_obstruction(graph: PlumbingGraph) -> ObstructionResult:
         blocks[i] = cols[at:at + len(graph.legs[i])]
         at += len(graph.legs[i])
     relabelled = [cols[0]] + [col for block in blocks for col in block]
-    witness = Embedding(_canonical_rows(relabelled, witness_n))
+    witness = _canonical_rows(relabelled, witness_n)
     return ObstructionResult(False, witness, witness_n, nodes, leaves, pruned)
 
 

@@ -262,10 +262,11 @@ def _require_standard(link: MontesinosLink) -> None:
     StandardForm(link.e, link.tangles)  # raises ValueError unless every tangle is > 1
 
 
-# Text grammar: M(e; t1, t2, ...) with tangles written a/b or as integers.
+# Text grammar: M(e; t1, t2, ...) with tangles written a/b or as integers,
+# in ASCII digits ([0-9], not the Unicode digits that \d matches).
 
-_LINK_RE = re.compile(r"\A\s*M\s*\(\s*(?P<e>[+-]?\d+)\s*;(?P<tangles>[^;]*)\)\s*\Z")
-_TANGLE_RE = re.compile(r"\A(?P<num>[+-]?\d+)\s*(?:/\s*(?P<den>[+-]?\d+))?\Z")
+_LINK_RE = re.compile(r"\A\s*M\s*\(\s*(?P<e>[+-]?[0-9]+)\s*;(?P<tangles>[^;]*)\)\s*\Z")
+_TANGLE_RE = re.compile(r"\A(?P<num>[+-]?[0-9]+)\s*(?:/\s*(?P<den>[+-]?[0-9]+))?\Z")
 
 
 def parse_link(text: str) -> MontesinosLink:

@@ -10,6 +10,7 @@ reproducible.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from operator import index
 
@@ -152,9 +153,11 @@ def _legs_are_continued_fractions(graph: PlumbingGraph) -> bool:
     return all(w <= -2 for leg in graph.legs for w in leg)
 
 
-# Text format, one graph per file:
+# Text format, one graph per file, each weight in ASCII digits:
 #   central: <w>
 #   leg: <a1> <a2> ...
+
+_WEIGHT_RE = re.compile(r"[+-]?[0-9]+")
 
 
 def parse_graph(text: str) -> PlumbingGraph:
@@ -167,10 +170,11 @@ def parse_graph(text: str) -> PlumbingGraph:
         key, _, rest = line.partition(":")
         key = key.strip()
         values = rest.split()
-        try:
-            weights = [int(v) for v in values]
-        except ValueError:
-            raise ParseError(f"line {lineno}: non-integer weight in {line!r}") from None
+        for v in values:
+            # int() alone would also take "_" separators and Unicode digits
+            if not _WEIGHT_RE.fullmatch(v):
+                raise ParseError(f"line {lineno}: non-integer weight {v!r} in {line!r}")
+        weights = [int(v) for v in values]
         if key == "central":
             if central is not None:
                 raise ParseError(f"line {lineno}: duplicate central line")

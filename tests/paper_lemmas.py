@@ -9,7 +9,8 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from qamont.errors import InternalError
-from qamont.lattice import Embedding, gram_matrix
+from qamont.intmat import Matrix
+from qamont.lattice import gram_matrix
 from references import det, prefix_r
 
 
@@ -21,7 +22,7 @@ class TruncationNotFoundError(InternalError):
     """
 
 
-def minor_check(emb: Embedding, cols: Iterable[int]) -> int:
+def minor_check(emb: Matrix, cols: Iterable[int]) -> int:
     """Determinant of the square minor induced by a supported column subset.
 
     The selected columns' nonzero entries must lie in exactly as many rows
@@ -32,20 +33,21 @@ def minor_check(emb: Embedding, cols: Iterable[int]) -> int:
     chosen = list(cols)
     if not chosen:
         raise ValueError("need at least one column")
-    if len(set(chosen)) != len(chosen) or not all(0 <= c < emb.k for c in chosen):
+    k = len(emb[0]) if emb else 0
+    if len(set(chosen)) != len(chosen) or not all(0 <= c < k for c in chosen):
         raise ValueError(f"invalid column subset {chosen}")
     rows = sorted(support_set(emb, chosen))
     if len(rows) != len(chosen):
         raise ValueError(
             f"support condition violated: {len(chosen)} columns touch {len(rows)} rows")
-    return det(tuple(tuple(emb.matrix[r][c] for c in chosen) for r in rows))
+    return det(tuple(tuple(emb[r][c] for c in chosen) for r in rows))
 
 
-def support_set(emb: Embedding, vertices: Iterable[int]) -> frozenset[int]:
+def support_set(emb: Matrix, vertices: Iterable[int]) -> frozenset[int]:
     """Coordinates (row indices) touched by the selected columns."""
     chosen = set(vertices)
-    return frozenset(r for r in range(emb.n)
-                     if any(emb.matrix[r][c] for c in chosen))
+    return frozenset(r for r in range(len(emb))
+                     if any(emb[r][c] for c in chosen))
 
 
 def truncate_legs(cf1: Sequence[int], cf2: Sequence[int]) -> tuple[int, int]:
@@ -69,7 +71,7 @@ def truncate_legs(cf1: Sequence[int], cf2: Sequence[int]) -> tuple[int, int]:
         "no prefix pair sums to 1; this contradicts a guaranteed invariant")
 
 
-def rigidity_check(emb: Embedding, psi1: Sequence[int], psi2: Sequence[int]) -> bool:
+def rigidity_check(emb: Matrix, psi1: Sequence[int], psi2: Sequence[int]) -> bool:
     """Support rigidity of a two-chain sublattice with r + s = 1.
 
     ``psi1`` and ``psi2`` are disjoint ordered vertex chains of the embedded
@@ -88,7 +90,7 @@ def rigidity_check(emb: Embedding, psi1: Sequence[int], psi2: Sequence[int]) -> 
     indices = chain1 + chain2
     if len(set(indices)) != len(indices):
         raise ValueError("chains must be disjoint and duplicate-free")
-    if not all(0 <= v < emb.k for v in indices):
+    if not all(0 <= v < len(emb[0]) for v in indices):
         raise ValueError("vertex index out of range")
 
     pair = gram_matrix(emb)

@@ -112,8 +112,8 @@ def test_criterion_5_unit_minors_whenever_surjective():
     def inspect(emb):
         nonlocal surjective_seen, subsets_checked, violations
         surjective_seen += 1
-        for size in range(1, emb.k + 1):
-            for cols in itertools.combinations(range(emb.k), size):
+        for size in range(1, len(emb[0]) + 1):
+            for cols in itertools.combinations(range(len(emb[0])), size):
                 if len(support_set(emb, cols)) != size:
                     continue
                 subsets_checked += 1

@@ -12,8 +12,7 @@ from qamont import classifier, cli, montesinos, plumbing
 from qamont.cli import main
 from qamont.errors import InternalError
 from qamont.intmat import is_negative_definite_matrix
-from qamont.lattice import (Embedding, gram_matches, qa_lattice_obstruction,
-                            transpose_surjective)
+from qamont.lattice import gram_matches, qa_lattice_obstruction, transpose_surjective
 from qamont.montesinos import canonical_form, parse_link
 from qamont.plumbing import adjacency_matrix, parse_graph
 
@@ -61,6 +60,13 @@ class TestClassify:
         code, _, err = run(capsys, "classify", "M(1; 2, huh)")
         assert code == 2
         assert "huh" in err
+
+    @pytest.mark.parametrize("argv", [["M(\u0663; 5/2)"],
+                                      ["M(0; \uff15/2, 7/3)", "--format", "tsv"]])
+    def test_non_ascii_digit_exits_2(self, capsys, argv):
+        code, out, err = run(capsys, "classify", *argv)
+        assert (code, out) == (2, "")
+        assert "error:" in err
 
     def test_bad_expression_prints_no_record(self, capsys):
         code, out, _ = run(capsys, "classify", "M(0; 2)", "M(1; 2, huh)")
@@ -274,6 +280,26 @@ class TestEnumerate:
         # e = 2 reflects to the e = 1 case, so both middle and last are NotQA
         assert [r["status"] for r in records] == ["QA", "NotQA", "NotQA"]
         assert records[1]["evidence"] == "LatticeObstructed"
+
+    def test_classify_only_makes_no_canonical_form_call(self, capsys, monkeypatch):
+        # enumerate_family yields canonical forms, so each record's text is
+        # its canonical text and nothing recomputes it.
+        real = montesinos.canonical_form
+        calls = []
+
+        def counting_canonical_form(link):
+            calls.append(link)
+            return real(link)
+
+        for module in (cli, classifier, montesinos):
+            monkeypatch.setattr(module, "canonical_form", counting_canonical_form)
+        code, out, _ = run(capsys, "enumerate", "--p", "3", "--alpha-max", "4",
+                           "--e-min", "-1", "--e-max", "1")
+        assert code == 0
+        records = [json.loads(line) for line in out.splitlines()]
+        assert len(records) > 100
+        assert all(r["canonical"] == r["link"] for r in records)
+        assert calls == []
 
     def test_p1_always_qa(self, capsys):
         code, out, _ = run(capsys, "enumerate", "--p", "1", "--alpha-max", "3",
@@ -509,7 +535,7 @@ class TestGraphCommands:
             assert code == 0
             head, *rows = out.splitlines()
             heads.add(head)
-            witness = Embedding(tuple(tuple(map(int, row.split())) for row in rows))
+            witness = tuple(tuple(map(int, row.split())) for row in rows)
             assert gram_matches(witness, adjacency_matrix(parse_graph(text)))
             assert transpose_surjective(witness)
         assert heads == {"NotObstructed n=8"}

@@ -75,7 +75,7 @@ def test_every_export_has_a_caller():
 MOVED_TO_TESTS = ["minor_check", "support_set", "truncate_legs", "rigidity_check",
                   "TruncationNotFoundError", "check_coeffs", "cf_eval", "prefix_r",
                   "seifert_euler_number", "det", "h1_order", "is_lspace",
-                  "is_negative_definite"]
+                  "is_negative_definite", "Embedding"]
 
 
 @pytest.mark.parametrize("module", ["qamont", "qamont.lattice", "qamont.errors",
@@ -85,6 +85,40 @@ def test_paper_lemma_checks_stay_in_the_tests(module):
     # No program path runs them.  The paper-lemma checks live in
     # tests/paper_lemmas.py and the Fraction and determinant references in
     # tests/references.py; is_lspace and is_negative_definite were deleted
-    # in favour of verify's Laufer branch and definite_det.
+    # in favour of verify's Laufer branch and definite_det, and Embedding in
+    # favour of the intmat.Matrix that the lattice functions take and return.
     namespace = importlib.import_module(module)
     assert [name for name in MOVED_TO_TESTS if hasattr(namespace, name)] == []
+
+
+# The integer rule: a tangle's (alpha, beta) is derived once, by
+# tangle_alpha_beta; the other readers of a Fraction's parts are cf_expand's
+# Euclid and the two places that print epsilon as a/b.
+FRACTION_PART_READERS = {("montesinos", "tangle_alpha_beta"), ("cfrac", "cf_expand"),
+                         ("cli", "_build_record"), ("classifier", "explain")}
+
+
+def fraction_part_reads(path):
+    """(enclosing function, line) of each ``.numerator`` or ``.denominator``
+    read in a module; the function is None at module level."""
+    reads = []
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        elif isinstance(node, ast.Attribute) and node.attr in ("numerator", "denominator"):
+            reads.append((function, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(ast.parse(path.read_text()), None)
+    return reads
+
+
+def test_only_the_named_functions_read_fraction_parts():
+    reads = [(path.stem, function, line) for path in sorted(PACKAGE.glob("*.py"))
+             for function, line in fraction_part_reads(path)]
+    assert ("montesinos", "tangle_alpha_beta") in {(m, f) for m, f, _ in reads}
+    offenders = [f"{module}.{function}:{line}" for module, function, line in reads
+                 if (module, function) not in FRACTION_PART_READERS]
+    assert offenders == []

@@ -12,9 +12,9 @@ from conftest import random_cf, random_star_graph
 from qamont import lattice
 from qamont.errors import NotNegativeDefiniteError
 from qamont.intmat import freeze, is_negative_definite_matrix
-from qamont.lattice import (Embedding, embeddings_by_rank,
-                            enumerate_embeddings, gram_matches,
-                            qa_lattice_obstruction, transpose_surjective)
+from qamont.lattice import (embeddings_by_rank, enumerate_embeddings,
+                            gram_matches, qa_lattice_obstruction,
+                            transpose_surjective)
 from qamont.classifier import enumerate_family
 from qamont.laufer import LauferVerdict, laufer_run
 from qamont.montesinos import (MontesinosLink, determinant, to_negative_form,
@@ -30,12 +30,12 @@ D4_Q = adjacency_matrix(D4_GRAPH)
 
 # Columns (1,1,0,0), (-1,0,1,0), (-1,0,-1,0), (0,-1,0,1): the spec-level
 # sample embedding of the D4 form, checked by direct dot products.
-D4_SAMPLE = Embedding(freeze([
+D4_SAMPLE = freeze([
     [1, -1, -1, 0],
     [1, 0, 0, -1],
     [0, 1, -1, 0],
     [0, 0, 0, 1],
-]))
+])
 
 
 def oriented_graphs(p, alpha_max, e_min, e_max):
@@ -65,15 +65,15 @@ def canonical_rows(matrix):
 class TestEnumerate:
     def test_norm_two_vector_in_rank_two(self):
         found = list(enumerate_embeddings(((-2,),), 2))
-        assert [e.matrix for e in found] == [((1,), (1,))]
+        assert found == [((1,), (1,))]
 
     def test_norm_two_vector_needs_two_coordinates(self):
         assert list(enumerate_embeddings(((-2,),), 1)) == []
 
     def test_d4_sample_orbit_is_found(self):
         assert gram_matches(D4_SAMPLE, D4_Q)
-        keys = {e.matrix for e in enumerate_embeddings(D4_Q, 4)}
-        assert canonical_rows(D4_SAMPLE.matrix) in keys
+        keys = set(enumerate_embeddings(D4_Q, 4))
+        assert canonical_rows(D4_SAMPLE) in keys
 
     def test_gram_soundness_and_no_zero_rows(self):
         graphs = [D4_GRAPH, PlumbingGraph(-3, ((-2, -2), (-4,))),
@@ -82,11 +82,11 @@ class TestEnumerate:
             q = adjacency_matrix(graph)
             for _, embeddings in embeddings_by_rank(q):
                 embeddings = list(embeddings)
-                assert len({e.matrix for e in embeddings}) == len(embeddings)
+                assert len(set(embeddings)) == len(embeddings)
                 for emb in embeddings:
                     assert gram_matches(emb, q)
-                    assert all(any(row) for row in emb.matrix)
-                    assert emb.matrix == canonical_rows(emb.matrix)
+                    assert all(any(row) for row in emb)
+                    assert emb == canonical_rows(emb)
 
     def test_embeddings_by_rank_runs_to_the_norm_sum(self):
         q = adjacency_matrix(PlumbingGraph(-3, ((-2, -2), (-4,))))  # k = 4, sum 11
@@ -145,11 +145,11 @@ class TestEnumerate:
         streams = list(embeddings_by_rank(q))
         late = {n: list(stream) for n, stream in reversed(streams)}
         assert late == in_order
-        assert all(emb.n == n for n, embs in late.items() for emb in embs)
+        assert all(len(emb) == n for n, embs in late.items() for emb in embs)
 
     def test_deterministic_order(self):
-        first = [e.matrix for e in enumerate_embeddings(D4_Q, 4)]
-        second = [e.matrix for e in enumerate_embeddings(D4_Q, 4)]
+        first = list(enumerate_embeddings(D4_Q, 4))
+        second = list(enumerate_embeddings(D4_Q, 4))
         assert first == second
 
     def test_rejects_indefinite(self):
@@ -208,7 +208,7 @@ class TestCompleteness:
                         qs.append(q)
         for q in qs:
             for n in range(1, 5):
-                mine = [e.matrix for e in enumerate_embeddings(q, n)]
+                mine = list(enumerate_embeddings(q, n))
                 assert len(set(mine)) == len(mine), (q, n)
                 assert set(mine) == brute_force_orbits(q, n), (q, n)
 
@@ -223,7 +223,7 @@ class TestCompleteness:
             q = adjacency_matrix(graph)
             found = 0
             for n in range(len(q), 6):
-                mine = [e.matrix for e in enumerate_embeddings(q, n)]
+                mine = list(enumerate_embeddings(q, n))
                 assert len(set(mine)) == len(mine), (graph, n)
                 assert set(mine) == brute_force_orbits(q, n), (graph, n)
                 found += len(mine)
@@ -237,7 +237,7 @@ class TestCompleteness:
         # are the two orbits brute_force_orbits(q, 5) finds; it takes
         # seconds, so they are pinned.
         q = adjacency_matrix(PlumbingGraph(-6, ((-3,), (-3,), (-4,))))
-        assert {e.matrix for e in enumerate_embeddings(q, 5)} == {
+        assert set(enumerate_embeddings(q, 5)) == {
             ((2, -1, 0, -1), (1, 1, -1, 0), (1, 0, 0, 1), (0, 1, 1, -1),
              (0, 0, 1, 1)),
             ((2, 0, -1, -1), (1, 0, 0, 1), (1, -1, 1, 0), (0, 1, 1, -1),
@@ -251,7 +251,7 @@ class TestCompleteness:
         yielded = 0
         for graph in graphs:
             for n, embeddings in embeddings_by_rank(adjacency_matrix(graph)):
-                matrices = [e.matrix for e in embeddings]
+                matrices = list(embeddings)
                 assert len(set(matrices)) == len(matrices), (graph, n)
                 yielded += len(matrices)
         assert yielded > 0
@@ -268,7 +268,7 @@ class TestCompleteness:
             starts = [1]
             for leg in graph.legs:
                 starts.append(starts[-1] + len(leg))
-            reference = {n: {e.matrix for e in embeddings}
+            reference = {n: set(embeddings)
                          for n, embeddings in embeddings_by_rank(base)}
             assert any(reference.values()), graph
             for perm in itertools.permutations(range(len(graph.legs))):
@@ -282,10 +282,52 @@ class TestCompleteness:
                     back = set()
                     for emb in enumerate_embeddings(q, n):
                         cols = [None] * len(source)
-                        for new, old in enumerate(source):
-                            cols[old] = emb.column(new)
+                        for col, old in zip(zip(*emb), source):
+                            cols[old] = col
                         back.add(canonical_rows(zip(*cols)))
                     assert back == orbits, (relabelled, n)
+
+
+def is_frozen_matrix(m):
+    """Whether m is an intmat.Matrix as ``freeze`` builds it: a tuple of
+    tuples of ints."""
+    return (type(m) is tuple and all(type(row) is tuple for row in m)
+            and all(type(v) is int for row in m for v in row) and freeze(m) == m)
+
+
+class TestMatrixContract:
+    # The lattice API speaks intmat.Matrix: one row per coordinate, column i
+    # the image of vertex i, with no wrapper around it.
+    @pytest.mark.parametrize("graphs", [
+        lambda: [D4_GRAPH, PlumbingGraph(-4, ())],
+        lambda: oriented_graphs(3, 4, -3, 4),  # the acceptance family's stars
+    ], ids=["D4-and-a-vertex", "acceptance"])
+    def test_streams_and_witnesses_are_plain_matrices(self, graphs):
+        streamed = witnesses = 0
+        for graph in graphs():
+            q = adjacency_matrix(graph)
+            for n, embeddings in embeddings_by_rank(q):
+                for emb in embeddings:
+                    assert is_frozen_matrix(emb), (graph, n)
+                    assert len(emb) == n and all(len(row) == len(q) for row in emb)
+                    streamed += 1
+            result = qa_lattice_obstruction(graph)
+            if result.witness is not None:
+                assert is_frozen_matrix(result.witness), graph
+                assert len(result.witness) == result.witness_n
+                witnesses += 1
+        assert streamed > 0
+        assert witnesses > 0
+
+    def test_functions_take_a_plain_tuple_matrix(self):
+        emb = ((1, -1, -1, 0), (1, 0, 0, -1), (0, 1, -1, 0), (0, 0, 0, 1))
+        assert lattice.gram_matrix(emb) == D4_Q
+        assert gram_matches(emb, D4_Q)
+        assert transpose_surjective(emb) is False
+        assert lattice.gram_matrix(((1,), (1,))) == ((-2,),)
+        assert gram_matches(((1,), (1,)), ((-2,),))
+        assert transpose_surjective(((1,), (1,))) is True
+        assert transpose_surjective(()) is True  # k = 0: Z^0 is always reached
 
 
 def rank_mod(matrix, p):
@@ -314,8 +356,8 @@ def primes_with_square_dividing(d):
 
 class TestSurjectivity:
     def test_examples(self):
-        assert transpose_surjective(Embedding(((2,),))) is False
-        assert transpose_surjective(Embedding(((1,), (1,), (1,), (1,)))) is True
+        assert transpose_surjective(((2,),)) is False
+        assert transpose_surjective(((1,), (1,), (1,), (1,))) is True
         assert transpose_surjective(D4_SAMPLE) is False  # determinant +-2
 
     def test_matches_the_cauchy_binet_oracle(self):
@@ -330,7 +372,7 @@ class TestSurjectivity:
             primes = primes_with_square_dividing(det(q))
             for _, embeddings in embeddings_by_rank(q):
                 for emb in embeddings:
-                    expected = all(rank_mod(emb.matrix, p) == emb.k
+                    expected = all(rank_mod(emb, p) == len(emb[0])
                                    for p in primes)
                     assert transpose_surjective(emb) == expected, emb
                     square_free += not primes
@@ -387,8 +429,8 @@ class TestSurjectivity:
                 for emb in embeddings:
                     tree = lattice._OrderlyTree(q, n, primes)
                     independent = all(tree._extend_bases(col, n)
-                                      for col in emb.columns())
-                    assert independent == all(rank_mod(emb.matrix, p) == emb.k
+                                      for col in zip(*emb))
+                    assert independent == all(rank_mod(emb, p) == len(emb[0])
                                               for p in primes)
                     assert transpose_surjective(emb) == independent, emb
                     square_free += not primes
@@ -418,7 +460,7 @@ class TestSurjectivity:
             m = freeze(m)
             factors = invariant_factors(m)
             expected = n >= k and all(f == 1 for f in factors)
-            assert transpose_surjective(Embedding(m)) == expected, m
+            assert transpose_surjective(m) == expected, m
             if n < k:
                 kinds["n < k"] += 1
             elif not expected:
@@ -433,7 +475,7 @@ class TestSurjectivity:
         for graph in oriented_graphs(2, 5, -2, 3):
             for _, embeddings in embeddings_by_rank(adjacency_matrix(graph)):
                 for emb in embeddings:
-                    expected = all(f == 1 for f in invariant_factors(emb.matrix))
+                    expected = all(f == 1 for f in invariant_factors(emb))
                     assert transpose_surjective(emb) == expected, emb
                     checked += 1
         assert checked == 901
@@ -446,9 +488,9 @@ class TestSurjectivity:
             expected = transpose_surjective(emb)
             for _ in range(10):
                 rows = [tuple(rng.choice([1, -1]) * v for v in row)
-                        for row in emb.matrix]
+                        for row in emb]
                 rng.shuffle(rows)
-                assert transpose_surjective(Embedding(tuple(rows))) == expected
+                assert transpose_surjective(tuple(rows)) == expected
 
 
 class TestMinorCheck:
@@ -456,7 +498,7 @@ class TestMinorCheck:
         assert abs(minor_check(D4_SAMPLE, range(4))) == 2
 
     def test_support_condition_violation(self):
-        emb = Embedding(((1,), (1,)))
+        emb = ((1,), (1,))
         with pytest.raises(ValueError):
             minor_check(emb, [0])
 
@@ -468,8 +510,8 @@ class TestMinorCheck:
             for emb in enumerate_embeddings(q, n):
                 if not transpose_surjective(emb):
                     continue
-                for size in range(1, emb.k + 1):
-                    for cols in itertools.combinations(range(emb.k), size):
+                for size in range(1, len(emb[0]) + 1):
+                    for cols in itertools.combinations(range(len(emb[0])), size):
                         rows = support_set(emb, cols)
                         if len(rows) != len(cols):
                             continue
@@ -528,7 +570,7 @@ class TestTruncateLegs:
 
 class TestRigidity:
     def test_two_single_vertices(self):
-        emb = Embedding(((1, 1), (1, -1)))  # columns (1,1) and (1,-1)
+        emb = ((1, 1), (1, -1))  # columns (1,1) and (1,-1)
         assert rigidity_check(emb, (0,), (1,)) is True
 
     def test_enumerated_instances(self):
@@ -545,16 +587,16 @@ class TestRigidity:
         assert hits > 0
 
     def test_hypothesis_violations_raise(self):
-        emb = Embedding(((1, 1), (1, -1)))
+        emb = ((1, 1), (1, -1))
         with pytest.raises(ValueError):
             rigidity_check(emb, (0,), ())  # empty chain
         # r + s != 1: two norm-3 vertices sharing a coordinate
-        bad = Embedding(((1, 1), (1, -1), (1, 0), (0, 1)))
+        bad = ((1, 1), (1, -1), (1, 0), (0, 1))
         with pytest.raises(ValueError):
             rigidity_check(bad, (0,), (1,))
 
     def test_requires_shared_first_coordinate(self):
-        emb = Embedding(((1, 0), (1, 0), (0, 1), (0, 1)))
+        emb = ((1, 0), (1, 0), (0, 1), (0, 1))
         with pytest.raises(ValueError):
             rigidity_check(emb, (0,), (1,))
 
@@ -591,7 +633,8 @@ def leg_sorted(graph):
 def relabel(emb, position):
     """An embedding of the sorted star as one of the caller's graph: column
     v is the star's column position[v]; rows canonicalised."""
-    return Embedding(canonical_rows(zip(*(emb.column(i) for i in position))))
+    cols = list(zip(*emb))
+    return canonical_rows(zip(*(cols[i] for i in position)))
 
 
 def replay_leg_sorted(graph):
@@ -635,12 +678,12 @@ class TestObstruction:
         result = qa_lattice_obstruction(PlumbingGraph(-4, ()))
         assert not result.obstructed
         assert result.witness_n == 4
-        assert result.witness.matrix == ((1,), (1,), (1,), (1,))
+        assert result.witness == ((1,), (1,), (1,), (1,))
 
     def test_single_vertex_minus_two(self):
         result = qa_lattice_obstruction(PlumbingGraph(-2, ()))
         assert not result.obstructed
-        assert result.witness.matrix == ((1,), (1,))
+        assert result.witness == ((1,), (1,))
 
     def test_d4_is_obstructed(self):
         result = qa_lattice_obstruction(D4_GRAPH)
@@ -717,7 +760,7 @@ class TestObstruction:
             full = lattice._OrderlyTree(q, top)
             kept = [(rank, pruned.cols[:]) for rank in pruned.leaves()]
             onto = [(rank, full.cols[:]) for rank in full.leaves()
-                    if transpose_surjective(Embedding(tuple(zip(*full.cols))[:rank]))]
+                    if transpose_surjective(tuple(zip(*full.cols))[:rank])]
             assert kept == onto, graph
 
     def test_cache_is_bounded_above_one_family_pass(self):

@@ -271,3 +271,14 @@ class TestGrammar:
         with pytest.raises(ParseError) as err:
             parse_link(text)
         assert fragment in str(err.value)
+
+    @pytest.mark.parametrize("text,fragment", [
+        ("M(\u0663; 5/2)", "grammar"),  # Arabic-Indic three as e
+        ("M(0; \uff15/2, 7/3)", "'\uff15/2'"),  # fullwidth five
+        ("M(0; 5/\u0662)", "'5/\u0662'"),  # Arabic-Indic two as a denominator
+        ("M(0; 5_0/3)", "'5_0/3'"),
+    ])
+    def test_digits_are_ascii(self, text, fragment):
+        with pytest.raises(ParseError) as err:
+            parse_link(text)
+        assert fragment in str(err.value)

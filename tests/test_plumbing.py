@@ -191,3 +191,15 @@ class TestGraphFiles:
         with pytest.raises(ParseError) as err:
             parse_graph(text)
         assert fragment in str(err.value)
+
+    @pytest.mark.parametrize("text,token", [
+        ("central: -2_0\n", "'-2_0'"),
+        ("central: -2\nleg: -\u0662\n", "'-\u0662'"),  # Arabic-Indic two
+        ("central: -2\nleg: -2 \uff0d3\n", "'\uff0d3'"),  # fullwidth minus
+        ("central: \uff0d\uff12\n", "'\uff0d\uff12'"),  # fullwidth -2
+        ("central: -2\nleg: -\U0001d7d0\n", "'-\U0001d7d0'"),  # bold two
+    ])
+    def test_weights_are_ascii_integers(self, text, token):
+        with pytest.raises(ParseError) as err:
+            parse_graph(text)
+        assert token in str(err.value)
