@@ -30,7 +30,7 @@ from .classifier import classify, enumerate_family, explain, render_explain, ver
 from .errors import InternalError, NotNegativeDefiniteError, ParseError
 from .lattice import embeddings_by_rank, qa_lattice_obstruction, transpose_surjective
 from .laufer import laufer_run
-from .montesinos import MontesinosLink, canonical_form, format_link, parse_link
+from .montesinos import _INTEGER, MontesinosLink, canonical_form, format_link, parse_link
 from .plumbing import adjacency_matrix, definite_det, parse_graph
 
 _RECORD_FIELDS = ["link", "canonical", "e", "p", "det", "epsilon",
@@ -222,6 +222,13 @@ def cmd_embed(args) -> int:
     return 0
 
 
+def _integer(text: str) -> int:
+    """The ``type`` of the integer options: the grammar's integer rule."""
+    if not _INTEGER.fullmatch(text):
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer in ASCII digits")
+    return int(text)
+
+
 def _add_record_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--verify", action="store_true",
                         help="run the full obstruction pipeline per link")
@@ -229,7 +236,7 @@ def _add_record_flags(parser: argparse.ArgumentParser) -> None:
                         help="attach the classification trace")
     parser.add_argument("--format", choices=["jsonl", "tsv", "table"],
                         default="jsonl", help="output format (default jsonl)")
-    parser.add_argument("--jobs", type=int, default=1,
+    parser.add_argument("--jobs", type=_integer, default=1,
                         help="worker processes for --verify records (default 1)")
     parser.add_argument("--timing", action="store_true",
                         help="include per-record milliseconds (breaks byte-for-byte "
@@ -255,11 +262,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_enum = sub.add_parser("enumerate", help="classify a parameter family")
     group = p_enum.add_mutually_exclusive_group(required=True)
-    group.add_argument("--p", type=int, help="exact number of tangles")
-    group.add_argument("--p-max", type=int, help="enumerate p = 1..P_MAX")
-    p_enum.add_argument("--alpha-max", type=int, required=True)
-    p_enum.add_argument("--e-min", type=int, required=True)
-    p_enum.add_argument("--e-max", type=int, required=True)
+    group.add_argument("--p", type=_integer, help="exact number of tangles")
+    group.add_argument("--p-max", type=_integer, help="enumerate p = 1..P_MAX")
+    p_enum.add_argument("--alpha-max", type=_integer, required=True)
+    p_enum.add_argument("--e-min", type=_integer, required=True)
+    p_enum.add_argument("--e-max", type=_integer, required=True)
     _add_record_flags(p_enum)
     p_enum.set_defaults(func=cmd_enumerate)
 
@@ -269,7 +276,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_embed = sub.add_parser("embed", help="search lattice embeddings of a graph file")
     p_embed.add_argument("graph_file")
-    p_embed.add_argument("--n-max", type=int, default=None,
+    p_embed.add_argument("--n-max", type=_integer, default=None,
                          help="with --all: list ranks up to N only")
     p_embed.add_argument("--all", action="store_true",
                          help="print every embedding with its surjectivity verdict")

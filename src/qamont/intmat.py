@@ -13,14 +13,13 @@ last pivot is the determinant itself.
 from __future__ import annotations
 
 from operator import index
-from typing import Iterable, Sequence
+from typing import Iterable
 
 Matrix = tuple[tuple[int, ...], ...]
 
 __all__ = [
     "Matrix",
     "freeze",
-    "mat_vec",
     "is_symmetric",
     "negative_definite_det",
     "is_negative_definite_matrix",
@@ -35,10 +34,6 @@ def freeze(rows: Iterable[Iterable[int]]) -> Matrix:
     if m and any(len(row) != len(m[0]) for row in m):
         raise ValueError("rows have unequal lengths")
     return m
-
-
-def mat_vec(m: Matrix, v: Sequence[int]) -> list[int]:
-    return [sum(x * y for x, y in zip(row, v)) for row in m]
 
 
 def is_symmetric(m: Matrix) -> bool:

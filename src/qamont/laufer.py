@@ -3,11 +3,12 @@
 Starting from the all-ones cycle, repeatedly look at the pairing vector
 Q * K: a pairing >= 2 anywhere stops with "not a rational singularity", a
 pairing equal to 1 increments that coordinate, and all pairings <= 0 stop
-with the fundamental cycle of a rational singularity.  For the star-shaped
-graphs built from Montesinos links this verdict decides whether the double
-branched cover is an L-space; that equivalence is used only by
-``classifier.verify``, on the plumbing of a link's oriented side, never
-for arbitrary graphs.
+with the fundamental cycle of a rational singularity.  The pairing vector
+is kept equal to Q * K by adding row i of Q whenever K gains E_i.  For the
+star-shaped graphs built from Montesinos links this verdict decides
+whether the double branched cover is an L-space; that equivalence is used
+only by ``classifier.verify``, on the plumbing of a link's oriented side,
+never for arbitrary graphs.
 
 References:
 
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .errors import NotNegativeDefiniteError, StepLimitError
-from .intmat import Matrix, freeze, is_negative_definite_matrix, mat_vec
+from .intmat import Matrix, freeze, is_negative_definite_matrix
 
 __all__ = ["LauferVerdict", "LauferResult", "laufer_run"]
 
@@ -55,22 +56,23 @@ def laufer_run(q: Matrix) -> LauferResult:
     Each step increments the lowest vertex with pairing 1, and a
     non-rational verdict reports the lowest vertex with pairing >= 2.  The
     verdict, and the final cycle in the rational case, do not depend on
-    which eligible vertex is incremented (Laufer 1972).
+    which eligible vertex is incremented (Laufer 1972).  ``pairing`` is Q * K:
+    the row sums of Q, plus row i (column i of the symmetric Q) per E_i added.
     """
     q = freeze(q)
     if not is_negative_definite_matrix(q):
         raise NotNegativeDefiniteError(
             "the computation sequence requires a negative definite matrix")
-    k = len(q)
-    cycle = [1] * k
+    cycle = [1] * len(q)
+    pairing = [sum(row) for row in q]
     for step in range(STEP_LIMIT + 1):
-        pairing = mat_vec(q, cycle)
-        high = [j for j, v in enumerate(pairing) if v >= 2]
-        if high:
+        witness = next((j for j, v in enumerate(pairing) if v >= 2), None)
+        if witness is not None:
             return LauferResult(LauferVerdict.NOT_RATIONAL, step, tuple(cycle),
-                                high[0])
-        ones = [j for j, v in enumerate(pairing) if v == 1]
-        if not ones:
+                                witness)
+        if 1 not in pairing:
             return LauferResult(LauferVerdict.RATIONAL, step, tuple(cycle), None)
-        cycle[ones[0]] += 1
+        i = pairing.index(1)
+        cycle[i] += 1
+        pairing = [v + w for v, w in zip(pairing, q[i])]
     raise StepLimitError(f"no termination within {STEP_LIMIT} steps")

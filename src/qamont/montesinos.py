@@ -229,16 +229,10 @@ def canonical_form(link: MontesinosLink) -> StandardForm:
 
     Parameter tuples related by slide moves and tangle reordering map to
     equal canonical forms, so this is the deduplication key used by the
-    family enumeration.  A standard form whose tangles are already sorted
-    is returned as it is; that is decided on its integer pairs, since with
-    positive betas a/b >= c/d exactly when a*d >= c*b.
+    family enumeration.
     """
     std = to_standard_form(link)
-    pairs = std.pairs
-    for (a, b), (c, d) in zip(pairs, pairs[1:]):
-        if a * d < c * b:
-            return StandardForm(std.e, tuple(sorted(std.tangles, reverse=True)))
-    return std
+    return StandardForm(std.e, tuple(sorted(std.tangles, reverse=True)))
 
 
 def slide(link: MontesinosLink, index: int, count: int = 1) -> MontesinosLink:
@@ -262,11 +256,14 @@ def _require_standard(link: MontesinosLink) -> None:
     StandardForm(link.e, link.tangles)  # raises ValueError unless every tangle is > 1
 
 
-# Text grammar: M(e; t1, t2, ...) with tangles written a/b or as integers,
-# in ASCII digits ([0-9], not the Unicode digits that \d matches).
+# Text grammar: M(e; t1, t2, ...) with tangles written a/b or as integers.
+# Every integer, here, in graph files and in the CLI's integer options, is
+# _INTEGER: ASCII digits with an optional sign, not the Unicode digits that
+# \d matches, nor the "_" separators and spaces that int() also takes.
 
-_LINK_RE = re.compile(r"\A\s*M\s*\(\s*(?P<e>[+-]?[0-9]+)\s*;(?P<tangles>[^;]*)\)\s*\Z")
-_TANGLE_RE = re.compile(r"\A(?P<num>[+-]?[0-9]+)\s*(?:/\s*(?P<den>[+-]?[0-9]+))?\Z")
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+_LINK_RE = re.compile(rf"\A\s*M\s*\(\s*(?P<e>{_INTEGER.pattern})\s*;(?P<tangles>[^;]*)\)\s*\Z")
+_TANGLE_RE = re.compile(rf"\A(?P<num>{_INTEGER.pattern})\s*(?:/\s*(?P<den>{_INTEGER.pattern}))?\Z")
 
 
 def parse_link(text: str) -> MontesinosLink:

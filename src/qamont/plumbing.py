@@ -10,14 +10,13 @@ reproducible.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from operator import index
 
 from .cfrac import _expand, cf_expand
 from .errors import InternalError, ParseError
 from .intmat import Matrix, freeze, negative_definite_det
-from .montesinos import MontesinosLink, StandardForm, _scaled_epsilon, reflect
+from .montesinos import _INTEGER, MontesinosLink, StandardForm, _scaled_epsilon, reflect
 
 __all__ = [
     "PlumbingGraph",
@@ -157,8 +156,6 @@ def _legs_are_continued_fractions(graph: PlumbingGraph) -> bool:
 #   central: <w>
 #   leg: <a1> <a2> ...
 
-_WEIGHT_RE = re.compile(r"[+-]?[0-9]+")
-
 
 def parse_graph(text: str) -> PlumbingGraph:
     central = None
@@ -172,7 +169,7 @@ def parse_graph(text: str) -> PlumbingGraph:
         values = rest.split()
         for v in values:
             # int() alone would also take "_" separators and Unicode digits
-            if not _WEIGHT_RE.fullmatch(v):
+            if not _INTEGER.fullmatch(v):
                 raise ParseError(f"line {lineno}: non-integer weight {v!r} in {line!r}")
         weights = [int(v) for v in values]
         if key == "central":

@@ -1,10 +1,11 @@
 """Exact references for the tests: continued fractions and the Seifert
-Euler number evaluated as ``fractions.Fraction`` values, and determinants
-by Bareiss elimination with row pivoting.  No program path needs them:
-``cfrac.cf_expand`` and ``plumbing.negative_definite_by_sign`` run on
-integers, and ``plumbing.definite_det`` reads det Q off the last pivot of
-its definiteness test.  The tests hold that integer code to these
-references."""
+Euler number evaluated as ``fractions.Fraction`` values, determinants by
+Bareiss elimination with row pivoting, and the matrix-vector product.  No
+program path needs them: ``cfrac.cf_expand`` and
+``plumbing.negative_definite_by_sign`` run on integers,
+``plumbing.definite_det`` reads det Q off the last pivot of its
+definiteness test, and ``laufer_run`` keeps Q * K by adding one row of Q
+per step.  The tests hold that code to these references."""
 
 from __future__ import annotations
 
@@ -55,6 +56,10 @@ def seifert_euler_number(graph: PlumbingGraph) -> Fraction:
     if not _legs_are_continued_fractions(graph):
         raise ValueError("leg weights above -2: the Seifert sign test does not apply")
     return Fraction(graph.central_weight) - sum(1 / cf_eval(leg) for leg in graph.legs)
+
+
+def mat_vec(m: Matrix, v: Sequence[int]) -> list[int]:
+    return [sum(x * y for x, y in zip(row, v)) for row in m]
 
 
 def det(m: Matrix) -> int:

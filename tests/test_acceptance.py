@@ -14,7 +14,7 @@ from conftest import random_cf
 from paper_lemmas import minor_check, rigidity_check, support_set, truncate_legs
 from qamont.classifier import Branch, Status, classify, enumerate_family, verify
 from qamont.cli import main
-from qamont.intmat import freeze, mat_vec
+from qamont.intmat import freeze
 from qamont.lattice import embeddings_by_rank, transpose_surjective
 from qamont.laufer import LauferVerdict, laufer_run
 from qamont.montesinos import (MontesinosLink, canonical_form, determinant,
@@ -22,7 +22,7 @@ from qamont.montesinos import (MontesinosLink, canonical_form, determinant,
                                to_negative_form)
 from qamont.plumbing import (PlumbingGraph, adjacency_matrix, build_graph,
                              definite_det, oriented_graph)
-from references import h1_order, prefix_r
+from references import h1_order, mat_vec, prefix_r
 
 FAMILY = list(enumerate_family(3, 4, -3, 4, p_min=3))
 

@@ -269,6 +269,59 @@ class TestClassify:
         assert len({len(line) for line in (header, *rows)}) == 1
 
 
+ENUMERATE_ARGS = {"--p": "2", "--alpha-max": "3", "--e-min": "0", "--e-max": "0"}
+
+
+def enumerate_argv(option, value):
+    args = dict(ENUMERATE_ARGS, **{option: value})
+    if option == "--p-max":
+        del args["--p"]
+    return ["enumerate", *(part for pair in args.items() for part in pair)]
+
+
+class TestIntegerOptions:
+    """Every integer option takes the grammar's integer rule, [+-]?[0-9]+:
+    argparse exits 2 naming the option on a value that int() alone would
+    take."""
+
+    @pytest.mark.parametrize("option", ["--p", "--p-max", "--alpha-max", "--e-min",
+                                        "--e-max", "--jobs"])
+    @pytest.mark.parametrize("value", ["\u0662", "\uff10", "2_0", " 3", "3 ", "-\u0663"],
+                             ids=["arabic-indic", "fullwidth", "underscore", "leading-space",
+                                  "trailing-space", "signed-arabic-indic"])
+    def test_enumerate_option_rejects_what_int_also_takes(self, capsys, option, value):
+        with pytest.raises(SystemExit) as exc:
+            main(enumerate_argv(option, value))
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"argument {option}:" in captured.err and "ASCII digits" in captured.err
+
+    def test_classify_jobs_rejects_a_fullwidth_digit(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["classify", "M(0; 5/2, 7/3)", "--verify", "--jobs", "\uff12"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "argument --jobs:" in captured.err
+
+    @pytest.mark.parametrize("value", ["\uff14", "4_0", "+\u0664"])
+    def test_embed_n_max_rejects_what_int_also_takes(self, tmp_path, capsys, value):
+        path = tmp_path / "d4.graph"
+        path.write_text(D4_TEXT)
+        with pytest.raises(SystemExit) as exc:
+            main(["embed", str(path), "--all", "--n-max", value])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "argument --n-max:" in captured.err
+
+    @pytest.mark.parametrize("option,value", [("--e-min", "-3"), ("--e-max", "+0"),
+                                              ("--alpha-max", "03"), ("--jobs", "+1")])
+    def test_signed_and_padded_ascii_integers_are_taken(self, capsys, option, value):
+        code, out, _ = run(capsys, *enumerate_argv(option, value))
+        assert (code, out) == run(capsys, *enumerate_argv(option, str(int(value))))[:2]
+        assert code == 0 and out
+
+
 class TestEnumerate:
     def test_p3_alpha2(self, capsys):
         code, out, _ = run(capsys, "enumerate", "--p", "3", "--alpha-max", "2",

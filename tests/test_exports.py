@@ -75,7 +75,7 @@ def test_every_export_has_a_caller():
 MOVED_TO_TESTS = ["minor_check", "support_set", "truncate_legs", "rigidity_check",
                   "TruncationNotFoundError", "check_coeffs", "cf_eval", "prefix_r",
                   "seifert_euler_number", "det", "h1_order", "is_lspace",
-                  "is_negative_definite", "Embedding"]
+                  "is_negative_definite", "Embedding", "mat_vec"]
 
 
 @pytest.mark.parametrize("module", ["qamont", "qamont.lattice", "qamont.errors",
@@ -83,10 +83,11 @@ MOVED_TO_TESTS = ["minor_check", "support_set", "truncate_legs", "rigidity_check
                                     "qamont.laufer"])
 def test_paper_lemma_checks_stay_in_the_tests(module):
     # No program path runs them.  The paper-lemma checks live in
-    # tests/paper_lemmas.py and the Fraction and determinant references in
-    # tests/references.py; is_lspace and is_negative_definite were deleted
-    # in favour of verify's Laufer branch and definite_det, and Embedding in
-    # favour of the intmat.Matrix that the lattice functions take and return.
+    # tests/paper_lemmas.py and the Fraction, determinant and mat_vec
+    # references in tests/references.py; is_lspace and is_negative_definite
+    # were deleted in favour of verify's Laufer branch and definite_det, and
+    # Embedding in favour of the intmat.Matrix that the lattice functions
+    # take and return.
     namespace = importlib.import_module(module)
     assert [name for name in MOVED_TO_TESTS if hasattr(namespace, name)] == []
 
@@ -121,4 +122,53 @@ def test_only_the_named_functions_read_fraction_parts():
     assert ("montesinos", "tangle_alpha_beta") in {(m, f) for m, f, _ in reads}
     offenders = [f"{module}.{function}:{line}" for module, function, line in reads
                  if (module, function) not in FRACTION_PART_READERS]
+    assert offenders == []
+
+
+# All arithmetic is exact: the package holds no float or complex literal, no
+# true division, no call of float or round, and of math only integer
+# functions.
+MATH_NAMES = {"gcd", "prod", "isqrt"}
+
+
+def float_sites(source):
+    """(line, what) of each construct in a module's source that yields a
+    float, in line order."""
+    tree = ast.parse(source)
+    math_aliases = {alias.asname or alias.name for node in ast.walk(tree)
+                    if isinstance(node, ast.Import)
+                    for alias in node.names if alias.name == "math"}
+    sites = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
+            sites.append((node.lineno, f"literal {node.value!r}"))
+        elif isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
+            sites.append((node.lineno, "true division"))
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id in ("float", "round")):
+            sites.append((node.lineno, f"call of {node.func.id}"))
+        elif isinstance(node, ast.ImportFrom) and node.module == "math":
+            sites.extend((node.lineno, f"math.{alias.name}") for alias in node.names
+                         if alias.name not in MATH_NAMES)
+        elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.value.id in math_aliases and node.attr not in MATH_NAMES):
+            sites.append((node.lineno, f"math.{node.attr}"))
+    return sorted(sites)
+
+
+def test_float_sites_are_found():
+    source = ("from math import gcd, log\n"
+              "import math as m\n"
+              "x = 1.5 // 2\n"
+              "x /= 2\n"
+              "y = float(x) + round(x) + m.sqrt(2) + m.isqrt(4) + 2j + x / 2\n")
+    assert float_sites(source) == [
+        (1, "math.log"), (3, "literal 1.5"), (4, "true division"),
+        (5, "call of float"), (5, "call of round"), (5, "literal 2j"),
+        (5, "math.sqrt"), (5, "true division")]
+
+
+def test_the_package_computes_without_floats():
+    offenders = [f"{path.name}:{line}: {what}" for path in sorted(PACKAGE.glob("*.py"))
+                 for line, what in float_sites(path.read_text())]
     assert offenders == []

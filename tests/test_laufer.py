@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -7,11 +8,13 @@ from conftest import random_star_graph
 from qamont import laufer
 from qamont.classifier import Branch, enumerate_family, verify
 from qamont.errors import NotNegativeDefiniteError, StepLimitError
-from qamont.intmat import freeze, mat_vec
-from qamont.laufer import LauferVerdict, laufer_run
+from qamont.intmat import freeze
+from qamont.laufer import LauferResult, LauferVerdict, laufer_run
 from qamont.montesinos import (MontesinosLink, determinant, epsilon, reflect,
                                to_negative_form)
-from qamont.plumbing import PlumbingGraph, adjacency_matrix, build_graph, definite_det
+from qamont.plumbing import (PlumbingGraph, adjacency_matrix, build_graph, definite_det,
+                             oriented_graph)
+from references import mat_vec
 
 E8 = PlumbingGraph(-2, ((-2,), (-2, -2), (-2, -2, -2, -2)))
 SIGMA_2_3_7 = PlumbingGraph(-1, ((-2,), (-3,), (-7,)))
@@ -23,17 +26,28 @@ def M(e, *tangles):
 
 
 def reference_sequence(q, pick):
-    """The computation sequence incrementing the vertex ``pick`` chooses
-    among those with pairing 1: (verdict, final cycle)."""
+    """The computation sequence from scratch: Q * K by ``mat_vec`` at every
+    step, incrementing the vertex ``pick`` chooses among those with pairing
+    1, and reporting the lowest vertex with pairing >= 2."""
     cycle = [1] * len(q)
-    while True:
+    for step in itertools.count():
         pairing = mat_vec(q, cycle)
-        if any(v >= 2 for v in pairing):
-            return LauferVerdict.NOT_RATIONAL, tuple(cycle)
+        high = [j for j, v in enumerate(pairing) if v >= 2]
+        if high:
+            return LauferResult(LauferVerdict.NOT_RATIONAL, step, tuple(cycle), high[0])
         ones = [j for j, v in enumerate(pairing) if v == 1]
         if not ones:
-            return LauferVerdict.RATIONAL, tuple(cycle)
+            return LauferResult(LauferVerdict.RATIONAL, step, tuple(cycle), None)
         cycle[pick(ones)] += 1
+
+
+def oriented_forms():
+    """Q of every oriented form of p=3 alpha<=4 e in [-3, 4] and p=4
+    alpha<=5 e in [-2, 5]: 4,215 links with nonzero determinant."""
+    for p, alpha_max, e_min, e_max in ((3, 4, -3, 4), (4, 5, -2, 5)):
+        for link in enumerate_family(p, alpha_max, e_min, e_max, p_min=p):
+            if determinant(link) != 0:
+                yield adjacency_matrix(oriented_graph(link)[1])
 
 
 class TestRun:
@@ -85,10 +99,28 @@ class TestRun:
             q = adjacency_matrix(graph)
             low = laufer_run(q)
             for pick in (max, seeded.choice):
-                verdict, cycle = reference_sequence(q, pick)
-                assert verdict is low.verdict
-                if verdict is LauferVerdict.RATIONAL:
-                    assert cycle == low.cycle
+                other = reference_sequence(q, pick)
+                assert other.verdict is low.verdict
+                if other.verdict is LauferVerdict.RATIONAL:
+                    assert other.cycle == low.cycle
+
+    def test_matches_the_sequence_from_scratch_field_for_field(self, rng):
+        # The kept pairing vector against Q * K recomputed at every step,
+        # under the same rule (lowest vertex with pairing 1): verdict,
+        # steps, cycle and witness all agree.
+        forms = list(oriented_forms())
+        assert len(forms) == 4215
+        stars = []
+        while len(stars) < 200:
+            graph = random_star_graph(rng)
+            if definite_det(graph) is not None:
+                stars.append(adjacency_matrix(graph))
+        verdicts = set()
+        for q in forms + stars + [adjacency_matrix(E8)]:
+            result = laufer_run(q)
+            assert result == reference_sequence(q, min), q
+            verdicts.add(result.verdict)
+        assert verdicts == set(LauferVerdict)
 
     def test_linear_chains_are_rational(self):
         # length <= 3 smoke here; the acceptance suite covers length <= 6
