@@ -21,14 +21,14 @@ import os
 import sys
 import time
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor
 from itertools import chain, islice
 from pathlib import Path
 from typing import Iterable, Iterator
 
 from .classifier import classify, enumerate_family, explain, render_explain, verify
 from .errors import InternalError, NotNegativeDefiniteError, ParseError
-from .lattice import embeddings_by_rank, qa_lattice_obstruction, transpose_surjective
+from .lattice import (_critical_primes, embeddings_by_rank, qa_lattice_obstruction,
+                      transpose_surjective)
 from .laufer import laufer_run
 from .montesinos import _INTEGER, MontesinosLink, canonical_form, format_link, parse_link
 from .plumbing import adjacency_matrix, definite_det, parse_graph
@@ -90,6 +90,10 @@ def _records(links: Iterable[tuple[str, str, MontesinosLink]], args) -> Iterator
     if workers <= 1:
         yield from map(_build_record, tasks)
         return
+    # Imported here: the pool's modules (multiprocessing among them) take
+    # longer to import than the rest of the CLI, and only this path runs one.
+    from concurrent.futures import ProcessPoolExecutor
+
     chunks = iter(lambda: list(islice(tasks, _CHUNK)), [])
     with ProcessPoolExecutor(max_workers=workers) as pool:
         pending = deque()
@@ -198,18 +202,22 @@ def cmd_embed(args) -> int:
     if args.all:
         # The graph test, unlike the matrix test inside embeddings_by_rank,
         # cross-checks the matrix verdict against the Seifert sign test.
-        if definite_det(graph) is None:
+        d = definite_det(graph)
+        if d is None:
             raise NotNegativeDefiniteError(
                 "embedding enumeration requires a negative definite form")
+        # By the Lemma of lattice._OrderlyTree (Cauchy-Binet), only a prime
+        # whose square divides det q can divide the index of the lattice an
+        # embedding's rows generate, so with no such prime every embedding
+        # is onto and only the others need the test.
+        critical = bool(_critical_primes(d))
         total = 0
         for n, embeddings in embeddings_by_rank(adjacency_matrix(graph), args.n_max):
             for emb in embeddings:
                 total += 1
-                surjective = "true" if transpose_surjective(emb) else "false"
-                print(f"embedding n={n} index={total} surjective={surjective}")
-                for row in emb:
-                    print(" ".join(str(v) for v in row))
-                print()
+                surjective = "false" if critical and not transpose_surjective(emb) else "true"
+                print("\n".join([f"embedding n={n} index={total} surjective={surjective}",
+                                 *(" ".join(map(str, row)) for row in emb), ""]))
         print(f"total: {total}")
         return 0
     result = qa_lattice_obstruction(graph)

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache, partial
+from itertools import islice
 from math import isqrt
 from operator import itemgetter
 from typing import Iterator, Sequence
@@ -69,9 +70,10 @@ def gram_matches(emb: Matrix, q: Matrix) -> bool:
 
 
 def _canonical_rows(cols: Sequence[Sequence[int]], n: int) -> Matrix:
+    """The first n rows of the matrix with columns ``cols``, each
+    sign-normalised (first nonzero entry positive), sorted descending."""
     rows = []
-    for r in range(n):
-        row = tuple(col[r] for col in cols)
+    for row in islice(zip(*cols), n):
         for v in row:
             if v > 0:
                 break

@@ -1,11 +1,12 @@
 """Exact references for the tests: continued fractions and the Seifert
 Euler number evaluated as ``fractions.Fraction`` values, determinants by
-Bareiss elimination with row pivoting, and the matrix-vector product.  No
-program path needs them: ``cfrac.cf_expand`` and
-``plumbing.negative_definite_by_sign`` run on integers,
-``plumbing.definite_det`` reads det Q off the last pivot of its
-definiteness test, and ``laufer_run`` keeps Q * K by adding one row of Q
-per step.  The tests hold that code to these references."""
+Bareiss elimination with row pivoting, the matrix-vector product, and
+canonical rows read one index at a time.  No program path needs them:
+``cfrac.cf_expand`` and ``plumbing.negative_definite_by_sign`` run on
+integers, ``plumbing.definite_det`` reads det Q off the last pivot of its
+definiteness test, ``laufer_run`` keeps Q * K by adding one row of Q per
+step, and ``lattice._canonical_rows`` reads its rows off one transpose.
+The tests hold that code to these references."""
 
 from __future__ import annotations
 
@@ -60,6 +61,23 @@ def seifert_euler_number(graph: PlumbingGraph) -> Fraction:
 
 def mat_vec(m: Matrix, v: Sequence[int]) -> list[int]:
     return [sum(x * y for x, y in zip(row, v)) for row in m]
+
+
+def canonical_rows(cols: Sequence[Sequence[int]], n: int) -> Matrix:
+    """Rows 0..n-1 of the matrix with columns ``cols``, each sign-normalised
+    (first nonzero entry positive), sorted in decreasing order."""
+    rows = []
+    for r in range(n):
+        row = tuple(col[r] for col in cols)
+        for v in row:
+            if v > 0:
+                break
+            if v < 0:
+                row = tuple(-x for x in row)
+                break
+        rows.append(row)
+    rows.sort(reverse=True)
+    return tuple(rows)
 
 
 def det(m: Matrix) -> int:

@@ -1,3 +1,4 @@
+import concurrent.futures
 import hashlib
 import json
 import os
@@ -9,12 +10,15 @@ import pytest
 
 import qamont
 from qamont import classifier, cli, montesinos, plumbing
+from qamont.classifier import enumerate_family
 from qamont.cli import main
 from qamont.errors import InternalError
 from qamont.intmat import is_negative_definite_matrix
-from qamont.lattice import gram_matches, qa_lattice_obstruction, transpose_surjective
-from qamont.montesinos import canonical_form, parse_link
-from qamont.plumbing import adjacency_matrix, parse_graph
+from qamont.lattice import (_critical_primes, gram_matches, qa_lattice_obstruction,
+                            transpose_surjective)
+from qamont.montesinos import canonical_form, determinant, parse_link
+from qamont.plumbing import (adjacency_matrix, definite_det, format_graph,
+                             oriented_graph, parse_graph)
 
 E8_TEXT = "central: -2\nleg: -2\nleg: -2 -2\nleg: -2 -2 -2 -2\n"
 SIGMA_237_TEXT = "central: -1\nleg: -2\nleg: -3\nleg: -7\n"
@@ -95,7 +99,7 @@ class TestClassify:
             raise AssertionError("a worker pool was started")
 
         monkeypatch.setattr(os, "cpu_count", lambda: 1)
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
         code, out, _ = run(capsys, "classify", "M(0; 2)", "M(1; 2, 2, 2)",
                            "--verify", "--jobs", "2")
         assert code == 0
@@ -106,7 +110,7 @@ class TestClassify:
             raise AssertionError("a worker pool was started")
 
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
         code, out, _ = run(capsys, "classify", "M(0; 2)", "--verify", "--jobs", "2")
         assert code == 0
         assert len(out.splitlines()) == 1
@@ -116,7 +120,7 @@ class TestClassify:
             raise AssertionError("a worker pool was started")
 
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
         argv = ("enumerate", "--p", "2", "--alpha-max", "4", "--e-min", "0",
                 "--e-max", "1")
         code, pooled, _ = run(capsys, *argv, "--jobs", "2")
@@ -164,7 +168,7 @@ class TestClassify:
                 return StubFuture(fn, chunk)
 
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", StubPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", StubPool)
         monkeypatch.setattr(cli, "enumerate_family", counting_family)
         argv = ("enumerate", "--p", "2", "--alpha-max", "5", "--e-min", "0",
                 "--e-max", "1", "--verify")
@@ -665,6 +669,62 @@ class TestGraphCommands:
         assert err.startswith("internal error:") and "disagree" in err
 
 
+class TestEmbedAll:
+    """``embed --all`` runs ``transpose_surjective`` only where det q has a
+    critical prime; by the Lemma of ``lattice._OrderlyTree`` every other
+    embedding is onto."""
+
+    # sha256 of the concatenated ``embed --all`` outputs of GRAPHS, taken
+    # while every listed embedding was still tested.
+    DIGEST = "109586c53654b4743c0ed7e7e8c19029c3a6722ba9c9c3eeeddb5ebb4ea5f2f5"
+
+    # The distinct oriented graphs of p=2, alpha<=5 and p=3, alpha<=3,
+    # e in [-2,3], with zero determinant links left out.
+    GRAPHS = list(dict.fromkeys(
+        oriented_graph(link)[1]
+        for p, alpha_max in ((2, 5), (3, 3))
+        for link in enumerate_family(p, alpha_max, -2, 3, p_min=p)
+        if determinant(link)))
+
+    def test_flags_are_the_test_and_the_output_is_pinned(self, tmp_path, capsys):
+        path = tmp_path / "g.graph"
+        digest = hashlib.sha256()
+        flags = {}
+        for graph in self.GRAPHS:
+            path.write_text(format_graph(graph))
+            code, out, _ = run(capsys, "embed", str(path), "--all")
+            assert code == 0
+            digest.update(out.encode())
+            critical = bool(_critical_primes(definite_det(graph)))
+            for block in out.split("\n\n")[:-1]:
+                head, *lines = block.splitlines()
+                rows = tuple(tuple(map(int, line.split())) for line in lines)
+                flag = head.split()[-1]
+                assert flag == f"surjective={str(transpose_surjective(rows)).lower()}"
+                flags[critical, flag] = flags.get((critical, flag), 0) + 1
+        assert len(self.GRAPHS) == 296
+        assert sum(flags.values()) == 1158
+        # both kinds of graph occur, and a false flag only under a critical prime
+        assert flags[False, "surjective=true"] and flags[True, "surjective=true"]
+        assert flags[True, "surjective=false"] == 160
+        assert (False, "surjective=false") not in flags
+        assert digest.hexdigest() == self.DIGEST
+
+    def test_square_free_det_runs_no_surjectivity_test(self, tmp_path, capsys, monkeypatch):
+        def no_test(emb):
+            raise AssertionError("transpose_surjective ran")
+
+        path = tmp_path / "d4.graph"
+        path.write_text(D4_TEXT)  # det 4: 2 is critical
+        monkeypatch.setattr(cli, "transpose_surjective", no_test)
+        with pytest.raises(AssertionError):
+            main(["embed", str(path), "--all"])
+        path.write_text("central: -4\nleg: -2\nleg: -3\n")  # det -19
+        code, out, _ = run(capsys, "embed", str(path), "--all")
+        assert code == 0
+        assert out.count("surjective=true") == 3 and out.endswith("total: 3\n")
+
+
 class TestClosedOutput:
     """A reader that closes standard output early (``| head -1``) ends the
     command with exit code 1 and no traceback, with or without a pool."""
@@ -689,3 +749,13 @@ class TestClosedOutput:
         assert json.loads(first)["link"].startswith("M(")
         assert proc.returncode == 1
         assert b"Traceback" not in err and b"Exception ignored" not in err
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    # The pool's modules are imported only when a pool is started.
+    src = str(Path(qamont.__file__).resolve().parent.parent)
+    code = ("import sys, qamont.cli; "
+            "print(sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=src), check=True).stdout
+    assert out == "[]\n"

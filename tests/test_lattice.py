@@ -22,6 +22,7 @@ from qamont.montesinos import (MontesinosLink, determinant, to_negative_form,
 from qamont.plumbing import (PlumbingGraph, adjacency_matrix, build_graph,
                              definite_det, oriented_graph)
 from paper_lemmas import minor_check, rigidity_check, support_set, truncate_legs
+from references import canonical_rows as canonical_rows_of_columns
 from references import det, prefix_r
 from smith_form import invariant_factors
 
@@ -138,6 +139,23 @@ class TestEnumerate:
             yielded[n] = sum(1 for _ in enumerate_embeddings(q, n))
             assert calls == Counter({n: yielded[n]}), n
         assert sum(yielded.values()) > max(yielded.values())  # several ranks hold leaves
+
+    def test_canonical_rows_match_the_reference(self):
+        # Random columns whose leading entries are often negative, and
+        # whose rows often tie, on every prefix of the rows.
+        rng = random.Random(26)
+        for _ in range(2000):
+            k, m = rng.randint(1, 5), rng.randint(1, 7)
+            rows = [tuple(rng.randint(-3, 2) for _ in range(k)) for _ in range(m)]
+            for r in range(1, m):
+                if rng.random() < 0.3:
+                    rows[r] = rows[rng.randrange(r)]
+                if rng.random() < 0.2:
+                    rows[r] = tuple(-x for x in rows[r])
+            cols = list(zip(*rows))
+            for n in range(m + 1):
+                expected = canonical_rows_of_columns(cols, n)
+                assert lattice._canonical_rows(cols, n) == expected, (cols, n)
 
     def test_streams_keep_their_rank_when_read_late(self):
         q = adjacency_matrix(PlumbingGraph(-3, ((-2, -2), (-4,))))
@@ -411,6 +429,26 @@ class TestSurjectivity:
         for d, expected in cases:
             assert lattice._critical_primes(d) == expected, d
             assert lattice._critical_primes(-d) == expected, -d
+
+    def test_square_free_det_makes_every_embedding_onto(self):
+        # The Lemma of ``_OrderlyTree``: with no critical prime, nothing
+        # can divide the index of the lattice the rows generate, so every
+        # embedding at every rank has a surjective transpose.
+        rng = random.Random(2026)
+        stars = legs = total = 0
+        while stars < 40:
+            graph = random_star_graph(rng, max_legs=4, max_leg_len=2,
+                                      central_range=(-5, -1), leg_range=(-4, -2))
+            d = definite_det(graph)
+            if d is None or lattice._critical_primes(d):
+                continue
+            stars += 1
+            legs = max(legs, len(graph.legs))
+            for _, embeddings in embeddings_by_rank(adjacency_matrix(graph)):
+                for emb in embeddings:
+                    assert transpose_surjective(emb), (graph, emb)
+                    total += 1
+        assert legs == 4 and total > 2000
 
     @pytest.mark.parametrize("family, counts", [
         ((2, 5, -3, 4), (1036, 1460, 118)),
