@@ -30,13 +30,14 @@ from math import gcd, prod
 from operator import index
 from typing import Iterator
 
-from .lattice import ObstructionResult, qa_lattice_obstruction
-from .laufer import LauferResult, LauferVerdict, laufer_run
+from .errors import InternalError
+from .lattice import ObstructionResult, _qa_lattice_obstruction
+from .laufer import LauferResult, LauferVerdict, _laufer_run
 from .montesinos import (MontesinosLink, StandardForm, _scaled_epsilon,
                          canonical_form, determinant, format_link, reflect,
                          to_negative_form, to_standard_form)
-from .plumbing import (PlumbingGraph, adjacency_matrix, format_graph,
-                       oriented_graph)
+from .plumbing import (PlumbingGraph, _definite_det, adjacency_matrix,
+                       format_graph, oriented_graph)
 
 __all__ = [
     "Status",
@@ -159,16 +160,30 @@ def verify(link: MontesinosLink) -> Evidence:
     means NotQA, a witness completes the positive check.  The evidence
     carries the oriented side and its graph, so callers such as ``explain``
     need not derive them again.
+
+    The plumbing's q is guarded once per link: ``plumbing._definite_det``
+    eliminates it, cross-checked against the Seifert sign test.  Both
+    halves then run unguarded, Laufer's sequence on q
+    (``laufer._laufer_run``) and the cached search with its det q
+    (``lattice._qa_lattice_obstruction``).  eps < 0 makes the plumbing
+    negative definite, so a side that fails the guard is a bug, not a bad
+    input, and raises ``InternalError`` naming the link.
     """
     std = to_standard_form(link)
     if determinant(std) == 0:
         return Evidence(Branch.DET_ZERO, False, None, None, None, None)
     side, graph = oriented_graph(std)
     reflected = side != std
-    laufer = laufer_run(adjacency_matrix(graph))
+    q = adjacency_matrix(graph)
+    d = _definite_det(graph, q)
+    if d is None:
+        raise InternalError(
+            f"the eps < 0 side {format_link(side)} of {format_link(link)} "
+            "has a plumbing that is not negative definite")
+    laufer = _laufer_run(q)
     if laufer.verdict is LauferVerdict.NOT_RATIONAL:
         return Evidence(Branch.LAUFER_NOT_LSPACE, reflected, side, graph, laufer, None)
-    obstruction = qa_lattice_obstruction(graph)
+    obstruction = _qa_lattice_obstruction(graph, d)
     branch = Branch.LATTICE_OBSTRUCTED if obstruction.obstructed else Branch.POSITIVE_CHECK
     return Evidence(branch, reflected, side, graph, laufer, obstruction)
 

@@ -27,11 +27,11 @@ from typing import Iterable, Iterator
 
 from .classifier import classify, enumerate_family, explain, render_explain, verify
 from .errors import InternalError, NotNegativeDefiniteError, ParseError
-from .lattice import (_critical_primes, embeddings_by_rank, qa_lattice_obstruction,
+from .lattice import (_critical_primes, _embeddings_by_rank, qa_lattice_obstruction,
                       transpose_surjective)
 from .laufer import laufer_run
 from .montesinos import _INTEGER, MontesinosLink, canonical_form, format_link, parse_link
-from .plumbing import adjacency_matrix, definite_det, parse_graph
+from .plumbing import _definite_det, adjacency_matrix, parse_graph
 
 _RECORD_FIELDS = ["link", "canonical", "e", "p", "det", "epsilon",
                   "status", "reason", "evidence"]
@@ -200,9 +200,12 @@ def cmd_embed(args) -> int:
         raise ValueError(f"--n-max must be at least 1, got {args.n_max}")
     graph = _read_graph(args.graph_file)
     if args.all:
-        # The graph test, unlike the matrix test inside embeddings_by_rank,
-        # cross-checks the matrix verdict against the Seifert sign test.
-        d = definite_det(graph)
+        # One guard per graph: the graph test, unlike the matrix test
+        # inside embeddings_by_rank, cross-checks the matrix verdict against
+        # the Seifert sign test, and its det q gives the critical primes
+        # below, so the stream comes from the unguarded core.
+        q = adjacency_matrix(graph)
+        d = _definite_det(graph, q)
         if d is None:
             raise NotNegativeDefiniteError(
                 "embedding enumeration requires a negative definite form")
@@ -212,7 +215,7 @@ def cmd_embed(args) -> int:
         # is onto and only the others need the test.
         critical = bool(_critical_primes(d))
         total = 0
-        for n, embeddings in embeddings_by_rank(adjacency_matrix(graph), args.n_max):
+        for n, embeddings in _embeddings_by_rank(q, args.n_max):
             for emb in embeddings:
                 total += 1
                 surjective = "false" if critical and not transpose_surjective(emb) else "true"

@@ -79,7 +79,12 @@ def is_negative_definite_matrix(m: Matrix) -> bool:
     """Strict sign alternation of the leading principal minors, starting
     negative, in one elimination (``negative_definite_det``).
 
-    The guard of ``laufer_run`` and ``embeddings_by_rank``; it stays a
-    function of its own because ``perfbench/tracing.py`` counts its calls
-    by name as ``intmat.definiteness_checks``."""
+    The guard of the public ``laufer_run`` and ``embeddings_by_rank``,
+    which take an arbitrary matrix.  ``classifier.verify`` and
+    ``cli.cmd_embed --all`` guard their graph once with
+    ``plumbing._definite_det`` instead and call the unguarded cores, so
+    they never reach it.  It stays a function of its own because
+    ``perfbench/tracing.py`` counts its calls by name as
+    ``intmat.definiteness_checks``; that metric therefore counts only the
+    public matrix guards."""
     return negative_definite_det(m) is not None

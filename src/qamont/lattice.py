@@ -43,7 +43,7 @@ from typing import Iterator, Sequence
 
 from .errors import NotNegativeDefiniteError
 from .intmat import Matrix, freeze, is_negative_definite_matrix
-from .plumbing import PlumbingGraph, _definite_det, adjacency_matrix
+from .plumbing import PlumbingGraph, adjacency_matrix, definite_det
 
 __all__ = [
     "ObstructionResult",
@@ -404,12 +404,20 @@ def embeddings_by_rank(q: Matrix, n_max: int | None = None
     streams are independent, consumable in any order.  One
     definiteness guard runs per call, before the rank range is computed, so
     a form that is not negative definite is rejected even when the range is
-    empty.
+    empty.  ``cli.cmd_embed --all`` tests its graph with
+    ``plumbing._definite_det`` instead and calls ``_embeddings_by_rank``.
     """
     q = freeze(q)
     if not is_negative_definite_matrix(q):
         raise NotNegativeDefiniteError(
             "embedding enumeration requires a negative definite form")
+    yield from _embeddings_by_rank(q, n_max)
+
+
+def _embeddings_by_rank(q: Matrix, n_max: int | None
+                        ) -> Iterator[tuple[int, Iterator[Matrix]]]:
+    """``embeddings_by_rank`` on a ``Matrix`` q already known to be
+    negative definite; nothing is checked."""
     top = _rank_bound(q) if n_max is None else min(_rank_bound(q), n_max)
     if top < len(q):
         return
@@ -521,10 +529,31 @@ def qa_lattice_obstruction(graph: PlumbingGraph) -> ObstructionResult:
     ``adjacency_matrix(graph)``.
     ``nodes``, ``leaves`` and ``pruned`` count the sorted star's search.
     An input whose legs are already sorted is searched as given.
+
+    The guard, ``plumbing.definite_det``, runs on every call, a cache hit
+    included, so a graph that is not negative definite is rejected whatever
+    the cache holds; its det q is handed to ``_qa_lattice_obstruction``.
+    ``classifier.verify`` calls that core itself, with the det q of the one
+    guard it runs per link.
     """
-    order = sorted(range(len(graph.legs)), key=graph.legs.__getitem__)
-    cols, witness_n, nodes, leaves, pruned = _cached_search(
-        PlumbingGraph(graph.central_weight, tuple(graph.legs[i] for i in order)))
+    d = definite_det(graph)
+    if d is None:
+        raise NotNegativeDefiniteError(
+            "the embedding obstruction requires a negative definite plumbing")
+    return _qa_lattice_obstruction(graph, d)
+
+
+def _qa_lattice_obstruction(graph: PlumbingGraph, d: int) -> ObstructionResult:
+    """``qa_lattice_obstruction`` on a graph already known to be negative
+    definite, with d = det q; nothing is checked.
+
+    The search is cached under (leg-sorted star, d).  Permuting the legs
+    does not change det q, so d is a function of the star and the cache
+    hits and misses exactly as one keyed on the star alone.  Carries the
+    cache's ``cache_info`` and ``cache_clear``, as the public entry does.
+    """
+    order, star = _sorted_star(graph)
+    cols, witness_n, nodes, leaves, pruned = _cached_search(star, d)
     if cols is None:
         return ObstructionResult(True, None, None, nodes, leaves, pruned)
     # The sorted star holds the centre, then the legs order[0], order[1], ...
@@ -538,9 +567,19 @@ def qa_lattice_obstruction(graph: PlumbingGraph) -> ObstructionResult:
     return ObstructionResult(False, witness, witness_n, nodes, leaves, pruned)
 
 
-def _obstruction_search(graph: PlumbingGraph) -> tuple[
+def _sorted_star(graph: PlumbingGraph) -> tuple[list[int], PlumbingGraph]:
+    """The leg order that sorts ``graph``'s legs, and the star with its legs
+    in that order, built by ``PlumbingGraph._from_validated`` from the
+    validated graph's own weights."""
+    order = sorted(range(len(graph.legs)), key=graph.legs.__getitem__)
+    return order, PlumbingGraph._from_validated(
+        graph.central_weight, tuple(graph.legs[i] for i in order))
+
+
+def _obstruction_search(graph: PlumbingGraph, d: int) -> tuple[
         tuple[tuple[int, ...], ...] | None, int | None, int, int, int]:
-    """The obstruction search on ``graph`` in its own vertex order:
+    """The obstruction search on a negative definite ``graph`` with
+    d = det q, in its own vertex order:
     ``(witness columns or None, witness_n, nodes, leaves, pruned)``.
 
     The result is that of searching the ranks k, k + 1, ... of
@@ -574,14 +613,11 @@ def _obstruction_search(graph: PlumbingGraph) -> tuple[
     So the search is obstructed exactly when it reaches no leaf.  The
     witness's columns, copied when it was found, are returned in vertex
     order on the ``witness_n`` coordinates it touches, not yet
-    canonicalised.  q is built once, and one elimination of it serves
-    both the definiteness guard and det q (``definite_det``).
+    canonicalised.  Nothing here tests definiteness: the caller's one
+    elimination of q (``plumbing._definite_det``) was the guard, and its
+    last pivot is the d that gives the critical primes.
     """
     q = adjacency_matrix(graph)
-    d = _definite_det(graph, q)
-    if d is None:
-        raise NotNegativeDefiniteError(
-            "the embedding obstruction requires a negative definite plumbing")
     tree = _OrderlyTree(q, _rank_bound(q), _critical_primes(d))
     leaves = 0
     witness_cols, witness_n = None, None
@@ -594,8 +630,11 @@ def _obstruction_search(graph: PlumbingGraph) -> tuple[
     return witness, witness_n, tree.nodes, leaves, tree.pruned
 
 
-# The one cache, keyed on the leg-sorted star; bounded so that a long
-# enumeration does not keep every search it meets.
+# The one cache, keyed on the leg-sorted star (and its det q, which the
+# star determines); bounded so that a long enumeration does not keep every
+# search it meets.
 _cached_search = lru_cache(maxsize=1024)(_obstruction_search)
 qa_lattice_obstruction.cache_info = _cached_search.cache_info
 qa_lattice_obstruction.cache_clear = _cached_search.cache_clear
+_qa_lattice_obstruction.cache_info = _cached_search.cache_info
+_qa_lattice_obstruction.cache_clear = _cached_search.cache_clear

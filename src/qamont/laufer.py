@@ -53,16 +53,29 @@ class LauferResult:
 def laufer_run(q: Matrix) -> LauferResult:
     """Run the computation sequence on a symmetric negative definite matrix.
 
+    The guarded entry for any caller: ``q`` is frozen, and a matrix that is
+    not symmetric raises ``ValueError`` and one that is not negative
+    definite ``NotNegativeDefiniteError``, before ``_laufer_run`` runs the
+    sequence.  ``classifier.verify`` calls ``_laufer_run`` itself, on the
+    plumbing it has already tested with ``plumbing._definite_det``.
+    """
+    q = freeze(q)
+    if not is_negative_definite_matrix(q):
+        raise NotNegativeDefiniteError(
+            "the computation sequence requires a negative definite matrix")
+    return _laufer_run(q)
+
+
+def _laufer_run(q: Matrix) -> LauferResult:
+    """``laufer_run`` on a ``Matrix`` q already known to be symmetric and
+    negative definite; nothing is checked.
+
     Each step increments the lowest vertex with pairing 1, and a
     non-rational verdict reports the lowest vertex with pairing >= 2.  The
     verdict, and the final cycle in the rational case, do not depend on
     which eligible vertex is incremented (Laufer 1972).  ``pairing`` is Q * K:
     the row sums of Q, plus row i (column i of the symmetric Q) per E_i added.
     """
-    q = freeze(q)
-    if not is_negative_definite_matrix(q):
-        raise NotNegativeDefiniteError(
-            "the computation sequence requires a negative definite matrix")
     cycle = [1] * len(q)
     pairing = [sum(row) for row in q]
     for step in range(STEP_LIMIT + 1):

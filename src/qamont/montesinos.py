@@ -137,18 +137,28 @@ class StandardForm(MontesinosLink):
                         pairs: tuple[tuple[int, int], ...]) -> StandardForm:
         """Build M(e; tangles) from parts already validated; nothing is checked.
 
-        ``enumerate_family`` builds every record this way.  It is sound
-        when each tangle is the one tangle of a ``StandardForm`` built by
-        ``__init__``, ``pairs`` holds that form's pair for it, and e comes
-        from ``range``:
+        It is sound when e is an ``int``, each tangle is a ``Fraction``,
+        and ``pairs`` holds each tangle's ``tangle_alpha_beta`` with
+        alpha >= 2 and 0 < beta < alpha: that is all ``__post_init__``
+        checks or stores, and its check is per tangle.  The result then
+        equals ``StandardForm(e, tangles)`` field for field.  Three callers
+        meet this by construction:
 
-        * the check ``__post_init__`` makes is per tangle (alpha >= 2 and
-          0 < beta < alpha), so any multiset of such tangles is standard;
-        * e is an ``int``, which is what ``__post_init__`` stores;
-        * ``pairs`` is ``tangle_alpha_beta`` of each tangle by construction.
+        * ``enumerate_family``: each tangle is the one tangle of a
+          ``StandardForm`` built by ``__init__``, ``pairs`` holds that
+          form's pair for it, and e comes from ``range``.
+        * ``to_standard_form``: each tangle is ``Fraction(alpha, beta mod
+          alpha)`` on a validated pair (alpha >= 2, gcd(alpha, beta) = 1).
+          beta mod alpha lies in (0, alpha), since alpha does not divide
+          beta, and is prime to alpha, so the Fraction is already reduced:
+          its pair is (alpha, beta mod alpha).  e is the validated int e
+          plus integer quotients.
+        * ``reflect``: each tangle is ``Fraction(alpha, alpha - beta)`` on a
+          standard pair; 0 < alpha - beta < alpha and gcd(alpha, alpha -
+          beta) = gcd(alpha, beta) = 1, so its pair is (alpha, alpha - beta).
+          e is p - e of a standard form, an int.
 
-        The result therefore equals ``StandardForm(e, tangles)`` field for
-        field.  A classmethod, not a module function, so that the tracer in
+        A classmethod, not a module function, so that the tracer in
         ``perfbench/tracing.py``, which wraps every function one module
         imports from another, does not add a span to every record.
         """
@@ -165,28 +175,34 @@ def to_standard_form(link: MontesinosLink) -> StandardForm:
     Replacing beta by beta + k*alpha while adding k to e leaves the link
     unchanged, so eps is preserved exactly.  A ``StandardForm`` is returned
     as it is: it is frozen and was validated as standard when it was made.
+    Any other link's pairs were validated with it, so the result is built
+    by ``StandardForm._from_validated``, which states why that is sound.
     """
     if isinstance(link, StandardForm):
         return link
     new_e = link.e
     new_tangles = []
+    new_pairs = []
     for alpha, beta in link.pairs:
         beta_std = beta % alpha  # nonzero: gcd(alpha, beta) = 1 and alpha >= 2
         new_e += (beta_std - beta) // alpha
         new_tangles.append(Fraction(alpha, beta_std))
-    return StandardForm(new_e, tuple(new_tangles))
+        new_pairs.append((alpha, beta_std))
+    return StandardForm._from_validated(new_e, tuple(new_tangles), tuple(new_pairs))
 
 
 def reflect(link: StandardForm) -> StandardForm:
     """Mirror image in standard form: M(p - e; alpha_i/(alpha_i - beta_i)).
 
-    Reflection negates eps and is an involution on standard forms.
+    Reflection negates eps and is an involution on standard forms, so the
+    result is built by ``StandardForm._from_validated`` with no re-check.
     ``oriented_graph`` and ``explain`` call it, and so does
     ``perfbench/workloads.py``.
     """
     _require_standard(link)
-    tangles = tuple(Fraction(a, a - b) for a, b in link.pairs)
-    return StandardForm(link.p - link.e, tangles)
+    pairs = tuple((a, a - b) for a, b in link.pairs)
+    tangles = tuple(Fraction(a, b) for a, b in pairs)
+    return StandardForm._from_validated(link.p - link.e, tangles, pairs)
 
 
 def _scaled_epsilon(link: MontesinosLink) -> tuple[int, int]:

@@ -15,7 +15,7 @@ from operator import index
 
 from .cfrac import _expand, cf_expand
 from .errors import InternalError, ParseError
-from .intmat import Matrix, freeze, negative_definite_det
+from .intmat import Matrix, negative_definite_det
 from .montesinos import _INTEGER, MontesinosLink, StandardForm, _scaled_epsilon, reflect
 
 __all__ = [
@@ -50,6 +50,30 @@ class PlumbingGraph:
         object.__setattr__(self, "central_weight", central_weight)
         object.__setattr__(self, "legs", legs)
 
+    @classmethod
+    def _from_validated(cls, central_weight: int,
+                        legs: tuple[tuple[int, ...], ...]) -> PlumbingGraph:
+        """Build the graph from weights already validated; nothing is checked.
+
+        It is sound when ``central_weight`` is an ``int`` and ``legs`` is a
+        tuple of nonempty tuples of ``int``s: that is all ``__post_init__``
+        checks or stores, so the result equals ``PlumbingGraph(central_weight,
+        legs)`` field for field.  Two callers meet this by construction:
+
+        * ``oriented_graph``: the central weight is e - p of a standard
+          form, and each leg is a tuple from ``_expand``, which appends at
+          least one integer quotient;
+        * ``lattice._sorted_star``: the weights and legs of a graph that
+          was validated, in another leg order.
+
+        A classmethod, as ``StandardForm._from_validated`` is, so that the
+        tracer in ``perfbench/tracing.py`` does not add a span per call.
+        """
+        graph = object.__new__(cls)
+        object.__setattr__(graph, "central_weight", central_weight)
+        object.__setattr__(graph, "legs", legs)
+        return graph
+
     @property
     def vertex_count(self) -> int:
         return 1 + sum(len(leg) for leg in self.legs)
@@ -76,7 +100,8 @@ def oriented_graph(link: StandardForm) -> tuple[StandardForm, PlumbingGraph]:
     the negative form of a standard tangle alpha/beta is
     (-alpha)/(alpha - beta), already reduced with a positive denominator, so
     its leg is ``_expand(-alpha, alpha - beta)`` on the side's ``pairs``,
-    and the central weight is e - p.
+    and the central weight is e - p.  Both are integers by construction, so
+    the graph is built by ``PlumbingGraph._from_validated``.
     """
     n, _ = _scaled_epsilon(link)
     if n == 0:
@@ -84,12 +109,16 @@ def oriented_graph(link: StandardForm) -> tuple[StandardForm, PlumbingGraph]:
             "determinant zero: the double branched cover is not a rational homology sphere")
     side = reflect(link) if n > 0 else link
     legs = tuple(_expand(-alpha, alpha - beta) for alpha, beta in side.pairs)
-    return side, PlumbingGraph(side.e - side.p, legs)
+    return side, PlumbingGraph._from_validated(side.e - side.p, legs)
 
 
 def adjacency_matrix(graph: PlumbingGraph) -> Matrix:
     """Symmetric k x k weighted adjacency matrix: weights on the diagonal,
-    an entry 1 for every tree edge, 0 elsewhere."""
+    an entry 1 for every tree edge, 0 elsewhere.
+
+    It needs no ``freeze``: the graph's weights were validated as ``int``s
+    when it was built, every other entry is the literal 0 or 1, and every
+    row has k entries, so the rows are already a ``Matrix``."""
     k = graph.vertex_count
     m = [[0] * k for _ in range(k)]
     m[0][0] = graph.central_weight
@@ -101,7 +130,7 @@ def adjacency_matrix(graph: PlumbingGraph) -> Matrix:
             m[prev][idx] = m[idx][prev] = 1
             prev = idx
             idx += 1
-    return freeze(m)
+    return tuple(map(tuple, m))
 
 
 def negative_definite_by_sign(graph: PlumbingGraph) -> bool:
@@ -133,13 +162,17 @@ def definite_det(graph: PlumbingGraph) -> int | None:
     leading principal minors, ``negative_definite_det``) always applies,
     and its last minor is det Q.  When every leg entry is <= -2 the sign
     test applies as well and the two must agree; a mismatch would be a
-    bug, not a property of the input.
+    bug, not a property of the input.  It is the guard of the public
+    ``qa_lattice_obstruction``.
     """
     return _definite_det(graph, adjacency_matrix(graph))
 
 
 def _definite_det(graph: PlumbingGraph, q: Matrix) -> int | None:
-    """``definite_det`` on the caller's ``adjacency_matrix(graph)``, ``q``."""
+    """``definite_det`` on the caller's ``adjacency_matrix(graph)``, ``q``.
+
+    ``classifier.verify`` and ``cli.cmd_embed --all`` go on to use that q
+    themselves, so this one elimination is the only guard on their path."""
     d = negative_definite_det(q)
     if _legs_are_continued_fractions(graph):
         if negative_definite_by_sign(graph) != (d is not None):

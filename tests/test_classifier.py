@@ -8,7 +8,7 @@ from math import gcd
 
 import pytest
 
-from qamont import classifier
+from qamont import classifier, intmat, plumbing
 from qamont.classifier import (Branch, Reason, Status, _strict_pair, classify,
                                enumerate_family, explain, render_explain,
                                verify)
@@ -130,6 +130,30 @@ class TestVerify:
                 witness = evidence.obstruction.witness
                 assert gram_matches(witness, adjacency_matrix(evidence.graph))
         assert positive > 0
+
+    def test_one_elimination_per_link(self, monkeypatch):
+        # One cross-checked elimination of q guards both halves, Laufer's
+        # sequence and the search, on a cache miss as on a hit.
+        calls = Counter()
+
+        def counting(m, eliminate=intmat.negative_definite_det):
+            calls["eliminations"] += 1
+            return eliminate(m)
+
+        monkeypatch.setattr(intmat, "negative_definite_det", counting)
+        monkeypatch.setattr(plumbing, "negative_definite_det", counting)
+        qa_lattice_obstruction.cache_clear()
+        for warm in (False, True):
+            misses = searched = 0
+            for link in FAMILY:
+                calls.clear()
+                before = qa_lattice_obstruction.cache_info().misses
+                evidence = verify(link)
+                misses += qa_lattice_obstruction.cache_info().misses - before
+                searched += evidence.obstruction is not None
+                assert calls["eliminations"] == (evidence.graph is not None), link
+            assert searched == 270
+            assert misses == (0 if warm else 170)
 
     def test_never_consults_the_classifier_inequalities(self, monkeypatch):
         # verify re-derives every verdict without classify's conditions, so

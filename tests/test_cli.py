@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import qamont
-from qamont import classifier, cli, montesinos, plumbing
+from qamont import classifier, cli, intmat, montesinos, plumbing
 from qamont.classifier import enumerate_family
 from qamont.cli import main
 from qamont.errors import InternalError
@@ -669,6 +669,16 @@ class TestGraphCommands:
         assert err.startswith("internal error:") and "disagree" in err
 
 
+def test_verify_guard_failure_exits_4_naming_the_link(capsys, monkeypatch):
+    # eps < 0 makes the oriented side's plumbing negative definite, so a
+    # side that fails verify's guard is a bug (exit 4), not a bad graph (3).
+    monkeypatch.setattr(classifier, "_definite_det", lambda graph, q: None)
+    code, out, err = run(capsys, "classify", "--verify", "M(0; 5/2, 7/3)")
+    assert code == 4
+    assert out == ""
+    assert err.startswith("internal error:") and "M(0; 5/2, 7/3)" in err
+
+
 class TestEmbedAll:
     """``embed --all`` runs ``transpose_surjective`` only where det q has a
     critical prime; by the Lemma of ``lattice._OrderlyTree`` every other
@@ -723,6 +733,26 @@ class TestEmbedAll:
         code, out, _ = run(capsys, "embed", str(path), "--all")
         assert code == 0
         assert out.count("surjective=true") == 3 and out.endswith("total: 3\n")
+
+    def test_one_elimination_per_graph(self, tmp_path, capsys, monkeypatch):
+        # The cross-checked guard's elimination gives det q, and the
+        # embeddings stream from the unguarded core: no second guard.
+        calls = []
+
+        def counting(m, eliminate=intmat.negative_definite_det):
+            calls.append(len(m))
+            return eliminate(m)
+
+        monkeypatch.setattr(intmat, "negative_definite_det", counting)
+        monkeypatch.setattr(plumbing, "negative_definite_det", counting)
+        path = tmp_path / "g.graph"
+        for graph in self.GRAPHS[::7]:
+            path.write_text(format_graph(graph))
+            for extra in ((), ("--n-max", "5")):
+                calls.clear()
+                code, _, _ = run(capsys, "embed", str(path), "--all", *extra)
+                assert code == 0
+                assert calls == [graph.vertex_count], graph
 
 
 class TestClosedOutput:

@@ -172,3 +172,75 @@ def test_the_package_computes_without_floats():
     offenders = [f"{path.name}:{line}: {what}" for path in sorted(PACKAGE.glob("*.py"))
                  for line, what in float_sites(path.read_text())]
     assert offenders == []
+
+
+# The trusted cores run on a form that is already guarded, so each is reached
+# only from its public wrapper, which guards it, from ``verify``, which guards
+# the oriented plumbing once per link, or from ``cmd_embed``, which guards the
+# graph it read.  A core's own module may wire it at module level (a cache, its
+# ``cache_info``).  Core name -> (defining module, the functions that may read
+# it).
+TRUSTED_CORES = {
+    "_laufer_run": ("laufer", {"laufer_run", "verify"}),
+    "_qa_lattice_obstruction": ("lattice", {"qa_lattice_obstruction", "verify"}),
+    "_embeddings_by_rank": ("lattice", {"embeddings_by_rank", "cmd_embed"}),
+    "_cached_search": ("lattice", {"_qa_lattice_obstruction"}),
+    "_obstruction_search": ("lattice", set()),
+}
+
+
+def core_reads(source):
+    """(line, core, enclosing function) of each read of a trusted core's
+    name, as a name or as an attribute, in line order; the function is None
+    at module level."""
+    reads = []
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            function = getattr(node, "name", "<lambda>")
+        elif isinstance(node, ast.Name) and node.id in TRUSTED_CORES:
+            reads.append((node.lineno, node.id, function))
+        elif isinstance(node, ast.Attribute) and node.attr in TRUSTED_CORES:
+            reads.append((node.lineno, node.attr, function))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(ast.parse(source), None)
+    return sorted(reads, key=lambda read: read[0])
+
+
+def misplaced_core_reads(module, source):
+    """The reads of ``core_reads`` that no entry of ``TRUSTED_CORES`` allows."""
+    return [(line, core, function) for line, core, function in core_reads(source)
+            if not (function in TRUSTED_CORES[core][1]
+                    or function is None and module == TRUSTED_CORES[core][0])]
+
+
+def test_misplaced_core_reads_are_found():
+    source = ("from .laufer import _laufer_run\n"
+              "def verify(q):\n"
+              "    return _laufer_run(q)\n"
+              "def explain(q):\n"
+              "    return _laufer_run(q)\n"
+              "def helper(lattice):\n"
+              "    return lattice._embeddings_by_rank\n"
+              "run = _laufer_run\n"
+              "key = lambda g: _cached_search(g, 1)\n")
+    assert misplaced_core_reads("classifier", source) == [
+        (5, "_laufer_run", "explain"), (7, "_embeddings_by_rank", "helper"),
+        (8, "_laufer_run", None), (9, "_cached_search", "<lambda>")]
+    assert misplaced_core_reads("laufer", "run = _laufer_run\n") == []
+
+
+def test_trusted_cores_are_read_only_where_allowed():
+    reads = set()
+    offenders = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        source = path.read_text()
+        reads |= {(core, function) for _, core, function in core_reads(source)}
+        offenders += [f"{path.name}:{line}: {core} in {function}"
+                      for line, core, function in misplaced_core_reads(path.stem, source)]
+    assert offenders == []
+    # every allowed caller still reads its core, so no rename empties the check
+    assert {(core, function) for core, (_, functions) in TRUSTED_CORES.items()
+            for function in functions} <= reads

@@ -9,7 +9,7 @@ from math import isqrt
 import pytest
 
 from conftest import random_cf, random_star_graph
-from qamont import lattice
+from qamont import lattice, laufer
 from qamont.errors import NotNegativeDefiniteError
 from qamont.intmat import freeze, is_negative_definite_matrix
 from qamont.lattice import (embeddings_by_rank, enumerate_embeddings,
@@ -183,6 +183,31 @@ class TestEnumerate:
             list(embeddings_by_rank(((1,),)))
         with pytest.raises(ValueError, match="symmetric"):
             list(embeddings_by_rank(((-2, 1), (0, -2)), 1))
+
+    def test_public_entries_guard_before_their_cores(self, monkeypatch):
+        # The unguarded cores serve verify and embed --all; every public
+        # entry keeps its own guard, and the search's runs whatever the
+        # cache holds.
+        for graph in oriented_graphs(2, 3, -1, 1):
+            qa_lattice_obstruction(graph)
+        assert qa_lattice_obstruction.cache_info().currsize > 0
+
+        def unreachable(*args):
+            raise AssertionError("a trusted core was reached")
+
+        monkeypatch.setattr(lattice, "_embeddings_by_rank", unreachable)
+        monkeypatch.setattr(lattice, "_qa_lattice_obstruction", unreachable)
+        monkeypatch.setattr(laufer, "_laufer_run", unreachable)
+        asymmetric = ((-2, 1), (0, -2))
+        indefinite = PlumbingGraph(0, ((-2,),) * 4)
+        for run in (laufer_run, lambda q: list(embeddings_by_rank(q))):
+            with pytest.raises(ValueError, match="symmetric"):
+                run(asymmetric)
+            with pytest.raises(NotNegativeDefiniteError):
+                run(adjacency_matrix(indefinite))
+        for graph in (indefinite, PlumbingGraph(1, ()), PlumbingGraph(-1, ((-2,),) * 3)):
+            with pytest.raises(NotNegativeDefiniteError):
+                qa_lattice_obstruction(graph)
 
     def test_rejects_a_rank_below_one(self):
         for n in (0, -1):
@@ -864,7 +889,7 @@ class TestObstruction:
         gc.disable()
         try:
             for graph in graphs:
-                lattice._obstruction_search(graph)
+                lattice._obstruction_search(graph, definite_det(graph))
             assert len(list(enumerate_embeddings(D4_Q, 4))) == 3
             stream = enumerate_embeddings(D4_Q, 4)
             next(stream)

@@ -124,7 +124,24 @@ class TestPairs:
                 assert copy == link and copy.pairs == link.pairs
 
 
+def link_fields(link):
+    """Every stored field of a link, each with the type of its values, so
+    that two links compare field for field, ``pairs`` included."""
+    return (type(link), sorted(vars(link)), link.e, type(link.e),
+            link.tangles, [type(t) for t in link.tangles], link.pairs,
+            [type(x) for pair in link.pairs for x in pair])
+
+
 class TestStandardForm:
+    def test_built_forms_equal_the_validating_constructor(self, rng):
+        # to_standard_form and reflect build through
+        # StandardForm._from_validated, which checks nothing
+        for _ in range(500):
+            std = to_standard_form(random_link(rng, p_max=5))
+            for link in (std, reflect(std)):
+                assert link_fields(link) == \
+                    link_fields(StandardForm(link.e, link.tangles)), link
+
     def test_examples(self):
         assert to_standard_form(M(0, Fraction(-7, 3))) == M(1, Fraction(7, 4))
         assert to_standard_form(M(1, Fraction(3, 2), 3)) == M(1, Fraction(3, 2), 3)

@@ -1,13 +1,15 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
 from conftest import random_star_graph
 from qamont.classifier import enumerate_family
 from qamont.errors import ParseError
-from qamont.intmat import is_negative_definite_matrix
-from qamont.montesinos import (MontesinosLink, determinant, epsilon, reflect,
-                               to_negative_form)
+from qamont import lattice
+from qamont.intmat import freeze, is_negative_definite_matrix
+from qamont.montesinos import (MontesinosLink, StandardForm, determinant, epsilon,
+                               reflect, to_negative_form)
 from qamont.plumbing import (PlumbingGraph, adjacency_matrix, build_graph,
                              definite_det, format_graph, negative_definite_by_sign,
                              oriented_graph, parse_graph)
@@ -62,6 +64,47 @@ class TestOrientedGraph:
             assert graph == build_graph(to_negative_form(side))
             checked += 1
         assert (checked, zero) == (1958, 13)
+
+
+def graph_fields(graph):
+    """Every stored field of a graph, each with the type of its values."""
+    return (type(graph), sorted(vars(graph)), graph.central_weight,
+            type(graph.central_weight), graph.legs, [type(leg) for leg in graph.legs],
+            [type(w) for leg in graph.legs for w in leg])
+
+
+def random_standard_form(rng):
+    tangles = []
+    for _ in range(rng.randint(1, 5)):
+        alpha = rng.randint(2, 40)
+        beta = rng.choice([b for b in range(1, alpha) if gcd(alpha, b) == 1])
+        tangles.append(Fraction(alpha, beta))
+    return StandardForm(rng.randint(-6, 6), tuple(tangles))
+
+
+class TestBuiltFromValidatedParts:
+    """``oriented_graph`` and the search's leg-sorted star build through
+    ``PlumbingGraph._from_validated``, and ``adjacency_matrix`` does not
+    ``freeze``; each equals what the validating constructors build."""
+
+    def test_graphs_equal_the_validating_constructor(self, rng):
+        checked = 0
+        for _ in range(500):
+            std = random_standard_form(rng)
+            if determinant(std) == 0:
+                continue
+            _, graph = oriented_graph(std)
+            assert graph_fields(graph) == \
+                graph_fields(PlumbingGraph(graph.central_weight, graph.legs)), std
+            order, star = lattice._sorted_star(graph)
+            assert graph_fields(star) == graph_fields(
+                PlumbingGraph(graph.central_weight, tuple(sorted(graph.legs)))), std
+            assert star.legs == tuple(graph.legs[i] for i in order)
+            q = adjacency_matrix(graph)
+            assert type(q) is tuple and all(type(row) is tuple for row in q)
+            assert q == freeze(q)
+            checked += 1
+        assert checked > 450
 
 
 class TestAdjacency:
