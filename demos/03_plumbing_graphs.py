@@ -11,7 +11,7 @@ Run: python3 demos/03_plumbing_graphs.py
 from qamont import (PlumbingGraph, adjacency_matrix, build_graph, determinant,
                     format_graph, parse_link, to_negative_form, to_standard_form)
 from qamont.intmat import negative_definite_det
-from qamont.plumbing import definite_det, negative_definite_by_sign
+from qamont.plumbing import negative_definite_by_sign
 
 link = parse_link("M(1; 2, 2, 2)")
 graph = build_graph(to_negative_form(to_standard_form(link)))
@@ -23,7 +23,7 @@ for row in adjacency_matrix(graph):
 
 print(f"Seifert sign test (Euler number < 0): {negative_definite_by_sign(graph)}")
 print(f"minor test (last minor, or None):     {negative_definite_det(adjacency_matrix(graph))}")
-print(f"|det Q| = {abs(definite_det(graph))} equals det(link) = {determinant(link)}")
+print(f"|det Q| = {abs(graph.definite_form.det)} equals det(link) = {determinant(link)}")
 
 print()
 print("An indefinite star for contrast (central weight 0):")

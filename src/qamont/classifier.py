@@ -31,13 +31,12 @@ from operator import index
 from typing import Iterator
 
 from .errors import InternalError
-from .lattice import ObstructionResult, _qa_lattice_obstruction
-from .laufer import LauferResult, LauferVerdict, _laufer_run
+from .lattice import ObstructionResult, qa_lattice_obstruction
+from .laufer import LauferResult, LauferVerdict, laufer_run
 from .montesinos import (MontesinosLink, StandardForm, _scaled_epsilon,
                          canonical_form, determinant, format_link, reflect,
                          to_negative_form, to_standard_form)
-from .plumbing import (PlumbingGraph, _definite_det, adjacency_matrix,
-                       format_graph, oriented_graph)
+from .plumbing import PlumbingGraph, format_graph, oriented_graph
 
 __all__ = [
     "Status",
@@ -161,29 +160,25 @@ def verify(link: MontesinosLink) -> Evidence:
     carries the oriented side and its graph, so callers such as ``explain``
     need not derive them again.
 
-    The plumbing's q is guarded once per link: ``plumbing._definite_det``
-    eliminates it, cross-checked against the Seifert sign test.  Both
-    halves then run unguarded, Laufer's sequence on q
-    (``laufer._laufer_run``) and the cached search with its det q
-    (``lattice._qa_lattice_obstruction``).  eps < 0 makes the plumbing
-    negative definite, so a side that fails the guard is a bug, not a bad
-    input, and raises ``InternalError`` naming the link.
+    The plumbing's q is eliminated once per link, by the graph's guard
+    ``definite_form``, and both halves take it from there.  eps < 0 makes
+    the plumbing negative definite, so a side that fails the guard is a
+    bug, not a bad input, and raises ``InternalError`` naming the link.
     """
     std = to_standard_form(link)
     if determinant(std) == 0:
         return Evidence(Branch.DET_ZERO, False, None, None, None, None)
     side, graph = oriented_graph(std)
     reflected = side != std
-    q = adjacency_matrix(graph)
-    d = _definite_det(graph, q)
-    if d is None:
+    q = graph.definite_form
+    if q is None:
         raise InternalError(
             f"the eps < 0 side {format_link(side)} of {format_link(link)} "
             "has a plumbing that is not negative definite")
-    laufer = _laufer_run(q)
+    laufer = laufer_run(q)
     if laufer.verdict is LauferVerdict.NOT_RATIONAL:
         return Evidence(Branch.LAUFER_NOT_LSPACE, reflected, side, graph, laufer, None)
-    obstruction = _qa_lattice_obstruction(graph, d)
+    obstruction = qa_lattice_obstruction(graph)
     branch = Branch.LATTICE_OBSTRUCTED if obstruction.obstructed else Branch.POSITIVE_CHECK
     return Evidence(branch, reflected, side, graph, laufer, obstruction)
 

@@ -7,13 +7,17 @@ Negative definiteness is one fraction-free (Bareiss) elimination without
 row exchanges.  By Sylvester's identity (Bareiss 1968) its j-th pivot is the
 j-th leading principal minor, so the sign alternation of all the minors is
 read off a single O(k^3) pass instead of k separate determinants, and the
-last pivot is the determinant itself.
+last pivot is the determinant itself.  ``definite`` runs it once and
+returns a ``Definite``, a matrix that carries its determinant, so a form
+that has passed the test is never eliminated again.
 """
 
 from __future__ import annotations
 
 from operator import index
 from typing import Iterable
+
+from .errors import NotNegativeDefiniteError
 
 Matrix = tuple[tuple[int, ...], ...]
 
@@ -22,7 +26,8 @@ __all__ = [
     "freeze",
     "is_symmetric",
     "negative_definite_det",
-    "is_negative_definite_matrix",
+    "Definite",
+    "definite",
 ]
 
 
@@ -75,16 +80,27 @@ def negative_definite_det(m: Matrix) -> int | None:
     return prev
 
 
-def is_negative_definite_matrix(m: Matrix) -> bool:
-    """Strict sign alternation of the leading principal minors, starting
-    negative, in one elimination (``negative_definite_det``).
+class Definite(tuple):
+    """A negative definite ``Matrix`` and its determinant ``det``.
 
-    The guard of the public ``laufer_run`` and ``embeddings_by_rank``,
-    which take an arbitrary matrix.  ``classifier.verify`` and
-    ``cli.cmd_embed --all`` guard their graph once with
-    ``plumbing._definite_det`` instead and call the unguarded cores, so
-    they never reach it.  It stays a function of its own because
-    ``perfbench/tracing.py`` counts its calls by name as
-    ``intmat.definiteness_checks``; that metric therefore counts only the
-    public matrix guards."""
-    return negative_definite_det(m) is not None
+    Built only by ``definite`` and by ``PlumbingGraph.definite_form``, each
+    after the elimination that proves it, so the functions that require a
+    negative definite form take one as it is."""
+
+    det: int
+
+
+def definite(m: Iterable[Iterable[int]]) -> Definite:
+    """``m`` as a ``Definite``: a ``Definite`` is returned unchanged, anything
+    else is frozen and eliminated once.  A matrix that is not symmetric
+    raises ``ValueError``, one that is not negative definite
+    ``NotNegativeDefiniteError``."""
+    if isinstance(m, Definite):
+        return m
+    m = freeze(m)
+    d = negative_definite_det(m)
+    if d is None:
+        raise NotNegativeDefiniteError("a negative definite form is required")
+    form = Definite(m)
+    form.det = d
+    return form

@@ -42,8 +42,8 @@ from operator import itemgetter
 from typing import Iterator, Sequence
 
 from .errors import NotNegativeDefiniteError
-from .intmat import Matrix, freeze, is_negative_definite_matrix
-from .plumbing import PlumbingGraph, adjacency_matrix, definite_det
+from .intmat import Matrix, definite, freeze
+from .plumbing import PlumbingGraph, adjacency_matrix
 
 __all__ = [
     "ObstructionResult",
@@ -401,23 +401,11 @@ def embeddings_by_rank(q: Matrix, n_max: int | None = None
     printing the streams prints nothing before the search is done.  A leaf
     is canonicalised into its matrix only when its stream reaches
     it, so a caller that reads one rank pays for that rank alone.  The
-    streams are independent, consumable in any order.  One
-    definiteness guard runs per call, before the rank range is computed, so
-    a form that is not negative definite is rejected even when the range is
-    empty.  ``cli.cmd_embed --all`` tests its graph with
-    ``plumbing._definite_det`` instead and calls ``_embeddings_by_rank``.
+    streams are independent, consumable in any order.  ``q`` is guarded by
+    ``intmat.definite`` before the rank range is computed, so a form that
+    is not negative definite is rejected even when the range is empty.
     """
-    q = freeze(q)
-    if not is_negative_definite_matrix(q):
-        raise NotNegativeDefiniteError(
-            "embedding enumeration requires a negative definite form")
-    yield from _embeddings_by_rank(q, n_max)
-
-
-def _embeddings_by_rank(q: Matrix, n_max: int | None
-                        ) -> Iterator[tuple[int, Iterator[Matrix]]]:
-    """``embeddings_by_rank`` on a ``Matrix`` q already known to be
-    negative definite; nothing is checked."""
+    q = definite(q)
     top = _rank_bound(q) if n_max is None else min(_rank_bound(q), n_max)
     if top < len(q):
         return
@@ -530,30 +518,19 @@ def qa_lattice_obstruction(graph: PlumbingGraph) -> ObstructionResult:
     ``nodes``, ``leaves`` and ``pruned`` count the sorted star's search.
     An input whose legs are already sorted is searched as given.
 
-    The guard, ``plumbing.definite_det``, runs on every call, a cache hit
-    included, so a graph that is not negative definite is rejected whatever
-    the cache holds; its det q is handed to ``_qa_lattice_obstruction``.
-    ``classifier.verify`` calls that core itself, with the det q of the one
-    guard it runs per link.
+    The graph's guard, ``PlumbingGraph.definite_form``, is read on every
+    call, a cache hit included, so a graph that is not negative definite is
+    rejected whatever the cache holds.  The search is cached under
+    (leg-sorted star, det q).  Permuting the legs does not change det q, so
+    det q is a function of the star and the cache hits and misses exactly
+    as one keyed on the star alone.
     """
-    d = definite_det(graph)
-    if d is None:
+    q = graph.definite_form
+    if q is None:
         raise NotNegativeDefiniteError(
             "the embedding obstruction requires a negative definite plumbing")
-    return _qa_lattice_obstruction(graph, d)
-
-
-def _qa_lattice_obstruction(graph: PlumbingGraph, d: int) -> ObstructionResult:
-    """``qa_lattice_obstruction`` on a graph already known to be negative
-    definite, with d = det q; nothing is checked.
-
-    The search is cached under (leg-sorted star, d).  Permuting the legs
-    does not change det q, so d is a function of the star and the cache
-    hits and misses exactly as one keyed on the star alone.  Carries the
-    cache's ``cache_info`` and ``cache_clear``, as the public entry does.
-    """
     order, star = _sorted_star(graph)
-    cols, witness_n, nodes, leaves, pruned = _cached_search(star, d)
+    cols, witness_n, nodes, leaves, pruned = _cached_search(star, q.det)
     if cols is None:
         return ObstructionResult(True, None, None, nodes, leaves, pruned)
     # The sorted star holds the centre, then the legs order[0], order[1], ...
@@ -613,9 +590,7 @@ def _obstruction_search(graph: PlumbingGraph, d: int) -> tuple[
     So the search is obstructed exactly when it reaches no leaf.  The
     witness's columns, copied when it was found, are returned in vertex
     order on the ``witness_n`` coordinates it touches, not yet
-    canonicalised.  Nothing here tests definiteness: the caller's one
-    elimination of q (``plumbing._definite_det``) was the guard, and its
-    last pivot is the d that gives the critical primes.
+    canonicalised.  Nothing here tests definiteness.
     """
     q = adjacency_matrix(graph)
     tree = _OrderlyTree(q, _rank_bound(q), _critical_primes(d))
@@ -636,5 +611,3 @@ def _obstruction_search(graph: PlumbingGraph, d: int) -> tuple[
 _cached_search = lru_cache(maxsize=1024)(_obstruction_search)
 qa_lattice_obstruction.cache_info = _cached_search.cache_info
 qa_lattice_obstruction.cache_clear = _cached_search.cache_clear
-_qa_lattice_obstruction.cache_info = _cached_search.cache_info
-_qa_lattice_obstruction.cache_clear = _cached_search.cache_clear

@@ -29,8 +29,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import NotNegativeDefiniteError, StepLimitError
-from .intmat import Matrix, freeze, is_negative_definite_matrix
+from .errors import StepLimitError
+from .intmat import Matrix, definite
 
 __all__ = ["LauferVerdict", "LauferResult", "laufer_run"]
 
@@ -53,22 +53,9 @@ class LauferResult:
 def laufer_run(q: Matrix) -> LauferResult:
     """Run the computation sequence on a symmetric negative definite matrix.
 
-    The guarded entry for any caller: ``q`` is frozen, and a matrix that is
-    not symmetric raises ``ValueError`` and one that is not negative
-    definite ``NotNegativeDefiniteError``, before ``_laufer_run`` runs the
-    sequence.  ``classifier.verify`` calls ``_laufer_run`` itself, on the
-    plumbing it has already tested with ``plumbing._definite_det``.
-    """
-    q = freeze(q)
-    if not is_negative_definite_matrix(q):
-        raise NotNegativeDefiniteError(
-            "the computation sequence requires a negative definite matrix")
-    return _laufer_run(q)
-
-
-def _laufer_run(q: Matrix) -> LauferResult:
-    """``laufer_run`` on a ``Matrix`` q already known to be symmetric and
-    negative definite; nothing is checked.
+    ``q`` is guarded by ``intmat.definite``: a matrix that is not symmetric
+    raises ``ValueError`` and one that is not negative definite
+    ``NotNegativeDefiniteError``, while a ``Definite`` passes unchecked.
 
     Each step increments the lowest vertex with pairing 1, and a
     non-rational verdict reports the lowest vertex with pairing >= 2.  The
@@ -76,6 +63,7 @@ def _laufer_run(q: Matrix) -> LauferResult:
     which eligible vertex is incremented (Laufer 1972).  ``pairing`` is Q * K:
     the row sums of Q, plus row i (column i of the symmetric Q) per E_i added.
     """
+    q = definite(q)
     cycle = [1] * len(q)
     pairing = [sum(row) for row in q]
     for step in range(STEP_LIMIT + 1):

@@ -11,11 +11,12 @@ reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from operator import index
 
 from .cfrac import _expand, cf_expand
 from .errors import InternalError, ParseError
-from .intmat import Matrix, negative_definite_det
+from .intmat import Definite, Matrix, negative_definite_det
 from .montesinos import _INTEGER, MontesinosLink, StandardForm, _scaled_epsilon, reflect
 
 __all__ = [
@@ -24,7 +25,6 @@ __all__ = [
     "oriented_graph",
     "adjacency_matrix",
     "negative_definite_by_sign",
-    "definite_det",
     "parse_graph",
     "format_graph",
 ]
@@ -77,6 +77,32 @@ class PlumbingGraph:
     @property
     def vertex_count(self) -> int:
         return 1 + sum(len(leg) for leg in self.legs)
+
+    @cached_property
+    def definite_form(self) -> Definite | None:
+        """``adjacency_matrix(self)`` as a ``Definite`` when the plumbing is
+        negative definite, None when it is not; computed at most once per
+        graph object.
+
+        The exact test (the sign alternation of the leading principal
+        minors, ``negative_definite_det``) always applies, and its last
+        minor is det Q.  When every leg entry is <= -2 the sign test
+        applies as well and the two must agree; a mismatch would be a bug,
+        not a property of the input, and raises ``InternalError`` on every
+        read.  The memo lives in the instance ``__dict__``, outside the
+        fields, so it changes neither equality nor hashing.
+        """
+        q = adjacency_matrix(self)
+        d = negative_definite_det(q)
+        if _legs_are_continued_fractions(self):
+            if negative_definite_by_sign(self) != (d is not None):
+                raise InternalError(
+                    f"definiteness checks disagree on {format_graph(self)!r}")
+        if d is None:
+            return None
+        form = Definite(q)
+        form.det = d
+        return form
 
 
 def build_graph(link: MontesinosLink) -> PlumbingGraph:
@@ -152,33 +178,6 @@ def negative_definite_by_sign(graph: PlumbingGraph) -> bool:
             p, q = a * p - q, p
         num, den = num * p - q * den, den * p
     return num * den < 0
-
-
-def definite_det(graph: PlumbingGraph) -> int | None:
-    """det Q when the plumbing is negative definite, None when it is not;
-    definiteness is computed two ways when both apply.
-
-    The exact test on the adjacency matrix (the sign alternation of its
-    leading principal minors, ``negative_definite_det``) always applies,
-    and its last minor is det Q.  When every leg entry is <= -2 the sign
-    test applies as well and the two must agree; a mismatch would be a
-    bug, not a property of the input.  It is the guard of the public
-    ``qa_lattice_obstruction``.
-    """
-    return _definite_det(graph, adjacency_matrix(graph))
-
-
-def _definite_det(graph: PlumbingGraph, q: Matrix) -> int | None:
-    """``definite_det`` on the caller's ``adjacency_matrix(graph)``, ``q``.
-
-    ``classifier.verify`` and ``cli.cmd_embed --all`` go on to use that q
-    themselves, so this one elimination is the only guard on their path."""
-    d = negative_definite_det(q)
-    if _legs_are_continued_fractions(graph):
-        if negative_definite_by_sign(graph) != (d is not None):
-            raise InternalError(
-                f"definiteness checks disagree on {format_graph(graph)!r}")
-    return d
 
 
 def _legs_are_continued_fractions(graph: PlumbingGraph) -> bool:

@@ -1,11 +1,13 @@
 """Exact references for the tests: continued fractions and the Seifert
 Euler number evaluated as ``fractions.Fraction`` values, determinants by
-Bareiss elimination with row pivoting, the matrix-vector product, and
-canonical rows read one index at a time.  No program path needs them:
-``cfrac.cf_expand`` and ``plumbing.negative_definite_by_sign`` run on
-integers, ``plumbing.definite_det`` reads det Q off the last pivot of its
-definiteness test, ``laufer_run`` keeps Q * K by adding one row of Q per
-step, and ``lattice._canonical_rows`` reads its rows off one transpose.
+Bareiss elimination with row pivoting, the boolean definiteness test, the
+matrix-vector product, and canonical rows read one index at a time.  No
+program path needs them: ``cfrac.cf_expand`` and
+``plumbing.negative_definite_by_sign`` run on integers,
+``PlumbingGraph.definite_form`` reads det Q off the last pivot of its
+definiteness test and keeps it with the form, ``laufer_run`` keeps Q * K by
+adding one row of Q per step, and ``lattice._canonical_rows`` reads its rows
+off one transpose.
 The tests hold that code to these references."""
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from qamont.intmat import Matrix
+from qamont.intmat import Matrix, negative_definite_det
 from qamont.plumbing import PlumbingGraph, _legs_are_continued_fractions, adjacency_matrix
 
 
@@ -108,6 +110,12 @@ def det(m: Matrix) -> int:
             row_j[i] = 0
         prev = piv
     return sign * a[n - 1][n - 1]
+
+
+def is_negative_definite_matrix(m: Matrix) -> bool:
+    """Strict sign alternation of the leading principal minors, starting
+    negative, in one elimination (``negative_definite_det``)."""
+    return negative_definite_det(m) is not None
 
 
 def h1_order(graph: PlumbingGraph) -> int:

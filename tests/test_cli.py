@@ -13,12 +13,11 @@ from qamont import classifier, cli, intmat, montesinos, plumbing
 from qamont.classifier import enumerate_family
 from qamont.cli import main
 from qamont.errors import InternalError
-from qamont.intmat import is_negative_definite_matrix
 from qamont.lattice import (_critical_primes, gram_matches, qa_lattice_obstruction,
                             transpose_surjective)
 from qamont.montesinos import canonical_form, determinant, parse_link
-from qamont.plumbing import (adjacency_matrix, definite_det, format_graph,
-                             oriented_graph, parse_graph)
+from qamont.plumbing import adjacency_matrix, format_graph, oriented_graph, parse_graph
+from references import is_negative_definite_matrix
 
 E8_TEXT = "central: -2\nleg: -2\nleg: -2 -2\nleg: -2 -2 -2 -2\n"
 SIGMA_237_TEXT = "central: -1\nleg: -2\nleg: -3\nleg: -7\n"
@@ -672,7 +671,7 @@ class TestGraphCommands:
 def test_verify_guard_failure_exits_4_naming_the_link(capsys, monkeypatch):
     # eps < 0 makes the oriented side's plumbing negative definite, so a
     # side that fails verify's guard is a bug (exit 4), not a bad graph (3).
-    monkeypatch.setattr(classifier, "_definite_det", lambda graph, q: None)
+    monkeypatch.setattr(plumbing.PlumbingGraph, "definite_form", property(lambda graph: None))
     code, out, err = run(capsys, "classify", "--verify", "M(0; 5/2, 7/3)")
     assert code == 4
     assert out == ""
@@ -705,7 +704,7 @@ class TestEmbedAll:
             code, out, _ = run(capsys, "embed", str(path), "--all")
             assert code == 0
             digest.update(out.encode())
-            critical = bool(_critical_primes(definite_det(graph)))
+            critical = bool(_critical_primes(graph.definite_form.det))
             for block in out.split("\n\n")[:-1]:
                 head, *lines = block.splitlines()
                 rows = tuple(tuple(map(int, line.split())) for line in lines)
@@ -735,8 +734,8 @@ class TestEmbedAll:
         assert out.count("surjective=true") == 3 and out.endswith("total: 3\n")
 
     def test_one_elimination_per_graph(self, tmp_path, capsys, monkeypatch):
-        # The cross-checked guard's elimination gives det q, and the
-        # embeddings stream from the unguarded core: no second guard.
+        # The cross-checked guard's elimination gives det q, and its Definite
+        # q passes embeddings_by_rank's guard as it is: no second guard.
         calls = []
 
         def counting(m, eliminate=intmat.negative_definite_det):

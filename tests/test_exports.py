@@ -75,7 +75,11 @@ def test_every_export_has_a_caller():
 MOVED_TO_TESTS = ["minor_check", "support_set", "truncate_legs", "rigidity_check",
                   "TruncationNotFoundError", "check_coeffs", "cf_eval", "prefix_r",
                   "seifert_euler_number", "det", "h1_order", "is_lspace",
-                  "is_negative_definite", "Embedding", "mat_vec"]
+                  "is_negative_definite", "Embedding", "mat_vec",
+                  "is_negative_definite_matrix", "definite_det",
+                  # the unguarded private twin of each guarded entry
+                  *("_" + name for name in ("laufer_run", "embeddings_by_rank",
+                                            "qa_lattice_obstruction", "definite_det"))]
 
 
 @pytest.mark.parametrize("module", ["qamont", "qamont.lattice", "qamont.errors",
@@ -83,11 +87,12 @@ MOVED_TO_TESTS = ["minor_check", "support_set", "truncate_legs", "rigidity_check
                                     "qamont.laufer"])
 def test_paper_lemma_checks_stay_in_the_tests(module):
     # No program path runs them.  The paper-lemma checks live in
-    # tests/paper_lemmas.py and the Fraction, determinant and mat_vec
-    # references in tests/references.py; is_lspace and is_negative_definite
-    # were deleted in favour of verify's Laufer branch and definite_det, and
-    # Embedding in favour of the intmat.Matrix that the lattice functions
-    # take and return.
+    # tests/paper_lemmas.py and the Fraction, determinant, definiteness and
+    # mat_vec references in tests/references.py.  is_lspace was deleted in
+    # favour of verify's Laufer branch; is_negative_definite, definite_det
+    # and the private twins in favour of intmat.definite and
+    # PlumbingGraph.definite_form; Embedding in favour of the intmat.Matrix
+    # that the lattice functions take and return.
     namespace = importlib.import_module(module)
     assert [name for name in MOVED_TO_TESTS if hasattr(namespace, name)] == []
 
@@ -174,73 +179,43 @@ def test_the_package_computes_without_floats():
     assert offenders == []
 
 
-# The trusted cores run on a form that is already guarded, so each is reached
-# only from its public wrapper, which guards it, from ``verify``, which guards
-# the oriented plumbing once per link, or from ``cmd_embed``, which guards the
-# graph it read.  A core's own module may wire it at module level (a cache, its
-# ``cache_info``).  Core name -> (defining module, the functions that may read
-# it).
-TRUSTED_CORES = {
-    "_laufer_run": ("laufer", {"laufer_run", "verify"}),
-    "_qa_lattice_obstruction": ("lattice", {"qa_lattice_obstruction", "verify"}),
-    "_embeddings_by_rank": ("lattice", {"embeddings_by_rank", "cmd_embed"}),
-    "_cached_search": ("lattice", {"_qa_lattice_obstruction"}),
-    "_obstruction_search": ("lattice", set()),
-}
+# A Definite is a form that has passed the elimination, so it is built only
+# by the two guards that run it: (module, function).
+DEFINITE_BUILDERS = {("intmat", "definite"), ("plumbing", "definite_form")}
 
 
-def core_reads(source):
-    """(line, core, enclosing function) of each read of a trusted core's
-    name, as a name or as an attribute, in line order; the function is None
-    at module level."""
-    reads = []
+def definite_builds(source):
+    """(line, enclosing function) of each call of ``Definite``, by name or
+    as an attribute, in line order; the function is None at module level."""
+    builds = []
 
     def visit(node, function):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
             function = getattr(node, "name", "<lambda>")
-        elif isinstance(node, ast.Name) and node.id in TRUSTED_CORES:
-            reads.append((node.lineno, node.id, function))
-        elif isinstance(node, ast.Attribute) and node.attr in TRUSTED_CORES:
-            reads.append((node.lineno, node.attr, function))
+        elif isinstance(node, ast.Call) and "Definite" in (
+                getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+            builds.append((node.lineno, function))
         for child in ast.iter_child_nodes(node):
             visit(child, function)
 
     visit(ast.parse(source), None)
-    return sorted(reads, key=lambda read: read[0])
+    return sorted(builds)
 
 
-def misplaced_core_reads(module, source):
-    """The reads of ``core_reads`` that no entry of ``TRUSTED_CORES`` allows."""
-    return [(line, core, function) for line, core, function in core_reads(source)
-            if not (function in TRUSTED_CORES[core][1]
-                    or function is None and module == TRUSTED_CORES[core][0])]
+def test_definite_builds_are_found():
+    source = ("from .intmat import Definite\n"
+              "def definite(m):\n"
+              "    return Definite(m)\n"
+              "def helper(q):\n"
+              "    return intmat.Definite(q)\n"
+              "cheap = lambda q: Definite(q)\n"
+              "FORM = Definite(())\n"
+              "kind = Definite\n")
+    assert definite_builds(source) == [(3, "definite"), (5, "helper"),
+                                       (6, "<lambda>"), (7, None)]
 
 
-def test_misplaced_core_reads_are_found():
-    source = ("from .laufer import _laufer_run\n"
-              "def verify(q):\n"
-              "    return _laufer_run(q)\n"
-              "def explain(q):\n"
-              "    return _laufer_run(q)\n"
-              "def helper(lattice):\n"
-              "    return lattice._embeddings_by_rank\n"
-              "run = _laufer_run\n"
-              "key = lambda g: _cached_search(g, 1)\n")
-    assert misplaced_core_reads("classifier", source) == [
-        (5, "_laufer_run", "explain"), (7, "_embeddings_by_rank", "helper"),
-        (8, "_laufer_run", None), (9, "_cached_search", "<lambda>")]
-    assert misplaced_core_reads("laufer", "run = _laufer_run\n") == []
-
-
-def test_trusted_cores_are_read_only_where_allowed():
-    reads = set()
-    offenders = []
-    for path in sorted(PACKAGE.glob("*.py")):
-        source = path.read_text()
-        reads |= {(core, function) for _, core, function in core_reads(source)}
-        offenders += [f"{path.name}:{line}: {core} in {function}"
-                      for line, core, function in misplaced_core_reads(path.stem, source)]
-    assert offenders == []
-    # every allowed caller still reads its core, so no rename empties the check
-    assert {(core, function) for core, (_, functions) in TRUSTED_CORES.items()
-            for function in functions} <= reads
+def test_only_the_guards_build_a_definite():
+    builds = {(path.stem, function) for path in sorted(PACKAGE.glob("*.py"))
+              for _, function in definite_builds(path.read_text())}
+    assert builds == DEFINITE_BUILDERS

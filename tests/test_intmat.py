@@ -4,8 +4,8 @@ from math import gcd
 
 import pytest
 
-from qamont.intmat import (freeze, is_negative_definite_matrix, is_symmetric,
-                           negative_definite_det)
+from qamont.errors import NotNegativeDefiniteError
+from qamont.intmat import Definite, definite, freeze, is_symmetric, negative_definite_det
 from references import det
 from smith_form import invariant_factors, matmul, transpose
 
@@ -96,26 +96,36 @@ def test_negative_definite_matches_leading_minor_signs():
     for _ in range(3000):
         m = random_symmetric(rng, rng.randint(1, 6))
         expected = negative_definite_by_leading_dets(m)
-        assert is_negative_definite_matrix(m) == expected
         assert negative_definite_det(m) == (det(m) if expected else None)
         outcomes[expected] += 1
     assert min(outcomes.values()) > 500
 
 
-def test_negative_definite_matrix():
-    assert is_negative_definite_matrix(freeze([[-2, 1], [1, -2]]))
-    assert is_negative_definite_matrix(freeze([[-2, 1, 0], [1, -2, 1], [0, 1, -2]]))
-    assert is_negative_definite_matrix(())
-    assert not is_negative_definite_matrix(freeze([[-2, 1], [1, 0]]))
-    # zero determinant is only semidefinite
-    assert not is_negative_definite_matrix(freeze([[-1, 1], [1, -1]]))
+@pytest.mark.parametrize("rows", [
+    [[-2, 1], [1, -2]], [[-2, 1, 0], [1, -2, 1], [0, 1, -2]], []])
+def test_definite_carries_the_determinant(rows):
+    form = definite(rows)
+    assert type(form) is Definite
+    assert form == freeze(rows) and form.det == det(freeze(rows))
+    assert definite(form) is form  # passed through, not eliminated again
+
+
+@pytest.mark.parametrize("rows", [
+    [[-2, 1], [1, 0]],
+    [[-1, 1], [1, -1]],  # zero determinant is only semidefinite
     # a zero leading minor in the middle is rejected before any division by it
-    assert not is_negative_definite_matrix(freeze([[-1, 1, 0], [1, -1, 0], [0, 0, -1]]))
-    assert not is_negative_definite_matrix(freeze([[0, 1], [1, -1]]))
-    with pytest.raises(ValueError):
-        is_negative_definite_matrix(freeze([[0, 1], [2, 0]]))
-    with pytest.raises(ValueError):
-        is_negative_definite_matrix(freeze([[-2, 1, 0], [1, -2, 0]]))
+    [[-1, 1, 0], [1, -1, 0], [0, 0, -1]],
+    [[0, 1], [1, -1]],
+])
+def test_definite_rejects_a_form_that_is_not_negative_definite(rows):
+    with pytest.raises(NotNegativeDefiniteError):
+        definite(rows)
+
+
+@pytest.mark.parametrize("rows", [[[0, 1], [2, 0]], [[-2, 1, 0], [1, -2, 0]]])
+def test_definite_rejects_a_matrix_that_is_not_symmetric(rows):
+    with pytest.raises(ValueError, match="symmetric"):
+        definite(rows)
 
 
 @pytest.mark.parametrize("rows", [[[-2.9, 1], [1, -2]], [[-2, "1"], [1, -2]]],

@@ -9,9 +9,9 @@ from math import isqrt
 import pytest
 
 from conftest import random_cf, random_star_graph
-from qamont import lattice, laufer
+from qamont import intmat, lattice, plumbing
 from qamont.errors import NotNegativeDefiniteError
-from qamont.intmat import freeze, is_negative_definite_matrix
+from qamont.intmat import freeze
 from qamont.lattice import (embeddings_by_rank, enumerate_embeddings,
                             gram_matches, qa_lattice_obstruction,
                             transpose_surjective)
@@ -19,11 +19,10 @@ from qamont.classifier import enumerate_family
 from qamont.laufer import LauferVerdict, laufer_run
 from qamont.montesinos import (MontesinosLink, determinant, to_negative_form,
                                to_standard_form)
-from qamont.plumbing import (PlumbingGraph, adjacency_matrix, build_graph,
-                             definite_det, oriented_graph)
+from qamont.plumbing import PlumbingGraph, adjacency_matrix, build_graph, oriented_graph
 from paper_lemmas import minor_check, rigidity_check, support_set, truncate_legs
 from references import canonical_rows as canonical_rows_of_columns
-from references import det, prefix_r
+from references import det, is_negative_definite_matrix, prefix_r
 from smith_form import invariant_factors
 
 D4_GRAPH = PlumbingGraph(-2, ((-2,), (-2,), (-2,)))
@@ -111,18 +110,18 @@ class TestEnumerate:
                 counts["trees"] += 1
                 super().__init__(*args, **kwargs)
 
-        def counting_guard(q, guard=lattice.is_negative_definite_matrix):
-            counts["guards"] += 1
-            return guard(q)
+        def counting(m, eliminate=intmat.negative_definite_det):
+            counts["eliminations"] += 1
+            return eliminate(m)
 
         monkeypatch.setattr(lattice, "_OrderlyTree", CountingTree)
-        monkeypatch.setattr(lattice, "is_negative_definite_matrix", counting_guard)
+        monkeypatch.setattr(intmat, "negative_definite_det", counting)
         q = adjacency_matrix(PlumbingGraph(-3, ((-2, -2), (-4,))))
         for n_max in (None, 6):
             counts.clear()
             ranks = [(n, list(embeddings)) for n, embeddings in embeddings_by_rank(q, n_max)]
             assert len(ranks) > 1
-            assert counts == {"trees": 1, "guards": 1}
+            assert counts == {"trees": 1, "eliminations": 1}
 
     def test_only_the_leaves_read_are_canonicalised(self, monkeypatch):
         calls = Counter()
@@ -184,20 +183,18 @@ class TestEnumerate:
         with pytest.raises(ValueError, match="symmetric"):
             list(embeddings_by_rank(((-2, 1), (0, -2)), 1))
 
-    def test_public_entries_guard_before_their_cores(self, monkeypatch):
-        # The unguarded cores serve verify and embed --all; every public
-        # entry keeps its own guard, and the search's runs whatever the
-        # cache holds.
+    def test_every_public_entry_guards_a_raw_input(self, monkeypatch):
+        # Each entry guards what it is given before any search work, and the
+        # obstruction search does so whatever its cache holds.
         for graph in oriented_graphs(2, 3, -1, 1):
             qa_lattice_obstruction(graph)
         assert qa_lattice_obstruction.cache_info().currsize > 0
 
         def unreachable(*args):
-            raise AssertionError("a trusted core was reached")
+            raise AssertionError("the search ran on an unguarded input")
 
-        monkeypatch.setattr(lattice, "_embeddings_by_rank", unreachable)
-        monkeypatch.setattr(lattice, "_qa_lattice_obstruction", unreachable)
-        monkeypatch.setattr(laufer, "_laufer_run", unreachable)
+        monkeypatch.setattr(lattice, "_OrderlyTree", unreachable)
+        monkeypatch.setattr(lattice, "_cached_search", unreachable)
         asymmetric = ((-2, 1), (0, -2))
         indefinite = PlumbingGraph(0, ((-2,),) * 4)
         for run in (laufer_run, lambda q: list(embeddings_by_rank(q))):
@@ -208,6 +205,40 @@ class TestEnumerate:
         for graph in (indefinite, PlumbingGraph(1, ()), PlumbingGraph(-1, ((-2,),) * 3)):
             with pytest.raises(NotNegativeDefiniteError):
                 qa_lattice_obstruction(graph)
+
+    def test_a_guarded_form_is_eliminated_once(self, monkeypatch):
+        # A Definite passes the guards as it is; a plain matrix equal to it
+        # is eliminated on each call.  The graph's guard is memoised on the
+        # graph object, so the graphs here are built fresh.
+        calls = []
+
+        def counting(m, eliminate=intmat.negative_definite_det):
+            calls.append(len(m))
+            return eliminate(m)
+
+        monkeypatch.setattr(intmat, "negative_definite_det", counting)
+        monkeypatch.setattr(plumbing, "negative_definite_det", counting)
+        graph = PlumbingGraph(-2, ((-2,), (-2,), (-2,)))
+        form = graph.definite_form
+        assert calls == [4] and form == D4_Q and form.det == 4
+        for q, eliminations in ((form, []), (tuple(form), [4])):
+            calls.clear()
+            laufer_run(q)
+            assert calls == eliminations
+            calls.clear()
+            assert sum(len(list(embeddings))
+                       for _, embeddings in embeddings_by_rank(q)) == 3
+            assert calls == eliminations
+        fresh = PlumbingGraph(-2, ((-2,), (-2,), (-2,)))
+        calls.clear()
+        laufer_run(fresh.definite_form)
+        qa_lattice_obstruction(fresh)
+        qa_lattice_obstruction(fresh)
+        assert calls == [4]
+        equal = PlumbingGraph(-2, ((-2,), (-2,), (-2,)))
+        assert equal == fresh and hash(equal) == hash(fresh)
+        qa_lattice_obstruction(equal)
+        assert calls == [4, 4]
 
     def test_rejects_a_rank_below_one(self):
         for n in (0, -1):
@@ -464,8 +495,8 @@ class TestSurjectivity:
         while stars < 40:
             graph = random_star_graph(rng, max_legs=4, max_leg_len=2,
                                       central_range=(-5, -1), leg_range=(-4, -2))
-            d = definite_det(graph)
-            if d is None or lattice._critical_primes(d):
+            q = graph.definite_form
+            if q is None or lattice._critical_primes(q.det):
                 continue
             stars += 1
             legs = max(legs, len(graph.legs))
@@ -724,7 +755,7 @@ def random_definite_stars(count, seed):
     while len(stars) < count:
         graph = random_star_graph(rng, max_legs=4, max_leg_len=3,
                                   central_range=(-5, -1), leg_range=(-4, -2))
-        if len(graph.legs) >= 2 and definite_det(graph) is not None:
+        if len(graph.legs) >= 2 and graph.definite_form is not None:
             stars.append(graph)
     return stars
 
@@ -889,7 +920,7 @@ class TestObstruction:
         gc.disable()
         try:
             for graph in graphs:
-                lattice._obstruction_search(graph, definite_det(graph))
+                lattice._obstruction_search(graph, graph.definite_form.det)
             assert len(list(enumerate_embeddings(D4_Q, 4))) == 3
             stream = enumerate_embeddings(D4_Q, 4)
             next(stream)

@@ -7,13 +7,13 @@ from conftest import random_star_graph
 from qamont.classifier import enumerate_family
 from qamont.errors import ParseError
 from qamont import lattice
-from qamont.intmat import freeze, is_negative_definite_matrix
+from qamont.intmat import freeze
 from qamont.montesinos import (MontesinosLink, StandardForm, determinant, epsilon,
                                reflect, to_negative_form)
 from qamont.plumbing import (PlumbingGraph, adjacency_matrix, build_graph,
-                             definite_det, format_graph, negative_definite_by_sign,
+                             format_graph, negative_definite_by_sign,
                              oriented_graph, parse_graph)
-from references import det, h1_order, seifert_euler_number
+from references import det, h1_order, is_negative_definite_matrix, seifert_euler_number
 
 
 def M(e, *tangles):
@@ -135,9 +135,9 @@ class TestAdjacency:
 
 class TestDefiniteness:
     def test_examples(self):
-        assert definite_det(PlumbingGraph(-1, ((-2,), (-3,), (-7,)))) == 1
-        assert definite_det(PlumbingGraph(-2, ((-2,), (-2,), (-2,)))) == 4
-        assert definite_det(PlumbingGraph(0, ((-2,),) * 4)) is None
+        assert PlumbingGraph(-1, ((-2,), (-3,), (-7,))).definite_form.det == 1
+        assert PlumbingGraph(-2, ((-2,), (-2,), (-2,))).definite_form.det == 4
+        assert PlumbingGraph(0, ((-2,),) * 4).definite_form is None
 
     def test_euler_number_values(self):
         graph = PlumbingGraph(-1, ((-2,), (-3,), (-7,)))
@@ -157,7 +157,9 @@ class TestDefiniteness:
                                       central_range=(-7, -1))
             definite = negative_definite_by_matrix(graph)
             assert negative_definite_by_sign(graph) == definite
-            assert definite_det(graph) == (det(adjacency_matrix(graph)) if definite else None)
+            form = graph.definite_form
+            assert (form is not None) == definite
+            assert form is None or form.det == det(adjacency_matrix(graph))
 
     def test_sign_test_matches_the_euler_number_on_random_stars(self, rng):
         # the integer sign test against the Fraction reference, on central
@@ -178,10 +180,10 @@ class TestDefiniteness:
     ], ids=["three-legs-of-3", "two-legs-of-2", "3-and-2-2"])
     def test_zero_euler_number_is_not_definite(self, graph):
         # num = 0 with a denominator of either sign: not negative, and the
-        # two definiteness checks in definite_det agree (det Q = 0)
+        # two definiteness checks in definite_form agree (det Q = 0)
         assert seifert_euler_number(graph) == 0
         assert not negative_definite_by_sign(graph)
-        assert definite_det(graph) is None
+        assert graph.definite_form is None
         assert det(adjacency_matrix(graph)) == 0
 
     def test_methods_agree_on_family_graphs(self):
@@ -202,7 +204,7 @@ class TestH1Order:
         for link in enumerate_family(2, 4, -2, 2):
             if determinant(link) != 0 and epsilon(link) < 0:
                 graph = build_graph(to_negative_form(link))
-                assert definite_det(graph) is not None
+                assert graph.definite_form is not None
                 assert h1_order(graph) == determinant(link)
 
 
