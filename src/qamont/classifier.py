@@ -30,7 +30,7 @@ from math import gcd, prod
 from operator import index
 from typing import Iterator
 
-from .errors import InternalError
+from .errors import InternalError, NotNegativeDefiniteError
 from .lattice import ObstructionResult, qa_lattice_obstruction
 from .laufer import LauferResult, LauferVerdict, laufer_run
 from .montesinos import (MontesinosLink, StandardForm, _scaled_epsilon,
@@ -162,19 +162,21 @@ def verify(link: MontesinosLink) -> Evidence:
 
     The plumbing's q is eliminated once per link, by the graph's guard
     ``definite_form``, and both halves take it from there.  eps < 0 makes
-    the plumbing negative definite, so a side that fails the guard is a
-    bug, not a bad input, and raises ``InternalError`` naming the link.
+    the plumbing negative definite, so a ``NotNegativeDefiniteError`` from
+    the guard is a bug, not a bad input, and is raised again as an
+    ``InternalError`` naming the link.
     """
     std = to_standard_form(link)
     if determinant(std) == 0:
         return Evidence(Branch.DET_ZERO, False, None, None, None, None)
     side, graph = oriented_graph(std)
     reflected = side != std
-    q = graph.definite_form
-    if q is None:
+    try:
+        q = graph.definite_form
+    except NotNegativeDefiniteError:
         raise InternalError(
             f"the eps < 0 side {format_link(side)} of {format_link(link)} "
-            "has a plumbing that is not negative definite")
+            "has a plumbing that is not negative definite") from None
     laufer = laufer_run(q)
     if laufer.verdict is LauferVerdict.NOT_RATIONAL:
         return Evidence(Branch.LAUFER_NOT_LSPACE, reflected, side, graph, laufer, None)

@@ -31,7 +31,7 @@ from .lattice import (_critical_primes, embeddings_by_rank, qa_lattice_obstructi
                       transpose_surjective)
 from .laufer import laufer_run
 from .montesinos import _INTEGER, MontesinosLink, canonical_form, format_link, parse_link
-from .plumbing import adjacency_matrix, parse_graph
+from .plumbing import parse_graph
 
 _RECORD_FIELDS = ["link", "canonical", "e", "p", "det", "epsilon",
                   "status", "reason", "evidence"]
@@ -179,7 +179,7 @@ def _read_graph(path: str):
 
 def cmd_laufer(args) -> int:
     graph = _read_graph(args.graph_file)
-    result = laufer_run(adjacency_matrix(graph))
+    result = laufer_run(graph.definite_form)
     print(f"verdict: {result.verdict.value}")
     print(f"steps: {result.steps}")
     print("cycle: " + " ".join(str(c) for c in result.cycle))
@@ -200,12 +200,8 @@ def cmd_embed(args) -> int:
         raise ValueError(f"--n-max must be at least 1, got {args.n_max}")
     graph = _read_graph(args.graph_file)
     if args.all:
-        # The graph's guard cross-checks the matrix test against the Seifert
-        # sign test; embeddings_by_rank takes its Definite q as it is.
+        # embeddings_by_rank takes the graph's cross-checked q as it is.
         q = graph.definite_form
-        if q is None:
-            raise NotNegativeDefiniteError(
-                "embedding enumeration requires a negative definite form")
         # By the Lemma of lattice._OrderlyTree (Cauchy-Binet), only a prime
         # whose square divides det q can divide the index of the lattice an
         # embedding's rows generate, so with no such prime every embedding

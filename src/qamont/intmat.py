@@ -7,9 +7,9 @@ Negative definiteness is one fraction-free (Bareiss) elimination without
 row exchanges.  By Sylvester's identity (Bareiss 1968) its j-th pivot is the
 j-th leading principal minor, so the sign alternation of all the minors is
 read off a single O(k^3) pass instead of k separate determinants, and the
-last pivot is the determinant itself.  ``definite`` runs it once and
-returns a ``Definite``, a matrix that carries its determinant, so a form
-that has passed the test is never eliminated again.
+last pivot is the determinant itself.  A ``Definite`` runs it when it is
+built and carries the determinant, so a form that has passed the test is
+never eliminated again.
 """
 
 from __future__ import annotations
@@ -83,24 +83,24 @@ def negative_definite_det(m: Matrix) -> int | None:
 class Definite(tuple):
     """A negative definite ``Matrix`` and its determinant ``det``.
 
-    Built only by ``definite`` and by ``PlumbingGraph.definite_form``, each
-    after the elimination that proves it, so the functions that require a
+    ``Definite(m)`` takes a ``Matrix`` and runs ``negative_definite_det`` on
+    it: a matrix that is not symmetric raises ``ValueError``, one that is
+    not negative definite ``NotNegativeDefiniteError``.  So every
+    ``Definite`` has passed the test, and the functions that require a
     negative definite form take one as it is."""
 
     det: int
 
+    def __new__(cls, m: Matrix) -> Definite:
+        d = negative_definite_det(m)
+        if d is None:
+            raise NotNegativeDefiniteError("the form is not negative definite")
+        form = super().__new__(cls, m)
+        form.det = d
+        return form
+
 
 def definite(m: Iterable[Iterable[int]]) -> Definite:
     """``m`` as a ``Definite``: a ``Definite`` is returned unchanged, anything
-    else is frozen and eliminated once.  A matrix that is not symmetric
-    raises ``ValueError``, one that is not negative definite
-    ``NotNegativeDefiniteError``."""
-    if isinstance(m, Definite):
-        return m
-    m = freeze(m)
-    d = negative_definite_det(m)
-    if d is None:
-        raise NotNegativeDefiniteError("a negative definite form is required")
-    form = Definite(m)
-    form.det = d
-    return form
+    else is frozen and eliminated once."""
+    return m if isinstance(m, Definite) else Definite(freeze(m))

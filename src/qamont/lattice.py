@@ -41,7 +41,6 @@ from math import isqrt
 from operator import itemgetter
 from typing import Iterator, Sequence
 
-from .errors import NotNegativeDefiniteError
 from .intmat import Matrix, definite, freeze
 from .plumbing import PlumbingGraph, adjacency_matrix
 
@@ -525,12 +524,9 @@ def qa_lattice_obstruction(graph: PlumbingGraph) -> ObstructionResult:
     det q is a function of the star and the cache hits and misses exactly
     as one keyed on the star alone.
     """
-    q = graph.definite_form
-    if q is None:
-        raise NotNegativeDefiniteError(
-            "the embedding obstruction requires a negative definite plumbing")
+    d = graph.definite_form.det
     order, star = _sorted_star(graph)
-    cols, witness_n, nodes, leaves, pruned = _cached_search(star, q.det)
+    cols, witness_n, nodes, leaves, pruned = _cached_search(star, d)
     if cols is None:
         return ObstructionResult(True, None, None, nodes, leaves, pruned)
     # The sorted star holds the centre, then the legs order[0], order[1], ...

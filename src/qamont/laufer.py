@@ -53,9 +53,10 @@ class LauferResult:
 def laufer_run(q: Matrix) -> LauferResult:
     """Run the computation sequence on a symmetric negative definite matrix.
 
-    ``q`` is guarded by ``intmat.definite``: a matrix that is not symmetric
-    raises ``ValueError`` and one that is not negative definite
-    ``NotNegativeDefiniteError``, while a ``Definite`` passes unchecked.
+    ``q`` is guarded by ``intmat.definite``: a ``Definite``, such as a
+    graph's ``definite_form``, passes as it is, and any other matrix is
+    eliminated once, raising ``ValueError`` when it is not symmetric and
+    ``NotNegativeDefiniteError`` when it is not negative definite.
 
     Each step increments the lowest vertex with pairing 1, and a
     non-rational verdict reports the lowest vertex with pairing >= 2.  The

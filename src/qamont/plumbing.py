@@ -15,8 +15,8 @@ from functools import cached_property
 from operator import index
 
 from .cfrac import _expand, cf_expand
-from .errors import InternalError, ParseError
-from .intmat import Definite, Matrix, negative_definite_det
+from .errors import InternalError, NotNegativeDefiniteError, ParseError
+from .intmat import Definite, Matrix
 from .montesinos import _INTEGER, MontesinosLink, StandardForm, _scaled_epsilon, reflect
 
 __all__ = [
@@ -79,29 +79,28 @@ class PlumbingGraph:
         return 1 + sum(len(leg) for leg in self.legs)
 
     @cached_property
-    def definite_form(self) -> Definite | None:
-        """``adjacency_matrix(self)`` as a ``Definite`` when the plumbing is
-        negative definite, None when it is not; computed at most once per
-        graph object.
+    def definite_form(self) -> Definite:
+        """``adjacency_matrix(self)`` as a ``Definite``, computed at most once
+        per graph object; a plumbing that is not negative definite raises
+        ``NotNegativeDefiniteError``.
 
-        The exact test (the sign alternation of the leading principal
-        minors, ``negative_definite_det``) always applies, and its last
-        minor is det Q.  When every leg entry is <= -2 the sign test
-        applies as well and the two must agree; a mismatch would be a bug,
-        not a property of the input, and raises ``InternalError`` on every
-        read.  The memo lives in the instance ``__dict__``, outside the
-        fields, so it changes neither equality nor hashing.
+        When every leg entry is <= -2 the Seifert sign test applies as well
+        and must agree with the matrix test; a mismatch would be a bug, not
+        a property of the input, and raises ``InternalError``.  A read that
+        raises stores nothing, so it raises again on the next read.  The
+        memo lives in the instance ``__dict__``, outside the fields, so it
+        changes neither equality nor hashing.
         """
-        q = adjacency_matrix(self)
-        d = negative_definite_det(q)
+        try:
+            form = Definite(adjacency_matrix(self))
+        except NotNegativeDefiniteError:
+            form = None
         if _legs_are_continued_fractions(self):
-            if negative_definite_by_sign(self) != (d is not None):
+            if negative_definite_by_sign(self) != (form is not None):
                 raise InternalError(
                     f"definiteness checks disagree on {format_graph(self)!r}")
-        if d is None:
-            return None
-        form = Definite(q)
-        form.det = d
+        if form is None:
+            raise NotNegativeDefiniteError("the plumbing is not negative definite")
         return form
 
 

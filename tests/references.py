@@ -4,8 +4,8 @@ Bareiss elimination with row pivoting, the boolean definiteness test, the
 matrix-vector product, and canonical rows read one index at a time.  No
 program path needs them: ``cfrac.cf_expand`` and
 ``plumbing.negative_definite_by_sign`` run on integers,
-``PlumbingGraph.definite_form`` reads det Q off the last pivot of its
-definiteness test and keeps it with the form, ``laufer_run`` keeps Q * K by
+``intmat.Definite`` reads det Q off the last pivot of its definiteness
+test and keeps it with the form, ``laufer_run`` keeps Q * K by
 adding one row of Q per step, and ``lattice._canonical_rows`` reads its rows
 off one transpose.
 The tests hold that code to these references."""

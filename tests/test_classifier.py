@@ -8,7 +8,7 @@ from math import gcd
 
 import pytest
 
-from qamont import classifier, intmat, plumbing
+from qamont import classifier, intmat
 from qamont.classifier import (Branch, Reason, Status, _strict_pair, classify,
                                enumerate_family, explain, render_explain,
                                verify)
@@ -141,7 +141,6 @@ class TestVerify:
             return eliminate(m)
 
         monkeypatch.setattr(intmat, "negative_definite_det", counting)
-        monkeypatch.setattr(plumbing, "negative_definite_det", counting)
         qa_lattice_obstruction.cache_clear()
         for warm in (False, True):
             misses = searched = 0

@@ -12,7 +12,7 @@ import qamont
 from qamont import classifier, cli, intmat, montesinos, plumbing
 from qamont.classifier import enumerate_family
 from qamont.cli import main
-from qamont.errors import InternalError
+from qamont.errors import InternalError, NotNegativeDefiniteError
 from qamont.lattice import (_critical_primes, gram_matches, qa_lattice_obstruction,
                             transpose_surjective)
 from qamont.montesinos import canonical_form, determinant, parse_link
@@ -653,25 +653,43 @@ class TestGraphCommands:
         assert out == ""
         assert "negative definite" in err
 
-    @pytest.mark.parametrize("extra", [(), ("--all",)], ids=["embed", "embed-all"])
+    GRAPH_COMMANDS = [("laufer",), ("embed",), ("embed", "--all")]
+
+    @pytest.mark.parametrize("command", GRAPH_COMMANDS, ids=["laufer", "embed", "embed-all"])
     def test_definiteness_disagreement_exits_4(self, tmp_path, capsys, monkeypatch,
-                                               extra):
+                                               command):
         path = tmp_path / "d4.graph"
         path.write_text(D4_TEXT)
         monkeypatch.setattr(
             plumbing, "negative_definite_by_sign",
             lambda graph: not is_negative_definite_matrix(adjacency_matrix(graph)))
         qa_lattice_obstruction.cache_clear()  # force the definiteness check
-        code, out, err = run(capsys, "embed", str(path), *extra)
+        code, out, err = run(capsys, command[0], str(path), *command[1:])
         assert code == 4
         assert out == ""
         assert err.startswith("internal error:") and "disagree" in err
+
+    def test_graph_commands_share_one_definiteness_error(self, tmp_path, capsys):
+        # Every graph command reads the graph's one guard, so an indefinite
+        # graph and a positive one get the same exit code and message.
+        path = tmp_path / "bad.graph"
+        errors = set()
+        for text in (INDEFINITE_TEXT, "central: 1\n"):
+            path.write_text(text)
+            for command in self.GRAPH_COMMANDS:
+                code, out, err = run(capsys, command[0], str(path), *command[1:])
+                assert (code, out) == (3, ""), (text, command)
+                errors.add(err)
+        assert errors == {"error: the plumbing is not negative definite\n"}
 
 
 def test_verify_guard_failure_exits_4_naming_the_link(capsys, monkeypatch):
     # eps < 0 makes the oriented side's plumbing negative definite, so a
     # side that fails verify's guard is a bug (exit 4), not a bad graph (3).
-    monkeypatch.setattr(plumbing.PlumbingGraph, "definite_form", property(lambda graph: None))
+    def not_definite(graph):
+        raise NotNegativeDefiniteError("the plumbing is not negative definite")
+
+    monkeypatch.setattr(plumbing.PlumbingGraph, "definite_form", property(not_definite))
     code, out, err = run(capsys, "classify", "--verify", "M(0; 5/2, 7/3)")
     assert code == 4
     assert out == ""
@@ -743,7 +761,6 @@ class TestEmbedAll:
             return eliminate(m)
 
         monkeypatch.setattr(intmat, "negative_definite_det", counting)
-        monkeypatch.setattr(plumbing, "negative_definite_det", counting)
         path = tmp_path / "g.graph"
         for graph in self.GRAPHS[::7]:
             path.write_text(format_graph(graph))

@@ -179,43 +179,44 @@ def test_the_package_computes_without_floats():
     assert offenders == []
 
 
-# A Definite is a form that has passed the elimination, so it is built only
-# by the two guards that run it: (module, function).
-DEFINITE_BUILDERS = {("intmat", "definite"), ("plumbing", "definite_form")}
+# Every name a module imports is read in it, so an import that a change
+# leaves behind does not stay.  ``__init__.py`` imports its names to export
+# them, and ``from __future__ import annotations`` binds no name.
 
 
-def definite_builds(source):
-    """(line, enclosing function) of each call of ``Definite``, by name or
-    as an attribute, in line order; the function is None at module level."""
-    builds = []
-
-    def visit(node, function):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-            function = getattr(node, "name", "<lambda>")
-        elif isinstance(node, ast.Call) and "Definite" in (
-                getattr(node.func, "id", None), getattr(node.func, "attr", None)):
-            builds.append((node.lineno, function))
-        for child in ast.iter_child_nodes(node):
-            visit(child, function)
-
-    visit(ast.parse(source), None)
-    return sorted(builds)
-
-
-def test_definite_builds_are_found():
-    source = ("from .intmat import Definite\n"
-              "def definite(m):\n"
-              "    return Definite(m)\n"
-              "def helper(q):\n"
-              "    return intmat.Definite(q)\n"
-              "cheap = lambda q: Definite(q)\n"
-              "FORM = Definite(())\n"
-              "kind = Definite\n")
-    assert definite_builds(source) == [(3, "definite"), (5, "helper"),
-                                       (6, "<lambda>"), (7, None)]
+def unused_imports(source):
+    """(line, name) of each name the source imports and never reads, in
+    line order."""
+    tree = ast.parse(source)
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    unused = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound = [alias.asname or alias.name.split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound = [alias.asname or alias.name for alias in node.names]
+        else:
+            continue
+        unused.extend((node.lineno, name) for name in bound if name not in read)
+    return sorted(unused)
 
 
-def test_only_the_guards_build_a_definite():
-    builds = {(path.stem, function) for path in sorted(PACKAGE.glob("*.py"))
-              for _, function in definite_builds(path.read_text())}
-    assert builds == DEFINITE_BUILDERS
+def test_unused_imports_are_found():
+    source = ("from __future__ import annotations\n"
+              "import os.path\n"
+              "import json as j\n"
+              "from .intmat import Definite, Matrix, definite as guard\n"
+              "from .errors import NotNegativeDefiniteError\n"
+              "def f(m: Matrix) -> int:\n"
+              "    NotNegativeDefiniteError = os.path.join('Definite')\n"
+              "    return guard(m)\n")
+    assert unused_imports(source) == [(3, "j"), (4, "Definite"),
+                                      (5, "NotNegativeDefiniteError")]
+
+
+def test_every_import_is_read():
+    unused = [f"{path.name}:{line}: {name}" for path in sorted(PACKAGE.glob("*.py"))
+              if path.name != "__init__.py"
+              for line, name in unused_imports(path.read_text())]
+    assert unused == []

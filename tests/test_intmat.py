@@ -4,8 +4,10 @@ from math import gcd
 
 import pytest
 
+from conftest import random_star_graph
 from qamont.errors import NotNegativeDefiniteError
 from qamont.intmat import Definite, definite, freeze, is_symmetric, negative_definite_det
+from qamont.plumbing import PlumbingGraph, adjacency_matrix
 from references import det
 from smith_form import invariant_factors, matmul, transpose
 
@@ -120,12 +122,36 @@ def test_definite_carries_the_determinant(rows):
 def test_definite_rejects_a_form_that_is_not_negative_definite(rows):
     with pytest.raises(NotNegativeDefiniteError):
         definite(rows)
+    with pytest.raises(NotNegativeDefiniteError):
+        Definite(freeze(rows))
 
 
 @pytest.mark.parametrize("rows", [[[0, 1], [2, 0]], [[-2, 1, 0], [1, -2, 0]]])
 def test_definite_rejects_a_matrix_that_is_not_symmetric(rows):
     with pytest.raises(ValueError, match="symmetric"):
         definite(rows)
+    with pytest.raises(ValueError, match="symmetric"):
+        Definite(freeze(rows))
+
+
+def test_the_constructor_proves_the_form(rng):
+    # Every Definite has passed the test: the constructor keeps exactly the
+    # forms the leading-minor reference calls negative definite, E8 and
+    # random stars among them, with their determinant.
+    e8 = adjacency_matrix(PlumbingGraph(-2, ((-2,), (-2, -2), (-2, -2, -2, -2))))
+    assert Definite(e8).det == det(e8) == 1
+    kept = 0
+    for _ in range(300):
+        q = adjacency_matrix(random_star_graph(rng, central_range=(-4, 0)))
+        if not negative_definite_by_leading_dets(q):
+            with pytest.raises(NotNegativeDefiniteError):
+                Definite(q)
+            continue
+        form = Definite(q)
+        assert form == q and form.det == det(q)
+        assert definite(form) is form
+        kept += 1
+    assert 50 < kept < 250
 
 
 @pytest.mark.parametrize("rows", [[[-2.9, 1], [1, -2]], [[-2, "1"], [1, -2]]],

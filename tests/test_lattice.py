@@ -9,7 +9,7 @@ from math import isqrt
 import pytest
 
 from conftest import random_cf, random_star_graph
-from qamont import intmat, lattice, plumbing
+from qamont import intmat, lattice
 from qamont.errors import NotNegativeDefiniteError
 from qamont.intmat import freeze
 from qamont.lattice import (embeddings_by_rank, enumerate_embeddings,
@@ -217,7 +217,6 @@ class TestEnumerate:
             return eliminate(m)
 
         monkeypatch.setattr(intmat, "negative_definite_det", counting)
-        monkeypatch.setattr(plumbing, "negative_definite_det", counting)
         graph = PlumbingGraph(-2, ((-2,), (-2,), (-2,)))
         form = graph.definite_form
         assert calls == [4] and form == D4_Q and form.det == 4
@@ -495,8 +494,8 @@ class TestSurjectivity:
         while stars < 40:
             graph = random_star_graph(rng, max_legs=4, max_leg_len=2,
                                       central_range=(-5, -1), leg_range=(-4, -2))
-            q = graph.definite_form
-            if q is None or lattice._critical_primes(q.det):
+            d = intmat.negative_definite_det(adjacency_matrix(graph))
+            if d is None or lattice._critical_primes(d):
                 continue
             stars += 1
             legs = max(legs, len(graph.legs))
@@ -755,7 +754,7 @@ def random_definite_stars(count, seed):
     while len(stars) < count:
         graph = random_star_graph(rng, max_legs=4, max_leg_len=3,
                                   central_range=(-5, -1), leg_range=(-4, -2))
-        if len(graph.legs) >= 2 and graph.definite_form is not None:
+        if len(graph.legs) >= 2 and is_negative_definite_matrix(adjacency_matrix(graph)):
             stars.append(graph)
     return stars
 

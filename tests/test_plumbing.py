@@ -5,7 +5,7 @@ import pytest
 
 from conftest import random_star_graph
 from qamont.classifier import enumerate_family
-from qamont.errors import ParseError
+from qamont.errors import NotNegativeDefiniteError, ParseError
 from qamont import lattice
 from qamont.intmat import freeze
 from qamont.montesinos import (MontesinosLink, StandardForm, determinant, epsilon,
@@ -137,7 +137,8 @@ class TestDefiniteness:
     def test_examples(self):
         assert PlumbingGraph(-1, ((-2,), (-3,), (-7,))).definite_form.det == 1
         assert PlumbingGraph(-2, ((-2,), (-2,), (-2,))).definite_form.det == 4
-        assert PlumbingGraph(0, ((-2,),) * 4).definite_form is None
+        with pytest.raises(NotNegativeDefiniteError):
+            PlumbingGraph(0, ((-2,),) * 4).definite_form
 
     def test_euler_number_values(self):
         graph = PlumbingGraph(-1, ((-2,), (-3,), (-7,)))
@@ -157,9 +158,11 @@ class TestDefiniteness:
                                       central_range=(-7, -1))
             definite = negative_definite_by_matrix(graph)
             assert negative_definite_by_sign(graph) == definite
-            form = graph.definite_form
-            assert (form is not None) == definite
-            assert form is None or form.det == det(adjacency_matrix(graph))
+            if definite:
+                assert graph.definite_form.det == det(adjacency_matrix(graph))
+            else:
+                with pytest.raises(NotNegativeDefiniteError):
+                    graph.definite_form
 
     def test_sign_test_matches_the_euler_number_on_random_stars(self, rng):
         # the integer sign test against the Fraction reference, on central
@@ -183,7 +186,8 @@ class TestDefiniteness:
         # two definiteness checks in definite_form agree (det Q = 0)
         assert seifert_euler_number(graph) == 0
         assert not negative_definite_by_sign(graph)
-        assert graph.definite_form is None
+        with pytest.raises(NotNegativeDefiniteError):
+            graph.definite_form
         assert det(adjacency_matrix(graph)) == 0
 
     def test_methods_agree_on_family_graphs(self):
@@ -204,8 +208,7 @@ class TestH1Order:
         for link in enumerate_family(2, 4, -2, 2):
             if determinant(link) != 0 and epsilon(link) < 0:
                 graph = build_graph(to_negative_form(link))
-                assert graph.definite_form is not None
-                assert h1_order(graph) == determinant(link)
+                assert h1_order(graph) == determinant(link) == abs(graph.definite_form.det)
 
 
 class TestGraphFiles:
