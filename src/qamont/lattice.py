@@ -5,15 +5,16 @@ one row per coordinate, column i the image of vertex i, with the Gram
 condition column_i . column_j = -Q[i][j] in the ordinary dot product.
 Signed permutations of the coordinates act on the rows, and the
 enumeration yields exactly one representative per orbit by orderly
-generation: the backtracking search places columns in ascending norm order
-(ties by vertex index) and its tree holds exactly one matrix per orbit, the
-orbit's lex leader in placement order (rows sign-normalised so their first
-nonzero entry is positive, then sorted in decreasing order).  One rule
-makes it so: a new column's entries are non-increasing along each run of
-rows that agree on every column placed so far, and a row's first nonzero
-entry is positive.  The rows no column touches yet are all zero, so they
-are one such run, and on them the rule leaves a block of positive,
-non-increasing entries right after the touched rows.
+generation: the backtracking search places columns in one placement order
+(``_placement``: ascending norm, ties broken as the caller says) and its
+tree holds exactly one matrix per orbit, the orbit's lex leader in
+placement order (rows sign-normalised so their first nonzero entry is
+positive, then sorted in decreasing order).  One rule makes it so: a new
+column's entries are non-increasing along each run of rows that agree on
+every column placed so far, and a row's first nonzero entry is positive.
+The rows no column touches yet are all zero, so they are one such run,
+and on them the rule leaves a block of positive, non-increasing entries
+right after the touched rows.
 
 Every leaf is a new orbit, so nothing is stored to deduplicate; each leaf
 that is reported is mapped back to the caller's vertex order and
@@ -28,8 +29,8 @@ and ``qa_lattice_obstruction`` each walk one tree for all the ranks from k
 up to it.  The obstruction search also prunes every column set that is
 dependent mod a prime whose square divides det q, so that every leaf it
 reaches has surjective transpose (``_OrderlyTree``), and it runs once per
-star up to the order of its legs.  Coordinate and vertex indices are
-0-based throughout.
+placement form, which every leg order of a star shares.  Coordinate and
+vertex indices are 0-based throughout.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from operator import itemgetter
 from typing import Iterator, Sequence
 
 from .intmat import Matrix, definite, freeze
-from .plumbing import PlumbingGraph, adjacency_matrix
+from .plumbing import PlumbingGraph
 
 __all__ = [
     "ObstructionResult",
@@ -102,12 +103,8 @@ class _OrderlyTree:
     and ``pruned`` counts those; its leaves are then exactly the
     surjective ones (below).
 
-    Columns are placed in ascending norm order (-q[v][v], ties by vertex
-    index): a low-norm vertex has few images, and once placed it constrains
-    every later neighbour, so the search tree stays small.  The search runs
-    on the permuted form; a fixed vertex permutation is a bijection on
-    column assignments that commutes with the action on rows, so it maps
-    orbits to orbits.
+    The tree walks the form it is given, placing vertex i as column i;
+    ``_placement`` chooses that order and maps the leaves back.
 
     The tree is pruned to one matrix per orbit by lex-leader symmetry
     breaking (Crawford, Ginsberg, Luks and Roy, "Symmetry-breaking
@@ -138,13 +135,9 @@ class _OrderlyTree:
       place distinct column sets.
 
     So every orbit is reached exactly once and no leaf needs a duplicate
-    check.  ``embedding`` maps a leaf back to the caller's vertex order and
-    canonicalises it there (rows sign-normalised and sorted), so every rank
-    yields the same set of orbits as a search in vertex order would, and
-    the matrices satisfy the Gram condition against the caller's ``q``.
-    The rank bound depends only on the norms, so it is untouched.  Only the
-    order of the leaves depends on the placement order, on the order of
-    siblings and on the pruning; none of the arguments above reads an order.
+    check.  Only the order of the leaves depends on the placement order, on
+    the order of siblings and on the pruning; none of the arguments above
+    reads an order.
 
     Siblings are met by the size of their fresh block, ascending, and in
     walk order (``_candidates``) among blocks of one size: a child that
@@ -194,10 +187,7 @@ class _OrderlyTree:
     """
 
     def __init__(self, q: Matrix, n: int, primes: tuple[int, ...] = ()):
-        k = len(q)
-        order = sorted(range(k), key=lambda v: (-q[v][v], v))
-        self.q = tuple(tuple(q[u][v] for v in order) for u in order)
-        self.slots = [order.index(v) for v in range(k)]  # caller vertex -> placement
+        self.q = q
         self.n = n
         self.high = n
         self.cols: list[tuple[int, ...]] = []
@@ -216,11 +206,6 @@ class _OrderlyTree:
         # (coordinate, value) after the pivot.
         self.bases: list[list[tuple[int, list[tuple[int, int]]]]] = [[] for _ in primes]
         self.pruned = 0
-
-    def embedding(self, rank: int, cols: Sequence[tuple[int, ...]]) -> Matrix:
-        """A leaf's columns ``cols`` (placement order) as an embedding of
-        rank ``rank`` in the caller's vertex order, canonicalised."""
-        return _canonical_rows([cols[s] for s in self.slots], rank)
 
     def leaves(self) -> Iterator[int]:
         return self._place(0, 0)
@@ -352,6 +337,38 @@ class _OrderlyTree:
         return out
 
 
+def _placement(q: Matrix, ties: Sequence) -> tuple[Matrix, list[int]]:
+    """``q`` permuted into placement order, the order in which
+    ``_OrderlyTree`` places columns, and ``slots``, each vertex's place in
+    it: ``form[slots[u]][slots[v]] == q[u][v]``.
+
+    Columns are placed in ascending norm order (-q[v][v], ties by
+    ``ties[v]``): a low-norm vertex has few images, and once placed it
+    constrains every later neighbour, so the search tree stays small.  A
+    fixed vertex permutation is a bijection on column assignments that
+    commutes with the action on rows, so it maps orbits to orbits: a leaf's
+    columns taken back in vertex order (``_in_vertex_order``) and
+    canonicalised give, at every rank, the same set of orbits as a search
+    in vertex order would, and satisfy the Gram condition against ``q``.
+    The rank bound depends only on the norms, so it is untouched.
+    ``embeddings_by_rank`` breaks ties by vertex index;
+    ``qa_lattice_obstruction`` breaks them so that every leg order of a star
+    gets one form.
+    """
+    order = sorted(range(len(q)), key=lambda v: (-q[v][v], ties[v]))
+    slots = [0] * len(q)
+    for place, v in enumerate(order):
+        slots[v] = place
+    return tuple(tuple(q[u][v] for v in order) for u in order), slots
+
+
+def _in_vertex_order(slots: Sequence[int], rank: int,
+                     cols: Sequence[tuple[int, ...]]) -> Matrix:
+    """A leaf's columns ``cols``, in placement order, as an embedding of rank
+    ``rank`` in vertex order, canonicalised."""
+    return _canonical_rows([cols[s] for s in slots], rank)
+
+
 def enumerate_embeddings(q: Matrix, n: int) -> Iterator[Matrix]:
     """All embeddings of (Z^k, q) into (Z^n, -Id) touching every coordinate,
     one representative per signed-permutation orbit, in a deterministic
@@ -408,12 +425,13 @@ def embeddings_by_rank(q: Matrix, n_max: int | None = None
     top = _rank_bound(q) if n_max is None else min(_rank_bound(q), n_max)
     if top < len(q):
         return
-    tree = _OrderlyTree(q, top)
+    form, slots = _placement(q, range(len(q)))
+    tree = _OrderlyTree(form, top)
     found: list[list[list[tuple[int, ...]]]] = [[] for _ in range(top + 1)]
     for rank in tree.leaves():
         found[rank].append(tree.cols[:])
     for n in range(len(q), top + 1):
-        yield n, map(partial(tree.embedding, n), found[n])
+        yield n, map(partial(_in_vertex_order, slots, n), found[n])
 
 
 def transpose_surjective(emb: Matrix) -> bool:
@@ -500,62 +518,51 @@ class ObstructionResult:
 def qa_lattice_obstruction(graph: PlumbingGraph) -> ObstructionResult:
     """Search every ambient rank for an embedding with surjective transpose.
 
-    The search runs on the star with its legs sorted, and its result is
-    cached under that star (one bounded cache, ``cache_info`` and
+    The search runs on q in placement order (``_placement``), ties broken by
+    each vertex's position in the star with its legs stably sorted: vertex
+    j of leg i has the key (leg i, i, j), and the centre comes first.  That
+    position map is a weight-preserving isomorphism of the graph onto the
+    sorted star, so every leg order of a star gets the sorted star's own
+    placement form.  The search reads nothing but that form and det q, and
+    its result is cached under them (one bounded cache, ``cache_info`` and
     ``cache_clear`` as with ``lru_cache``), so every leg order of a star
-    shares one search.  Permuting the legs is a graph isomorphism: it
-    permutes the vertices, and q with them.  Permuting an embedding's
-    columns the same way therefore maps the embeddings of one form to
-    those of the other, a bijection at each rank that keeps the rows
-    touched and keeps surjectivity (A^T changes by an invertible
-    permutation).  So ``obstructed`` and ``witness_n`` do not depend on
-    the leg order.  The witness is the sorted star's first surjective
-    embedding (``_obstruction_search``), with its columns relabelled to
-    the caller's vertex order and canonicalised on every call, cache hits
-    included; it satisfies the Gram condition against the caller's
-    ``adjacency_matrix(graph)``.
-    ``nodes``, ``leaves`` and ``pruned`` count the sorted star's search.
-    An input whose legs are already sorted is searched as given.
+    shares one search.  det q is a function of the form, so the cache hits
+    and misses exactly as one keyed on the form alone.
+
+    A vertex permutation maps the embeddings of one form to those of the
+    other, a bijection at each rank that keeps the rows touched and keeps
+    surjectivity (A^T changes by an invertible permutation), so
+    ``obstructed`` and ``witness_n`` do not depend on the leg order.  The
+    witness is the form's first surjective embedding
+    (``_obstruction_search``), with its columns mapped back to the caller's
+    vertex order through ``slots`` and canonicalised on every call, cache
+    hits included; it satisfies the Gram condition against the caller's q.
+    ``nodes``, ``leaves`` and ``pruned`` count the search on the form.
 
     The graph's guard, ``PlumbingGraph.definite_form``, is read on every
     call, a cache hit included, so a graph that is not negative definite is
-    rejected whatever the cache holds.  The search is cached under
-    (leg-sorted star, det q).  Permuting the legs does not change det q, so
-    det q is a function of the star and the cache hits and misses exactly
-    as one keyed on the star alone.
+    rejected whatever the cache holds.
     """
-    d = graph.definite_form.det
-    order, star = _sorted_star(graph)
-    cols, witness_n, nodes, leaves, pruned = _cached_search(star, d)
+    q = graph.definite_form
+    ties: list[tuple] = [()]
+    for i, leg in enumerate(graph.legs):
+        ties += ((leg, i, j) for j in range(len(leg)))
+    form, slots = _placement(q, ties)
+    cols, witness_n, nodes, leaves, pruned = _cached_search(form, q.det)
     if cols is None:
         return ObstructionResult(True, None, None, nodes, leaves, pruned)
-    # The sorted star holds the centre, then the legs order[0], order[1], ...
-    blocks: list[tuple[tuple[int, ...], ...]] = [()] * len(order)
-    at = 1
-    for i in order:
-        blocks[i] = cols[at:at + len(graph.legs[i])]
-        at += len(graph.legs[i])
-    relabelled = [cols[0]] + [col for block in blocks for col in block]
-    witness = _canonical_rows(relabelled, witness_n)
+    witness = _in_vertex_order(slots, witness_n, cols)
     return ObstructionResult(False, witness, witness_n, nodes, leaves, pruned)
 
 
-def _sorted_star(graph: PlumbingGraph) -> tuple[list[int], PlumbingGraph]:
-    """The leg order that sorts ``graph``'s legs, and the star with its legs
-    in that order, built by ``PlumbingGraph._from_validated`` from the
-    validated graph's own weights."""
-    order = sorted(range(len(graph.legs)), key=graph.legs.__getitem__)
-    return order, PlumbingGraph._from_validated(
-        graph.central_weight, tuple(graph.legs[i] for i in order))
-
-
-def _obstruction_search(graph: PlumbingGraph, d: int) -> tuple[
+def _obstruction_search(q: Matrix, d: int) -> tuple[
         tuple[tuple[int, ...], ...] | None, int | None, int, int, int]:
-    """The obstruction search on a negative definite ``graph`` with
-    d = det q, in its own vertex order:
+    """The obstruction search on a placement form ``q`` (``_placement``),
+    negative definite, with d = det q, walked as it is:
     ``(witness columns or None, witness_n, nodes, leaves, pruned)``.
 
-    The result is that of searching the ranks k, k + 1, ... of
+    Its norms ascend, so ``embeddings_by_rank(q)`` places it as it is, and
+    the result is that of searching the ranks k, k + 1, ... of that
     ``embeddings_by_rank`` in turn and testing each embedding with
     ``transpose_surjective``: the witness is the first surjective embedding
     of the stream at the minimal ambient rank, and the stream is
@@ -584,11 +591,10 @@ def _obstruction_search(graph: PlumbingGraph, d: int) -> tuple[
     ``embeddings_by_rank`` too, so the witness is the one stated above.
 
     So the search is obstructed exactly when it reaches no leaf.  The
-    witness's columns, copied when it was found, are returned in vertex
+    witness's columns, copied when it was found, are returned in placement
     order on the ``witness_n`` coordinates it touches, not yet
     canonicalised.  Nothing here tests definiteness.
     """
-    q = adjacency_matrix(graph)
     tree = _OrderlyTree(q, _rank_bound(q), _critical_primes(d))
     leaves = 0
     witness_cols, witness_n = None, None
@@ -597,12 +603,12 @@ def _obstruction_search(graph: PlumbingGraph, d: int) -> tuple[
         witness_cols, witness_n = tree.cols[:], rank
         tree.high = rank - 1  # a better witness touches fewer coordinates
     witness = None if witness_cols is None else tuple(
-        witness_cols[s][:witness_n] for s in tree.slots)
+        col[:witness_n] for col in witness_cols)
     return witness, witness_n, tree.nodes, leaves, tree.pruned
 
 
-# The one cache, keyed on the leg-sorted star (and its det q, which the
-# star determines); bounded so that a long enumeration does not keep every
+# The one cache, keyed on the placement form and its det q, all that the
+# search reads; bounded so that a long enumeration does not keep every
 # search it meets.
 _cached_search = lru_cache(maxsize=1024)(_obstruction_search)
 qa_lattice_obstruction.cache_info = _cached_search.cache_info

@@ -58,13 +58,10 @@ class PlumbingGraph:
         It is sound when ``central_weight`` is an ``int`` and ``legs`` is a
         tuple of nonempty tuples of ``int``s: that is all ``__post_init__``
         checks or stores, so the result equals ``PlumbingGraph(central_weight,
-        legs)`` field for field.  Two callers meet this by construction:
-
-        * ``oriented_graph``: the central weight is e - p of a standard
-          form, and each leg is a tuple from ``_expand``, which appends at
-          least one integer quotient;
-        * ``lattice._sorted_star``: the weights and legs of a graph that
-          was validated, in another leg order.
+        legs)`` field for field.  Its one caller, ``oriented_graph``, meets
+        this by construction: the central weight is e - p of a standard form,
+        and each leg is a tuple from ``_expand``, which appends at least one
+        integer quotient.
 
         A classmethod, as ``StandardForm._from_validated`` is, so that the
         tracer in ``perfbench/tracing.py`` does not add a span per call.

@@ -1,6 +1,7 @@
 import itertools
 import pickle
 import random
+import sys
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
@@ -8,7 +9,7 @@ from math import gcd
 
 import pytest
 
-from qamont import classifier, intmat
+from qamont import classifier, intmat, plumbing
 from qamont.classifier import (Branch, Reason, Status, _strict_pair, classify,
                                enumerate_family, explain, render_explain,
                                verify)
@@ -16,7 +17,7 @@ from qamont.lattice import gram_matches, qa_lattice_obstruction
 from qamont.montesinos import (MontesinosLink, StandardForm, canonical_form,
                                determinant, epsilon, format_link, reflect,
                                slide, tangle_alpha_beta)
-from qamont.plumbing import adjacency_matrix
+from qamont.plumbing import PlumbingGraph, adjacency_matrix
 
 # The acceptance family: p = 3, tangles from {2, 3, 3/2, 4, 4/3}, e in [-3, 4].
 FAMILY = list(enumerate_family(3, 4, -3, 4, p_min=3))
@@ -153,6 +154,53 @@ class TestVerify:
                 assert calls["eliminations"] == (evidence.graph is not None), link
             assert searched == 270
             assert misses == (0 if warm else 170)
+
+    def test_one_graph_and_one_matrix_per_link(self, monkeypatch):
+        # A cold verify builds the oriented plumbing and its q once, and the
+        # search reads that q: a cache miss builds no second matrix, and a
+        # cache hit builds neither a graph nor a matrix.  Every module that
+        # binds adjacency_matrix is counted.
+        counts = Counter()
+        build = PlumbingGraph._from_validated
+        post_init = PlumbingGraph.__post_init__
+        matrix = plumbing.adjacency_matrix
+
+        def from_validated(cls, *args):
+            counts["graphs"] += 1
+            return build(*args)
+
+        def checked(graph):
+            counts["graphs"] += 1
+            post_init(graph)
+
+        def counting_matrix(graph):
+            counts["matrices"] += 1
+            return matrix(graph)
+
+        monkeypatch.setattr(PlumbingGraph, "_from_validated", classmethod(from_validated))
+        monkeypatch.setattr(PlumbingGraph, "__post_init__", checked)
+        bindings = [module for name, module in list(sys.modules.items())
+                    if name.split(".")[0] == "qamont"
+                    and getattr(module, "adjacency_matrix", None) is matrix]
+        assert plumbing in bindings
+        for module in bindings:
+            monkeypatch.setattr(module, "adjacency_matrix", counting_matrix)
+        qa_lattice_obstruction.cache_clear()
+        graphs = []
+        for link in FAMILY:
+            counts.clear()
+            evidence = verify(link)
+            built = evidence.graph is not None
+            assert (counts["graphs"], counts["matrices"]) == (built, built), link
+            if evidence.obstruction is not None:
+                graphs.append(evidence.graph)
+        assert qa_lattice_obstruction.cache_info().misses == 170
+        counts.clear()
+        for graph in graphs:
+            hits = qa_lattice_obstruction.cache_info().hits
+            qa_lattice_obstruction(graph)
+            assert qa_lattice_obstruction.cache_info().hits == hits + 1
+        assert len(graphs) == 270 and not counts
 
     def test_never_consults_the_classifier_inequalities(self, monkeypatch):
         # verify re-derives every verdict without classify's conditions, so

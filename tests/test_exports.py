@@ -76,7 +76,7 @@ MOVED_TO_TESTS = ["minor_check", "support_set", "truncate_legs", "rigidity_check
                   "TruncationNotFoundError", "check_coeffs", "cf_eval", "prefix_r",
                   "seifert_euler_number", "det", "h1_order", "is_lspace",
                   "is_negative_definite", "Embedding", "mat_vec",
-                  "is_negative_definite_matrix", "definite_det",
+                  "is_negative_definite_matrix", "definite_det", "_sorted_star",
                   # the unguarded private twin of each guarded entry
                   *("_" + name for name in ("laufer_run", "embeddings_by_rank",
                                             "qa_lattice_obstruction", "definite_det"))]

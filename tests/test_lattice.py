@@ -796,10 +796,10 @@ class TestObstruction:
         lambda: random_definite_stars(60, 20261018),
     ], ids=["3-4--3-4", "2-5--3-4", "4-4--3-4", "random"])
     def test_one_traversal_matches_a_per_rank_replay(self, graphs, monkeypatch):
-        # The search runs on the leg-sorted star, so its witness is that
-        # star's replay witness, relabelled to the caller's legs.  Both
-        # searches meet each node's candidates by fresh-block size,
-        # ascending, which the early stop in ``_place`` relies on.
+        # The search runs on the leg-sorted star's placement form, so its
+        # witness is that star's replay witness, relabelled to the caller's
+        # legs.  Both searches meet each node's candidates by fresh-block
+        # size, ascending, which the early stop in ``_place`` relies on.
         # ``_candidates`` tests only the placed columns nonzero at each
         # coordinate, with no look-ahead on the others, so each column it
         # returns is checked to close every gap and fill its norm exactly,
@@ -848,9 +848,10 @@ class TestObstruction:
         # same order.
         for graph in oriented_graphs(*family):
             q = adjacency_matrix(graph)
+            form, _ = lattice._placement(q, range(len(q)))
             top = lattice._rank_bound(q)
-            pruned = lattice._OrderlyTree(q, top, lattice._critical_primes(det(q)))
-            full = lattice._OrderlyTree(q, top)
+            pruned = lattice._OrderlyTree(form, top, lattice._critical_primes(det(q)))
+            full = lattice._OrderlyTree(form, top)
             kept = [(rank, pruned.cols[:]) for rank in pruned.leaves()]
             onto = [(rank, full.cols[:]) for rank in full.leaves()
                     if transpose_surjective(tuple(zip(*full.cols))[:rank])]
@@ -919,7 +920,9 @@ class TestObstruction:
         gc.disable()
         try:
             for graph in graphs:
-                lattice._obstruction_search(graph, graph.definite_form.det)
+                q = graph.definite_form
+                form, _ = lattice._placement(q, range(len(q)))
+                lattice._obstruction_search(form, q.det)
             assert len(list(enumerate_embeddings(D4_Q, 4))) == 3
             stream = enumerate_embeddings(D4_Q, 4)
             next(stream)
@@ -935,6 +938,47 @@ class TestObstruction:
 
 
 class TestLegOrder:
+    def test_placement_permutes_q_and_every_leg_order_gets_one_form(self, monkeypatch):
+        # ``_placement`` permutes q into ascending norm, ties ascending, with
+        # form[slots[u]][slots[v]] == q[u][v]; the form the obstruction search
+        # is keyed on is the leg-sorted star's, whatever the order of the legs.
+        forms = []
+
+        def recording(form, d, search=lattice._cached_search):
+            forms.append(form)
+            return search(form, d)
+
+        monkeypatch.setattr(lattice, "_cached_search", recording)
+        rng = random.Random(20261019)
+        stars = repeated = 0
+        while stars < 60:
+            graph = random_star_graph(rng, max_legs=3, max_leg_len=3,
+                                      central_range=(-5, -1), leg_range=(-4, -2))
+            if graph.legs and rng.random() < 0.5:  # equal legs
+                graph = PlumbingGraph(graph.central_weight,
+                                      graph.legs + (rng.choice(graph.legs),))
+            q = adjacency_matrix(graph)
+            if not is_negative_definite_matrix(q):
+                continue
+            stars += 1
+            repeated += len(set(graph.legs)) < len(graph.legs)
+            k = len(q)
+            for ties in (range(k), [rng.randrange(3) for _ in range(k)]):
+                form, slots = lattice._placement(q, ties)
+                assert sorted(slots) == list(range(k))
+                assert all(form[slots[u]][slots[v]] == q[u][v]
+                           for u in range(k) for v in range(k)), (graph, ties)
+                keys = sorted((-q[v][v], ties[v]) for v in range(k))
+                assert [(-q[u][u], ties[u]) for u in sorted(range(k), key=slots.__getitem__)] \
+                    == keys
+            forms.clear()
+            for typed in leg_permutations(graph):
+                qa_lattice_obstruction(typed)
+            star, _ = leg_sorted(graph)
+            q_star = adjacency_matrix(star)
+            assert set(forms) == {lattice._placement(q_star, range(k))[0]}, graph
+        assert repeated > 10
+
     @pytest.mark.parametrize("graphs", [
         lambda: oriented_graphs(3, 4, -3, 4),
         lambda: random_definite_stars(60, 20261018),

@@ -6,7 +6,6 @@ import pytest
 from conftest import random_star_graph
 from qamont.classifier import enumerate_family
 from qamont.errors import NotNegativeDefiniteError, ParseError
-from qamont import lattice
 from qamont.intmat import freeze
 from qamont.montesinos import (MontesinosLink, StandardForm, determinant, epsilon,
                                reflect, to_negative_form)
@@ -83,9 +82,9 @@ def random_standard_form(rng):
 
 
 class TestBuiltFromValidatedParts:
-    """``oriented_graph`` and the search's leg-sorted star build through
-    ``PlumbingGraph._from_validated``, and ``adjacency_matrix`` does not
-    ``freeze``; each equals what the validating constructors build."""
+    """``oriented_graph`` builds through ``PlumbingGraph._from_validated``,
+    and ``adjacency_matrix`` does not ``freeze``; each equals what the
+    validating constructors build."""
 
     def test_graphs_equal_the_validating_constructor(self, rng):
         checked = 0
@@ -96,10 +95,6 @@ class TestBuiltFromValidatedParts:
             _, graph = oriented_graph(std)
             assert graph_fields(graph) == \
                 graph_fields(PlumbingGraph(graph.central_weight, graph.legs)), std
-            order, star = lattice._sorted_star(graph)
-            assert graph_fields(star) == graph_fields(
-                PlumbingGraph(graph.central_weight, tuple(sorted(graph.legs)))), std
-            assert star.legs == tuple(graph.legs[i] for i in order)
             q = adjacency_matrix(graph)
             assert type(q) is tuple and all(type(row) is tuple for row in q)
             assert q == freeze(q)
