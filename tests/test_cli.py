@@ -536,6 +536,13 @@ class TestGraphCommands:
         assert "steps: 0" in out
         assert "witness: 0 (central)" in out
 
+    def test_laufer_indefinite_exits_3(self, tmp_path, capsys):
+        path = tmp_path / "bad.graph"
+        path.write_text(INDEFINITE_TEXT)
+        code, _, err = run(capsys, "laufer", str(path))
+        assert code == 3
+        assert "negative definite" in err
+
     def test_laufer_malformed_exits_2(self, tmp_path, capsys):
         path = tmp_path / "nonsense.graph"
         path.write_text("central: q\n")
@@ -627,11 +634,21 @@ class TestGraphCommands:
         assert "embedding n=2 index=1 surjective=true" in out
         assert "total: 1" in out
 
-    def test_embed_all_not_definite_exits_3(self, tmp_path, capsys):
-        # --n-max below k leaves the rank range empty; the graph is still guarded.
+    def test_embed_indefinite_exits_3(self, tmp_path, capsys):
         path = tmp_path / "bad.graph"
-        path.write_text("central: 0\nleg: -2\n")
-        code, out, err = run(capsys, "embed", str(path), "--all", "--n-max", "1")
+        path.write_text(INDEFINITE_TEXT)
+        code, _, err = run(capsys, "embed", str(path))
+        assert code == 3
+
+    @pytest.mark.parametrize("text,extra", [
+        ("central: 1\n", ()),  # the rank range is empty: norm sum below k
+        ("central: 0\nleg: -2\n", ("--n-max", "1")),  # n_max below k
+        (INDEFINITE_TEXT, ()),
+    ], ids=["positive", "below-k", "indefinite"])
+    def test_embed_all_not_definite_exits_3(self, tmp_path, capsys, text, extra):
+        path = tmp_path / "bad.graph"
+        path.write_text(text)
+        code, out, err = run(capsys, "embed", str(path), "--all", *extra)
         assert code == 3
         assert out == ""
         assert "negative definite" in err
@@ -654,8 +671,7 @@ class TestGraphCommands:
 
     def test_graph_commands_share_one_definiteness_error(self, tmp_path, capsys):
         # Every graph command reads the graph's one guard, so an indefinite
-        # graph and a positive one get the same exit code and message; the
-        # positive one leaves embed --all an empty rank range (norm sum below k).
+        # graph and a positive one get the same exit code and message.
         path = tmp_path / "bad.graph"
         errors = set()
         for text in (INDEFINITE_TEXT, "central: 1\n"):
