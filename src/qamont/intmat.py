@@ -7,13 +7,15 @@ Negative definiteness is one fraction-free (Bareiss) elimination without
 row exchanges.  By Sylvester's identity (Bareiss 1968) its j-th pivot is the
 j-th leading principal minor, so the sign alternation of all the minors is
 read off a single O(k^3) pass instead of k separate determinants, and the
-last pivot is the determinant itself.  A ``Definite`` runs it when it is
-built and carries the determinant, so a form that has passed the test is
-never eliminated again.
+last pivot is the determinant itself.  ``Definite(m)`` is the one guard:
+it freezes m, runs the elimination and carries the determinant, and it
+returns a ``Definite`` it is given unchanged, so a form that has passed the
+test is never eliminated again.
 """
 
 from __future__ import annotations
 
+from itertools import repeat
 from operator import index
 from typing import Iterable
 
@@ -27,24 +29,23 @@ __all__ = [
     "is_symmetric",
     "negative_definite_det",
     "Definite",
-    "definite",
 ]
 
 
 def freeze(rows: Iterable[Iterable[int]]) -> Matrix:
     try:
-        m = tuple(tuple(map(index, row)) for row in rows)
+        m = tuple(map(tuple, map(map, repeat(index), rows)))
     except TypeError as exc:
         raise ValueError(f"matrix entries must be integers: {exc}") from None
-    if m and any(len(row) != len(m[0]) for row in m):
+    if len(set(map(len, m))) > 1:
         raise ValueError("rows have unequal lengths")
     return m
 
 
 def is_symmetric(m: Matrix) -> bool:
-    n = len(m)
-    return all(len(row) == n for row in m) and all(
-        m[i][j] == m[j][i] for i in range(n) for j in range(i))
+    """Whether m equals its transpose, which a matrix that is not square
+    never does."""
+    return tuple(zip(*m)) == m
 
 
 def negative_definite_det(m: Matrix) -> int | None:
@@ -83,24 +84,23 @@ def negative_definite_det(m: Matrix) -> int | None:
 class Definite(tuple):
     """A negative definite ``Matrix`` and its determinant ``det``.
 
-    ``Definite(m)`` takes a ``Matrix`` and runs ``negative_definite_det`` on
-    it: a matrix that is not symmetric raises ``ValueError``, one that is
-    not negative definite ``NotNegativeDefiniteError``.  So every
-    ``Definite`` has passed the test, and the functions that require a
-    negative definite form take one as it is."""
+    ``Definite(m)`` returns m itself when it is a ``Definite``.  Any other m
+    is frozen (``freeze``: ``ValueError`` on a non-integer entry or ragged
+    rows) and ``negative_definite_det`` runs on it: a matrix that is not
+    symmetric raises ``ValueError``, one that is not negative definite
+    ``NotNegativeDefiniteError``.  So every ``Definite`` is a ``Matrix`` that
+    has passed the test, and the functions that require a negative definite
+    form take one as it is."""
 
     det: int
 
-    def __new__(cls, m: Matrix) -> Definite:
+    def __new__(cls, m: Iterable[Iterable[int]]) -> Definite:
+        if isinstance(m, Definite):
+            return m
+        m = freeze(m)
         d = negative_definite_det(m)
         if d is None:
             raise NotNegativeDefiniteError("the form is not negative definite")
         form = super().__new__(cls, m)
         form.det = d
         return form
-
-
-def definite(m: Iterable[Iterable[int]]) -> Definite:
-    """``m`` as a ``Definite``: a ``Definite`` is returned unchanged, anything
-    else is frozen and eliminated once."""
-    return m if isinstance(m, Definite) else Definite(freeze(m))

@@ -42,7 +42,7 @@ from math import isqrt
 from operator import itemgetter
 from typing import Iterator, Sequence
 
-from .intmat import Matrix, definite, freeze
+from .intmat import Definite, Matrix, freeze
 from .plumbing import PlumbingGraph
 
 __all__ = [
@@ -418,10 +418,12 @@ def embeddings_by_rank(q: Matrix, n_max: int | None = None
     is canonicalised into its matrix only when its stream reaches
     it, so a caller that reads one rank pays for that rank alone.  The
     streams are independent, consumable in any order.  ``q`` is guarded by
-    ``intmat.definite`` before the rank range is computed, so a form that
-    is not negative definite is rejected even when the range is empty.
+    ``Definite(q)`` before the rank range is computed: a ``Definite`` passes
+    as it is, any other matrix (list rows included) is frozen and
+    eliminated, and a form that is not negative definite is rejected even
+    when the range is empty.
     """
-    q = definite(q)
+    q = Definite(q)
     top = _rank_bound(q) if n_max is None else min(_rank_bound(q), n_max)
     if top < len(q):
         return

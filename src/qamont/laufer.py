@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .errors import StepLimitError
-from .intmat import Matrix, definite
+from .intmat import Definite, Matrix
 
 __all__ = ["LauferVerdict", "LauferResult", "laufer_run"]
 
@@ -53,10 +53,11 @@ class LauferResult:
 def laufer_run(q: Matrix) -> LauferResult:
     """Run the computation sequence on a symmetric negative definite matrix.
 
-    ``q`` is guarded by ``intmat.definite``: a ``Definite``, such as a
-    graph's ``definite_form``, passes as it is, and any other matrix is
-    eliminated once, raising ``ValueError`` when it is not symmetric and
-    ``NotNegativeDefiniteError`` when it is not negative definite.
+    ``q`` is guarded by ``Definite(q)``: a ``Definite``, such as a graph's
+    ``definite_form``, passes as it is, and any other matrix (list rows
+    included) is frozen and eliminated once, raising ``ValueError`` when it
+    is not an integer symmetric matrix and ``NotNegativeDefiniteError``
+    when it is not negative definite.
 
     Each step increments the lowest vertex with pairing 1, and a
     non-rational verdict reports the lowest vertex with pairing >= 2.  The
@@ -64,7 +65,7 @@ def laufer_run(q: Matrix) -> LauferResult:
     which eligible vertex is incremented (Laufer 1972).  ``pairing`` is Q * K:
     the row sums of Q, plus row i (column i of the symmetric Q) per E_i added.
     """
-    q = definite(q)
+    q = Definite(q)
     cycle = [1] * len(q)
     pairing = [sum(row) for row in q]
     for step in range(STEP_LIMIT + 1):

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import repeat
 from operator import index
 
 from .cfrac import _expand, cf_expand
@@ -41,35 +42,13 @@ class PlumbingGraph:
         except TypeError:
             raise ValueError("central weight must be an integer") from None
         try:
-            legs = tuple(tuple(map(index, leg)) for leg in self.legs)
+            legs = tuple(map(tuple, map(map, repeat(index), self.legs)))
         except TypeError as exc:
             raise ValueError(f"leg weights must be integers: {exc}") from None
-        for leg in legs:
-            if not leg:
-                raise ValueError("legs must be nonempty")
+        if not all(legs):
+            raise ValueError("legs must be nonempty")
         object.__setattr__(self, "central_weight", central_weight)
         object.__setattr__(self, "legs", legs)
-
-    @classmethod
-    def _from_validated(cls, central_weight: int,
-                        legs: tuple[tuple[int, ...], ...]) -> PlumbingGraph:
-        """Build the graph from weights already validated; nothing is checked.
-
-        It is sound when ``central_weight`` is an ``int`` and ``legs`` is a
-        tuple of nonempty tuples of ``int``s: that is all ``__post_init__``
-        checks or stores, so the result equals ``PlumbingGraph(central_weight,
-        legs)`` field for field.  Its one caller, ``oriented_graph``, meets
-        this by construction: the central weight is e - p of a standard form,
-        and each leg is a tuple from ``_expand``, which appends at least one
-        integer quotient.
-
-        A classmethod, as ``StandardForm._from_validated`` is, so that the
-        tracer in ``perfbench/tracing.py`` does not add a span per call.
-        """
-        graph = object.__new__(cls)
-        object.__setattr__(graph, "central_weight", central_weight)
-        object.__setattr__(graph, "legs", legs)
-        return graph
 
     @property
     def vertex_count(self) -> int:
@@ -122,8 +101,8 @@ def oriented_graph(link: StandardForm) -> tuple[StandardForm, PlumbingGraph]:
     the negative form of a standard tangle alpha/beta is
     (-alpha)/(alpha - beta), already reduced with a positive denominator, so
     its leg is ``_expand(-alpha, alpha - beta)`` on the side's ``pairs``,
-    and the central weight is e - p.  Both are integers by construction, so
-    the graph is built by ``PlumbingGraph._from_validated``.
+    and the central weight is e - p.  The graph is built by the validating
+    ``PlumbingGraph`` constructor, the one way to build a graph.
     """
     n, _ = _scaled_epsilon(link)
     if n == 0:
@@ -131,7 +110,7 @@ def oriented_graph(link: StandardForm) -> tuple[StandardForm, PlumbingGraph]:
             "determinant zero: the double branched cover is not a rational homology sphere")
     side = reflect(link) if n > 0 else link
     legs = tuple(_expand(-alpha, alpha - beta) for alpha, beta in side.pairs)
-    return side, PlumbingGraph._from_validated(side.e - side.p, legs)
+    return side, PlumbingGraph(side.e - side.p, legs)
 
 
 def adjacency_matrix(graph: PlumbingGraph) -> Matrix:

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import qamont
+from qamont.plumbing import PlumbingGraph
 
 MODULES = sorted(info.name for info in pkgutil.iter_modules(qamont.__path__))
 ROOT = Path(__file__).resolve().parent.parent
@@ -76,7 +77,7 @@ MOVED_TO_TESTS = ["minor_check", "support_set", "truncate_legs", "rigidity_check
                   "TruncationNotFoundError", "check_coeffs", "cf_eval", "prefix_r",
                   "seifert_euler_number", "det", "h1_order", "is_lspace",
                   "is_negative_definite", "Embedding", "mat_vec",
-                  "is_negative_definite_matrix", "definite_det", "_sorted_star",
+                  "is_negative_definite_matrix", "definite_det", "_sorted_star", "definite",
                   # the unguarded private twin of each guarded entry
                   *("_" + name for name in ("laufer_run", "embeddings_by_rank",
                                             "qa_lattice_obstruction", "definite_det"))]
@@ -90,9 +91,10 @@ def test_paper_lemma_checks_stay_in_the_tests(module):
     # tests/paper_lemmas.py and the Fraction, determinant, definiteness and
     # mat_vec references in tests/references.py.  is_lspace was deleted in
     # favour of verify's Laufer branch; is_negative_definite, definite_det
-    # and the private twins in favour of intmat.definite and
-    # PlumbingGraph.definite_form; Embedding in favour of the intmat.Matrix
-    # that the lattice functions take and return.
+    # and the private twins in favour of intmat.Definite and
+    # PlumbingGraph.definite_form; intmat.definite in favour of the Definite
+    # constructor, which freezes its input itself; Embedding in favour of
+    # the intmat.Matrix that the lattice functions take and return.
     namespace = importlib.import_module(module)
     assert [name for name in MOVED_TO_TESTS if hasattr(namespace, name)] == []
 
@@ -104,15 +106,15 @@ FRACTION_PART_READERS = {("montesinos", "tangle_alpha_beta"), ("cfrac", "cf_expa
                          ("cli", "_build_record"), ("classifier", "explain")}
 
 
-def fraction_part_reads(path):
-    """(enclosing function, line) of each ``.numerator`` or ``.denominator``
-    read in a module; the function is None at module level."""
+def attribute_reads(path, attrs):
+    """(enclosing function, line) of each read of an attribute named in
+    ``attrs`` in a module; the function is None at module level."""
     reads = []
 
     def visit(node, function):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             function = node.name
-        elif isinstance(node, ast.Attribute) and node.attr in ("numerator", "denominator"):
+        elif isinstance(node, ast.Attribute) and node.attr in attrs:
             reads.append((function, node.lineno))
         for child in ast.iter_child_nodes(node):
             visit(child, function)
@@ -123,11 +125,29 @@ def fraction_part_reads(path):
 
 def test_only_the_named_functions_read_fraction_parts():
     reads = [(path.stem, function, line) for path in sorted(PACKAGE.glob("*.py"))
-             for function, line in fraction_part_reads(path)]
+             for function, line in attribute_reads(path, ("numerator", "denominator"))]
     assert ("montesinos", "tangle_alpha_beta") in {(m, f) for m, f, _ in reads}
     offenders = [f"{module}.{function}:{line}" for module, function, line in reads
                  if (module, function) not in FRACTION_PART_READERS]
     assert offenders == []
+
+
+def test_one_trusted_constructor():
+    # A graph is built only by the validating PlumbingGraph(...).  The one
+    # constructor that checks nothing is StandardForm._from_validated, kept
+    # for the family walk and the two standard-form rewrites, which meet its
+    # premise by construction.
+    assert not hasattr(PlumbingGraph, "_from_validated")
+    definitions = [(path.stem, cls.name) for path in sorted(PACKAGE.glob("*.py"))
+                   for cls in ast.walk(ast.parse(path.read_text()))
+                   if isinstance(cls, ast.ClassDef)
+                   for node in cls.body
+                   if isinstance(node, ast.FunctionDef) and node.name == "_from_validated"]
+    assert definitions == [("montesinos", "StandardForm")]
+    callers = {(path.stem, function) for path in sorted(PACKAGE.glob("*.py"))
+               for function, _ in attribute_reads(path, ("_from_validated",))}
+    assert callers == {("classifier", "_family"), ("montesinos", "to_standard_form"),
+                       ("montesinos", "reflect")}
 
 
 # All arithmetic is exact: the package holds no float or complex literal, no

@@ -6,7 +6,9 @@ import pytest
 
 from conftest import random_star_graph
 from qamont.errors import NotNegativeDefiniteError
-from qamont.intmat import Definite, definite, freeze, is_symmetric, negative_definite_det
+from qamont.intmat import Definite, freeze, is_symmetric, negative_definite_det
+from qamont.lattice import embeddings_by_rank
+from qamont.laufer import LauferVerdict, laufer_run
 from qamont.plumbing import PlumbingGraph, adjacency_matrix
 from references import det
 from smith_form import invariant_factors, matmul, transpose
@@ -106,10 +108,23 @@ def test_negative_definite_matches_leading_minor_signs():
 @pytest.mark.parametrize("rows", [
     [[-2, 1], [1, -2]], [[-2, 1, 0], [1, -2, 1], [0, 1, -2]], []])
 def test_definite_carries_the_determinant(rows):
-    form = definite(rows)
+    form = Definite(rows)
     assert type(form) is Definite
     assert form == freeze(rows) and form.det == det(freeze(rows))
-    assert definite(form) is form  # passed through, not eliminated again
+    assert Definite(form) is form  # passed through, not eliminated again
+
+
+def test_definite_freezes_list_rows():
+    # The constructor is the one guard, so it freezes what it is given: list
+    # rows come out a hashable Matrix, equal to the tuple of tuples.
+    form = Definite([[-2, 1], [1, -2]])
+    assert all(type(row) is tuple for row in form)
+    assert form == ((-2, 1), (1, -2)) and form.det == 3
+    assert hash(form) == hash(((-2, 1), (1, -2)))
+    # The guarded entries take list rows through the same constructor.
+    assert laufer_run([[-2, 1], [1, -2]]).verdict is LauferVerdict.RATIONAL
+    ranks = {n: len(list(embs)) for n, embs in embeddings_by_rank([[-2, 1], [1, -2]])}
+    assert ranks == {2: 0, 3: 1, 4: 0}
 
 
 @pytest.mark.parametrize("rows", [
@@ -121,7 +136,7 @@ def test_definite_carries_the_determinant(rows):
 ])
 def test_definite_rejects_a_form_that_is_not_negative_definite(rows):
     with pytest.raises(NotNegativeDefiniteError):
-        definite(rows)
+        Definite(rows)
     with pytest.raises(NotNegativeDefiniteError):
         Definite(freeze(rows))
 
@@ -129,7 +144,7 @@ def test_definite_rejects_a_form_that_is_not_negative_definite(rows):
 @pytest.mark.parametrize("rows", [[[0, 1], [2, 0]], [[-2, 1, 0], [1, -2, 0]]])
 def test_definite_rejects_a_matrix_that_is_not_symmetric(rows):
     with pytest.raises(ValueError, match="symmetric"):
-        definite(rows)
+        Definite(rows)
     with pytest.raises(ValueError, match="symmetric"):
         Definite(freeze(rows))
 
@@ -149,7 +164,7 @@ def test_the_constructor_proves_the_form(rng):
             continue
         form = Definite(q)
         assert form == q and form.det == det(q)
-        assert definite(form) is form
+        assert Definite(form) is form
         kept += 1
     assert 50 < kept < 250
 
@@ -159,6 +174,8 @@ def test_the_constructor_proves_the_form(rng):
 def test_freeze_rejects_non_integer_entries(rows):
     with pytest.raises(ValueError, match="integers"):
         freeze(rows)
+    with pytest.raises(ValueError, match="integers"):
+        Definite(rows)
 
 
 def test_invariant_factors_known():

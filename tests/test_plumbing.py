@@ -82,9 +82,10 @@ def random_standard_form(rng):
 
 
 class TestBuiltFromValidatedParts:
-    """``oriented_graph`` builds through ``PlumbingGraph._from_validated``,
-    and ``adjacency_matrix`` does not ``freeze``; each equals what the
-    validating constructors build."""
+    """``oriented_graph`` builds its graph on integers from the side's pairs,
+    through the one ``PlumbingGraph`` constructor, and ``adjacency_matrix``
+    does not ``freeze``; each equals what the validating constructors build
+    from the same weights."""
 
     def test_graphs_equal_the_validating_constructor(self, rng):
         checked = 0
