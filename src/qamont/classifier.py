@@ -34,8 +34,8 @@ from .errors import InternalError, NotNegativeDefiniteError
 from .lattice import ObstructionResult, qa_lattice_obstruction
 from .laufer import LauferResult, LauferVerdict, laufer_run
 from .montesinos import (MontesinosLink, StandardForm, _scaled_epsilon,
-                         canonical_form, determinant, format_link, reflect,
-                         to_negative_form, to_standard_form)
+                         canonical_form, format_link, reflect, to_negative_form,
+                         to_standard_form)
 from .plumbing import PlumbingGraph, format_graph, oriented_graph
 
 __all__ = [
@@ -153,12 +153,14 @@ def verify(link: MontesinosLink) -> Evidence:
     """Re-derive the verdict from the two obstructions.
 
     Orient by reflection so eps < 0 and build the (then negative definite)
-    plumbing with ``oriented_graph``, and run the computation sequence; a
-    non-rational singularity means no L-space and settles NotQA.  Otherwise
-    search for a lattice embedding with surjective transpose: obstructed
-    means NotQA, a witness completes the positive check.  The evidence
-    carries the oriented side and its graph, so callers such as ``explain``
-    need not derive them again.
+    plumbing with ``oriented_graph``, which reads the link's scaled eps once
+    for both; a zero eps has no such side, and the
+    ``NotNegativeDefiniteError`` it raises settles DetZero.  Then run the
+    computation sequence; a non-rational singularity means no L-space and
+    settles NotQA.  Otherwise search for a lattice embedding with surjective
+    transpose: obstructed means NotQA, a witness completes the positive
+    check.  The evidence carries the oriented side and its graph, so
+    callers such as ``explain`` need not derive them again.
 
     The plumbing's q is eliminated once per link, by the graph's guard
     ``definite_form``, and both halves take it from there.  eps < 0 makes
@@ -167,9 +169,10 @@ def verify(link: MontesinosLink) -> Evidence:
     ``InternalError`` naming the link.
     """
     std = to_standard_form(link)
-    if determinant(std) == 0:
+    try:
+        side, graph = oriented_graph(std)
+    except NotNegativeDefiniteError:  # eps = 0: the determinant is zero
         return Evidence(Branch.DET_ZERO, False, None, None, None, None)
-    side, graph = oriented_graph(std)
     reflected = side != std
     try:
         q = graph.definite_form

@@ -10,6 +10,12 @@ precondition error (e.g. an indefinite graph), 4 internal guard tripped.
 Records are bit-exact across runs and worker counts; per-record timing is
 therefore only emitted when ``--timing`` is requested.  jsonl and tsv
 print each record as soon as it is built, in input order.
+
+A jsonl line is ``json.dumps(record)`` with the ``json`` defaults, then a
+newline, in one write: ``", "`` between fields and ``": "`` after each
+key, non-ASCII characters escaped as ``\\uXXXX``, and the keys in the
+order of ``_RECORD_FIELDS``, then ``ms`` under ``--timing``, then
+``explain`` under ``--explain``.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ import os
 import sys
 import time
 from collections import deque
-from itertools import chain, islice
+from itertools import chain, islice, repeat
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -48,18 +54,21 @@ _CHUNK = 4
 _AHEAD = 2
 
 
-def _build_record(task: tuple[str, str, MontesinosLink, bool, bool, bool]) -> dict:
-    text, canonical, link, with_verify, with_explain, with_timing = task
-    start = time.perf_counter_ns()
+def _build_record(task: tuple[tuple[str, str, MontesinosLink], tuple[bool, bool, bool]]) -> dict:
+    """One record, its keys in the order ``_jsonl_line`` writes them:
+    ``_RECORD_FIELDS``, then ``ms`` under ``--timing``, then ``explain``."""
+    (text, canonical, link), (with_verify, with_explain, with_timing) = task
+    start = time.perf_counter_ns() if with_timing else 0
     verdict = classify(link)
-    evidence = verify(verdict.normalized) if with_verify else None
+    std, eps = verdict.normalized, verdict.epsilon
+    evidence = verify(std) if with_verify else None
     record = {
         "link": text,
         "canonical": canonical,
-        "e": verdict.normalized.e,
-        "p": verdict.normalized.p,
+        "e": std.e,
+        "p": std.p,
         "det": verdict.det,
-        "epsilon": f"{verdict.epsilon.numerator}/{verdict.epsilon.denominator}",
+        "epsilon": f"{eps.numerator}/{eps.denominator}",
         "status": verdict.status.value,
         "reason": verdict.reason.value,
         "evidence": evidence.branch.value if evidence else None,
@@ -81,7 +90,7 @@ def _records(links: Iterable[tuple[str, str, MontesinosLink]], args) -> Iterator
     keeps a bounded window of tasks in flight.  Otherwise, and with one
     worker, they are built lazily in this process: a classify-only record
     costs less to build than to send to a worker and back."""
-    tasks = ((*triple, args.verify, args.explain, args.timing) for triple in links)
+    tasks = zip(links, repeat((args.verify, args.explain, args.timing)))
     workers = min(args.jobs, os.cpu_count() or 1) if args.verify else 1
     if workers > 1:
         head = list(islice(tasks, workers))
@@ -105,11 +114,35 @@ def _records(links: Iterable[tuple[str, str, MontesinosLink]], args) -> Iterator
             yield from pending.popleft().result()
 
 
+def _jsonl_line(record: dict) -> str:
+    """``json.dumps(record)`` and a newline, written from the record schema.
+
+    Only the user's link text, ``canonical``, ``evidence`` and ``explain``
+    can hold a character that JSON escapes, so only they go through
+    ``json.dumps``.  The others are ints (``e``, ``p``, ``det``, ``ms``),
+    whose JSON is their ``str``, and ``epsilon``, ``status`` and ``reason``,
+    whose digits, signs, slash and letters JSON writes as they are.
+    ``None`` is ``null``."""
+    dumps = json.dumps
+    evidence = record["evidence"]
+    line = (f'{{"link": {dumps(record["link"])}, "canonical": {dumps(record["canonical"])}, '
+            f'"e": {record["e"]}, "p": {record["p"]}, "det": {record["det"]}, '
+            f'"epsilon": "{record["epsilon"]}", "status": "{record["status"]}", '
+            f'"reason": "{record["reason"]}", '
+            f'"evidence": {"null" if evidence is None else dumps(evidence)}')
+    if "ms" in record:
+        line += f', "ms": {record["ms"]}'
+    if "explain" in record:
+        line += f', "explain": {dumps(record["explain"])}'
+    return line + "}\n"
+
+
 def _emit(records: Iterator[dict], args) -> None:
     fields = _RECORD_FIELDS + (["ms"] if args.timing else [])
     if args.format == "jsonl":
+        write = sys.stdout.write
         for record in records:
-            print(json.dumps(record))
+            write(_jsonl_line(record))
         return
     if args.format == "tsv":
         print("\t".join(fields))
@@ -163,10 +196,17 @@ def cmd_enumerate(args) -> int:
     p_min, p_max = (args.p, args.p) if args.p is not None else (1, args.p_max)
     family = enumerate_family(p_max, args.alpha_max, args.e_min, args.e_max,
                               p_min=p_min)
-    # enumerate_family yields canonical forms, so each text is its canonical text
-    links = ((format_link(link), link) for link in family)
-    _emit(_records(((text, text, link) for text, link in links), args), args)
+    _emit(_records(_canonical_triples(family), args), args)
     return 0
+
+
+def _canonical_triples(family: Iterable[MontesinosLink]
+                       ) -> Iterator[tuple[str, str, MontesinosLink]]:
+    """(text, canonical text, link) per link, formatted once: enumerate_family
+    yields canonical forms, so each text is its canonical text."""
+    for link in family:
+        text = format_link(link)
+        yield text, text, link
 
 
 def _read_graph(path: str):

@@ -21,7 +21,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import prod
+from functools import lru_cache
+from itertools import starmap
 from operator import index
 
 from .errors import ParseError
@@ -208,11 +209,15 @@ def reflect(link: StandardForm) -> StandardForm:
 def _scaled_epsilon(link: MontesinosLink) -> tuple[int, int]:
     """(N, A) with A = alpha_1 ... alpha_p and N = e*A - sum(beta_i * A/alpha_i).
 
-    Each A/alpha_i is an exact integer, so N is an integer and eps = N/A.
+    One pass over ``pairs`` in Horner form: after the first i pairs, a is
+    alpha_1 ... alpha_i and s is sum(beta_j * a/alpha_j) over j <= i, and
+    the next pair takes them to a*alpha and s*alpha + beta*a.  So N is an
+    integer and eps = N/A.
     """
-    pairs = link.pairs
-    a = prod(alpha for alpha, _ in pairs)
-    return link.e * a - sum(beta * (a // alpha) for alpha, beta in pairs), a
+    a, s = 1, 0
+    for alpha, beta in link.pairs:
+        a, s = a * alpha, s * alpha + beta * a
+    return link.e * a - s, a
 
 
 def epsilon(link: MontesinosLink) -> Fraction:
@@ -309,6 +314,17 @@ def parse_link(text: str) -> MontesinosLink:
 
 
 def format_link(link: MontesinosLink) -> str:
-    """Print in the same grammar, tangles in reduced form (``str`` of a
-    Fraction: ``a/b``, or ``a`` when b = 1)."""
-    return f"M({link.e}; " + ", ".join(map(str, link.tangles)) + ")"
+    """Print in the same grammar, each tangle read from ``pairs`` as the
+    ``str`` of its Fraction: ``a/b``, or ``a`` when b = 1."""
+    return f"M({link.e}; {', '.join(starmap(_tangle_text, link.pairs))})"
+
+
+@lru_cache(maxsize=1024)
+def _tangle_text(alpha: int, beta: int) -> str:
+    """``str(Fraction(alpha, beta))`` for a tangle's pair: its numerator
+    carries the sign of beta and its denominator is |beta|, written only
+    when it is not 1.  A family has few distinct tangles, so each text is
+    formatted once and then read from the cache."""
+    if beta < 0:
+        return f"-{alpha}" if beta == -1 else f"-{alpha}/{-beta}"
+    return f"{alpha}" if beta == 1 else f"{alpha}/{beta}"

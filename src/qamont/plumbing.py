@@ -11,7 +11,6 @@ reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import repeat
 from operator import index
 
@@ -54,7 +53,7 @@ class PlumbingGraph:
     def vertex_count(self) -> int:
         return 1 + sum(len(leg) for leg in self.legs)
 
-    @cached_property
+    @property
     def definite_form(self) -> Definite:
         """``adjacency_matrix(self)`` as a ``Definite``, computed at most once
         per graph object; a plumbing that is not negative definite raises
@@ -62,21 +61,31 @@ class PlumbingGraph:
 
         When every leg entry is <= -2 the Seifert sign test applies as well
         and must agree with the matrix test; a mismatch would be a bug, not
-        a property of the input, and raises ``InternalError``.  A read that
-        raises stores nothing, so it raises again on the next read.  The
-        memo lives in the instance ``__dict__``, outside the fields, so it
-        changes neither equality nor hashing.
+        a property of the input, and raises ``InternalError``.  The sign
+        test decides whether it applies (``ValueError`` when it does not),
+        so the legs are scanned once.  ``Definite`` freezes the list rows of
+        q, its one tuple copy before the elimination.
+
+        A read that raises stores nothing, so it raises again on the next
+        read.  The memo is a plain entry of the instance ``__dict__``,
+        outside the fields, so it changes neither equality nor hashing.
         """
+        form = self.__dict__.get("_definite_form")
+        if form is not None:
+            return form
         try:
-            form = Definite(adjacency_matrix(self))
+            form = Definite(_adjacency_rows(self))
         except NotNegativeDefiniteError:
             form = None
-        if _legs_are_continued_fractions(self):
-            if negative_definite_by_sign(self) != (form is not None):
-                raise InternalError(
-                    f"definiteness checks disagree on {format_graph(self)!r}")
+        try:
+            agree = negative_definite_by_sign(self) == (form is not None)
+        except ValueError:  # a leg weight above -2: only the matrix test applies
+            agree = True
+        if not agree:
+            raise InternalError(f"definiteness checks disagree on {format_graph(self)!r}")
         if form is None:
             raise NotNegativeDefiniteError("the plumbing is not negative definite")
+        self.__dict__["_definite_form"] = form
         return form
 
 
@@ -94,8 +103,10 @@ def oriented_graph(link: StandardForm) -> tuple[StandardForm, PlumbingGraph]:
     The link is reflected when eps > 0; reflection negates eps, so the
     returned side differs from the input exactly when it was reflected.
     With eps < 0 the plumbing is negative definite.  A zero eps (zero
-    determinant) has no such side and is rejected.  eps = N/A with A > 0
-    (``_scaled_epsilon``), so its sign is that of the integer N.
+    determinant) has no such side: both plumbings have det 0, so the link
+    is rejected with ``NotNegativeDefiniteError``, the ``ValueError`` that
+    ``verify`` reads as its determinant test.  eps = N/A with A > 0
+    (``_scaled_epsilon``), so its sign is that of the integer N, read once.
 
     The graph is ``build_graph(to_negative_form(side))``, built on integers:
     the negative form of a standard tangle alpha/beta is
@@ -106,7 +117,7 @@ def oriented_graph(link: StandardForm) -> tuple[StandardForm, PlumbingGraph]:
     """
     n, _ = _scaled_epsilon(link)
     if n == 0:
-        raise ValueError(
+        raise NotNegativeDefiniteError(
             "determinant zero: the double branched cover is not a rational homology sphere")
     side = reflect(link) if n > 0 else link
     legs = tuple(_expand(-alpha, alpha - beta) for alpha, beta in side.pairs)
@@ -120,6 +131,13 @@ def adjacency_matrix(graph: PlumbingGraph) -> Matrix:
     It needs no ``freeze``: the graph's weights were validated as ``int``s
     when it was built, every other entry is the literal 0 or 1, and every
     row has k entries, so the rows are already a ``Matrix``."""
+    return tuple(map(tuple, _adjacency_rows(graph)))
+
+
+def _adjacency_rows(graph: PlumbingGraph) -> list[list[int]]:
+    """The rows of ``adjacency_matrix(graph)`` as lists, the one place that
+    lays out q: ``definite_form`` hands them to ``Definite``, whose freeze
+    makes the only tuple copy."""
     k = graph.vertex_count
     m = [[0] * k for _ in range(k)]
     m[0][0] = graph.central_weight
@@ -131,7 +149,7 @@ def adjacency_matrix(graph: PlumbingGraph) -> Matrix:
             m[prev][idx] = m[idx][prev] = 1
             prev = idx
             idx += 1
-    return tuple(map(tuple, m))
+    return m
 
 
 def negative_definite_by_sign(graph: PlumbingGraph) -> bool:

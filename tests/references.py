@@ -1,9 +1,11 @@
 """Exact references for the tests: continued fractions and the Seifert
-Euler number evaluated as ``fractions.Fraction`` values, determinants by
+Euler number evaluated as ``fractions.Fraction`` values, link text printed
+from each tangle's ``Fraction``, determinants by
 Bareiss elimination with row pivoting, the boolean definiteness test, the
 matrix-vector product, and canonical rows read one index at a time.  No
-program path needs them: ``cfrac.cf_expand`` and
-``plumbing.negative_definite_by_sign`` run on integers,
+program path needs them: ``cfrac.cf_expand``,
+``plumbing.negative_definite_by_sign`` and ``montesinos.format_link`` run
+on integers,
 ``intmat.Definite`` reads det Q off the last pivot of its definiteness
 test and keeps it with the form, ``laufer_run`` keeps Q * K by
 adding one row of Q per step, and ``lattice._canonical_rows`` reads its rows
@@ -16,6 +18,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from qamont.intmat import Matrix, negative_definite_det
+from qamont.montesinos import MontesinosLink
 from qamont.plumbing import PlumbingGraph, _legs_are_continued_fractions, adjacency_matrix
 
 
@@ -59,6 +62,12 @@ def seifert_euler_number(graph: PlumbingGraph) -> Fraction:
     if not _legs_are_continued_fractions(graph):
         raise ValueError("leg weights above -2: the Seifert sign test does not apply")
     return Fraction(graph.central_weight) - sum(1 / cf_eval(leg) for leg in graph.legs)
+
+
+def format_link_by_fractions(link: MontesinosLink) -> str:
+    """``M(e; t1, ..., tp)`` with each tangle printed by ``str`` of its
+    ``Fraction``: ``a/b``, or ``a`` when b = 1, the sign on a."""
+    return f"M({link.e}; " + ", ".join(map(str, link.tangles)) + ")"
 
 
 def mat_vec(m: Matrix, v: Sequence[int]) -> list[int]:

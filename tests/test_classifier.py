@@ -9,7 +9,7 @@ from math import gcd
 
 import pytest
 
-from qamont import classifier, intmat, plumbing
+from qamont import classifier, intmat, montesinos, plumbing
 from qamont.classifier import (Branch, Reason, Status, _strict_pair, classify,
                                enumerate_family, explain, render_explain,
                                verify)
@@ -159,27 +159,35 @@ class TestVerify:
         # A cold verify builds the oriented plumbing and its q once, and the
         # search reads that q: a cache miss builds no second matrix, and a
         # cache hit builds neither a graph nor a matrix.  Every graph goes
-        # through __post_init__, the one constructor, and every module that
-        # binds adjacency_matrix is counted.
+        # through __post_init__, the one constructor.  Every matrix is laid
+        # out by _adjacency_rows, which definite_form calls and
+        # adjacency_matrix wraps, and every module that binds either is
+        # counted.
         counts = Counter()
         post_init = PlumbingGraph.__post_init__
-        matrix = plumbing.adjacency_matrix
+        rows = plumbing._adjacency_rows
 
         def checked(graph):
             counts["graphs"] += 1
             post_init(graph)
 
-        def counting_matrix(graph):
+        def counting_rows(graph):
             counts["matrices"] += 1
-            return matrix(graph)
+            return rows(graph)
+
+        def counting_matrix(graph):
+            return tuple(map(tuple, counting_rows(graph)))
 
         monkeypatch.setattr(PlumbingGraph, "__post_init__", checked)
-        bindings = [module for name, module in list(sys.modules.items())
-                    if name.split(".")[0] == "qamont"
-                    and getattr(module, "adjacency_matrix", None) is matrix]
-        assert plumbing in bindings
-        for module in bindings:
-            monkeypatch.setattr(module, "adjacency_matrix", counting_matrix)
+        for name, counting in (("_adjacency_rows", counting_rows),
+                               ("adjacency_matrix", counting_matrix)):
+            real = getattr(plumbing, name)
+            bindings = [module for module_name, module in list(sys.modules.items())
+                        if module_name.split(".")[0] == "qamont"
+                        and getattr(module, name, None) is real]
+            assert plumbing in bindings
+            for module in bindings:
+                monkeypatch.setattr(module, name, counting)
         qa_lattice_obstruction.cache_clear()
         graphs = []
         for link in FAMILY:
@@ -196,6 +204,35 @@ class TestVerify:
             qa_lattice_obstruction(graph)
             assert qa_lattice_obstruction.cache_info().hits == hits + 1
         assert len(graphs) == 270 and not counts
+
+    def test_one_scaled_epsilon_per_classify_and_per_verify(self, monkeypatch):
+        # classify reads N and A once; verify reads N once, in oriented_graph,
+        # whose rejection of eps = 0 is its determinant test.  Every module
+        # that binds _scaled_epsilon is counted.
+        real = montesinos._scaled_epsilon
+        calls = []
+
+        def counting(link):
+            calls.append(link)
+            return real(link)
+
+        bindings = [module for name, module in list(sys.modules.items())
+                    if name.split(".")[0] == "qamont"
+                    and getattr(module, "_scaled_epsilon", None) is real]
+        assert {classifier, montesinos, plumbing} <= set(bindings)
+        for module in bindings:
+            monkeypatch.setattr(module, "_scaled_epsilon", counting)
+        rng = random.Random(27)
+        branches = Counter()
+        for link in FAMILY:
+            typed = MontesinosLink(link.e, tuple(rng.sample(link.tangles, link.p)))
+            typed = slide(typed, 0, rng.randint(-2, 2))
+            calls.clear()
+            classify(typed)
+            assert len(calls) == 1
+            branches[verify(typed).branch] += 1
+            assert len(calls) == 2, typed
+        assert branches[Branch.DET_ZERO] == 4 and len(branches) == 4
 
     def test_never_consults_the_classifier_inequalities(self, monkeypatch):
         # verify re-derives every verdict without classify's conditions, so

@@ -4,9 +4,12 @@ import json
 import os
 import subprocess
 import sys
+from math import gcd
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 import qamont
 from qamont import classifier, cli, intmat, montesinos, plumbing
@@ -272,6 +275,85 @@ class TestClassify:
         assert len({len(line) for line in (header, *rows)}) == 1
 
 
+# Whitespace that the grammar's \s takes between tokens, and str.strip
+# around a link: ASCII, and the non-ASCII that JSON escapes as \uXXXX.
+GRAMMAR_SPACE = st.text(st.sampled_from(" \t\n\x0b\x85\xa0\u2028\u3000"), max_size=2)
+
+
+@st.composite
+def link_texts(draw):
+    """Link expressions that the grammar accepts: signed e, each tangle an
+    integer or a signed fraction, reduced or not, padded with whitespace."""
+    def spaced(token):
+        return draw(GRAMMAR_SPACE) + token + draw(GRAMMAR_SPACE)
+
+    tangles = []
+    for _ in range(draw(st.integers(1, 3))):
+        alpha = draw(st.integers(2, 6))
+        beta = draw(st.sampled_from([b for b in range(-7, 8) if b and gcd(alpha, b) == 1]))
+        k = draw(st.sampled_from([1, 1, 2, -1]))
+        num, den = k * alpha * (-1 if beta < 0 else 1), k * abs(beta)
+        if den == 1 and draw(st.booleans()):
+            tangles.append(spaced(f"{num}"))
+        else:
+            tangles.append(spaced(f"{num}") + "/" + spaced(f"{den:+d}" if draw(st.booleans())
+                                                         else f"{den}"))
+    e = draw(st.integers(-4, 5))
+    return (draw(GRAMMAR_SPACE) + "M" + spaced("(") + spaced(f"{e}") + ";"
+            + ",".join(tangles) + ")" + draw(GRAMMAR_SPACE))
+
+
+# --verify, --explain and --timing in every combination.
+RECORD_FLAGS = [(v, x, t) for v in (False, True) for x in (False, True) for t in (False, True)]
+
+
+class TestJsonlLines:
+    """Each jsonl line is ``json.dumps(record)`` and a newline, byte for byte."""
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=60,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(texts=st.lists(link_texts(), min_size=1, max_size=3),
+           flags=st.sampled_from(RECORD_FLAGS))
+    @example(texts=["M(1; 3/2, 3)", "\u3000M(0;\x852,\u2028-2)\x85"],
+             flags=(True, True, True))  # two DetZero records
+    @example(texts=["M(1; 2, 2, 2)", "M(0; 5/2, 7/3)"], flags=(True, False, False))
+    def test_every_line_is_json_dumps_of_its_record(self, capsys, texts, flags):
+        with_verify, with_explain, with_timing = flags
+        code, out, _ = run(capsys, "classify", *texts, *["--verify"] * with_verify,
+                           *["--explain"] * with_explain, *["--timing"] * with_timing)
+        assert code == 0
+        lines = out.splitlines(keepends=True)
+        assert len(lines) == len(texts)
+        for text, line in zip(texts, lines):
+            link = parse_link(text.strip())
+            triple = (text.strip(), montesinos.format_link(canonical_form(link)), link)
+            record = cli._build_record((triple, flags))
+            assert list(record) == (cli._RECORD_FIELDS + ["ms"] * with_timing
+                                    + ["explain"] * with_explain)
+            assert cli._jsonl_line(record) == json.dumps(record) + "\n"
+            # The printed line holds the same record, bar the clock.
+            printed = json.loads(line)
+            assert line == json.dumps(printed) + "\n"
+            if with_timing:
+                record["ms"] = printed["ms"]
+            assert printed == record
+
+    def test_one_write_per_line(self, monkeypatch):
+        class Writes:
+            def __init__(self):
+                self.calls = []
+
+            def write(self, text):
+                self.calls.append(text)
+
+        out = Writes()
+        monkeypatch.setattr(sys, "stdout", out)
+        assert main(["enumerate", "--p", "2", "--alpha-max", "3", "--e-min", "0",
+                     "--e-max", "1"]) == 0
+        assert len(out.calls) == 2 * 6
+        assert all(line.count("\n") == 1 and line.endswith("}\n") for line in out.calls)
+
+
 ENUMERATE_ARGS = {"--p": "2", "--alpha-max": "3", "--e-min": "0", "--e-max": "0"}
 
 
@@ -404,6 +486,22 @@ class TestEnumerate:
         assert len(records) == 280
         assert all(r["canonical"] == r["link"] for r in records)
         assert len(calls) == len(records)
+
+    def test_reads_each_scaled_epsilon_once(self, capsys, monkeypatch):
+        # A classify-only record reads N and A of its link once, in classify.
+        real = montesinos._scaled_epsilon
+        calls = []
+
+        def counting(link):
+            calls.append(link)
+            return real(link)
+
+        for module in (classifier, montesinos, plumbing):
+            monkeypatch.setattr(module, "_scaled_epsilon", counting)
+        code, out, _ = run(capsys, "enumerate", "--p", "3", "--alpha-max", "4",
+                           "--e-min", "-3", "--e-max", "4")
+        assert code == 0
+        assert len(out.splitlines()) == len(calls) == 280
 
     def test_derives_each_tangle_pair_once(self, capsys, monkeypatch):
         # The family walk derives each distinct tangle's pair once, when it

@@ -1,7 +1,7 @@
 import dataclasses
 import pickle
 from fractions import Fraction
-from math import prod
+from math import gcd, prod
 
 import pytest
 
@@ -11,7 +11,7 @@ from qamont.montesinos import (MontesinosLink, StandardForm, canonical_form,
                                reflect, slide, tangle_alpha_beta,
                                to_negative_form, to_standard_form)
 from qamont.plumbing import build_graph
-from references import h1_order
+from references import format_link_by_fractions, h1_order
 
 
 def M(e, *tangles):
@@ -274,6 +274,31 @@ class TestGrammar:
     def test_printing_reduces(self):
         assert format_link(MontesinosLink(0, (Fraction(4, 6),))) == "M(0; 2/3)"
         assert format_link(M(1, 3)) == "M(1; 3)"
+
+    def test_text_from_pairs_matches_the_fraction_reference(self, rng):
+        # format_link reads each tangle's (alpha, beta); the reference prints
+        # its Fraction.  Every sign of beta, integer tangles (beta = +-1) and
+        # unreduced input occur, on raw links and on the standard forms that
+        # the program prints.
+        examples = [M(0, 2, -2), M(-3, Fraction(-7, 2), -5, 3), M(4, Fraction(9, -4)),
+                    M(0, Fraction(-4, 6), Fraction(10, 4), Fraction(-8, -2))]
+        for _ in range(300):
+            tangles = []
+            for _ in range(rng.randint(1, 5)):
+                alpha = rng.randint(2, 40)
+                beta = rng.choice([1, -1, rng.randint(-3 * alpha, 3 * alpha)])
+                if beta and gcd(alpha, beta) == 1:
+                    tangles.append(Fraction(alpha, beta))
+            if tangles:
+                examples.append(MontesinosLink(rng.randint(-9, 9), tuple(tangles)))
+        signs = set()
+        for link in examples:
+            std = to_standard_form(link)
+            for form in (link, std, reflect(std), canonical_form(link),
+                         to_negative_form(std)):
+                assert format_link(form) == format_link_by_fractions(form), form
+                signs.update((beta > 0, abs(beta) == 1) for _, beta in form.pairs)
+        assert signs == {(True, True), (True, False), (False, True), (False, False)}
 
     @pytest.mark.parametrize("text,fragment", [
         ("M(0)", "grammar"),

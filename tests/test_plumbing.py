@@ -6,6 +6,7 @@ import pytest
 from conftest import random_star_graph
 from qamont.classifier import enumerate_family
 from qamont.errors import NotNegativeDefiniteError, ParseError
+from qamont import intmat, plumbing
 from qamont.intmat import freeze
 from qamont.montesinos import (MontesinosLink, StandardForm, determinant, epsilon,
                                reflect, to_negative_form)
@@ -135,6 +136,57 @@ class TestDefiniteness:
         assert PlumbingGraph(-2, ((-2,), (-2,), (-2,))).definite_form.det == 4
         with pytest.raises(NotNegativeDefiniteError):
             PlumbingGraph(0, ((-2,),) * 4).definite_form
+
+    @pytest.mark.parametrize("graph,definite", [
+        (PlumbingGraph(-2, ((-2,), (-2, -2), (-2, -2, -2, -2))), True),  # E8
+        (PlumbingGraph(-9, ((-1,),)), True),  # a leg above -2: no sign test
+        (PlumbingGraph(0, ((-2,),) * 4), False),
+    ], ids=["e8", "leg-above-minus-2", "indefinite"])
+    def test_the_guard_does_each_step_once(self, monkeypatch, graph, definite):
+        # One scan of the legs (inside the sign test), one freeze of q's list
+        # rows (the only tuple copy before the elimination), one elimination.
+        graph = PlumbingGraph(graph.central_weight, graph.legs)  # no memo yet
+        counts = {"legs": 0, "eliminations": 0}
+        frozen = []
+        scan, freeze_rows = plumbing._legs_are_continued_fractions, intmat.freeze
+        eliminate = intmat.negative_definite_det
+
+        def counting_scan(g):
+            counts["legs"] += 1
+            return scan(g)
+
+        def counting_freeze(rows):
+            frozen.append(type(rows[0]) if rows else None)
+            return freeze_rows(rows)
+
+        def counting_elimination(m):
+            counts["eliminations"] += 1
+            return eliminate(m)
+
+        monkeypatch.setattr(plumbing, "_legs_are_continued_fractions", counting_scan)
+        monkeypatch.setattr(intmat, "freeze", counting_freeze)
+        monkeypatch.setattr(intmat, "negative_definite_det", counting_elimination)
+        for _ in range(2):
+            if definite:
+                assert graph.definite_form == adjacency_matrix(graph)
+            else:
+                with pytest.raises(NotNegativeDefiniteError):
+                    graph.definite_form
+        reads = 1 if definite else 2  # a read that raises stores nothing
+        assert counts == {"legs": reads, "eliminations": reads}
+        assert frozen == [list] * reads
+
+    def test_the_memo_is_an_instance_entry(self):
+        # No cached_property, whose first read takes a class-wide lock on
+        # Python 3.11: a plain property reads and fills the instance dict.
+        assert type(vars(PlumbingGraph)["definite_form"]) is property
+        graph = PlumbingGraph(-2, ((-2,), (-2,), (-2,)))
+        fields = dict(vars(graph))
+        form = graph.definite_form
+        assert graph.definite_form is form
+        assert vars(graph) == {**fields, "_definite_form": form}
+        assert graph == PlumbingGraph(-2, ((-2,), (-2,), (-2,)))
+        assert hash(graph) == hash(PlumbingGraph(-2, ((-2,), (-2,), (-2,))))
 
     def test_euler_number_values(self):
         graph = PlumbingGraph(-1, ((-2,), (-3,), (-7,)))
