@@ -22,7 +22,7 @@ PositiveCheck; the acceptance suite drives that equivalence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from itertools import combinations_with_replacement
@@ -73,14 +73,45 @@ class Branch(str, Enum):
     POSITIVE_CHECK = "PositiveCheck"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Verdict:
+    """What ``classify`` decided, with the (N, A) of ``_scaled_epsilon`` it
+    read: eps = N/A with A > 0, and det = |N|.
+
+    ``epsilon`` is made from N and A each time it is read, and
+    ``epsilon_text`` prints it from the integers, so a verdict that is only
+    printed builds no ``Fraction``.  The constructor stores every field in
+    one write to the instance ``__dict__``; the class stays frozen.
+    """
+
     status: Status
     reason: Reason
     witness_pair: tuple[int, int] | None  # 0-based tangle indices for (2)/(4)
     normalized: StandardForm
-    epsilon: Fraction
-    det: int
+    scaled_epsilon: tuple[int, int]
+    det: int = field(init=False)
+
+    def __init__(self, status: Status, reason: Reason,
+                 witness_pair: tuple[int, int] | None, normalized: StandardForm,
+                 scaled_epsilon: tuple[int, int]):
+        object.__setattr__(self, "__dict__", {
+            "status": status, "reason": reason, "witness_pair": witness_pair,
+            "normalized": normalized, "scaled_epsilon": scaled_epsilon,
+            "det": abs(scaled_epsilon[0])})
+
+    @property
+    def epsilon(self) -> Fraction:
+        """eps = N/A, reduced."""
+        return Fraction(*self.scaled_epsilon)
+
+    @property
+    def epsilon_text(self) -> str:
+        """``numerator/denominator`` of ``epsilon``, read off N and A: A > 0,
+        so N/g over A/g with g = gcd(N, A) is the reduced pair, the sign on
+        the numerator, and N = 0 gives 0/1."""
+        n, a = self.scaled_epsilon
+        g = gcd(n, a)
+        return f"{n // g}/{a // g}"
 
 
 @dataclass(frozen=True)
@@ -139,14 +170,13 @@ def classify(link: MontesinosLink) -> Verdict:
     and (3) always holds, so such links are always QA.
     """
     std = to_standard_form(link)
-    n, a = _scaled_epsilon(std)  # eps = N/A and det = |N|, from one pass
-    eps, d = Fraction(n, a), abs(n)
-    if d == 0:
-        return Verdict(Status.NOT_QA, Reason.DET_ZERO, None, std, eps, 0)
+    scaled = _scaled_epsilon(std)  # eps = N/A and det = |N|, from one pass
+    if scaled[0] == 0:
+        return Verdict(Status.NOT_QA, Reason.DET_ZERO, None, std, scaled)
     for reason, holds, pair in _conditions(std):
         if holds:
-            return Verdict(Status.QA, reason, pair, std, eps, d)
-    return Verdict(Status.NOT_QA, Reason.NO_CONDITION, None, std, eps, d)
+            return Verdict(Status.QA, reason, pair, std, scaled)
+    return Verdict(Status.NOT_QA, Reason.NO_CONDITION, None, std, scaled)
 
 
 def verify(link: MontesinosLink) -> Evidence:
@@ -306,7 +336,7 @@ def explain(link: MontesinosLink, evidence: Evidence | None = None,
         "standard_form": format_link(std),
         "canonical_form": format_link(canonical_form(std)),
         "normalization": normalization,
-        "epsilon": f"{verdict.epsilon.numerator}/{verdict.epsilon.denominator}",
+        "epsilon": verdict.epsilon_text,
         "det": verdict.det,
         "det_computation": det_computation,
         "conditions": _condition_rows(std),

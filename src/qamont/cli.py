@@ -15,7 +15,15 @@ A jsonl line is ``json.dumps(record)`` with the ``json`` defaults, then a
 newline, in one write: ``", "`` between fields and ``": "`` after each
 key, non-ASCII characters escaped as ``\\uXXXX``, and the keys in the
 order of ``_RECORD_FIELDS``, then ``ms`` under ``--timing``, then
-``explain`` under ``--explain``.
+``explain`` under ``--explain``.  Each string is quoted once, by
+``json.encoder.encode_basestring_ascii``, which is what ``json.dumps``
+runs on a ``str`` under those defaults.  A tsv line is one write too.
+
+A record's ``status``, ``reason`` and ``evidence`` are plain ``str``,
+each its enum member's value, so no output depends on how a Python
+version formats a ``str`` enum.  Its ``epsilon`` is ``Verdict.epsilon_text``,
+printed from the integers N and A; ``Verdict.epsilon`` builds its
+``Fraction`` only when read, so a classify-only record builds none.
 """
 
 from __future__ import annotations
@@ -28,6 +36,7 @@ import sys
 import time
 from collections import deque
 from itertools import chain, islice, repeat
+from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -60,7 +69,7 @@ def _build_record(task: tuple[tuple[str, str, MontesinosLink], tuple[bool, bool,
     (text, canonical, link), (with_verify, with_explain, with_timing) = task
     start = time.perf_counter_ns() if with_timing else 0
     verdict = classify(link)
-    std, eps = verdict.normalized, verdict.epsilon
+    std = verdict.normalized
     evidence = verify(std) if with_verify else None
     record = {
         "link": text,
@@ -68,10 +77,12 @@ def _build_record(task: tuple[tuple[str, str, MontesinosLink], tuple[bool, bool,
         "e": std.e,
         "p": std.p,
         "det": verdict.det,
-        "epsilon": f"{eps.numerator}/{eps.denominator}",
-        "status": verdict.status.value,
-        "reason": verdict.reason.value,
-        "evidence": evidence.branch.value if evidence else None,
+        "epsilon": verdict.epsilon_text,
+        # A member's _value_ is its text as a plain str, read without the
+        # enum ``value`` property.
+        "status": verdict.status._value_,
+        "reason": verdict.reason._value_,
+        "evidence": evidence.branch._value_ if evidence else None,
     }
     if with_timing:
         record["ms"] = (time.perf_counter_ns() - start) // 1_000_000
@@ -118,37 +129,42 @@ def _jsonl_line(record: dict) -> str:
     """``json.dumps(record)`` and a newline, written from the record schema.
 
     Only the user's link text, ``canonical``, ``evidence`` and ``explain``
-    can hold a character that JSON escapes, so only they go through
+    can hold a character that JSON escapes.  Each of the three strings is
+    quoted by ``_quote``, ``json.encoder.encode_basestring_ascii``, which
+    is what ``json.dumps`` runs on a ``str`` under its defaults; when
+    ``canonical`` is the link text itself, as every ``enumerate`` record
+    has it, the quoted link serves both.  ``explain`` goes through
     ``json.dumps``.  The others are ints (``e``, ``p``, ``det``, ``ms``),
     whose JSON is their ``str``, and ``epsilon``, ``status`` and ``reason``,
     whose digits, signs, slash and letters JSON writes as they are.
     ``None`` is ``null``."""
-    dumps = json.dumps
-    evidence = record["evidence"]
-    line = (f'{{"link": {dumps(record["link"])}, "canonical": {dumps(record["canonical"])}, '
+    link, canonical, evidence = record["link"], record["canonical"], record["evidence"]
+    link_json = _quote(link)
+    line = (f'{{"link": {link_json}, '
+            f'"canonical": {link_json if canonical is link else _quote(canonical)}, '
             f'"e": {record["e"]}, "p": {record["p"]}, "det": {record["det"]}, '
             f'"epsilon": "{record["epsilon"]}", "status": "{record["status"]}", '
             f'"reason": "{record["reason"]}", '
-            f'"evidence": {"null" if evidence is None else dumps(evidence)}')
+            f'"evidence": {"null" if evidence is None else _quote(evidence)}')
     if "ms" in record:
         line += f', "ms": {record["ms"]}'
     if "explain" in record:
-        line += f', "explain": {dumps(record["explain"])}'
+        line += f', "explain": {json.dumps(record["explain"])}'
     return line + "}\n"
 
 
 def _emit(records: Iterator[dict], args) -> None:
     fields = _RECORD_FIELDS + (["ms"] if args.timing else [])
+    write = sys.stdout.write
     if args.format == "jsonl":
-        write = sys.stdout.write
         for record in records:
             write(_jsonl_line(record))
         return
     if args.format == "tsv":
-        print("\t".join(fields))
+        write("\t".join(fields) + "\n")
         for record in records:
-            print("\t".join(str(record[f]) if record[f] is not None else ""
-                            for f in fields))
+            write("\t".join(str(record[f]) if record[f] is not None else ""
+                             for f in fields) + "\n")
         return
     # table: aligned columns, then any explain traces
     records = list(records)

@@ -161,12 +161,11 @@ class StandardForm(MontesinosLink):
 
         A classmethod, not a module function, so that the tracer in
         ``perfbench/tracing.py``, which wraps every function one module
-        imports from another, does not add a span to every record.
+        imports from another, does not add a span to every record.  The
+        three fields go into the instance ``__dict__`` in one write.
         """
         link = object.__new__(cls)
-        object.__setattr__(link, "e", e)
-        object.__setattr__(link, "tangles", tangles)
-        object.__setattr__(link, "pairs", pairs)
+        object.__setattr__(link, "__dict__", {"e": e, "tangles": tangles, "pairs": pairs})
         return link
 
 

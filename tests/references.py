@@ -1,11 +1,12 @@
 """Exact references for the tests: continued fractions and the Seifert
 Euler number evaluated as ``fractions.Fraction`` values, link text printed
-from each tangle's ``Fraction``, determinants by
+from each tangle's ``Fraction``, eps printed from a sum of ``Fraction``
+values, determinants by
 Bareiss elimination with row pivoting, the boolean definiteness test, the
 matrix-vector product, and canonical rows read one index at a time.  No
 program path needs them: ``cfrac.cf_expand``,
-``plumbing.negative_definite_by_sign`` and ``montesinos.format_link`` run
-on integers,
+``plumbing.negative_definite_by_sign``, ``montesinos.format_link`` and
+``Verdict.epsilon_text`` run on integers,
 ``intmat.Definite`` reads det Q off the last pivot of its definiteness
 test and keeps it with the form, ``laufer_run`` keeps Q * K by
 adding one row of Q per step, and ``lattice._canonical_rows`` reads its rows
@@ -68,6 +69,14 @@ def format_link_by_fractions(link: MontesinosLink) -> str:
     """``M(e; t1, ..., tp)`` with each tangle printed by ``str`` of its
     ``Fraction``: ``a/b``, or ``a`` when b = 1, the sign on a."""
     return f"M({link.e}; " + ", ".join(map(str, link.tangles)) + ")"
+
+
+def epsilon_text_by_fraction(link: MontesinosLink) -> str:
+    """eps = e - sum(1/t_i), summed as ``Fraction`` values over the link's
+    tangles and printed as ``numerator/denominator``: ``0/1`` for eps = 0,
+    the sign on the numerator."""
+    eps = link.e - sum(1 / t for t in link.tangles)
+    return f"{eps.numerator}/{eps.denominator}"
 
 
 def mat_vec(m: Matrix, v: Sequence[int]) -> list[int]:

@@ -8,6 +8,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from conftest import EPSILON_CASES, epsilon_cases, random_raw_links
 
 from qamont import classifier, intmat, montesinos, plumbing
 from qamont.classifier import (Branch, Reason, Status, _strict_pair, classify,
@@ -15,9 +16,10 @@ from qamont.classifier import (Branch, Reason, Status, _strict_pair, classify,
                                verify)
 from qamont.lattice import gram_matches, qa_lattice_obstruction
 from qamont.montesinos import (MontesinosLink, StandardForm, canonical_form,
-                               determinant, epsilon, format_link, reflect,
-                               slide, tangle_alpha_beta)
+                               _scaled_epsilon, determinant, epsilon, format_link,
+                               reflect, slide, tangle_alpha_beta, to_standard_form)
 from qamont.plumbing import PlumbingGraph, adjacency_matrix
+from references import epsilon_text_by_fraction
 
 # The acceptance family: p = 3, tangles from {2, 3, 3/2, 4, 4/3}, e in [-3, 4].
 FAMILY = list(enumerate_family(3, 4, -3, 4, p_min=3))
@@ -96,6 +98,29 @@ class TestClassify:
             for _ in range(rng.randint(1, 10)):
                 slid = slide(slid, rng.randrange(slid.p), rng.choice([-1, 1]))
             assert classify(slid) == classify(link)
+
+
+class TestEpsilon:
+    """``Verdict.epsilon`` is made on read from the scaled pair, and
+    ``epsilon_text`` prints it from integers; both match ``Fraction``."""
+
+    def test_epsilon_and_its_text_match_the_fraction_reference(self, rng):
+        covered = set()
+        for link in random_raw_links(rng, 300):
+            verdict = classify(link)
+            assert verdict.epsilon == Fraction(*_scaled_epsilon(to_standard_form(link)))
+            assert verdict.epsilon_text == epsilon_text_by_fraction(link)
+            if verdict.reason is Reason.DET_ZERO:
+                assert verdict.epsilon_text == "0/1"
+            covered |= epsilon_cases(link)
+        assert covered == EPSILON_CASES
+
+    def test_verdict_stays_frozen(self):
+        verdict = classify(M(0, Fraction(5, 2), Fraction(7, 3)))
+        for name in ("status", "reason", "witness_pair", "normalized", "epsilon", "det"):
+            with pytest.raises(AttributeError):
+                setattr(verdict, name, None)
+        assert (verdict.epsilon, verdict.det) == (Fraction(-29, 35), 29)
 
 
 class TestVerify:

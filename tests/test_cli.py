@@ -4,23 +4,26 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
+from fractions import Fraction
 from math import gcd
 from pathlib import Path
 
 import pytest
+from conftest import EPSILON_CASES, epsilon_cases, random_raw_links
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import qamont
 from qamont import classifier, cli, intmat, montesinos, plumbing
-from qamont.classifier import enumerate_family
+from qamont.classifier import classify, enumerate_family, verify
 from qamont.cli import main
 from qamont.errors import InternalError, NotNegativeDefiniteError
 from qamont.lattice import (_critical_primes, gram_matches, qa_lattice_obstruction,
                             transpose_surjective)
 from qamont.montesinos import canonical_form, determinant, parse_link
 from qamont.plumbing import adjacency_matrix, format_graph, oriented_graph, parse_graph
-from references import is_negative_definite_matrix
+from references import epsilon_text_by_fraction, is_negative_definite_matrix
 
 E8_TEXT = "central: -2\nleg: -2\nleg: -2 -2\nleg: -2 -2 -2 -2\n"
 SIGMA_237_TEXT = "central: -1\nleg: -2\nleg: -3\nleg: -7\n"
@@ -339,6 +342,7 @@ class TestJsonlLines:
             assert printed == record
 
     def test_one_write_per_line(self, monkeypatch):
+        # jsonl and tsv alike: one write per record, and one for the tsv header.
         class Writes:
             def __init__(self):
                 self.calls = []
@@ -346,12 +350,51 @@ class TestJsonlLines:
             def write(self, text):
                 self.calls.append(text)
 
-        out = Writes()
-        monkeypatch.setattr(sys, "stdout", out)
-        assert main(["enumerate", "--p", "2", "--alpha-max", "3", "--e-min", "0",
-                     "--e-max", "1"]) == 0
-        assert len(out.calls) == 2 * 6
-        assert all(line.count("\n") == 1 and line.endswith("}\n") for line in out.calls)
+        for fmt in ("jsonl", "tsv"):
+            out = Writes()
+            monkeypatch.setattr(sys, "stdout", out)
+            assert main(["enumerate", "--p", "2", "--alpha-max", "3", "--e-min", "0",
+                         "--e-max", "1", "--format", fmt]) == 0
+            assert all(line.count("\n") == 1 and line.endswith("\n") for line in out.calls)
+            if fmt == "jsonl":
+                assert len(out.calls) == 2 * 6
+                assert all(line.endswith("}\n") for line in out.calls)
+            else:
+                assert len(out.calls) == 1 + 2 * 6
+                assert out.calls[0] == "\t".join(cli._RECORD_FIELDS) + "\n"
+                assert all(line.count("\t") == len(cli._RECORD_FIELDS) - 1
+                           for line in out.calls)
+
+    def test_enum_fields_are_plain_str(self):
+        # Python 3.12 changed Enum.__format__ for str-mixin enums such as
+        # Status: a record holds each member's value as a plain str, so no
+        # line depends on how the running Python formats the member itself.
+        for link in enumerate_family(3, 4, -3, 4, p_min=3):
+            text = montesinos.format_link(link)
+            verdict, branch = classify(link), verify(link).branch
+            for with_verify in (False, True):
+                record = cli._build_record(((text, text, link), (with_verify, False, False)))
+                members = {"status": verdict.status, "reason": verdict.reason,
+                           "evidence": branch if with_verify else None}
+                for field, member in members.items():
+                    if member is None:
+                        assert record[field] is None
+                    else:
+                        assert type(record[field]) is str and record[field] == member.value
+
+    @pytest.mark.parametrize("fmt", ["jsonl", "tsv"])
+    def test_epsilon_field_matches_the_fraction_reference(self, capsys, rng, fmt):
+        links = random_raw_links(rng, 300)
+        assert set().union(*map(epsilon_cases, links)) == EPSILON_CASES
+        code, out, _ = run(capsys, "classify", *map(montesinos.format_link, links),
+                           "--format", fmt)
+        assert code == 0
+        if fmt == "jsonl":
+            fields = [json.loads(line)["epsilon"] for line in out.splitlines()]
+        else:
+            header, *rows = (line.split("\t") for line in out.splitlines())
+            fields = [row[header.index("epsilon")] for row in rows]
+        assert fields == [epsilon_text_by_fraction(link) for link in links]
 
 
 ENUMERATE_ARGS = {"--p": "2", "--alpha-max": "3", "--e-min": "0", "--e-max": "0"}
@@ -520,6 +563,33 @@ class TestEnumerate:
         assert code == 0
         assert len(out.splitlines()) == 280
         assert len(calls) == 5  # the tangles of alpha <= 4: 2, 3, 3/2, 4, 4/3
+
+    def test_bulk_family_object_budget(self, capsys, monkeypatch):
+        # A classify-only record builds no Fraction and quotes one JSON
+        # string, its link text, which serves as canonical too.  The walk
+        # builds a Fraction for each of its 17 distinct tangles, once.
+        made = Counter()
+        real_new = Fraction.__new__
+
+        def counting_new(cls, *args, **kwargs):
+            made[sys._getframe(1).f_globals["__name__"]] += 1
+            return real_new(cls, *args, **kwargs)
+
+        real_quote = cli._quote
+        quotes = []
+
+        def counting_quote(text):
+            quotes.append(text)
+            return real_quote(text)
+
+        monkeypatch.setattr(Fraction, "__new__", staticmethod(counting_new))
+        monkeypatch.setattr(cli, "_quote", counting_quote)
+        code, out, _ = run(capsys, *TestDeterminism.BULK_ARGS)
+        assert code == 0
+        records = out.count("\n")
+        assert records == 38760
+        assert made == {"qamont.classifier": 17}
+        assert len(quotes) == records
 
     def test_round_trip_of_printed_canonical(self, capsys):
         _, out, _ = run(capsys, "enumerate", "--p-max", "2", "--alpha-max", "4",

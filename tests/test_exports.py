@@ -100,10 +100,10 @@ def test_paper_lemma_checks_stay_in_the_tests(module):
 
 
 # The integer rule: a tangle's (alpha, beta) is derived once, by
-# tangle_alpha_beta; the other readers of a Fraction's parts are cf_expand's
-# Euclid and the two places that print epsilon as a/b.
-FRACTION_PART_READERS = {("montesinos", "tangle_alpha_beta"), ("cfrac", "cf_expand"),
-                         ("cli", "_build_record"), ("classifier", "explain")}
+# tangle_alpha_beta; the other reader of a Fraction's parts is cf_expand's
+# Euclid.  epsilon is printed from the integers N and A, by
+# Verdict.epsilon_text.
+FRACTION_PART_READERS = {("montesinos", "tangle_alpha_beta"), ("cfrac", "cf_expand")}
 
 
 def attribute_reads(path, attrs):
