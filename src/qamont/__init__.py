@@ -4,8 +4,10 @@ The package decides quasi-alternating status from strict inequalities on
 the standard-form parameters, and independently verifies every verdict by
 running the rational-singularity computation sequence on the associated
 negative definite plumbing and by exhaustively searching for a lattice
-embedding with surjective transpose.  All arithmetic is exact: rationals
-are ``fractions.Fraction`` and matrices are arbitrary-precision integers.
+embedding with surjective transpose.  All arithmetic is exact: a link is
+its integer e and each tangle's integer pair (alpha, beta), rationals
+read as values are ``fractions.Fraction``, and matrices are
+arbitrary-precision integers.
 """
 
 from .cfrac import cf_expand

@@ -1,8 +1,10 @@
 """Exact rationals and negative continued fractions.
 
-Rationals throughout the package are ``fractions.Fraction`` values:
-construction reduces to lowest terms with a positive denominator, so
-equality is structural and no floating point ever enters.
+A rational read as a value is a ``fractions.Fraction``: construction
+reduces to lowest terms with a positive denominator, so equality is
+structural and no floating point ever enters.  A link keeps its tangles
+as integer pairs (``montesinos``), and the plumbing legs of ``verify``
+are expanded from those pairs by ``_expand`` with no ``Fraction``.
 
 A continued fraction is a nonempty tuple of integer coefficients, all
 <= -2, denoting the nested expression

@@ -146,20 +146,19 @@ def _strict_pair(std: StandardForm, bigger_reflected: bool) -> tuple[int, int] |
     return None
 
 
-def _conditions(std: StandardForm) -> Iterator[tuple[Reason, bool, tuple[int, int] | None]]:
+def _conditions(std: StandardForm) -> tuple[tuple[Reason, bool, tuple[int, int] | None], ...]:
     """(reason, holds, witness pair) for conditions (1), (3), (2), (4), in that order.
 
     (2) and (4) search for a pair only when e sits on their boundary, 1 and
-    p - 1; being a generator, nothing after the first holding row is
-    evaluated by a caller that stops there.
+    p - 1, so at most one search runs unless p = 2.
     """
     e, p = std.e, std.p
-    yield Reason.CONDITION1, e < 1, None
-    yield Reason.CONDITION3, e > p - 1, None
-    for reason, boundary, bigger in ((Reason.CONDITION2, 1, True),
-                                     (Reason.CONDITION4, p - 1, False)):
-        pair = _strict_pair(std, bigger) if e == boundary else None
-        yield reason, pair is not None, pair
+    pair2 = _strict_pair(std, True) if e == 1 else None
+    pair4 = _strict_pair(std, False) if e == p - 1 else None
+    return ((Reason.CONDITION1, e < 1, None),
+            (Reason.CONDITION3, e > p - 1, None),
+            (Reason.CONDITION2, pair2 is not None, pair2),
+            (Reason.CONDITION4, pair4 is not None, pair4))
 
 
 def classify(link: MontesinosLink) -> Verdict:
@@ -203,7 +202,7 @@ def verify(link: MontesinosLink) -> Evidence:
         side, graph = oriented_graph(std)
     except NotNegativeDefiniteError:  # eps = 0: the determinant is zero
         return Evidence(Branch.DET_ZERO, False, None, None, None, None)
-    reflected = side != std
+    reflected = side is not std
     try:
         q = graph.definite_form
     except NotNegativeDefiniteError:
@@ -228,9 +227,11 @@ def enumerate_family(p_max: int, alpha_max: int, e_min: int, e_max: int,
     produced; so does a bound that is not an integer.
 
     Each distinct tangle is validated once, as a one-tangle ``StandardForm``;
-    every link is then built from those parts by
-    ``StandardForm._from_validated``, which re-checks nothing.  The walk is
-    lazy and holds one item per tangle, never the multisets of a p.
+    every link is then built from those pairs by
+    ``StandardForm._from_validated``, which re-checks nothing, so the walk
+    builds one ``Fraction`` per distinct tangle, to sort them, and none per
+    link.  It is lazy and holds one pair per tangle, never the multisets of
+    a p.
     """
     p_max, alpha_max, e_min, e_max, p_min = (
         _integer_bound(name, value) for name, value in
@@ -258,13 +259,12 @@ def _family(p_min: int, p_max: int, alpha_max: int, e_min: int,
                       for a in range(2, alpha_max + 1)
                       for b in range(1, a) if gcd(a, b) == 1),
                      reverse=True)
-    items = [(t, StandardForm(0, (t,)).pairs[0]) for t in tangles]
+    pairs = [StandardForm(0, (t,)).pairs[0] for t in tangles]
     build = StandardForm._from_validated
     for p in range(p_min, p_max + 1):
         for e in range(e_min, e_max + 1):
-            for combo in combinations_with_replacement(items, p):
-                combo_tangles, combo_pairs = zip(*combo)
-                yield build(e, combo_tangles, combo_pairs)
+            for combo in combinations_with_replacement(pairs, p):
+                yield build(e, combo)
 
 
 def _condition_rows(std: StandardForm) -> list[dict]:

@@ -521,15 +521,14 @@ def qa_lattice_obstruction(graph: PlumbingGraph) -> ObstructionResult:
     """Search every ambient rank for an embedding with surjective transpose.
 
     The search runs on q in placement order (``_placement``), ties broken by
-    each vertex's position in the star with its legs stably sorted: vertex
-    j of leg i has the key (leg i, i, j), and the centre comes first.  That
-    position map is a weight-preserving isomorphism of the graph onto the
-    sorted star, so every leg order of a star gets the sorted star's own
-    placement form.  The search reads nothing but that form and det q, and
-    its result is cached under them (one bounded cache, ``cache_info`` and
-    ``cache_clear`` as with ``lru_cache``), so every leg order of a star
-    shares one search.  det q is a function of the form, so the cache hits
-    and misses exactly as one keyed on the form alone.
+    each vertex's position in the star with its legs stably sorted
+    (``_star_ties``).  That position map is a weight-preserving isomorphism
+    of the graph onto the sorted star, so every leg order of a star gets the
+    sorted star's own placement form.  The search reads nothing but that
+    form and det q, and its result is cached under them (one bounded cache,
+    ``cache_info`` and ``cache_clear`` as with ``lru_cache``), so every leg
+    order of a star shares one search.  det q is a function of the form, so
+    the cache hits and misses exactly as one keyed on the form alone.
 
     A vertex permutation maps the embeddings of one form to those of the
     other, a bijection at each rank that keeps the rows touched and keeps
@@ -546,15 +545,28 @@ def qa_lattice_obstruction(graph: PlumbingGraph) -> ObstructionResult:
     rejected whatever the cache holds.
     """
     q = graph.definite_form
-    ties: list[tuple] = [()]
-    for i, leg in enumerate(graph.legs):
-        ties += ((leg, i, j) for j in range(len(leg)))
-    form, slots = _placement(q, ties)
+    form, slots = _placement(q, _star_ties(graph.legs))
     cols, witness_n, nodes, leaves, pruned = _cached_search(form, q.det)
     if cols is None:
         return ObstructionResult(True, None, None, nodes, leaves, pruned)
     witness = _in_vertex_order(slots, witness_n, cols)
     return ObstructionResult(False, witness, witness_n, nodes, leaves, pruned)
+
+
+def _star_ties(legs: Sequence[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """Each vertex's position in the star with its legs stably sorted, in
+    vertex order (the centre, then each leg outward): vertex j of leg i has
+    the key (rank of leg i in the stable sort of the legs, j), and the
+    centre has (), which comes first.  The ranks order the legs as the
+    tuples (leg i, i) do, so these keys order the vertices as (leg i, i, j)
+    would, with small ints in place of leg tuples."""
+    rank = [0] * len(legs)
+    for r, i in enumerate(sorted(range(len(legs)), key=legs.__getitem__)):
+        rank[i] = r
+    ties: list[tuple[int, ...]] = [()]
+    for i, leg in enumerate(legs):
+        ties += ((rank[i], j) for j in range(len(leg)))
+    return ties
 
 
 def _obstruction_search(q: Matrix, d: int) -> tuple[

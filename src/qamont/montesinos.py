@@ -4,7 +4,9 @@ A Montesinos link M(e; t1, ..., tp) is described by an integer half-twist
 count e and an ordered list of rational tangle parameters.  Each tangle,
 written in reduced form alpha/beta with alpha > 0, must have alpha >= 2;
 tangles with alpha = 1 degenerate the structure and are rejected outright
-rather than silently absorbed.
+rather than silently absorbed.  A link stores the integers e and
+(alpha_i, beta_i); every rewrite below maps pairs to pairs, and a
+tangle's ``Fraction`` is built only when a caller reads ``tangles``.
 
 Two parameter tuples related by slide moves describe isotopic links:
 
@@ -19,10 +21,11 @@ plumbing.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import starmap
+from math import gcd
 from operator import index
 
 from .errors import ParseError
@@ -48,8 +51,8 @@ def tangle_alpha_beta(t: Fraction) -> tuple[int, int]:
 
     A Fraction keeps its denominator positive, so the sign of t is the sign
     of its numerator.  This is the one reader of a link tangle's numerator
-    and denominator: ``MontesinosLink`` calls it once per tangle, when the
-    link is validated, and keeps the results as ``pairs``.
+    and denominator: the ``MontesinosLink`` constructor calls it once per
+    ``Fraction`` tangle, and the link stores the results as ``pairs``.
     """
     num, den = t.numerator, t.denominator
     if num > 0:
@@ -57,115 +60,150 @@ def tangle_alpha_beta(t: Fraction) -> tuple[int, int]:
     return -num, -den
 
 
-def _integer_tangle(t) -> Fraction:
-    """An int tangle as a Fraction; any other type that is not a Fraction,
-    a float included, raises ``ValueError``: a float is not exact, and
+def _reduced_pair(num: int, den: int) -> tuple[int, int]:
+    """``tangle_alpha_beta(Fraction(num, den))`` for integers with den != 0,
+    with no Fraction built: divide by g = gcd(num, den), signed so that the
+    denominator comes out positive as a Fraction's does, then move the sign
+    onto beta as ``tangle_alpha_beta`` does."""
+    g = gcd(num, den)
+    if den < 0:
+        g = -g
+    num, den = num // g, den // g
+    if num > 0:
+        return num, den
+    return -num, -den
+
+
+def _tangle_pair(t) -> tuple[int, int]:
+    """The (alpha, beta) of an ``int`` or ``Fraction`` tangle; any other
+    type, a float included, raises ``ValueError``: a float is not exact, and
     ``Fraction(2.1)`` has alpha = 4,728,779,608,739,021."""
+    if isinstance(t, Fraction):
+        return tangle_alpha_beta(t)
     if not isinstance(t, int):
         raise ValueError(f"tangle {t!r} must be an int or a Fraction")
-    return Fraction(t)
+    return _reduced_pair(t, 1)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, init=False, repr=False, eq=False)
 class MontesinosLink:
-    """Raw Montesinos parameters: integer e plus an ordered tangle tuple,
-    each tangle an ``int`` or a ``Fraction``.
+    """Montesinos parameters: an integer e and each tangle's (alpha, beta).
 
-    ``pairs`` holds each tangle's ``tangle_alpha_beta``, derived once, when
-    the link is validated; every reader of alpha and beta reads these
-    integers.  It is not an init, compare or repr field: equality, hash and
-    repr see only e and the tangles.
+    ``pairs`` is the stored representation: tangle i is alpha_i/beta_i with
+    alpha_i >= 2, gcd(alpha_i, |beta_i|) = 1 and the sign of the tangle on
+    beta_i (``tangle_alpha_beta``).  That map is a bijection from reduced
+    rationals, so equality and hash compare (e, pairs), which is equality
+    of e and the tangles as values, across the standard-form subclass too.
+
+    ``MontesinosLink(e, tangles)`` takes each tangle as an ``int`` or a
+    ``Fraction``.  ``tangles``, the reduced ``Fraction`` of each pair, is
+    built on its first read and kept in the instance ``__dict__``; ``repr``
+    prints it, as a dataclass with the fields e and tangles did.
     """
 
     e: int
-    tangles: tuple[Fraction, ...]
-    pairs: tuple[tuple[int, int], ...] = field(init=False, repr=False, compare=False)
+    pairs: tuple[tuple[int, int], ...]
 
-    def __post_init__(self):
-        if type(self.e) is not int:  # a bool or an integer type: store an int
+    def __init__(self, e: int, tangles):
+        self._init_checked(e, map(_tangle_pair, tangles))
+
+    @classmethod
+    def _from_pairs(cls, e: int, pairs: tuple[tuple[int, int], ...]) -> MontesinosLink:
+        """The link of integer pairs, each already reduced as
+        ``tangle_alpha_beta`` writes it, under the constructor's check."""
+        link = object.__new__(cls)
+        link._init_checked(e, pairs)
+        return link
+
+    def _init_checked(self, e, pairs) -> None:
+        """The one check of both constructors: e is an integer, there is a
+        tangle, and every alpha is at least 2.  ``pairs`` is read after e
+        is checked, so a bad e is reported first."""
+        if type(e) is not int:  # a bool or an integer type: store an int
             try:
-                object.__setattr__(self, "e", index(self.e))
+                e = index(e)
             except TypeError:
                 raise ValueError(
-                    f"half-twist count e must be an integer, got {self.e!r}") from None
-        tangles = tuple(t if isinstance(t, Fraction) else _integer_tangle(t)
-                        for t in self.tangles)
-        if not tangles:
+                    f"half-twist count e must be an integer, got {e!r}") from None
+        pairs = tuple(pairs)
+        if not pairs:
             raise ValueError("a Montesinos link needs at least one tangle")
-        pairs = tuple(map(tangle_alpha_beta, tangles))
-        for t, (alpha, _) in zip(tangles, pairs):
+        for alpha, beta in pairs:
             if alpha < 2:
-                raise ValueError(f"tangle {t} has alpha = {alpha}; "
+                raise ValueError(f"tangle {_tangle_text(alpha, beta)} has alpha = {alpha}; "
                                  "tangles must have alpha >= 2")
-        object.__setattr__(self, "tangles", tangles)
-        object.__setattr__(self, "pairs", pairs)
+        object.__setattr__(self, "__dict__", {"e": e, "pairs": pairs})
 
-    # Equality is by value across the standard-form subclass too.
+    @property
+    def tangles(self) -> tuple[Fraction, ...]:
+        """Each pair's reduced ``Fraction``, built once, on the first read."""
+        tangles = self.__dict__.get("tangles")
+        if tangles is None:
+            tangles = self.__dict__["tangles"] = tuple(starmap(Fraction, self.pairs))
+        return tangles
+
     def __eq__(self, other):
         if not isinstance(other, MontesinosLink):
             return NotImplemented
-        return self.e == other.e and self.tangles == other.tangles
+        return self.e == other.e and self.pairs == other.pairs
 
     def __hash__(self):
-        return hash((self.e, self.tangles))
+        return hash((self.e, self.pairs))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}(e={self.e!r}, tangles={self.tangles!r})"
 
     @property
     def p(self) -> int:
-        return len(self.tangles)
+        return len(self.pairs)
 
     def __str__(self) -> str:
         return format_link(self)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, init=False, repr=False, eq=False)
 class StandardForm(MontesinosLink):
     """A Montesinos link with every tangle > 1, i.e. 0 < beta < alpha.
 
-    The check runs once, here, on the ``pairs`` derived when the link was
-    validated: a frozen ``StandardForm`` stays standard, so the functions
-    that need one take it on trust.  Its pairs are then each tangle's
-    numerator and denominator, alpha/beta read as integers.
+    The check runs once, when the form is built: a frozen ``StandardForm``
+    stays standard, so the functions that need one take it on trust.
     """
 
-    def __post_init__(self):
-        super().__post_init__()
-        for t, (alpha, beta) in zip(self.tangles, self.pairs):
+    def _init_checked(self, e, pairs) -> None:
+        super()._init_checked(e, pairs)
+        for alpha, beta in self.pairs:
             if not 0 < beta < alpha:
-                raise ValueError(f"tangle {t} is not > 1; not in standard form")
+                raise ValueError(f"tangle {_tangle_text(alpha, beta)} is not > 1; "
+                                 "not in standard form")
 
     @classmethod
-    def _from_validated(cls, e: int, tangles: tuple[Fraction, ...],
-                        pairs: tuple[tuple[int, int], ...]) -> StandardForm:
-        """Build M(e; tangles) from parts already validated; nothing is checked.
+    def _from_validated(cls, e: int, pairs: tuple[tuple[int, int], ...]) -> StandardForm:
+        """Build the form of ``pairs`` already validated; nothing is checked.
 
-        It is sound when e is an ``int``, each tangle is a ``Fraction``,
-        and ``pairs`` holds each tangle's ``tangle_alpha_beta`` with
-        alpha >= 2 and 0 < beta < alpha: that is all ``__post_init__``
-        checks or stores, and its check is per tangle.  The result then
-        equals ``StandardForm(e, tangles)`` field for field.  Three callers
-        meet this by construction:
+        It is sound when e is an ``int`` and each pair is reduced with
+        alpha >= 2 and 0 < beta < alpha: that is all ``_init_checked``
+        checks, and its check is per pair.  The result then equals
+        ``StandardForm._from_pairs(e, pairs)`` field for field.  Three
+        callers meet this by construction:
 
-        * ``enumerate_family``: each tangle is the one tangle of a
-          ``StandardForm`` built by ``__init__``, ``pairs`` holds that
-          form's pair for it, and e comes from ``range``.
-        * ``to_standard_form``: each tangle is ``Fraction(alpha, beta mod
-          alpha)`` on a validated pair (alpha >= 2, gcd(alpha, beta) = 1).
-          beta mod alpha lies in (0, alpha), since alpha does not divide
-          beta, and is prime to alpha, so the Fraction is already reduced:
-          its pair is (alpha, beta mod alpha).  e is the validated int e
-          plus integer quotients.
-        * ``reflect``: each tangle is ``Fraction(alpha, alpha - beta)`` on a
-          standard pair; 0 < alpha - beta < alpha and gcd(alpha, alpha -
-          beta) = gcd(alpha, beta) = 1, so its pair is (alpha, alpha - beta).
-          e is p - e of a standard form, an int.
+        * ``enumerate_family``: each pair is that of a one-tangle
+          ``StandardForm`` built by the constructor, and e comes from
+          ``range``.
+        * ``to_standard_form``: each pair is (alpha, beta mod alpha) of a
+          validated pair (alpha >= 2, gcd(alpha, beta) = 1); beta mod alpha
+          lies in (0, alpha), since alpha does not divide beta, and is
+          prime to alpha.  e is the validated int e plus integer quotients.
+        * ``reflect``: each pair is (alpha, alpha - beta) of a standard
+          pair; 0 < alpha - beta < alpha and gcd(alpha, alpha - beta) =
+          gcd(alpha, beta) = 1.  e is p - e of a standard form, an int.
 
         A classmethod, not a module function, so that the tracer in
         ``perfbench/tracing.py``, which wraps every function one module
         imports from another, does not add a span to every record.  The
-        three fields go into the instance ``__dict__`` in one write.
+        two fields go into the instance ``__dict__`` in one write.
         """
         link = object.__new__(cls)
-        object.__setattr__(link, "__dict__", {"e": e, "tangles": tangles, "pairs": pairs})
+        object.__setattr__(link, "__dict__", {"e": e, "pairs": pairs})
         return link
 
 
@@ -173,22 +211,22 @@ def to_standard_form(link: MontesinosLink) -> StandardForm:
     """Slide each tangle until 0 < beta < alpha, absorbing full twists into e.
 
     Replacing beta by beta + k*alpha while adding k to e leaves the link
-    unchanged, so eps is preserved exactly.  A ``StandardForm`` is returned
-    as it is: it is frozen and was validated as standard when it was made.
-    Any other link's pairs were validated with it, so the result is built
-    by ``StandardForm._from_validated``, which states why that is sound.
+    unchanged, so eps is preserved exactly: beta = q*alpha + r with
+    0 < r < alpha gives the pair (alpha, r) and e - q.  A ``StandardForm``
+    is returned as it is: it is frozen and was validated as standard when
+    it was made.  Any other link's pairs were validated with it, so the
+    result is built by ``StandardForm._from_validated``, which states why
+    that is sound.
     """
     if isinstance(link, StandardForm):
         return link
     new_e = link.e
-    new_tangles = []
-    new_pairs = []
+    pairs = []
     for alpha, beta in link.pairs:
-        beta_std = beta % alpha  # nonzero: gcd(alpha, beta) = 1 and alpha >= 2
-        new_e += (beta_std - beta) // alpha
-        new_tangles.append(Fraction(alpha, beta_std))
-        new_pairs.append((alpha, beta_std))
-    return StandardForm._from_validated(new_e, tuple(new_tangles), tuple(new_pairs))
+        q, r = divmod(beta, alpha)  # r nonzero: gcd(alpha, beta) = 1 and alpha >= 2
+        new_e -= q
+        pairs.append((alpha, r))
+    return StandardForm._from_validated(new_e, tuple(pairs))
 
 
 def reflect(link: StandardForm) -> StandardForm:
@@ -200,9 +238,9 @@ def reflect(link: StandardForm) -> StandardForm:
     ``perfbench/workloads.py``.
     """
     _require_standard(link)
-    pairs = tuple((a, a - b) for a, b in link.pairs)
-    tangles = tuple(Fraction(a, b) for a, b in pairs)
-    return StandardForm._from_validated(link.p - link.e, tangles, pairs)
+    pairs = link.pairs
+    return StandardForm._from_validated(len(pairs) - link.e,
+                                        tuple((a, a - b) for a, b in pairs))
 
 
 def _scaled_epsilon(link: MontesinosLink) -> tuple[int, int]:
@@ -240,8 +278,8 @@ def to_negative_form(link: StandardForm) -> MontesinosLink:
     ``perfbench/workloads.py`` builds its graphs from it.
     """
     _require_standard(link)
-    tangles = tuple(Fraction(a, b - a) for a, b in link.pairs)
-    return MontesinosLink(link.e - link.p, tangles)
+    return MontesinosLink._from_pairs(link.e - link.p,
+                                      tuple((a, b - a) for a, b in link.pairs))
 
 
 def canonical_form(link: MontesinosLink) -> StandardForm:
@@ -265,15 +303,15 @@ def slide(link: MontesinosLink, index: int, count: int = 1) -> MontesinosLink:
     if not 0 <= index < link.p:
         raise ValueError(f"tangle index {index} out of range 0..{link.p - 1}")
     alpha, beta = link.pairs[index]
-    tangles = list(link.tangles)
-    tangles[index] = Fraction(alpha, beta + count * alpha)
-    return MontesinosLink(link.e + count, tuple(tangles))
+    pairs = list(link.pairs)
+    pairs[index] = (alpha, beta + count * alpha)
+    return MontesinosLink._from_pairs(link.e + count, tuple(pairs))
 
 
 def _require_standard(link: MontesinosLink) -> None:
     if isinstance(link, StandardForm):
         return  # validated when it was built
-    StandardForm(link.e, link.tangles)  # raises ValueError unless every tangle is > 1
+    StandardForm._from_pairs(link.e, link.pairs)  # ValueError unless every tangle is > 1
 
 
 # Text grammar: M(e; t1, t2, ...) with tangles written a/b or as integers.
@@ -295,7 +333,7 @@ def parse_link(text: str) -> MontesinosLink:
     body = m.group("tangles").strip()
     if not body:
         raise ParseError("link expression lists no tangles")
-    tangles = []
+    pairs = []
     for token in body.split(","):
         token = token.strip()
         tm = _TANGLE_RE.match(token)
@@ -305,9 +343,9 @@ def parse_link(text: str) -> MontesinosLink:
         den = int(tm.group("den")) if tm.group("den") is not None else 1
         if den == 0:
             raise ParseError(f"invalid tangle token {token!r}: zero denominator")
-        tangles.append(Fraction(num, den))
+        pairs.append(_reduced_pair(num, den))
     try:
-        return MontesinosLink(int(m.group("e")), tuple(tangles))
+        return MontesinosLink._from_pairs(int(m.group("e")), tuple(pairs))
     except ValueError as exc:
         raise ParseError(str(exc)) from None
 
@@ -324,6 +362,8 @@ def _tangle_text(alpha: int, beta: int) -> str:
     carries the sign of beta and its denominator is |beta|, written only
     when it is not 1.  A family has few distinct tangles, so each text is
     formatted once and then read from the cache."""
+    if alpha == 0:  # the zero tangle, (0, -1), named only in an error
+        return "0"
     if beta < 0:
         return f"-{alpha}" if beta == -1 else f"-{alpha}/{-beta}"
     return f"{alpha}" if beta == 1 else f"{alpha}/{beta}"

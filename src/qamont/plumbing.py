@@ -100,8 +100,8 @@ def build_graph(link: MontesinosLink) -> PlumbingGraph:
 def oriented_graph(link: StandardForm) -> tuple[StandardForm, PlumbingGraph]:
     """The side of the link with eps < 0 and the plumbing of its negative form.
 
-    The link is reflected when eps > 0; reflection negates eps, so the
-    returned side differs from the input exactly when it was reflected.
+    The link is reflected when eps > 0, and otherwise returned as the same
+    object, so ``verify`` reads the reflection off ``side is not link``.
     With eps < 0 the plumbing is negative definite.  A zero eps (zero
     determinant) has no such side: both plumbings have det 0, so the link
     is rejected with ``NotNegativeDefiniteError``, the ``ValueError`` that

@@ -259,6 +259,41 @@ class TestVerify:
             assert len(calls) == 2, typed
         assert branches[Branch.DET_ZERO] == 4 and len(branches) == 4
 
+    def test_parse_classify_and_verify_build_no_fraction(self, monkeypatch):
+        # The family typed as the benchmark types it, tangles shuffled and
+        # slid off standard form, then parsed, classified and verified on
+        # a cold search cache: no step builds a Fraction.  The reflection
+        # flag, read as ``side is not std``, is the comparison of values.
+        rng = random.Random(34)
+        texts = []
+        for link in FAMILY:
+            typed = MontesinosLink(link.e, tuple(rng.sample(link.tangles, link.p)))
+            for index in range(typed.p):
+                typed = slide(typed, index, rng.randint(-2, 2))
+            texts.append(format_link(typed))
+        made = []
+        real_new = Fraction.__new__
+
+        def counting_new(cls, *args, **kwargs):
+            made.append(args)
+            return real_new(cls, *args, **kwargs)
+
+        qa_lattice_obstruction.cache_clear()
+        monkeypatch.setattr(Fraction, "__new__", staticmethod(counting_new))
+        outcomes = [(link, classify(link), verify(link))
+                    for link in map(montesinos.parse_link, texts)]
+        monkeypatch.undo()
+        assert made == []
+        branches = Counter(evidence.branch for _, _, evidence in outcomes)
+        assert len(outcomes) == 280 and set(branches) == set(Branch)
+        reflected = 0
+        for link, verdict, evidence in outcomes:
+            assert (verdict.status is Status.QA) == (evidence.branch is Branch.POSITIVE_CHECK)
+            if evidence.side is not None:
+                assert evidence.reflected == (evidence.side != to_standard_form(link))
+                reflected += evidence.reflected
+        assert 0 < reflected < 276
+
     def test_never_consults_the_classifier_inequalities(self, monkeypatch):
         # verify re-derives every verdict without classify's conditions, so
         # with them made to raise it still reaches every branch, with the
@@ -446,17 +481,18 @@ class TestEnumerateFamily:
 
     def test_validates_each_distinct_tangle_once(self, monkeypatch):
         calls = []
-        real = StandardForm.__post_init__
+        real = StandardForm._init_checked
 
-        def counting_post_init(self):
-            calls.append(self.tangles)
-            real(self)
+        def counting_check(self, e, pairs):
+            pairs = tuple(pairs)
+            calls.append(pairs)
+            real(self, e, pairs)
 
-        monkeypatch.setattr(StandardForm, "__post_init__", counting_post_init)
+        monkeypatch.setattr(StandardForm, "_init_checked", counting_check)
         family = list(enumerate_family(4, 7, -2, 5, p_min=4))
         assert len(family) == 38760
         assert len(calls) == 17  # the tangles of alpha <= 7, one at a time
-        assert all(len(tangles) == 1 for tangles in calls)
+        assert all(len(pairs) == 1 for pairs in calls)
 
     def test_walk_holds_no_multisets(self):
         # p = 4 over the 199 tangles of alpha <= 25 gives over 6 * 10**7

@@ -132,6 +132,57 @@ def test_only_the_named_functions_read_fraction_parts():
     assert offenders == []
 
 
+# Where a Fraction is built: a link's tangles on their first read, the
+# public eps of a link and of a verdict, and the family walk's sort of its
+# distinct tangles.  parse_link, the standard-form rewrites, slide and
+# classify and verify build none, so no record builds one.
+FRACTION_BUILDERS = {("montesinos", "tangles"), ("montesinos", "epsilon"),
+                     ("classifier", "epsilon"), ("classifier", "_family")}
+
+
+def fraction_builds(source):
+    """(enclosing function, line) of each site that builds a Fraction: a
+    call of ``Fraction`` or of one of its attributes, or ``Fraction``
+    passed to a call other than ``isinstance`` (``map(Fraction, ...)``)."""
+    def is_fraction(node):
+        return isinstance(node, ast.Name) and node.id == "Fraction"
+
+    sites = []
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        elif isinstance(node, ast.Call):
+            func = node.func
+            if (is_fraction(func)
+                    or isinstance(func, ast.Attribute) and is_fraction(func.value)
+                    or not (isinstance(func, ast.Name) and func.id == "isinstance")
+                    and any(map(is_fraction, node.args))):
+                sites.append((function, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(ast.parse(source), None)
+    return sites
+
+
+def test_fraction_builds_are_found():
+    source = ("def a(t):\n"
+              "    return isinstance(t, Fraction) and t\n"
+              "def b(x) -> Fraction:\n"
+              "    return Fraction(x)\n"
+              "def c(pairs):\n"
+              "    return tuple(starmap(Fraction, pairs)), Fraction.from_float(1)\n"
+              "y = Fraction(1, 2)\n")
+    assert fraction_builds(source) == [("b", 4), ("c", 6), ("c", 6), (None, 7)]
+
+
+def test_only_the_named_functions_build_fractions():
+    builders = {(path.stem, function) for path in sorted(PACKAGE.glob("*.py"))
+                for function, _ in fraction_builds(path.read_text())}
+    assert builders == FRACTION_BUILDERS
+
+
 def test_one_trusted_constructor():
     # A graph is built only by the validating PlumbingGraph(...).  The one
     # constructor that checks nothing is StandardForm._from_validated, kept

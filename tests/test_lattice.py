@@ -22,7 +22,7 @@ from qamont.montesinos import (MontesinosLink, determinant, to_negative_form,
 from qamont.plumbing import PlumbingGraph, adjacency_matrix, build_graph, oriented_graph
 from paper_lemmas import minor_check, rigidity_check, support_set, truncate_legs
 from references import canonical_rows as canonical_rows_of_columns
-from references import det, is_negative_definite_matrix, prefix_r
+from references import det, is_negative_definite_matrix, leg_tuple_ties, prefix_r
 from smith_form import invariant_factors
 
 D4_GRAPH = PlumbingGraph(-2, ((-2,), (-2,), (-2,)))
@@ -978,6 +978,27 @@ class TestLegOrder:
             q_star = adjacency_matrix(star)
             assert set(forms) == {lattice._placement(q_star, range(k))[0]}, graph
         assert repeated > 10
+
+    def test_rank_ties_order_vertices_as_leg_tuple_ties(self):
+        # (rank of leg i, j) orders a star's vertices as (leg i, i, j) does,
+        # so both keys give one placement form and one set of slots.
+        rng = random.Random(20261020)
+        repeated = 0
+        for _ in range(300):
+            graph = random_star_graph(rng, max_legs=5, max_leg_len=3,
+                                      central_range=(-4, -1), leg_range=(-3, -2))
+            if graph.legs and rng.random() < 0.5:  # equal legs
+                graph = PlumbingGraph(graph.central_weight,
+                                      graph.legs + (rng.choice(graph.legs),))
+            repeated += len(set(graph.legs)) < len(graph.legs)
+            ties, reference = lattice._star_ties(graph.legs), leg_tuple_ties(graph.legs)
+            k = 1 + sum(map(len, graph.legs))
+            assert len(ties) == len(reference) == k
+            assert sorted(range(k), key=ties.__getitem__) == \
+                sorted(range(k), key=reference.__getitem__), graph
+            q = adjacency_matrix(graph)
+            assert lattice._placement(q, ties) == lattice._placement(q, reference), graph
+        assert repeated > 100
 
     @pytest.mark.parametrize("graphs", [
         lambda: oriented_graphs(3, 4, -3, 4),

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import pickle
 from fractions import Fraction
 from math import gcd, prod
@@ -8,7 +9,7 @@ import pytest
 from qamont.errors import ParseError
 from qamont.montesinos import (MontesinosLink, StandardForm, canonical_form,
                                determinant, epsilon, format_link, parse_link,
-                               reflect, slide, tangle_alpha_beta,
+                               _reduced_pair, reflect, slide, tangle_alpha_beta,
                                to_negative_form, to_standard_form)
 from qamont.plumbing import build_graph
 from references import format_link_by_fractions, h1_order
@@ -89,7 +90,8 @@ class TestConstruction:
 
 
 class TestPairs:
-    """``pairs``: each tangle's (alpha, beta), derived once at validation."""
+    """``pairs``: each tangle's (alpha, beta), the representation a link
+    stores; its ``tangles`` are built from them when first read."""
 
     def test_pairs_are_tangle_alpha_beta(self, rng):
         for _ in range(300):
@@ -102,45 +104,100 @@ class TestPairs:
     def test_int_tangles_have_pairs(self):
         assert MontesinosLink(0, (2, -3)).pairs == ((2, 1), (3, -1))
 
-    def test_pairs_is_no_init_compare_or_repr_field(self):
-        (field,) = [f for f in dataclasses.fields(MontesinosLink) if f.name == "pairs"]
-        assert not (field.init or field.compare or field.repr)
+    def test_pairs_is_the_stored_field_and_no_init_argument(self):
+        for cls in (MontesinosLink, StandardForm):
+            assert [f.name for f in dataclasses.fields(cls)] == ["e", "pairs"]
         with pytest.raises(TypeError):
             MontesinosLink(0, (Fraction(5, 2),), ((5, 2),))
+        link = M(1, Fraction(5, 2), 3)
+        assert vars(link) == {"e": 1, "pairs": ((5, 2), (3, 1))}
+        tangles = link.tangles  # built on the first read and kept
+        assert vars(link) == {"e": 1, "pairs": ((5, 2), (3, 1)), "tangles": tangles}
+        assert link.tangles is tangles
+        for name in ("e", "pairs", "tangles"):
+            with pytest.raises(AttributeError):
+                setattr(link, name, None)
 
-    def test_equality_hash_and_repr_ignore_pairs(self):
+    def test_equality_and_hash_read_pairs_and_repr_reads_tangles(self, rng):
         link = M(1, Fraction(5, 2), 3)
         other = M(1, Fraction(5, 2), 3)
+        other.__dict__["tangles"] = (Fraction(7), Fraction(7))  # a memo that lies
+        assert link == other and hash(link) == hash(other) == hash((1, ((5, 2), (3, 1))))
+        assert repr(link) == "MontesinosLink(e=1, tangles=(Fraction(5, 2), Fraction(3, 1)))"
+        assert repr(other) == "MontesinosLink(e=1, tangles=(Fraction(7, 1), Fraction(7, 1)))"
+        assert repr(StandardForm(1, (Fraction(5, 2),))) == \
+            "StandardForm(e=1, tangles=(Fraction(5, 2),))"
         object.__setattr__(other, "pairs", ((7, 1), (7, 1)))
-        assert link == other and hash(link) == hash(other)
-        assert repr(link) == repr(other) == \
-            "MontesinosLink(e=1, tangles=(Fraction(5, 2), Fraction(3, 1)))"
+        assert link != other
+        # (e, pairs) equality is value equality of e and the tangles, since
+        # tangle_alpha_beta is a bijection; links drawn from a small range
+        # are often equal.
+        links = [MontesinosLink(rng.randint(0, 1), tuple(
+            Fraction(rng.choice([2, 3]), rng.choice([-1, 1])) for _ in range(2)))
+            for _ in range(60)]
+        equal = 0
+        for a, b in itertools.product(links, repeat=2):
+            same = (a.e, a.tangles) == (b.e, b.tangles)
+            assert (a == b) == same and (a != b) != same
+            assert not same or hash(a) == hash(b)
+            equal += same and a is not b
+        assert equal > 100
+
+    def test_tangles_are_the_fractions_of_the_pairs(self, rng):
+        for _ in range(300):
+            link = random_link(rng)
+            std = to_standard_form(link)
+            for form in (link, std, reflect(std), to_negative_form(std),
+                         parse_link(format_link(link)), slide(link, 0, 2)):
+                assert form.tangles == tuple(Fraction(a, b) for a, b in form.pairs)
+                assert all(type(t) is Fraction for t in form.tangles)
+
+    def test_integer_pairs_match_the_fraction_pairs(self):
+        # parse_link reduces its integers to pairs with no Fraction
+        for num in range(-30, 31):
+            for den in range(-12, 13):
+                if den:
+                    assert _reduced_pair(num, den) == tangle_alpha_beta(Fraction(num, den)), \
+                        (num, den)
 
     def test_pickle_round_trip(self, rng):
         for _ in range(50):
             for link in (random_link(rng), to_standard_form(random_link(rng))):
-                copy = pickle.loads(pickle.dumps(link))
-                assert type(copy) is type(link)
-                assert copy == link and copy.pairs == link.pairs
+                for read_tangles in (False, True):
+                    if read_tangles:
+                        link.tangles
+                    copy = pickle.loads(pickle.dumps(link))
+                    assert type(copy) is type(link)
+                    assert copy == link and copy.pairs == link.pairs
+                    assert hash(copy) == hash(link) and repr(copy) == repr(link)
 
 
 def link_fields(link):
-    """Every stored field of a link, each with the type of its values, so
-    that two links compare field for field, ``pairs`` included."""
-    return (type(link), sorted(vars(link)), link.e, type(link.e),
-            link.tangles, [type(t) for t in link.tangles], link.pairs,
-            [type(x) for pair in link.pairs for x in pair])
+    """Every stored field of a link, each with the type of its values, and
+    its tangles as read, so that two links compare field for field."""
+    stored = sorted(vars(link))
+    return (type(link), stored, link.e, type(link.e), link.pairs,
+            [type(x) for pair in link.pairs for x in pair],
+            link.tangles, [type(t) for t in link.tangles])
 
 
 class TestStandardForm:
     def test_built_forms_equal_the_validating_constructor(self, rng):
         # to_standard_form and reflect build through
-        # StandardForm._from_validated, which checks nothing
+        # StandardForm._from_validated, which checks nothing, and
+        # to_negative_form and slide through the check on pairs; each
+        # stores e and its pairs alone, as both checked constructors do.
         for _ in range(500):
-            std = to_standard_form(random_link(rng, p_max=5))
-            for link in (std, reflect(std)):
-                assert link_fields(link) == \
-                    link_fields(StandardForm(link.e, link.tangles)), link
+            link = random_link(rng, p_max=5)
+            std = to_standard_form(link)
+            built = [(std, StandardForm), (reflect(std), StandardForm),
+                     (to_negative_form(std), MontesinosLink),
+                     (slide(link, 0, -1), MontesinosLink)]
+            for form, cls in built:
+                fields = link_fields(form)
+                assert fields[1] == ["e", "pairs"], form
+                assert fields == link_fields(cls(form.e, form.tangles)), form
+                assert fields == link_fields(cls._from_pairs(form.e, form.pairs)), form
 
     def test_examples(self):
         assert to_standard_form(M(0, Fraction(-7, 3))) == M(1, Fraction(7, 4))
