@@ -2,9 +2,10 @@
 
 A rational read as a value is a ``fractions.Fraction``: construction
 reduces to lowest terms with a positive denominator, so equality is
-structural and no floating point ever enters.  A link keeps its tangles
-as integer pairs (``montesinos``), and the plumbing legs of ``verify``
-are expanded from those pairs by ``_expand`` with no ``Fraction``.
+structural and no floating point ever enters.  The library computes on
+integers: a link keeps its tangles as integer pairs (``montesinos``), and
+the plumbing legs of ``verify`` are expanded from those pairs by
+``_expand``.  ``cf_expand`` takes a value, for a caller that holds one.
 
 A continued fraction is a nonempty tuple of integer coefficients, all
 <= -2, denoting the nested expression

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import gcd, prod
 from operator import index
@@ -33,7 +32,7 @@ from typing import Iterator
 from .errors import InternalError, NotNegativeDefiniteError
 from .lattice import ObstructionResult, qa_lattice_obstruction
 from .laufer import LauferResult, LauferVerdict, laufer_run
-from .montesinos import (MontesinosLink, StandardForm, _scaled_epsilon,
+from .montesinos import (_TANGLE_ORDER, MontesinosLink, StandardForm, _scaled_epsilon,
                          canonical_form, format_link, reflect, to_negative_form,
                          to_standard_form)
 from .plumbing import PlumbingGraph, format_graph, oriented_graph
@@ -78,10 +77,10 @@ class Verdict:
     """What ``classify`` decided, with the (N, A) of ``_scaled_epsilon`` it
     read: eps = N/A with A > 0, and det = |N|.
 
-    ``epsilon`` is made from N and A each time it is read, and
-    ``epsilon_text`` prints it from the integers, so a verdict that is only
-    printed builds no ``Fraction``.  The constructor stores every field in
-    one write to the instance ``__dict__``; the class stays frozen.
+    ``epsilon_text`` prints eps from the integers, so a verdict builds no
+    ``Fraction``; a caller that wants eps as a value reads
+    ``montesinos.epsilon`` of the link.  The constructor stores every field
+    in one write to the instance ``__dict__``; the class stays frozen.
     """
 
     status: Status
@@ -100,13 +99,8 @@ class Verdict:
             "det": abs(scaled_epsilon[0])})
 
     @property
-    def epsilon(self) -> Fraction:
-        """eps = N/A, reduced."""
-        return Fraction(*self.scaled_epsilon)
-
-    @property
     def epsilon_text(self) -> str:
-        """``numerator/denominator`` of ``epsilon``, read off N and A: A > 0,
+        """``numerator/denominator`` of eps, read off N and A: A > 0,
         so N/g over A/g with g = gcd(N, A) is the reduced pair, the sign on
         the numerator, and N = 0 gives 0/1."""
         n, a = self.scaled_epsilon
@@ -226,12 +220,12 @@ def enumerate_family(p_max: int, alpha_max: int, e_min: int, e_max: int,
     Invalid bounds raise ``ValueError`` at the call, before any link is
     produced; so does a bound that is not an integer.
 
-    Each distinct tangle is validated once, as a one-tangle ``StandardForm``;
-    every link is then built from those pairs by
+    The distinct tangles are the pairs (a, b) with 2 <= a <= alpha_max,
+    1 <= b < a and gcd(a, b) = 1, standard by construction, sorted once by
+    ``montesinos._TANGLE_ORDER``.  Every link is built from them by
     ``StandardForm._from_validated``, which re-checks nothing, so the walk
-    builds one ``Fraction`` per distinct tangle, to sort them, and none per
-    link.  It is lazy and holds one pair per tangle, never the multisets of
-    a p.
+    builds no ``Fraction`` and runs no check.  It is lazy and holds one pair
+    per tangle, never the multisets of a p.
     """
     p_max, alpha_max, e_min, e_max, p_min = (
         _integer_bound(name, value) for name, value in
@@ -255,11 +249,9 @@ def _integer_bound(name: str, value) -> int:
 
 def _family(p_min: int, p_max: int, alpha_max: int, e_min: int,
             e_max: int) -> Iterator[StandardForm]:
-    tangles = sorted((Fraction(a, b)
-                      for a in range(2, alpha_max + 1)
-                      for b in range(1, a) if gcd(a, b) == 1),
-                     reverse=True)
-    pairs = [StandardForm(0, (t,)).pairs[0] for t in tangles]
+    pairs = sorted(((a, b) for a in range(2, alpha_max + 1)
+                    for b in range(1, a) if gcd(a, b) == 1),
+                   key=_TANGLE_ORDER, reverse=True)
     build = StandardForm._from_validated
     for p in range(p_min, p_max + 1):
         for e in range(e_min, e_max + 1):
@@ -287,11 +279,12 @@ def _pair_detail(std: StandardForm, bigger: bool, pair: tuple[int, int] | None) 
     boundary, op = (1, ">") if bigger else (std.p - 1, "<")
     if std.e != boundary:
         return f"e = {std.e} != {boundary}: not applicable"
+    tangles = std.tangles
     reflected = reflect(std).tangles  # alpha_i/(alpha_i - beta_i)
     holds = pair is not None
     if not holds:
         # Report the closest failing pair so the numbers are visible.
-        gaps = ((reflected[i] - std.tangles[j] if bigger else std.tangles[j] - reflected[i],
+        gaps = ((reflected[i] - tangles[j] if bigger else tangles[j] - reflected[i],
                  i, j) for i in range(std.p) for j in range(std.p) if i != j)
         closest = max(gaps, key=lambda gap: gap[0], default=None)
         if closest is None:
@@ -299,7 +292,7 @@ def _pair_detail(std: StandardForm, bigger: bool, pair: tuple[int, int] | None) 
         pair = closest[1:]
     i, j = pair
     comparison = (f"alpha_{i}/(alpha_{i}-beta_{i}) = {reflected[i]} "
-                  f"{op} alpha_{j}/beta_{j} = {std.tangles[j]}")
+                  f"{op} alpha_{j}/beta_{j} = {tangles[j]}")
     if holds:
         return f"e = {boundary} and {comparison}: yes"
     return f"e = {boundary} but {comparison} fails"
@@ -320,11 +313,12 @@ def explain(link: MontesinosLink, evidence: Evidence | None = None,
     std = verdict.normalized
 
     normalization = []
+    std_tangles = std.tangles
     for idx, (t, (alpha, beta)) in enumerate(zip(link.tangles, link.pairs)):
         shift = ((beta % alpha) - beta) // alpha
         if shift:
             normalization.append(
-                f"tangle {idx}: {t} -> {std.tangles[idx]} (e adjusted by {shift})")
+                f"tangle {idx}: {t} -> {std_tangles[idx]} (e adjusted by {shift})")
     if not normalization:
         normalization.append("already in standard form")
 

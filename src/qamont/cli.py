@@ -22,8 +22,9 @@ runs on a ``str`` under those defaults.  A tsv line is one write too.
 A record's ``status``, ``reason`` and ``evidence`` are plain ``str``,
 each its enum member's value, so no output depends on how a Python
 version formats a ``str`` enum.  Its ``epsilon`` is ``Verdict.epsilon_text``,
-printed from the integers N and A; ``Verdict.epsilon`` builds its
-``Fraction`` only when read, so a classify-only record builds none.
+printed from the integers N and A, and its ``canonical`` is sorted on
+integer pairs, so a record builds no ``Fraction`` unless ``--explain``
+prints tangles.
 """
 
 from __future__ import annotations

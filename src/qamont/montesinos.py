@@ -5,8 +5,9 @@ count e and an ordered list of rational tangle parameters.  Each tangle,
 written in reduced form alpha/beta with alpha > 0, must have alpha >= 2;
 tangles with alpha = 1 degenerate the structure and are rejected outright
 rather than silently absorbed.  A link stores the integers e and
-(alpha_i, beta_i); every rewrite below maps pairs to pairs, and a
-tangle's ``Fraction`` is built only when a caller reads ``tangles``.
+(alpha_i, beta_i); every rewrite below maps pairs to pairs, the
+canonical order compares pairs by cross-multiplication, and a ``Fraction``
+is built only when a caller reads a value: ``tangles`` or ``epsilon``.
 
 Two parameter tuples related by slide moves describe isotopic links:
 
@@ -23,7 +24,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cmp_to_key, lru_cache
 from itertools import starmap
 from math import gcd
 from operator import index
@@ -33,7 +34,6 @@ from .errors import ParseError
 __all__ = [
     "MontesinosLink",
     "StandardForm",
-    "tangle_alpha_beta",
     "to_standard_form",
     "reflect",
     "epsilon",
@@ -46,25 +46,11 @@ __all__ = [
 ]
 
 
-def tangle_alpha_beta(t: Fraction) -> tuple[int, int]:
-    """Write a tangle parameter as alpha/beta with alpha > 0, gcd(alpha, |beta|) = 1.
-
-    A Fraction keeps its denominator positive, so the sign of t is the sign
-    of its numerator.  This is the one reader of a link tangle's numerator
-    and denominator: the ``MontesinosLink`` constructor calls it once per
-    ``Fraction`` tangle, and the link stores the results as ``pairs``.
-    """
-    num, den = t.numerator, t.denominator
-    if num > 0:
-        return num, den
-    return -num, -den
-
-
 def _reduced_pair(num: int, den: int) -> tuple[int, int]:
-    """``tangle_alpha_beta(Fraction(num, den))`` for integers with den != 0,
-    with no Fraction built: divide by g = gcd(num, den), signed so that the
-    denominator comes out positive as a Fraction's does, then move the sign
-    onto beta as ``tangle_alpha_beta`` does."""
+    """The one tangle reducer: num/den, den != 0, as (alpha, beta) with
+    alpha > 0, gcd(alpha, |beta|) = 1 and the sign on beta.  Divide by
+    g = gcd(num, den), signed so that the denominator comes out positive as
+    a Fraction's does, then move the sign of the numerator onto beta."""
     g = gcd(num, den)
     if den < 0:
         g = -g
@@ -75,14 +61,12 @@ def _reduced_pair(num: int, den: int) -> tuple[int, int]:
 
 
 def _tangle_pair(t) -> tuple[int, int]:
-    """The (alpha, beta) of an ``int`` or ``Fraction`` tangle; any other
-    type, a float included, raises ``ValueError``: a float is not exact, and
-    ``Fraction(2.1)`` has alpha = 4,728,779,608,739,021."""
-    if isinstance(t, Fraction):
-        return tangle_alpha_beta(t)
-    if not isinstance(t, int):
+    """The (alpha, beta) of an ``int`` or ``Fraction`` tangle from its parts;
+    any other type, a float included, raises ``ValueError``: a float is not
+    exact, and ``Fraction(2.1)`` has alpha = 4,728,779,608,739,021."""
+    if not isinstance(t, (int, Fraction)):
         raise ValueError(f"tangle {t!r} must be an int or a Fraction")
-    return _reduced_pair(t, 1)
+    return _reduced_pair(t.numerator, t.denominator)
 
 
 @dataclass(frozen=True, init=False, repr=False, eq=False)
@@ -91,13 +75,13 @@ class MontesinosLink:
 
     ``pairs`` is the stored representation: tangle i is alpha_i/beta_i with
     alpha_i >= 2, gcd(alpha_i, |beta_i|) = 1 and the sign of the tangle on
-    beta_i (``tangle_alpha_beta``).  That map is a bijection from reduced
+    beta_i (``_reduced_pair``).  That map is a bijection from reduced
     rationals, so equality and hash compare (e, pairs), which is equality
     of e and the tangles as values, across the standard-form subclass too.
 
     ``MontesinosLink(e, tangles)`` takes each tangle as an ``int`` or a
-    ``Fraction``.  ``tangles``, the reduced ``Fraction`` of each pair, is
-    built on its first read and kept in the instance ``__dict__``; ``repr``
+    ``Fraction``.  The instance ``__dict__`` is {e, pairs}: ``tangles``,
+    each pair's reduced ``Fraction``, is built on every read, and ``repr``
     prints it, as a dataclass with the fields e and tangles did.
     """
 
@@ -110,7 +94,7 @@ class MontesinosLink:
     @classmethod
     def _from_pairs(cls, e: int, pairs: tuple[tuple[int, int], ...]) -> MontesinosLink:
         """The link of integer pairs, each already reduced as
-        ``tangle_alpha_beta`` writes it, under the constructor's check."""
+        ``_reduced_pair`` writes it, under the constructor's check."""
         link = object.__new__(cls)
         link._init_checked(e, pairs)
         return link
@@ -136,11 +120,8 @@ class MontesinosLink:
 
     @property
     def tangles(self) -> tuple[Fraction, ...]:
-        """Each pair's reduced ``Fraction``, built once, on the first read."""
-        tangles = self.__dict__.get("tangles")
-        if tangles is None:
-            tangles = self.__dict__["tangles"] = tuple(starmap(Fraction, self.pairs))
-        return tangles
+        """Each pair's reduced ``Fraction``, built anew on every read."""
+        return tuple(starmap(Fraction, self.pairs))
 
     def __eq__(self, other):
         if not isinstance(other, MontesinosLink):
@@ -183,12 +164,11 @@ class StandardForm(MontesinosLink):
         It is sound when e is an ``int`` and each pair is reduced with
         alpha >= 2 and 0 < beta < alpha: that is all ``_init_checked``
         checks, and its check is per pair.  The result then equals
-        ``StandardForm._from_pairs(e, pairs)`` field for field.  Three
+        ``StandardForm._from_pairs(e, pairs)`` field for field.  Four
         callers meet this by construction:
 
-        * ``enumerate_family``: each pair is that of a one-tangle
-          ``StandardForm`` built by the constructor, and e comes from
-          ``range``.
+        * ``enumerate_family``: each pair is (a, b) with 2 <= a, 1 <= b < a
+          and gcd(a, b) = 1, and e comes from ``range``.
         * ``to_standard_form``: each pair is (alpha, beta mod alpha) of a
           validated pair (alpha >= 2, gcd(alpha, beta) = 1); beta mod alpha
           lies in (0, alpha), since alpha does not divide beta, and is
@@ -196,6 +176,9 @@ class StandardForm(MontesinosLink):
         * ``reflect``: each pair is (alpha, alpha - beta) of a standard
           pair; 0 < alpha - beta < alpha and gcd(alpha, alpha - beta) =
           gcd(alpha, beta) = 1.  e is p - e of a standard form, an int.
+        * ``canonical_form``: the pairs are a permutation of the pairs of a
+          validated standard form, and e is its e; the check is per pair,
+          so a permutation of a standard form is standard.
 
         A classmethod, not a module function, so that the tracer in
         ``perfbench/tracing.py``, which wraps every function one module
@@ -282,15 +265,30 @@ def to_negative_form(link: StandardForm) -> MontesinosLink:
                                       tuple((a, b - a) for a, b in link.pairs))
 
 
+def _compare_tangles(x: tuple[int, int], y: tuple[int, int]) -> int:
+    """The sign of alpha_x/beta_x - alpha_y/beta_y for standard pairs: both
+    betas are positive, so it is that of alpha_x*beta_y - alpha_y*beta_x,
+    cross-multiplied as ``classifier._strict_pair`` compares."""
+    lhs, rhs = x[0] * y[1], y[0] * x[1]
+    return (lhs > rhs) - (lhs < rhs)
+
+
+# The one tangle order, of canonical forms and of the family walk.
+_TANGLE_ORDER = cmp_to_key(_compare_tangles)
+
+
 def canonical_form(link: MontesinosLink) -> StandardForm:
     """Standard form with tangles sorted in non-increasing order.
 
     Parameter tuples related by slide moves and tangle reordering map to
-    equal canonical forms, so this is the deduplication key used by the
-    family enumeration.
+    equal canonical forms, so this is the key of a typed link, printed by
+    ``classify`` on the command line and by ``explain``; the family walk
+    yields canonical forms by construction.  The pairs are sorted by
+    ``_TANGLE_ORDER`` and built by ``StandardForm._from_validated``.
     """
     std = to_standard_form(link)
-    return StandardForm(std.e, tuple(sorted(std.tangles, reverse=True)))
+    return StandardForm._from_validated(std.e, tuple(sorted(std.pairs, key=_TANGLE_ORDER,
+                                                            reverse=True)))
 
 
 def slide(link: MontesinosLink, index: int, count: int = 1) -> MontesinosLink:

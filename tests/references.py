@@ -1,11 +1,14 @@
 """Exact references for the tests: continued fractions and the Seifert
-Euler number evaluated as ``fractions.Fraction`` values, link text printed
-from each tangle's ``Fraction``, eps printed from a sum of ``Fraction``
-values, determinants by
+Euler number evaluated as ``fractions.Fraction`` values, a tangle's
+(alpha, beta) read off its ``Fraction``, link text printed from each
+tangle's ``Fraction``, the tangle order and the family walk sorted as
+``Fraction`` values, eps printed from a sum of ``Fraction`` values,
+determinants by
 Bareiss elimination with row pivoting, the boolean definiteness test, the
 matrix-vector product, and canonical rows read one index at a time.  No
 program path needs them: ``cfrac.cf_expand``,
-``plumbing.negative_definite_by_sign``, ``montesinos.format_link`` and
+``plumbing.negative_definite_by_sign``, ``montesinos._reduced_pair``,
+``montesinos.format_link``, ``montesinos._TANGLE_ORDER`` and
 ``Verdict.epsilon_text`` run on integers,
 ``intmat.Definite`` reads det Q off the last pivot of its definiteness
 test and keeps it with the form, ``laufer_run`` keeps Q * K by
@@ -16,10 +19,12 @@ The tests hold that code to these references."""
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations_with_replacement
+from math import gcd
 from typing import Sequence
 
 from qamont.intmat import Matrix, negative_definite_det
-from qamont.montesinos import MontesinosLink
+from qamont.montesinos import MontesinosLink, StandardForm
 from qamont.plumbing import PlumbingGraph, _legs_are_continued_fractions, adjacency_matrix
 
 
@@ -63,6 +68,34 @@ def seifert_euler_number(graph: PlumbingGraph) -> Fraction:
     if not _legs_are_continued_fractions(graph):
         raise ValueError("leg weights above -2: the Seifert sign test does not apply")
     return Fraction(graph.central_weight) - sum(1 / cf_eval(leg) for leg in graph.legs)
+
+
+def tangle_alpha_beta(t: Fraction) -> tuple[int, int]:
+    """A tangle as alpha/beta with alpha > 0, gcd(alpha, |beta|) = 1: a
+    Fraction keeps its denominator positive, so the sign of t is the sign
+    of its numerator, and it moves onto beta."""
+    num, den = t.numerator, t.denominator
+    if num > 0:
+        return num, den
+    return -num, -den
+
+
+def sorted_by_fractions(pairs) -> list[tuple[int, int]]:
+    """Tangle pairs in non-increasing order of their ``Fraction`` values."""
+    return sorted(pairs, key=lambda pair: Fraction(*pair), reverse=True)
+
+
+def family_by_fractions(p_min: int, p_max: int, alpha_max: int, e_min: int,
+                        e_max: int) -> list[StandardForm]:
+    """The family walk by its ``Fraction`` definition: the standard tangles
+    of alpha <= alpha_max sorted as values, non-increasing, and every
+    multiset of p of them for each p and e, in that order, each built by
+    the validating ``StandardForm`` constructor."""
+    tangles = sorted((Fraction(a, b) for a in range(2, alpha_max + 1)
+                      for b in range(1, a) if gcd(a, b) == 1), reverse=True)
+    return [StandardForm(e, combo) for p in range(p_min, p_max + 1)
+            for e in range(e_min, e_max + 1)
+            for combo in combinations_with_replacement(tangles, p)]
 
 
 def format_link_by_fractions(link: MontesinosLink) -> str:

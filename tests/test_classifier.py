@@ -16,10 +16,10 @@ from qamont.classifier import (Branch, Reason, Status, _strict_pair, classify,
                                verify)
 from qamont.lattice import gram_matches, qa_lattice_obstruction
 from qamont.montesinos import (MontesinosLink, StandardForm, canonical_form,
-                               _scaled_epsilon, determinant, epsilon, format_link,
-                               reflect, slide, tangle_alpha_beta, to_standard_form)
+                               _scaled_epsilon, _tangle_pair, determinant, epsilon,
+                               format_link, reflect, slide, to_standard_form)
 from qamont.plumbing import PlumbingGraph, adjacency_matrix
-from references import epsilon_text_by_fraction
+from references import epsilon_text_by_fraction, family_by_fractions, tangle_alpha_beta
 
 # The acceptance family: p = 3, tangles from {2, 3, 3/2, 4, 4/3}, e in [-3, 4].
 FAMILY = list(enumerate_family(3, 4, -3, 4, p_min=3))
@@ -101,14 +101,15 @@ class TestClassify:
 
 
 class TestEpsilon:
-    """``Verdict.epsilon`` is made on read from the scaled pair, and
-    ``epsilon_text`` prints it from integers; both match ``Fraction``."""
+    """A verdict keeps eps as the scaled pair (N, A), and ``epsilon_text``
+    prints it from integers; both match ``Fraction``."""
 
     def test_epsilon_and_its_text_match_the_fraction_reference(self, rng):
         covered = set()
         for link in random_raw_links(rng, 300):
             verdict = classify(link)
-            assert verdict.epsilon == Fraction(*_scaled_epsilon(to_standard_form(link)))
+            assert verdict.scaled_epsilon == _scaled_epsilon(to_standard_form(link))
+            assert Fraction(*verdict.scaled_epsilon) == epsilon(link)
             assert verdict.epsilon_text == epsilon_text_by_fraction(link)
             if verdict.reason is Reason.DET_ZERO:
                 assert verdict.epsilon_text == "0/1"
@@ -117,10 +118,13 @@ class TestEpsilon:
 
     def test_verdict_stays_frozen(self):
         verdict = classify(M(0, Fraction(5, 2), Fraction(7, 3)))
-        for name in ("status", "reason", "witness_pair", "normalized", "epsilon", "det"):
+        for name in ("status", "reason", "witness_pair", "normalized", "scaled_epsilon",
+                     "det", "epsilon_text"):
             with pytest.raises(AttributeError):
                 setattr(verdict, name, None)
-        assert (verdict.epsilon, verdict.det) == (Fraction(-29, 35), 29)
+        assert (verdict.scaled_epsilon, verdict.epsilon_text, verdict.det) == \
+            ((-29, 35), "-29/35", 29)
+        assert not hasattr(verdict, "epsilon")  # eps as a value is montesinos.epsilon
 
 
 class TestVerify:
@@ -373,15 +377,10 @@ STANDARD_TANGLES = [Fraction(a, b) for a in range(2, 10) for b in range(1, a)
                     if gcd(a, b) == 1]
 
 
-def fraction_alpha_beta(t):
-    """``tangle_alpha_beta`` by its Fraction definition: the sign of t."""
-    return (t.numerator, t.denominator) if t > 0 else (-t.numerator, -t.denominator)
-
-
 def fraction_strict_pair(std, bigger_reflected):
     """``_strict_pair`` by its Fraction definition."""
     for i, t_i in enumerate(std.tangles):
-        alpha, beta = fraction_alpha_beta(t_i)
+        alpha, beta = tangle_alpha_beta(t_i)
         reflected = Fraction(alpha, alpha - beta)
         for j, t_j in enumerate(std.tangles):
             if i != j and ((reflected > t_j) if bigger_reflected else (reflected < t_j)):
@@ -395,11 +394,14 @@ class TestIntegerForms:
     pair and triple of them."""
 
     def test_tangle_alpha_beta(self):
+        # the constructor's reducer, on Fraction and int tangles
         assert len(STANDARD_TANGLES) == 27
         for t in STANDARD_TANGLES:
             for shifted in (t + k for k in range(-4, 4)):
                 for u in (shifted, -shifted):
-                    assert tangle_alpha_beta(u) == fraction_alpha_beta(u), u
+                    assert _tangle_pair(u) == tangle_alpha_beta(u), u
+                    if u.denominator == 1:
+                        assert _tangle_pair(int(u)) == tangle_alpha_beta(u), u
 
     def test_strict_pair_and_canonical_form(self):
         for p in (2, 3):
@@ -457,15 +459,12 @@ class TestEnumerateFamily:
         (1, 3, 4, -1, 2),   # p_min < p_max
         (2, 4, 3, 0, 1),
         (3, 3, 5, -3, 4),
+        # the order of the walk against the Fraction sort, tangle by tangle
+        *((1, 2, alpha_max, 0, 1) for alpha_max in range(2, 13)),
     ])
     def test_links_equal_validated_standard_forms(self, p_min, p_max, alpha_max,
                                                    e_min, e_max):
-        tangles = sorted((Fraction(a, b) for a in range(2, alpha_max + 1)
-                          for b in range(1, a) if gcd(a, b) == 1), reverse=True)
-        reference = [StandardForm(e, combo)
-                     for p in range(p_min, p_max + 1)
-                     for e in range(e_min, e_max + 1)
-                     for combo in itertools.combinations_with_replacement(tangles, p)]
+        reference = family_by_fractions(p_min, p_max, alpha_max, e_min, e_max)
         family = list(enumerate_family(p_max, alpha_max, e_min, e_max, p_min=p_min))
         assert len(family) == len(reference)
         for link, expected in zip(family, reference):
@@ -479,20 +478,33 @@ class TestEnumerateFamily:
             assert type(copy) is StandardForm
             assert copy == expected and copy.pairs == expected.pairs
 
-    def test_validates_each_distinct_tangle_once(self, monkeypatch):
+    def test_runs_no_check_and_builds_no_fraction(self, monkeypatch):
+        # The distinct tangles are standard by construction, so the walk
+        # runs no constructor check and builds no Fraction; each of the 17
+        # tangles of alpha <= 7 is one pair object, shared by every link.
         calls = []
-        real = StandardForm._init_checked
 
-        def counting_check(self, e, pairs):
-            pairs = tuple(pairs)
-            calls.append(pairs)
-            real(self, e, pairs)
+        def counting(real):
+            def check(self, e, pairs):
+                calls.append(e)
+                real(self, e, pairs)
+            return check
 
-        monkeypatch.setattr(StandardForm, "_init_checked", counting_check)
+        for cls in (MontesinosLink, StandardForm):
+            monkeypatch.setattr(cls, "_init_checked", counting(cls.__dict__["_init_checked"]))
+        made = []
+        real_new = Fraction.__new__
+
+        def counting_new(cls, *args, **kwargs):
+            made.append(args)
+            return real_new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__new__", staticmethod(counting_new))
         family = list(enumerate_family(4, 7, -2, 5, p_min=4))
+        monkeypatch.undo()
         assert len(family) == 38760
-        assert len(calls) == 17  # the tangles of alpha <= 7, one at a time
-        assert all(len(pairs) == 1 for pairs in calls)
+        assert calls == [] and made == []
+        assert len({id(pair) for link in family for pair in link.pairs}) == 17
 
     def test_walk_holds_no_multisets(self):
         # p = 4 over the 199 tangles of alpha <= 25 gives over 6 * 10**7

@@ -547,27 +547,49 @@ class TestEnumerate:
         assert len(out.splitlines()) == len(calls) == 280
 
     def test_derives_each_tangle_pair_once(self, capsys, monkeypatch):
-        # The family walk derives each distinct tangle's pair once, when it
-        # validates the tangle, not once per record; a classify-only record
-        # then reads every alpha and beta from its link's pairs.
-        real = montesinos.tangle_alpha_beta
+        # The family walk writes each distinct tangle's pair once, from the
+        # integers of its range, with no reduction and no Fraction; every
+        # link shares those pair objects, and a classify-only record reads
+        # every alpha and beta from its link's pairs.
         calls = []
 
-        def counting_alpha_beta(t):
-            calls.append(t)
-            return real(t)
+        def counting(real):
+            def reduce(*args):
+                calls.append(args)
+                return real(*args)
+            return reduce
 
-        monkeypatch.setattr(montesinos, "tangle_alpha_beta", counting_alpha_beta)
+        for name in ("_tangle_pair", "_reduced_pair"):
+            monkeypatch.setattr(montesinos, name, counting(getattr(montesinos, name)))
+        links = []
+
+        def recording_family(*args, **kwargs):
+            for link in enumerate_family(*args, **kwargs):
+                links.append(link)
+                yield link
+
+        monkeypatch.setattr(cli, "enumerate_family", recording_family)
+        made = []
+        real_new = Fraction.__new__
+
+        def counting_new(cls, *args, **kwargs):
+            made.append(args)
+            return real_new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__new__", staticmethod(counting_new))
         code, out, _ = run(capsys, "enumerate", "--p", "3", "--alpha-max", "4",
                            "--e-min", "-3", "--e-max", "4")
+        monkeypatch.undo()
         assert code == 0
-        assert len(out.splitlines()) == 280
-        assert len(calls) == 5  # the tangles of alpha <= 4: 2, 3, 3/2, 4, 4/3
+        assert len(out.splitlines()) == len(links) == 280
+        assert calls == [] and made == []
+        # the tangles of alpha <= 4: 2, 3, 3/2, 4, 4/3
+        assert len({id(pair) for link in links for pair in link.pairs}) == 5
 
     def test_bulk_family_object_budget(self, capsys, monkeypatch):
         # A classify-only record builds no Fraction and quotes one JSON
         # string, its link text, which serves as canonical too.  The walk
-        # builds a Fraction for each of its 17 distinct tangles, once.
+        # sorts its 17 distinct tangles as integer pairs and builds none.
         made = Counter()
         real_new = Fraction.__new__
 
@@ -588,7 +610,7 @@ class TestEnumerate:
         assert code == 0
         records = out.count("\n")
         assert records == 38760
-        assert made == {"qamont.classifier": 17}
+        assert made == {}
         assert len(quotes) == records
 
     def test_round_trip_of_printed_canonical(self, capsys):

@@ -78,6 +78,7 @@ MOVED_TO_TESTS = ["minor_check", "support_set", "truncate_legs", "rigidity_check
                   "seifert_euler_number", "det", "h1_order", "is_lspace",
                   "is_negative_definite", "Embedding", "mat_vec",
                   "is_negative_definite_matrix", "definite_det", "_sorted_star", "definite",
+                  "tangle_alpha_beta",
                   # the unguarded private twin of each guarded entry
                   *("_" + name for name in ("laufer_run", "embeddings_by_rank",
                                             "qa_lattice_obstruction", "definite_det"))]
@@ -85,7 +86,8 @@ MOVED_TO_TESTS = ["minor_check", "support_set", "truncate_legs", "rigidity_check
 
 @pytest.mark.parametrize("module", ["qamont", "qamont.lattice", "qamont.errors",
                                     "qamont.cfrac", "qamont.intmat", "qamont.plumbing",
-                                    "qamont.laufer"])
+                                    "qamont.laufer", "qamont.montesinos",
+                                    "qamont.classifier"])
 def test_paper_lemma_checks_stay_in_the_tests(module):
     # No program path runs them.  The paper-lemma checks live in
     # tests/paper_lemmas.py and the Fraction, determinant, definiteness and
@@ -94,16 +96,18 @@ def test_paper_lemma_checks_stay_in_the_tests(module):
     # and the private twins in favour of intmat.Definite and
     # PlumbingGraph.definite_form; intmat.definite in favour of the Definite
     # constructor, which freezes its input itself; Embedding in favour of
-    # the intmat.Matrix that the lattice functions take and return.
+    # the intmat.Matrix that the lattice functions take and return;
+    # tangle_alpha_beta in favour of montesinos._reduced_pair, the one
+    # tangle reducer.
     namespace = importlib.import_module(module)
     assert [name for name in MOVED_TO_TESTS if hasattr(namespace, name)] == []
 
 
 # The integer rule: a tangle's (alpha, beta) is derived once, by
-# tangle_alpha_beta; the other reader of a Fraction's parts is cf_expand's
-# Euclid.  epsilon is printed from the integers N and A, by
-# Verdict.epsilon_text.
-FRACTION_PART_READERS = {("montesinos", "tangle_alpha_beta"), ("cfrac", "cf_expand")}
+# _tangle_pair from an int or a Fraction; the other reader of a Fraction's
+# parts is cf_expand's Euclid.  epsilon is printed from the integers N and
+# A, by Verdict.epsilon_text.
+FRACTION_PART_READERS = {("montesinos", "_tangle_pair"), ("cfrac", "cf_expand")}
 
 
 def attribute_reads(path, attrs):
@@ -126,18 +130,17 @@ def attribute_reads(path, attrs):
 def test_only_the_named_functions_read_fraction_parts():
     reads = [(path.stem, function, line) for path in sorted(PACKAGE.glob("*.py"))
              for function, line in attribute_reads(path, ("numerator", "denominator"))]
-    assert ("montesinos", "tangle_alpha_beta") in {(m, f) for m, f, _ in reads}
+    assert ("montesinos", "_tangle_pair") in {(m, f) for m, f, _ in reads}
     offenders = [f"{module}.{function}:{line}" for module, function, line in reads
                  if (module, function) not in FRACTION_PART_READERS]
     assert offenders == []
 
 
-# Where a Fraction is built: a link's tangles on their first read, the
-# public eps of a link and of a verdict, and the family walk's sort of its
-# distinct tangles.  parse_link, the standard-form rewrites, slide and
-# classify and verify build none, so no record builds one.
-FRACTION_BUILDERS = {("montesinos", "tangles"), ("montesinos", "epsilon"),
-                     ("classifier", "epsilon"), ("classifier", "_family")}
+# Where a Fraction is built: only where a caller reads a value, a link's
+# tangles and the public eps of a link.  parse_link, the standard-form
+# rewrites, canonical_form, slide, the family walk and classify and verify
+# build none, so no record builds one.
+FRACTION_BUILDERS = {("montesinos", "tangles"), ("montesinos", "epsilon")}
 
 
 def fraction_builds(source):
@@ -183,11 +186,20 @@ def test_only_the_named_functions_build_fractions():
     assert builders == FRACTION_BUILDERS
 
 
+def test_only_montesinos_and_cfrac_import_fractions():
+    importers = {path.stem for path in sorted(PACKAGE.glob("*.py"))
+                 for node in ast.walk(ast.parse(path.read_text()))
+                 if isinstance(node, ast.ImportFrom) and node.module == "fractions"
+                 or isinstance(node, ast.Import)
+                 and any(alias.name == "fractions" for alias in node.names)}
+    assert importers == {"montesinos", "cfrac"}
+
+
 def test_one_trusted_constructor():
     # A graph is built only by the validating PlumbingGraph(...).  The one
     # constructor that checks nothing is StandardForm._from_validated, kept
-    # for the family walk and the two standard-form rewrites, which meet its
-    # premise by construction.
+    # for the family walk, the two standard-form rewrites and the sort of
+    # canonical_form, which meet its premise by construction.
     assert not hasattr(PlumbingGraph, "_from_validated")
     definitions = [(path.stem, cls.name) for path in sorted(PACKAGE.glob("*.py"))
                    for cls in ast.walk(ast.parse(path.read_text()))
@@ -198,7 +210,7 @@ def test_one_trusted_constructor():
     callers = {(path.stem, function) for path in sorted(PACKAGE.glob("*.py"))
                for function, _ in attribute_reads(path, ("_from_validated",))}
     assert callers == {("classifier", "_family"), ("montesinos", "to_standard_form"),
-                       ("montesinos", "reflect")}
+                       ("montesinos", "reflect"), ("montesinos", "canonical_form")}
 
 
 # All arithmetic is exact: the package holds no float or complex literal, no

@@ -1,18 +1,20 @@
 import dataclasses
 import itertools
 import pickle
+import random
 from fractions import Fraction
 from math import gcd, prod
 
 import pytest
 
 from qamont.errors import ParseError
-from qamont.montesinos import (MontesinosLink, StandardForm, canonical_form,
+from qamont.montesinos import (_TANGLE_ORDER, MontesinosLink, StandardForm,
+                               _compare_tangles, _reduced_pair, canonical_form,
                                determinant, epsilon, format_link, parse_link,
-                               _reduced_pair, reflect, slide, tangle_alpha_beta,
-                               to_negative_form, to_standard_form)
+                               reflect, slide, to_negative_form, to_standard_form)
 from qamont.plumbing import build_graph
-from references import format_link_by_fractions, h1_order
+from references import (format_link_by_fractions, h1_order, sorted_by_fractions,
+                        tangle_alpha_beta)
 
 
 def M(e, *tangles):
@@ -91,7 +93,7 @@ class TestConstruction:
 
 class TestPairs:
     """``pairs``: each tangle's (alpha, beta), the representation a link
-    stores; its ``tangles`` are built from them when first read."""
+    stores; its ``tangles`` are built from them on every read."""
 
     def test_pairs_are_tangle_alpha_beta(self, rng):
         for _ in range(300):
@@ -111,9 +113,10 @@ class TestPairs:
             MontesinosLink(0, (Fraction(5, 2),), ((5, 2),))
         link = M(1, Fraction(5, 2), 3)
         assert vars(link) == {"e": 1, "pairs": ((5, 2), (3, 1))}
-        tangles = link.tangles  # built on the first read and kept
-        assert vars(link) == {"e": 1, "pairs": ((5, 2), (3, 1)), "tangles": tangles}
-        assert link.tangles is tangles
+        tangles = link.tangles  # built on each read and kept nowhere
+        assert tangles == (Fraction(5, 2), Fraction(3))
+        assert vars(link) == {"e": 1, "pairs": ((5, 2), (3, 1))}
+        assert link.tangles == tangles and link.tangles is not tangles
         for name in ("e", "pairs", "tangles"):
             with pytest.raises(AttributeError):
                 setattr(link, name, None)
@@ -121,14 +124,17 @@ class TestPairs:
     def test_equality_and_hash_read_pairs_and_repr_reads_tangles(self, rng):
         link = M(1, Fraction(5, 2), 3)
         other = M(1, Fraction(5, 2), 3)
-        other.__dict__["tangles"] = (Fraction(7), Fraction(7))  # a memo that lies
         assert link == other and hash(link) == hash(other) == hash((1, ((5, 2), (3, 1))))
         assert repr(link) == "MontesinosLink(e=1, tangles=(Fraction(5, 2), Fraction(3, 1)))"
-        assert repr(other) == "MontesinosLink(e=1, tangles=(Fraction(7, 1), Fraction(7, 1)))"
+        assert vars(link) == {"e": 1, "pairs": ((5, 2), (3, 1))}  # repr read tangles
         assert repr(StandardForm(1, (Fraction(5, 2),))) == \
             "StandardForm(e=1, tangles=(Fraction(5, 2),))"
         object.__setattr__(other, "pairs", ((7, 1), (7, 1)))
         assert link != other
+        # tangles and repr follow the pairs: nothing read before is kept
+        assert other.tangles == (Fraction(7), Fraction(7))
+        assert repr(other) == "MontesinosLink(e=1, tangles=(Fraction(7, 1), Fraction(7, 1)))"
+        assert vars(other) == {"e": 1, "pairs": ((7, 1), (7, 1))}
         # (e, pairs) equality is value equality of e and the tangles, since
         # tangle_alpha_beta is a bijection; links drawn from a small range
         # are often equal.
@@ -163,13 +169,10 @@ class TestPairs:
     def test_pickle_round_trip(self, rng):
         for _ in range(50):
             for link in (random_link(rng), to_standard_form(random_link(rng))):
-                for read_tangles in (False, True):
-                    if read_tangles:
-                        link.tangles
-                    copy = pickle.loads(pickle.dumps(link))
-                    assert type(copy) is type(link)
-                    assert copy == link and copy.pairs == link.pairs
-                    assert hash(copy) == hash(link) and repr(copy) == repr(link)
+                copy = pickle.loads(pickle.dumps(link))
+                assert type(copy) is type(link)
+                assert vars(copy) == vars(link) == {"e": link.e, "pairs": link.pairs}
+                assert copy == link and hash(copy) == hash(link) and repr(copy) == repr(link)
 
 
 def link_fields(link):
@@ -183,7 +186,7 @@ def link_fields(link):
 
 class TestStandardForm:
     def test_built_forms_equal_the_validating_constructor(self, rng):
-        # to_standard_form and reflect build through
+        # to_standard_form, reflect and canonical_form build through
         # StandardForm._from_validated, which checks nothing, and
         # to_negative_form and slide through the check on pairs; each
         # stores e and its pairs alone, as both checked constructors do.
@@ -191,6 +194,8 @@ class TestStandardForm:
             link = random_link(rng, p_max=5)
             std = to_standard_form(link)
             built = [(std, StandardForm), (reflect(std), StandardForm),
+                     (canonical_form(link), StandardForm),
+                     (canonical_form(reflect(std)), StandardForm),
                      (to_negative_form(std), MontesinosLink),
                      (slide(link, 0, -1), MontesinosLink)]
             for form, cls in built:
@@ -315,6 +320,30 @@ class TestCanonicalFormAndSlides:
             assert epsilon(slid) == epsilon(link)
             assert determinant(slid) == determinant(link)
             assert canonical_form(slid) == canonical_form(link)
+
+
+# Every standard pair (alpha, beta), 0 < beta < alpha <= 40, gcd 1.
+STANDARD_PAIRS = [(a, b) for a in range(2, 41) for b in range(1, a) if gcd(a, b) == 1]
+
+
+class TestTangleOrder:
+    """``_TANGLE_ORDER``, the one tangle order of canonical forms and the
+    family walk, against the order of the tangles as ``Fraction`` values."""
+
+    def test_sorting_matches_the_fraction_sort(self):
+        assert len(STANDARD_PAIRS) == 489
+        expected = sorted_by_fractions(STANDARD_PAIRS)
+        for seed in range(5):
+            pairs = list(STANDARD_PAIRS)
+            random.Random(seed).shuffle(pairs)
+            assert sorted(pairs, key=_TANGLE_ORDER, reverse=True) == expected
+            assert sorted(pairs, key=_TANGLE_ORDER) == expected[::-1]
+
+    def test_comparator_is_the_sign_of_the_difference(self):
+        small = [pair for pair in STANDARD_PAIRS if pair[0] <= 16]
+        for x, y in itertools.product(small, repeat=2):
+            difference = Fraction(*x) - Fraction(*y)
+            assert _compare_tangles(x, y) == (difference > 0) - (difference < 0), (x, y)
 
 
 class TestGrammar:

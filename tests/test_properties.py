@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 from qamont.classifier import classify, enumerate_family, explain, verify
 from qamont.montesinos import (MontesinosLink, StandardForm, determinant,
                                epsilon, parse_link, reflect, slide,
-                               to_standard_form, tangle_alpha_beta)
+                               to_standard_form)
+from references import tangle_alpha_beta
 
 SETTINGS = settings(derandomize=True, database=None, deadline=None)
 
@@ -89,7 +90,8 @@ def test_classify_invariant_under_slides_and_permutation(std, move):
     order, counts = move
     other = moved(std, order, counts)
     a, b = classify(std), classify(other)
-    assert (a.status, a.reason, a.det, a.epsilon) == (b.status, b.reason, b.det, b.epsilon)
+    assert (a.status, a.reason, a.det, a.scaled_epsilon, a.epsilon_text) == \
+        (b.status, b.reason, b.det, b.scaled_epsilon, b.epsilon_text)
 
 
 # The witness indices of a holding (2)/(4) row: alpha_i/(alpha_i-beta_i) vs alpha_j/beta_j.
