@@ -12,13 +12,13 @@ from qamont import (build_graph, cf_expand, format_link, parse_link,
 
 print("Expansions of a few rationals below -1:")
 for t in (Fraction(-2), Fraction(-7, 3), Fraction(-5, 4), Fraction(-17, 5)):
-    print(f"  {str(t):>6}  ->  {list(cf_expand(t))}")
+    print(f"  {str(t):>6}  ->  {list(cf_expand(t.numerator, t.denominator))}")
 
 print()
 print("The chain identity: -(n+1)/n expands to n copies of -2")
 for n in range(1, 6):
     t = Fraction(-(n + 1), n)
-    print(f"  {str(t):>6}  ->  {list(cf_expand(t))}")
+    print(f"  {str(t):>6}  ->  {list(cf_expand(-(n + 1), n))}")
 
 print()
 print("Each tangle of a link's negative form expands into one plumbing leg:")

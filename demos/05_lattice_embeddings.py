@@ -13,10 +13,11 @@ from qamont import (PlumbingGraph, embeddings_by_rank, gram_matches, qa_lattice_
 D4 = PlumbingGraph(-2, ((-2,), (-2,), (-2,)))
 q = D4.definite_form  # the adjacency matrix, eliminated once, with its det
 print("All embeddings of the three-legged -2 star (D4 form) into rank 4:")
+print("(the tree's label, read off its bases mod 2, beside the integer test)")
 for _, embeddings in embeddings_by_rank(q, 4):
-    for emb in embeddings:
+    for emb, surjective in embeddings:
         print(f"  rows {emb}  gram ok: {gram_matches(emb, q)}  "
-              f"surjective transpose: {transpose_surjective(emb)}")
+              f"label: {surjective}  transpose_surjective: {transpose_surjective(emb)}")
 
 result = qa_lattice_obstruction(D4)
 print(f"\nExhausting ranks 4 to {-sum(q[i][i] for i in range(len(q)))}: "

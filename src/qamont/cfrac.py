@@ -1,11 +1,10 @@
-"""Exact rationals and negative continued fractions.
+"""Negative continued fractions, computed on integers.
 
-A rational read as a value is a ``fractions.Fraction``: construction
-reduces to lowest terms with a positive denominator, so equality is
-structural and no floating point ever enters.  The library computes on
-integers: a link keeps its tangles as integer pairs (``montesinos``), and
-the plumbing legs of ``verify`` are expanded from those pairs by
-``_expand``.  ``cf_expand`` takes a value, for a caller that holds one.
+The library computes on integers: a link keeps its tangles as integer
+pairs (``montesinos``), and every plumbing leg is expanded from such a
+pair by ``_expand``.  ``cf_expand`` is its checked entry: it takes a
+rational as its numerator and denominator, and ``plumbing.build_graph``
+runs it on each tangle of a negative form.
 
 A continued fraction is a nonempty tuple of integer coefficients, all
 <= -2, denoting the nested expression
@@ -20,23 +19,33 @@ leg.  The Fraction evaluation back from coefficients is a test reference
 
 from __future__ import annotations
 
-from fractions import Fraction
+from math import gcd
 
 __all__ = ["cf_expand"]
 
 
-def cf_expand(t: Fraction | int) -> tuple[int, ...]:
-    """Expand a rational t < -1 into its unique coefficient tuple.
+def cf_expand(num: int, den: int = 1) -> tuple[int, ...]:
+    """Expand the rational t = num/den < -1 into its unique coefficient
+    tuple; den != 0, and num/den need not be reduced.
 
-    Only an ``int`` or a ``Fraction`` is accepted: a float is not exact, so
-    it raises ``ValueError`` like any other type.  The expansion itself is
-    ``_expand`` on t's numerator and denominator.
+    Only ``int``s are accepted: a float is not exact, and a ``Fraction`` is
+    passed as its numerator and denominator, so any other type raises
+    ``ValueError``, as does a zero den or a t >= -1.  The expansion itself
+    is ``_expand`` on t reduced to a positive denominator.
     """
-    if not isinstance(t, (int, Fraction)):
-        raise ValueError(f"cannot expand {t!r}: value must be an int or a Fraction")
-    if t >= -1:
-        raise ValueError(f"cannot expand {t}: value must be < -1")
-    return _expand(t.numerator, t.denominator)
+    if not (isinstance(num, int) and isinstance(den, int)):
+        raise ValueError(f"cannot expand {num!r}/{den!r}: numerator and "
+                         "denominator must be ints")
+    if not den:
+        raise ValueError(f"cannot expand {num}/0: zero denominator")
+    g = gcd(num, den)
+    if den < 0:
+        g = -g
+    num, den = num // g, den // g
+    if num >= -den:
+        text = f"{num}" if den == 1 else f"{num}/{den}"
+        raise ValueError(f"cannot expand {text}: value must be < -1")
+    return _expand(num, den)
 
 
 def _expand(num: int, den: int) -> tuple[int, ...]:

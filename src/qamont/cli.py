@@ -43,8 +43,7 @@ from typing import Iterable, Iterator
 
 from .classifier import classify, enumerate_family, explain, render_explain, verify
 from .errors import InternalError, NotNegativeDefiniteError, ParseError
-from .lattice import (_critical_primes, embeddings_by_rank, qa_lattice_obstruction,
-                      transpose_surjective)
+from .lattice import embeddings_by_rank, qa_lattice_obstruction
 from .laufer import laufer_run
 from .montesinos import _INTEGER, MontesinosLink, canonical_form, format_link, parse_link
 from .plumbing import parse_graph
@@ -258,18 +257,12 @@ def cmd_embed(args) -> int:
     graph = _read_graph(args.graph_file)
     if args.all:
         # embeddings_by_rank takes the graph's cross-checked q as it is.
-        q = graph.definite_form
-        # By the Lemma of lattice._OrderlyTree (Cauchy-Binet), only a prime
-        # whose square divides det q can divide the index of the lattice an
-        # embedding's rows generate, so with no such prime every embedding
-        # is onto and only the others need the test.
-        critical = bool(_critical_primes(q.det))
         total = 0
-        for n, embeddings in embeddings_by_rank(q, args.n_max):
-            for emb in embeddings:
+        for n, embeddings in embeddings_by_rank(graph.definite_form, args.n_max):
+            for emb, surjective in embeddings:
                 total += 1
-                surjective = "false" if critical and not transpose_surjective(emb) else "true"
-                print("\n".join([f"embedding n={n} index={total} surjective={surjective}",
+                flag = "true" if surjective else "false"
+                print("\n".join([f"embedding n={n} index={total} surjective={flag}",
                                  *(" ".join(map(str, row)) for row in emb), ""]))
         print(f"total: {total}")
         return 0

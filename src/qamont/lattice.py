@@ -26,11 +26,13 @@ by any column are not represented, so enumeration at ambient rank n only
 yields matrices with no zero row.  ``_rank_bound`` is the rank that makes
 the search complete, and states why it loses nothing; ``embeddings_by_rank``
 and ``qa_lattice_obstruction`` each walk one tree for all the ranks from k
-up to it.  The obstruction search also prunes every column set that is
-dependent mod a prime whose square divides det q, so that every leaf it
-reaches has surjective transpose (``_OrderlyTree``), and it runs once per
-placement form, which every leg order of a star shares.  Coordinate and
-vertex indices are 0-based throughout.
+up to it.  Both keep the placed columns in echelon form mod each prime
+whose square divides det q (``_OrderlyTree``): the obstruction search
+prunes every column set that is dependent mod one of them, so that every
+leaf it reaches has surjective transpose, and ``embeddings_by_rank`` keeps
+it and labels each leaf with whether its transpose is surjective.  The
+obstruction search runs once per placement form, which every leg order of
+a star shares.  Coordinate and vertex indices are 0-based throughout.
 """
 
 from __future__ import annotations
@@ -98,10 +100,12 @@ class _OrderlyTree:
     columns in placement order.  ``high`` starts at n and may be lowered
     between leaves: from then on every node and every fresh block that would
     touch more than ``high`` coordinates is pruned.  ``nodes`` counts the
-    columns placed.  Given ``primes``, the tree also drops every candidate
-    column that would make the placed columns dependent mod one of them,
-    and ``pruned`` counts those; its leaves are then exactly the
-    surjective ones (below).
+    columns placed.  Given ``primes``, the tree keeps the placed columns in
+    echelon form mod each of them, and a candidate column that would make
+    them dependent mod one of them is dropped, and counted in ``pruned``:
+    the leaves are then exactly the surjective ones (below).  Given
+    ``label`` as well, such a column is kept, and ``onto`` says at each
+    leaf whether its transpose is surjective.
 
     The tree walks the form it is given, placing vertex i as column i;
     ``_placement`` chooses that order and maps the leaves back.
@@ -155,9 +159,12 @@ class _OrderlyTree:
     stable sort by size commutes with dropping every candidate above a
     size: either way the ones kept come by size, then in walk order.
 
-    The mod-p prune, given the critical primes of q (the primes p with
-    p^2 | det q), keeps exactly the leaves whose transpose is onto, in the
-    same order, and never tests a leaf:
+    Given the critical primes of q (the primes p with p^2 | det q), the
+    mod-p bases decide which leaves have a transpose that is onto, and no
+    leaf is tested.  The same bases prune one search and label the other:
+    the obstruction search keeps exactly the onto leaves, in the same
+    order, and ``embeddings_by_rank`` (``label``) keeps every leaf and
+    labels it:
 
     * Lemma.  Let A be a leaf's matrix, on the rank rows it touches, and d
       the index in Z^k of the lattice L its rows generate (full rank, since
@@ -174,19 +181,24 @@ class _OrderlyTree:
       candidate that makes the placed columns dependent mod a critical
       prime has no onto leaf below it, and dropping it loses none; a leaf
       that is reached has every column accepted, so it is onto.
-    * ``bases[t]`` holds the placed columns in echelon form mod primes[t],
-      one entry per column, in placement order; ``_extend_bases`` appends
-      to each basis when a column is placed and ``_place`` pops it when the
-      column is removed, so a basis always matches ``cols``, a leaf's last
-      column included.  With no primes the prune costs one truth test per
-      candidate.
+    * With ``label`` that candidate is placed all the same, and the path is
+      dependent from it down: ``primes`` is emptied for its subtree, so no
+      basis grows below it, and ``onto``, which compares ``primes`` with
+      the bases, is False at every leaf there and True at every other.
+    * ``bases[t]`` holds the columns placed while ``primes`` was full, in
+      echelon form mod primes[t], one entry per column, in placement order;
+      ``_extend_bases`` appends to each basis when a column is placed and
+      ``_place`` pops it when the column is removed, so on an independent
+      path a basis always matches ``cols``, a leaf's last column included.
+      With no primes the bases cost one truth test per candidate.
 
     Nothing the walk builds refers to itself (``_candidates`` drops its
     recursive closure before it returns), so a finished or abandoned walk is
     freed by reference counting, not left to the cyclic collector.
     """
 
-    def __init__(self, q: Matrix, n: int, primes: tuple[int, ...] = ()):
+    def __init__(self, q: Matrix, n: int, primes: tuple[int, ...] = (),
+                 label: bool = False):
         self.q = q
         self.n = n
         self.high = n
@@ -205,10 +217,17 @@ class _OrderlyTree:
         # it and at the pivots before it, and tail lists its nonzero entries
         # (coordinate, value) after the pivot.
         self.bases: list[list[tuple[int, list[tuple[int, int]]]]] = [[] for _ in primes]
+        self.label = label
         self.pruned = 0
 
     def leaves(self) -> Iterator[int]:
         return self._place(0, 0)
+
+    @property
+    def onto(self) -> bool:
+        """Whether no column in ``cols`` is dependent mod a prime given on
+        the columns before it: at a leaf, whether its transpose is onto."""
+        return len(self.primes) == len(self.bases)
 
     def _place(self, i: int, touched: int) -> Iterator[int]:
         if i == len(self.q):
@@ -223,8 +242,10 @@ class _OrderlyTree:
             if end > self.high:
                 return
             if primes and not self._extend_bases(col, end):
-                self.pruned += 1
-                continue
+                if not self.label:
+                    self.pruned += 1
+                    continue
+                self.primes = ()  # every extension stays dependent
             # col is zero past end, so same changes at most up to end
             saved = same[:end + 1]
             for c in range(1, min(end + 1, self.n)):
@@ -244,8 +265,11 @@ class _OrderlyTree:
                 support[c].pop()
             cols.pop()
             same[:end + 1] = saved
-            for basis in self.bases:
-                basis.pop()
+            if self.primes:
+                for basis in self.bases:
+                    basis.pop()
+            else:
+                self.primes = primes
 
     def _extend_bases(self, col: tuple[int, ...], end: int) -> bool:
         """Reduce ``col`` (zero from ``end`` on) against the echelon basis
@@ -372,15 +396,15 @@ def _in_vertex_order(slots: Sequence[int], rank: int,
 def enumerate_embeddings(q: Matrix, n: int) -> Iterator[Matrix]:
     """All embeddings of (Z^k, q) into (Z^n, -Id) touching every coordinate,
     one representative per signed-permutation orbit, in a deterministic
-    order: the rank-n stream of ``embeddings_by_rank(q, n)``.  The stream is
-    empty when no embedding exists.
+    order: the matrices of the rank-n stream of ``embeddings_by_rank(q, n)``.
+    The stream is empty when no embedding exists.
 
     No program path calls it: ``perfbench/tracing.py`` wraps it by name
     (``INTRA_MODULE``), and it goes once the tracer stops naming it.
     """
     if n < 1:
         raise ValueError("ambient rank must be positive")
-    return iter(dict(embeddings_by_rank(q, n)).get(n, ()))
+    return map(itemgetter(0), dict(embeddings_by_rank(q, n)).get(n, ()))
 
 
 def _rank_bound(q: Matrix) -> int:
@@ -398,11 +422,15 @@ def _rank_bound(q: Matrix) -> int:
 
 
 def embeddings_by_rank(q: Matrix, n_max: int | None = None
-                       ) -> Iterator[tuple[int, Iterator[Matrix]]]:
+                       ) -> Iterator[tuple[int, Iterator[tuple[Matrix, bool]]]]:
     """``(n, stream)`` for each ambient rank n from the vertex count k up to
     N = ``_rank_bound(q)`` (complete; ``n_max`` lowers N), each stream
-    yielding the embeddings that touch all n coordinates, one per
-    signed-permutation orbit (``_OrderlyTree``), in a deterministic order.
+    yielding ``(matrix, surjective)`` for the embeddings that touch all n
+    coordinates, one per signed-permutation orbit (``_OrderlyTree``), in a
+    deterministic order.  ``surjective`` is whether the matrix's transpose
+    is onto, read off the tree's bases mod the critical primes of q: the
+    walk keeps each column that is dependent mod one of them, and labels
+    every leaf below it not surjective (``_OrderlyTree``, ``label``).
 
     One walk of the orderly tree at rank N files each leaf under its rank.
     Its leaves of rank n are the rank-n tree's, in the same depth-first
@@ -428,12 +456,14 @@ def embeddings_by_rank(q: Matrix, n_max: int | None = None
     if top < len(q):
         return
     form, slots = _placement(q, range(len(q)))
-    tree = _OrderlyTree(form, top)
+    tree = _OrderlyTree(form, top, _critical_primes(q.det), label=True)
     found: list[list[list[tuple[int, ...]]]] = [[] for _ in range(top + 1)]
+    labels: list[list[bool]] = [[] for _ in range(top + 1)]
     for rank in tree.leaves():
         found[rank].append(tree.cols[:])
+        labels[rank].append(tree.onto)
     for n in range(len(q), top + 1):
-        yield n, map(partial(_in_vertex_order, slots, n), found[n])
+        yield n, zip(map(partial(_in_vertex_order, slots, n), found[n]), labels[n])
 
 
 def transpose_surjective(emb: Matrix) -> bool:

@@ -90,11 +90,14 @@ class PlumbingGraph:
 
 
 def build_graph(link: MontesinosLink) -> PlumbingGraph:
-    """Plumbing graph of a link in negative form (every tangle < -1);
-    ``cf_expand`` raises ``ValueError`` on any other tangle.  A standard
-    form goes through ``oriented_graph`` instead; ``perfbench/workloads.py``
-    builds its reference graphs here."""
-    return PlumbingGraph(link.e, tuple(cf_expand(t) for t in link.tangles))
+    """Plumbing graph of a link in negative form (every tangle < -1), built
+    on its integer ``pairs``: each leg is ``cf_expand(alpha, beta)``, which
+    raises ``ValueError`` on a tangle that is not below -1.  A tangle
+    alpha/beta below -1 has beta < 0, so that runs ``_expand(-alpha,
+    -beta)``, the expansion ``oriented_graph`` runs.  A standard form goes
+    through ``oriented_graph`` instead; ``perfbench/workloads.py`` builds
+    its reference graphs here."""
+    return PlumbingGraph(link.e, tuple(cf_expand(alpha, beta) for alpha, beta in link.pairs))
 
 
 def oriented_graph(link: StandardForm) -> tuple[StandardForm, PlumbingGraph]:

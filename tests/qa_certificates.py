@@ -165,7 +165,7 @@ def _integer_crossing(e, pairs, memo) -> Crossing | None:
 def _lens_space_order(alpha: int, beta: int) -> int:
     """|H1| of the linear plumbing of -alpha/beta: the double branched
     cover of a tangle's two-bridge closure, of order alpha."""
-    central, *rest = cf_expand(Fraction(-alpha, beta))
+    central, *rest = cf_expand(-alpha, beta)
     return h1_order(PlumbingGraph(central, (tuple(rest),) if rest else ()))
 
 

@@ -133,7 +133,12 @@ def test_criterion_5_unit_minors_whenever_surjective():
         if laufer_run(q).verdict is not LauferVerdict.RATIONAL:
             continue
         for _, embeddings in embeddings_by_rank(q):
-            witness = next(filter(transpose_surjective, embeddings), None)
+            witness = None
+            for emb, surjective in embeddings:
+                assert surjective == transpose_surjective(emb), emb
+                if surjective:
+                    witness = emb
+                    break
             if witness is not None:
                 inspect(witness)
                 break  # the pipeline stops at the first witness
@@ -146,8 +151,10 @@ def test_criterion_5_unit_minors_whenever_surjective():
         _, graph = oriented_graph(link)
         q = adjacency_matrix(graph)
         for _, embeddings in embeddings_by_rank(q):
-            for emb in filter(transpose_surjective, embeddings):
-                inspect(emb)
+            for emb, surjective in embeddings:
+                assert surjective == transpose_surjective(emb), emb
+                if surjective:
+                    inspect(emb)
 
     report(5, surjective_seen > 0 and subsets_checked > 0 and violations == 0,
            f"{subsets_checked} supported minors on {surjective_seen} surjective "
@@ -195,7 +202,7 @@ def test_criterion_7_rigidity_property():
         psi1 = tuple(range(k1))
         psi2 = tuple(range(k1, k1 + k2))
         for _, embeddings in embeddings_by_rank(q):
-            for emb in embeddings:
+            for emb, _ in embeddings:
                 if not (support_set(emb, (psi1[0],)) & support_set(emb, (psi2[0],))):
                     continue
                 embeddings_checked += 1

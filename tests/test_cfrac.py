@@ -9,11 +9,11 @@ from references import cf_eval, prefix_r
 
 
 def test_expand_examples():
-    assert cf_expand(Fraction(-2)) == (-2,)
+    assert cf_expand(-2) == (-2,)
     # -3 - 1/(-2 - 1/(-2)) = -3 + 2/3 = -7/3, checked by hand
-    assert cf_expand(Fraction(-7, 3)) == (-3, -2, -2)
+    assert cf_expand(-7, 3) == (-3, -2, -2)
     # chain identity: n copies of -2 evaluate to -(n+1)/n
-    assert cf_expand(Fraction(-5, 4)) == (-2, -2, -2, -2)
+    assert cf_expand(-5, 4) == (-2, -2, -2, -2)
 
 
 def test_eval_examples():
@@ -25,7 +25,7 @@ def test_eval_examples():
 def test_chain_identity():
     for n in range(1, 13):
         assert cf_eval([-2] * n) == Fraction(-(n + 1), n)
-        assert cf_expand(Fraction(-(n + 1), n)) == (-2,) * n
+        assert cf_expand(-(n + 1), n) == (-2,) * n
 
 
 def test_prefix_examples():
@@ -40,17 +40,19 @@ def test_roundtrip_exhaustive():
         for num in range(-200, -den, 1):
             if gcd(-num, den) != 1:
                 continue
-            t = Fraction(num, den)
-            coeffs = cf_expand(t)
+            coeffs = cf_expand(num, den)
             assert all(a <= -2 for a in coeffs)
-            assert cf_eval(coeffs) == t
+            assert cf_eval(coeffs) == Fraction(num, den)
+            # unreduced, and with the sign on the denominator
+            assert cf_expand(-3 * num, -3 * den) == coeffs
 
 
 def test_uniqueness_random():
     rng = random.Random(7)
     for _ in range(2000):
         coeffs = tuple(rng.randint(-6, -2) for _ in range(rng.randint(1, 8)))
-        assert cf_expand(cf_eval(coeffs)) == coeffs
+        t = cf_eval(coeffs)
+        assert cf_expand(t.numerator, t.denominator) == coeffs
 
 
 def test_prefixes_stay_in_unit_interval():
@@ -62,17 +64,23 @@ def test_prefixes_stay_in_unit_interval():
             assert 0 < r < 1
 
 
-@pytest.mark.parametrize("bad", [Fraction(-1), Fraction(0), Fraction(-1, 2), Fraction(5, 3)])
+@pytest.mark.parametrize("bad", [(-1, 1), (0, 1), (-1, 2), (5, 3), (3, -3), (2, -5), (-4, 4)])
 def test_expand_rejects_values_at_or_above_minus_one(bad):
-    with pytest.raises(ValueError):
-        cf_expand(bad)
+    with pytest.raises(ValueError, match="value must be < -1"):
+        cf_expand(*bad)
 
 
-@pytest.mark.parametrize("bad", [-2.5, -3.0, "-7/3"])
-def test_expand_rejects_anything_but_an_int_or_a_fraction(bad):
+def test_expand_rejects_a_zero_denominator():
+    with pytest.raises(ValueError, match="zero denominator"):
+        cf_expand(-3, 0)
+
+
+@pytest.mark.parametrize("bad", [(-2.5,), (-3.0,), ("-7/3",), (Fraction(-7, 3),),
+                                 (-7, 3.0), (-7, Fraction(3))])
+def test_expand_rejects_anything_but_ints(bad):
     # a float is not exact: -2.5 once expanded to (-3, -2), the value -5/2
-    with pytest.raises(ValueError, match="int or a Fraction"):
-        cf_expand(bad)
+    with pytest.raises(ValueError, match="must be ints"):
+        cf_expand(*bad)
 
 
 def test_expand_takes_an_int():

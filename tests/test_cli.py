@@ -15,7 +15,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import qamont
-from qamont import classifier, cli, intmat, montesinos, plumbing
+from qamont import classifier, cli, intmat, lattice, montesinos, plumbing
 from qamont.classifier import classify, enumerate_family, verify
 from qamont.cli import main
 from qamont.errors import InternalError, NotNegativeDefiniteError
@@ -887,9 +887,10 @@ def test_verify_guard_failure_exits_4_naming_the_link(capsys, monkeypatch):
 
 
 class TestEmbedAll:
-    """``embed --all`` runs ``transpose_surjective`` only where det q has a
-    critical prime; by the Lemma of ``lattice._OrderlyTree`` every other
-    embedding is onto."""
+    """``embed --all`` prints the label ``embeddings_by_rank`` reads off the
+    tree's bases mod the critical primes of det q (the Lemma of
+    ``lattice._OrderlyTree``), and runs ``transpose_surjective`` on no
+    embedding."""
 
     # sha256 of the concatenated ``embed --all`` outputs of GRAPHS, taken
     # while every listed embedding was still tested.
@@ -927,19 +928,20 @@ class TestEmbedAll:
         assert (False, "surjective=false") not in flags
         assert digest.hexdigest() == self.DIGEST
 
-    def test_square_free_det_runs_no_surjectivity_test(self, tmp_path, capsys, monkeypatch):
-        def no_test(emb):
-            raise AssertionError("transpose_surjective ran")
+    def test_no_graph_runs_a_surjectivity_test(self, tmp_path, capsys, monkeypatch):
+        def no_test(*args):
+            raise AssertionError("a surjectivity test ran")
 
-        path = tmp_path / "d4.graph"
-        path.write_text(D4_TEXT)  # det 4: 2 is critical
-        monkeypatch.setattr(cli, "transpose_surjective", no_test)
-        with pytest.raises(AssertionError):
-            main(["embed", str(path), "--all"])
-        path.write_text("central: -4\nleg: -2\nleg: -3\n")  # det -19
-        code, out, _ = run(capsys, "embed", str(path), "--all")
-        assert code == 0
-        assert out.count("surjective=true") == 3 and out.endswith("total: 3\n")
+        assert not {"transpose_surjective", "_critical_primes"} & set(vars(cli))
+        monkeypatch.setattr(lattice, "transpose_surjective", no_test)
+        path = tmp_path / "g.graph"
+        for text, flags in ((D4_TEXT, "false"),  # det 4: 2 is critical
+                            ("central: -4\nleg: -2\nleg: -3\n", "true")):  # det -19
+            path.write_text(text)
+            code, out, _ = run(capsys, "embed", str(path), "--all")
+            assert code == 0
+            assert out.count(f"surjective={flags}") == 3 and out.count("surjective=") == 3
+            assert out.endswith("total: 3\n")
 
     def test_one_elimination_per_graph(self, tmp_path, capsys, monkeypatch):
         # The cross-checked guard's elimination gives det q, and its Definite

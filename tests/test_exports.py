@@ -104,10 +104,10 @@ def test_paper_lemma_checks_stay_in_the_tests(module):
 
 
 # The integer rule: a tangle's (alpha, beta) is derived once, by
-# _tangle_pair from an int or a Fraction; the other reader of a Fraction's
-# parts is cf_expand's Euclid.  epsilon is printed from the integers N and
-# A, by Verdict.epsilon_text.
-FRACTION_PART_READERS = {("montesinos", "_tangle_pair"), ("cfrac", "cf_expand")}
+# _tangle_pair from an int or a Fraction, the one reader of a Fraction's
+# parts; cf_expand takes integers.  epsilon is printed from the integers N
+# and A, by Verdict.epsilon_text.
+FRACTION_PART_READERS = {("montesinos", "_tangle_pair")}
 
 
 def attribute_reads(path, attrs):
@@ -186,13 +186,13 @@ def test_only_the_named_functions_build_fractions():
     assert builders == FRACTION_BUILDERS
 
 
-def test_only_montesinos_and_cfrac_import_fractions():
+def test_only_montesinos_imports_fractions():
     importers = {path.stem for path in sorted(PACKAGE.glob("*.py"))
                  for node in ast.walk(ast.parse(path.read_text()))
                  if isinstance(node, ast.ImportFrom) and node.module == "fractions"
                  or isinstance(node, ast.Import)
                  and any(alias.name == "fractions" for alias in node.names)}
-    assert importers == {"montesinos", "cfrac"}
+    assert importers == {"montesinos"}
 
 
 def test_one_trusted_constructor():

@@ -81,7 +81,7 @@ class TestEnumerate:
         for graph in graphs:
             q = adjacency_matrix(graph)
             for _, embeddings in embeddings_by_rank(q):
-                embeddings = list(embeddings)
+                embeddings = [emb for emb, _ in embeddings]
                 assert len(set(embeddings)) == len(embeddings)
                 for emb in embeddings:
                     assert gram_matches(emb, q)
@@ -99,8 +99,8 @@ class TestEnumerate:
             q = adjacency_matrix(graph)
             for n_max in (None, len(q) + 1):
                 for n, embeddings in embeddings_by_rank(q, n_max):
-                    assert list(embeddings) == list(enumerate_embeddings(q, n)), \
-                        (graph, n)
+                    assert [emb for emb, _ in embeddings] == \
+                        list(enumerate_embeddings(q, n)), (graph, n)
 
     def test_embeddings_by_rank_walks_one_tree(self, monkeypatch):
         counts = Counter()
@@ -162,7 +162,7 @@ class TestEnumerate:
         streams = list(embeddings_by_rank(q))
         late = {n: list(stream) for n, stream in reversed(streams)}
         assert late == in_order
-        assert all(len(emb) == n for n, embs in late.items() for emb in embs)
+        assert all(len(emb) == n for n, embs in late.items() for emb, _ in embs)
 
     def test_deterministic_order(self):
         first = list(enumerate_embeddings(D4_Q, 4))
@@ -324,7 +324,7 @@ class TestCompleteness:
         yielded = 0
         for graph in graphs:
             for n, embeddings in embeddings_by_rank(adjacency_matrix(graph)):
-                matrices = list(embeddings)
+                matrices = [emb for emb, _ in embeddings]
                 assert len(set(matrices)) == len(matrices), (graph, n)
                 yielded += len(matrices)
         assert yielded > 0
@@ -341,7 +341,7 @@ class TestCompleteness:
             starts = [1]
             for leg in graph.legs:
                 starts.append(starts[-1] + len(leg))
-            reference = {n: set(embeddings)
+            reference = {n: {emb for emb, _ in embeddings}
                          for n, embeddings in embeddings_by_rank(base)}
             assert any(reference.values()), graph
             for perm in itertools.permutations(range(len(graph.legs))):
@@ -380,8 +380,9 @@ class TestMatrixContract:
         for graph in graphs():
             q = adjacency_matrix(graph)
             for n, embeddings in embeddings_by_rank(q):
-                for emb in embeddings:
+                for emb, surjective in embeddings:
                     assert is_frozen_matrix(emb), (graph, n)
+                    assert type(surjective) is bool
                     assert len(emb) == n and all(len(row) == len(q) for row in emb)
                     streamed += 1
             result = qa_lattice_obstruction(graph)
@@ -444,10 +445,10 @@ class TestSurjectivity:
             q = adjacency_matrix(graph)
             primes = primes_with_square_dividing(det(q))
             for _, embeddings in embeddings_by_rank(q):
-                for emb in embeddings:
+                for emb, surjective in embeddings:
                     expected = all(rank_mod(emb, p) == len(emb[0])
                                    for p in primes)
-                    assert transpose_surjective(emb) == expected, emb
+                    assert transpose_surjective(emb) == surjective == expected, emb
                     square_free += not primes
                     onto += expected
                     not_onto += not expected
@@ -500,8 +501,8 @@ class TestSurjectivity:
             stars += 1
             legs = max(legs, len(graph.legs))
             for _, embeddings in embeddings_by_rank(adjacency_matrix(graph)):
-                for emb in embeddings:
-                    assert transpose_surjective(emb), (graph, emb)
+                for emb, surjective in embeddings:
+                    assert surjective and transpose_surjective(emb), (graph, emb)
                     total += 1
         assert legs == 4 and total > 2000
 
@@ -519,13 +520,13 @@ class TestSurjectivity:
             q = adjacency_matrix(graph)
             primes = lattice._critical_primes(det(q))
             for n, embeddings in embeddings_by_rank(q):
-                for emb in embeddings:
+                for emb, surjective in embeddings:
                     tree = lattice._OrderlyTree(q, n, primes)
                     independent = all(tree._extend_bases(col, n)
                                       for col in zip(*emb))
                     assert independent == all(rank_mod(emb, p) == len(emb[0])
                                               for p in primes)
-                    assert transpose_surjective(emb) == independent, emb
+                    assert transpose_surjective(emb) == surjective == independent, emb
                     square_free += not primes
                     onto += independent
                     not_onto += not independent
@@ -567,9 +568,9 @@ class TestSurjectivity:
         checked = 0
         for graph in oriented_graphs(2, 5, -2, 3):
             for _, embeddings in embeddings_by_rank(adjacency_matrix(graph)):
-                for emb in embeddings:
+                for emb, surjective in embeddings:
                     expected = all(f == 1 for f in invariant_factors(emb))
-                    assert transpose_surjective(emb) == expected, emb
+                    assert transpose_surjective(emb) == surjective == expected, emb
                     checked += 1
         assert checked == 901
 
@@ -697,12 +698,14 @@ class TestRigidity:
 def replay_obstruction(graph):
     """The obstruction search rank by rank, with no mod-p prune: each
     rank's stream in turn, from a tree cut at that rank, stopping at the
-    first embedding with surjective transpose."""
+    first embedding with surjective transpose.  Each label it reads is
+    checked against ``transpose_surjective`` first."""
     q = adjacency_matrix(graph)
     for n in range(len(q), lattice._rank_bound(q) + 1):
         *_, (_, embeddings) = embeddings_by_rank(q, n)
-        for emb in embeddings:
-            if transpose_surjective(emb):
+        for emb, surjective in embeddings:
+            assert surjective == transpose_surjective(emb), emb
+            if surjective:
                 return False, emb, n
     return True, None, None
 
@@ -755,6 +758,20 @@ def random_definite_stars(count, seed):
         graph = random_star_graph(rng, max_legs=4, max_leg_len=3,
                                   central_range=(-5, -1), leg_range=(-4, -2))
         if len(graph.legs) >= 2 and is_negative_definite_matrix(adjacency_matrix(graph)):
+            stars.append(graph)
+    return stars
+
+
+def critical_prime_stars(count, seed):
+    """``count`` seeded random negative definite stars whose det q has a
+    critical prime."""
+    rng = random.Random(seed)
+    stars = []
+    while len(stars) < count:
+        graph = random_star_graph(rng, max_legs=4, max_leg_len=2,
+                                  central_range=(-5, -1), leg_range=(-4, -2))
+        d = intmat.negative_definite_det(adjacency_matrix(graph))
+        if d is not None and lattice._critical_primes(d):
             stars.append(graph)
     return stars
 
@@ -856,6 +873,34 @@ class TestObstruction:
             onto = [(rank, full.cols[:]) for rank in full.leaves()
                     if transpose_surjective(tuple(zip(*full.cols))[:rank])]
             assert kept == onto, graph
+
+    @pytest.mark.parametrize("graphs", [
+        lambda: oriented_graphs(3, 4, -3, 4),  # the acceptance family
+        lambda: critical_prime_stars(40, 20261036),
+    ], ids=["acceptance", "random-critical"])
+    def test_labels_are_the_test_and_the_witness_is_the_first_onto_label(self, graphs):
+        # Every label embeddings_by_rank reads off the tree's bases is
+        # transpose_surjective's verdict, on the graph and on its leg-sorted
+        # star; the obstruction search's witness is the star's first
+        # embedding labelled surjective at the lowest rank that has one,
+        # relabelled to the graph's legs.
+        labels = Counter()
+        for graph in graphs():
+            star, position = leg_sorted(graph)
+            first = {}
+            for searched in dict.fromkeys((graph, star)):
+                for n, embeddings in embeddings_by_rank(adjacency_matrix(searched)):
+                    for emb, surjective in embeddings:
+                        assert surjective == transpose_surjective(emb), (searched, emb)
+                        labels[surjective] += 1
+                        if surjective and searched == star:
+                            first.setdefault(n, emb)
+            result = qa_lattice_obstruction(graph)
+            assert result.obstructed == (not first), graph
+            if first:
+                assert result.witness_n == min(first), graph
+                assert result.witness == relabel(first[result.witness_n], position), graph
+        assert labels[True] and labels[False]
 
     def test_cache_is_bounded_above_one_family_pass(self):
         # One pass over the 280-link acceptance family must fit in it.

@@ -13,7 +13,8 @@ from qamont.montesinos import (MontesinosLink, StandardForm, determinant, epsilo
 from qamont.plumbing import (PlumbingGraph, adjacency_matrix, build_graph,
                              format_graph, negative_definite_by_sign,
                              oriented_graph, parse_graph)
-from references import det, h1_order, is_negative_definite_matrix, seifert_euler_number
+from references import (cf_eval, det, h1_order, is_negative_definite_matrix,
+                        seifert_euler_number)
 
 
 def M(e, *tangles):
@@ -32,8 +33,30 @@ class TestBuildGraph:
             PlumbingGraph(-2, ((-2, -2),) * 3)
 
     def test_rejects_tangles_at_or_above_minus_one(self):
-        with pytest.raises(ValueError):
-            build_graph(M(0, 2))
+        for tangle in (2, Fraction(3, 2), Fraction(2, 5), Fraction(-2, 3)):
+            with pytest.raises(ValueError, match="value must be < -1"):
+                build_graph(M(0, -2, tangle))
+
+    def test_legs_evaluate_to_the_tangles_and_build_no_fraction(self, monkeypatch):
+        # Over the negative forms of the 280 acceptance-family links: each
+        # leg, evaluated back through Fractions, is its tangle, and the
+        # expansion itself builds none.
+        negatives = [to_negative_form(link)
+                     for link in enumerate_family(3, 4, -3, 4, p_min=3)]
+        made = []
+        real_new = Fraction.__new__
+
+        def counting_new(cls, *args, **kwargs):
+            made.append(args)
+            return real_new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__new__", staticmethod(counting_new))
+        graphs = [build_graph(link) for link in negatives]
+        monkeypatch.undo()
+        assert len(graphs) == 280 and made == []
+        for link, graph in zip(negatives, graphs):
+            assert graph.central_weight == link.e
+            assert tuple(map(cf_eval, graph.legs)) == link.tangles, link
 
     def test_legs_must_be_nonempty(self):
         with pytest.raises(ValueError):
@@ -50,8 +73,9 @@ class TestBuildGraph:
 
 class TestOrientedGraph:
     def test_integer_legs_match_the_negative_form(self):
-        # oriented_graph builds its legs on integers; build_graph of the
-        # negative form, through Fractions, is the reference
+        # oriented_graph builds its legs from the standard pairs; build_graph
+        # of the negative form, from the negative pairs, must agree, and each
+        # leg evaluates back to its negative-form tangle
         checked = zero = 0
         for std in enumerate_family(3, 5, -3, 5):
             if determinant(std) == 0:
@@ -61,7 +85,9 @@ class TestOrientedGraph:
                 continue
             side, graph = oriented_graph(std)
             assert side == (reflect(std) if epsilon(std) > 0 else std)
-            assert graph == build_graph(to_negative_form(side))
+            negative = to_negative_form(side)
+            assert graph == build_graph(negative)
+            assert tuple(map(cf_eval, graph.legs)) == negative.tangles
             checked += 1
         assert (checked, zero) == (1958, 13)
 
