@@ -16,7 +16,7 @@ from .classifier import (Branch, Evidence, Reason, Status, Verdict, classify,
 from .errors import (InternalError, NotNegativeDefiniteError, ParseError,
                      StepLimitError)
 from .lattice import (ObstructionResult, embeddings_by_rank,
-                      enumerate_embeddings, gram_matches, gram_matrix,
+                      enumerate_embeddings, gram_matches,
                       qa_lattice_obstruction, transpose_surjective)
 from .laufer import LauferResult, LauferVerdict, laufer_run
 from .montesinos import (MontesinosLink, StandardForm, canonical_form,
@@ -36,7 +36,7 @@ __all__ = [
     "parse_graph", "format_graph",
     "LauferResult", "LauferVerdict", "laufer_run",
     "ObstructionResult", "enumerate_embeddings", "embeddings_by_rank",
-    "gram_matrix", "gram_matches", "transpose_surjective", "qa_lattice_obstruction",
+    "gram_matches", "transpose_surjective", "qa_lattice_obstruction",
     "Status", "Reason", "Branch", "Verdict", "Evidence",
     "classify", "verify", "enumerate_family", "explain", "render_explain",
     "ParseError", "NotNegativeDefiniteError", "InternalError", "StepLimitError",

@@ -3,8 +3,10 @@
 The library computes on integers: a link keeps its tangles as integer
 pairs (``montesinos``), and every plumbing leg is expanded from such a
 pair by ``_expand``.  ``cf_expand`` is its checked entry: it takes a
-rational as its numerator and denominator, and ``plumbing.build_graph``
-runs it on each tangle of a negative form.
+rational as its numerator and denominator, reduces it with the one tangle
+reducer, ``montesinos._reduced_pair``, and names a rejected value as a
+link prints it; ``plumbing.build_graph`` runs it on each tangle of a
+negative form.
 
 A continued fraction is a nonempty tuple of integer coefficients, all
 <= -2, denoting the nested expression
@@ -19,7 +21,7 @@ leg.  The Fraction evaluation back from coefficients is a test reference
 
 from __future__ import annotations
 
-from math import gcd
+from .montesinos import _reduced_pair, _tangle_text
 
 __all__ = ["cf_expand"]
 
@@ -30,22 +32,20 @@ def cf_expand(num: int, den: int = 1) -> tuple[int, ...]:
 
     Only ``int``s are accepted: a float is not exact, and a ``Fraction`` is
     passed as its numerator and denominator, so any other type raises
-    ``ValueError``, as does a zero den or a t >= -1.  The expansion itself
-    is ``_expand`` on t reduced to a positive denominator.
+    ``ValueError``, as does a zero den or a t >= -1, named as
+    ``str(Fraction(num, den))`` names it.  t = alpha/beta for the tangle pair
+    ``_reduced_pair(num, den)``, so t < -1 when 0 < -beta < alpha, and the
+    expansion is ``_expand(-alpha, -beta)``.
     """
     if not (isinstance(num, int) and isinstance(den, int)):
         raise ValueError(f"cannot expand {num!r}/{den!r}: numerator and "
                          "denominator must be ints")
     if not den:
         raise ValueError(f"cannot expand {num}/0: zero denominator")
-    g = gcd(num, den)
-    if den < 0:
-        g = -g
-    num, den = num // g, den // g
-    if num >= -den:
-        text = f"{num}" if den == 1 else f"{num}/{den}"
-        raise ValueError(f"cannot expand {text}: value must be < -1")
-    return _expand(num, den)
+    alpha, beta = _reduced_pair(num, den)
+    if not 0 < -beta < alpha:
+        raise ValueError(f"cannot expand {_tangle_text(alpha, beta)}: value must be < -1")
+    return _expand(-alpha, -beta)
 
 
 def _expand(num: int, den: int) -> tuple[int, ...]:

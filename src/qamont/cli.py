@@ -228,7 +228,7 @@ def _canonical_triples(family: Iterable[MontesinosLink]
 def _read_graph(path: str):
     try:
         text = Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read graph file {path!r}: {exc}") from None
     return parse_graph(text)
 

@@ -26,7 +26,6 @@ Matrix = tuple[tuple[int, ...], ...]
 __all__ = [
     "Matrix",
     "freeze",
-    "is_symmetric",
     "negative_definite_det",
     "Definite",
 ]
@@ -42,12 +41,6 @@ def freeze(rows: Iterable[Iterable[int]]) -> Matrix:
     return m
 
 
-def is_symmetric(m: Matrix) -> bool:
-    """Whether m equals its transpose, which a matrix that is not square
-    never does."""
-    return tuple(zip(*m)) == m
-
-
 def negative_definite_det(m: Matrix) -> int | None:
     """det m when m is negative definite, None when it is not: strict sign
     alternation of the leading principal minors, starting negative.
@@ -59,8 +52,10 @@ def negative_definite_det(m: Matrix) -> int | None:
     None at the first pivot of the wrong sign, before that pivot is ever
     used as a divisor, so a zero minor never reaches a division.  The
     trailing block stays symmetric, so only its upper triangle is updated.
+    A matrix that is not its own transpose raises ``ValueError``; one that
+    is not square never is.
     """
-    if not is_symmetric(m):
+    if tuple(zip(*m)) != m:
         raise ValueError("definiteness test requires a symmetric matrix")
     n = len(m)
     a = [list(row) for row in m]

@@ -49,7 +49,6 @@ from .plumbing import PlumbingGraph
 
 __all__ = [
     "ObstructionResult",
-    "gram_matrix",
     "gram_matches",
     "enumerate_embeddings",
     "embeddings_by_rank",
@@ -58,24 +57,22 @@ __all__ = [
 ]
 
 
-def gram_matrix(emb: Matrix) -> Matrix:
-    """The form -A^T A realised by the embedding A."""
+def gram_matches(emb: Matrix, q: Matrix) -> bool:
+    """Whether the embedding A realises q, -A^T A == q: the Gram condition
+    that demo 05 checks each embedding it prints against."""
     cols = list(zip(*emb))
     return tuple(tuple(-sum(a * b for a, b in zip(ci, cj)) for cj in cols)
-                 for ci in cols)
+                 for ci in cols) == freeze(q)
 
 
-def gram_matches(emb: Matrix, q: Matrix) -> bool:
-    """Whether the embedding realises q; ``perfbench/workloads.py`` checks
-    every witness with it."""
-    return gram_matrix(emb) == freeze(q)
-
-
-def _canonical_rows(cols: Sequence[Sequence[int]], n: int) -> Matrix:
-    """The first n rows of the matrix with columns ``cols``, each
+def _canonical_rows(slots: Sequence[int], n: int,
+                    cols: Sequence[Sequence[int]]) -> Matrix:
+    """A leaf's columns ``cols``, in placement order, as an embedding of
+    rank n in vertex order, column v being ``cols[slots[v]]``
+    (``_placement``), canonicalised: its first n rows, each
     sign-normalised (first nonzero entry positive), sorted descending."""
     rows = []
-    for row in islice(zip(*cols), n):
+    for row in islice(zip(*map(cols.__getitem__, slots)), n):
         for v in row:
             if v > 0:
                 break
@@ -371,9 +368,10 @@ def _placement(q: Matrix, ties: Sequence) -> tuple[Matrix, list[int]]:
     constrains every later neighbour, so the search tree stays small.  A
     fixed vertex permutation is a bijection on column assignments that
     commutes with the action on rows, so it maps orbits to orbits: a leaf's
-    columns taken back in vertex order (``_in_vertex_order``) and
-    canonicalised give, at every rank, the same set of orbits as a search
-    in vertex order would, and satisfy the Gram condition against ``q``.
+    columns taken back in vertex order through ``slots`` and canonicalised,
+    both by ``_canonical_rows``, give, at every rank, the same set of
+    orbits as a search in vertex order would, and satisfy the Gram
+    condition against ``q``.
     The rank bound depends only on the norms, so it is untouched.
     ``embeddings_by_rank`` breaks ties by vertex index;
     ``qa_lattice_obstruction`` breaks them so that every leg order of a star
@@ -384,13 +382,6 @@ def _placement(q: Matrix, ties: Sequence) -> tuple[Matrix, list[int]]:
     for place, v in enumerate(order):
         slots[v] = place
     return tuple(tuple(q[u][v] for v in order) for u in order), slots
-
-
-def _in_vertex_order(slots: Sequence[int], rank: int,
-                     cols: Sequence[tuple[int, ...]]) -> Matrix:
-    """A leaf's columns ``cols``, in placement order, as an embedding of rank
-    ``rank`` in vertex order, canonicalised."""
-    return _canonical_rows([cols[s] for s in slots], rank)
 
 
 def enumerate_embeddings(q: Matrix, n: int) -> Iterator[Matrix]:
@@ -443,8 +434,9 @@ def embeddings_by_rank(q: Matrix, n_max: int | None = None
 
     The leaves' raw columns are held until the walk ends, so a caller
     printing the streams prints nothing before the search is done.  A leaf
-    is canonicalised into its matrix only when its stream reaches
-    it, so a caller that reads one rank pays for that rank alone.  The
+    is mapped to its matrix by ``_canonical_rows`` only when its stream
+    reaches it, so a caller that reads one rank pays for that rank alone.
+    Each stream binds its rank with ``partial`` when it is made, so the
     streams are independent, consumable in any order.  ``q`` is guarded by
     ``Definite(q)`` before the rank range is computed: a ``Definite`` passes
     as it is, any other matrix (list rows included) is frozen and
@@ -463,7 +455,7 @@ def embeddings_by_rank(q: Matrix, n_max: int | None = None
         found[rank].append(tree.cols[:])
         labels[rank].append(tree.onto)
     for n in range(len(q), top + 1):
-        yield n, zip(map(partial(_in_vertex_order, slots, n), found[n]), labels[n])
+        yield n, zip(map(partial(_canonical_rows, slots, n), found[n]), labels[n])
 
 
 def transpose_surjective(emb: Matrix) -> bool:
@@ -577,10 +569,8 @@ def qa_lattice_obstruction(graph: PlumbingGraph) -> ObstructionResult:
     q = graph.definite_form
     form, slots = _placement(q, _star_ties(graph.legs))
     cols, witness_n, nodes, leaves, pruned = _cached_search(form, q.det)
-    if cols is None:
-        return ObstructionResult(True, None, None, nodes, leaves, pruned)
-    witness = _in_vertex_order(slots, witness_n, cols)
-    return ObstructionResult(False, witness, witness_n, nodes, leaves, pruned)
+    witness = None if cols is None else _canonical_rows(slots, witness_n, cols)
+    return ObstructionResult(cols is None, witness, witness_n, nodes, leaves, pruned)
 
 
 def _star_ties(legs: Sequence[tuple[int, ...]]) -> list[tuple[int, ...]]:

@@ -217,8 +217,8 @@ def reflect(link: StandardForm) -> StandardForm:
 
     Reflection negates eps and is an involution on standard forms, so the
     result is built by ``StandardForm._from_validated`` with no re-check.
-    ``oriented_graph`` and ``explain`` call it, and so does
-    ``perfbench/workloads.py``.
+    ``oriented_graph`` and ``explain`` call it, and demo 02 shows a user
+    the mirror image and its negated eps.
     """
     _require_standard(link)
     pairs = link.pairs
@@ -244,7 +244,8 @@ def epsilon(link: MontesinosLink) -> Fraction:
     """The slide invariant e - sum(beta_i/alpha_i).
 
     The program reads ``_scaled_epsilon``; this public form is kept for
-    ``perfbench/workloads.py``, which orients its graphs by its sign."""
+    the user who asks for the value, as demo 02 does to show that slides
+    and the standard form preserve it and that reflection negates it."""
     return Fraction(*_scaled_epsilon(link))
 
 
@@ -257,8 +258,8 @@ def to_negative_form(link: StandardForm) -> MontesinosLink:
     """Slide every tangle below -1: M(e - p; alpha_i/(beta_i - alpha_i)).
 
     This is the parameter form from which the star-shaped plumbing graph
-    is built; eps is unchanged.  ``explain`` prints it, and
-    ``perfbench/workloads.py`` builds its graphs from it.
+    is built; eps is unchanged.  ``explain`` prints it, and demos 01 and
+    03 build their plumbing graphs from it with ``build_graph``.
     """
     _require_standard(link)
     return MontesinosLink._from_pairs(link.e - link.p,
@@ -296,7 +297,7 @@ def slide(link: MontesinosLink, index: int, count: int = 1) -> MontesinosLink:
 
     Each move trades a full twist between the tangle and e:
     (e, alpha/beta) -> (e + 1, alpha/(beta + alpha)).
-    ``perfbench/workloads.py`` types its links through random slides.
+    Demo 02 shows that a chain of slides leaves every invariant alone.
     """
     if not 0 <= index < link.p:
         raise ValueError(f"tangle index {index} out of range 0..{link.p - 1}")

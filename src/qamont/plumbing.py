@@ -95,8 +95,9 @@ def build_graph(link: MontesinosLink) -> PlumbingGraph:
     raises ``ValueError`` on a tangle that is not below -1.  A tangle
     alpha/beta below -1 has beta < 0, so that runs ``_expand(-alpha,
     -beta)``, the expansion ``oriented_graph`` runs.  A standard form goes
-    through ``oriented_graph`` instead; ``perfbench/workloads.py`` builds
-    its reference graphs here."""
+    through ``oriented_graph`` instead.  Demo 01 builds a negative form's
+    graph here to show each leg as the expansion of its tangle, and demo 03
+    to print its adjacency form."""
     return PlumbingGraph(link.e, tuple(cf_expand(alpha, beta) for alpha, beta in link.pairs))
 
 

@@ -10,8 +10,7 @@ from typing import Iterable, Sequence
 
 from qamont.errors import InternalError
 from qamont.intmat import Matrix
-from qamont.lattice import gram_matrix
-from references import det, prefix_r
+from references import det, gram_matrix, prefix_r
 
 
 class TruncationNotFoundError(InternalError):

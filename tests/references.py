@@ -5,13 +5,16 @@ tangle's ``Fraction``, the tangle order and the family walk sorted as
 ``Fraction`` values, eps printed from a sum of ``Fraction`` values,
 determinants by
 Bareiss elimination with row pivoting, the boolean definiteness test, the
-matrix-vector product, and canonical rows read one index at a time.  No
-program path needs them: ``cfrac.cf_expand``,
+symmetry test, the matrix-vector product, the form -A^T A of an embedding
+A, and canonical rows read one index at a time.  No program path needs
+them: ``cfrac.cf_expand``,
 ``plumbing.negative_definite_by_sign``, ``montesinos._reduced_pair``,
 ``montesinos.format_link``, ``montesinos._TANGLE_ORDER`` and
 ``Verdict.epsilon_text`` run on integers,
 ``intmat.Definite`` reads det Q off the last pivot of its definiteness
-test and keeps it with the form, ``laufer_run`` keeps Q * K by
+test and keeps it with the form, ``intmat.negative_definite_det`` tests
+symmetry inline, ``lattice.gram_matches`` compares -A^T A with q inline,
+``laufer_run`` keeps Q * K by
 adding one row of Q per step, and ``lattice._canonical_rows`` reads its rows
 off one transpose.
 The tests hold that code to these references."""
@@ -124,6 +127,19 @@ def epsilon_text_by_fraction(link: MontesinosLink) -> str:
 
 def mat_vec(m: Matrix, v: Sequence[int]) -> list[int]:
     return [sum(x * y for x, y in zip(row, v)) for row in m]
+
+
+def is_symmetric(m: Matrix) -> bool:
+    """Whether m equals its transpose, which a matrix that is not square
+    never does."""
+    return tuple(zip(*m)) == m
+
+
+def gram_matrix(emb: Matrix) -> Matrix:
+    """The form -A^T A realised by the embedding A."""
+    cols = list(zip(*emb))
+    return tuple(tuple(-sum(a * b for a, b in zip(ci, cj)) for cj in cols)
+                 for ci in cols)
 
 
 def canonical_rows(cols: Sequence[Sequence[int]], n: int) -> Matrix:

@@ -70,6 +70,23 @@ def test_expand_rejects_values_at_or_above_minus_one(bad):
         cf_expand(*bad)
 
 
+def test_expand_matches_fractions_on_a_grid():
+    # Each value is named as str of its Fraction, and each expansion
+    # evaluates back to it, whatever the signs and common factors of the
+    # integers typed.
+    for num in range(-12, 13):
+        for den in range(-12, 13):
+            if not den:
+                continue
+            t = Fraction(num, den)
+            if t >= -1:
+                with pytest.raises(ValueError) as exc:
+                    cf_expand(num, den)
+                assert str(exc.value) == f"cannot expand {t}: value must be < -1"
+            else:
+                assert cf_eval(cf_expand(num, den)) == t, (num, den)
+
+
 def test_expand_rejects_a_zero_denominator():
     with pytest.raises(ValueError, match="zero denominator"):
         cf_expand(-3, 0)

@@ -745,6 +745,19 @@ class TestGraphCommands:
         assert code == 2
         assert "cannot read" in err
 
+    @pytest.mark.parametrize("argv", [["laufer"], ["embed"], ["embed", "--all"]])
+    def test_undecodable_file_is_named_and_exits_2(self, tmp_path, capsys, argv):
+        # A UTF-16 byte order mark does not decode as UTF-8; the reason is
+        # reported with the file's path, as an unreadable file's is.
+        path = tmp_path / "utf16.graph"
+        path.write_bytes(b"\xff\xfec\x00e\x00n\x00")
+        with pytest.raises(UnicodeDecodeError) as exc:
+            path.read_text()
+        code, out, err = run(capsys, *argv, str(path))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: cannot read graph file {str(path)!r}: {exc.value}\n"
+
     def test_embed_d4_obstructed(self, tmp_path, capsys):
         path = tmp_path / "d4.graph"
         path.write_text(D4_TEXT)

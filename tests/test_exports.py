@@ -56,6 +56,39 @@ def referenced_names(path, with_strings):
     return names
 
 
+def docstrings(source):
+    """(name, docstring) of the module and of each class and function in a
+    module's source that has a docstring; the module is named None."""
+    tree = ast.parse(source)
+    nodes = [tree, *(node for node in ast.walk(tree) if isinstance(
+        node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)))]
+    return [(getattr(node, "name", None), text) for node in nodes
+            if (text := ast.get_docstring(node)) is not None]
+
+
+def test_docstrings_are_found():
+    source = ('"""Module."""\n'
+              "class A:\n"
+              '    """Class."""\n'
+              "    def f(self):\n"
+              '        """Method."""\n'
+              "async def g():\n"
+              "    x = 1\n"
+              '    """Not a docstring."""\n')
+    assert docstrings(source) == [(None, "Module."), ("A", "Class."), ("f", "Method.")]
+
+
+def test_docstrings_name_users_not_the_benchmark_workloads():
+    # A public name stays because the program, the README or a demo uses
+    # it, and its docstring says which; the benchmark's workloads are no
+    # reason.  The tracer is, for the names it wraps by string.
+    offenders = [f"{path.name}: {name or '<module>'}"
+                 for path in sorted(PACKAGE.glob("*.py"))
+                 for name, text in docstrings(path.read_text())
+                 if "perfbench/workloads.py" in text]
+    assert offenders == []
+
+
 def test_every_export_has_a_caller():
     # The tracer names what it wraps as strings, so the benchmark's string
     # constants count; the package's own __all__ lists do not.
@@ -78,7 +111,7 @@ MOVED_TO_TESTS = ["minor_check", "support_set", "truncate_legs", "rigidity_check
                   "seifert_euler_number", "det", "h1_order", "is_lspace",
                   "is_negative_definite", "Embedding", "mat_vec",
                   "is_negative_definite_matrix", "definite_det", "_sorted_star", "definite",
-                  "tangle_alpha_beta",
+                  "tangle_alpha_beta", "gram_matrix", "is_symmetric", "_in_vertex_order",
                   # the unguarded private twin of each guarded entry
                   *("_" + name for name in ("laufer_run", "embeddings_by_rank",
                                             "qa_lattice_obstruction", "definite_det"))]
@@ -98,7 +131,10 @@ def test_paper_lemma_checks_stay_in_the_tests(module):
     # constructor, which freezes its input itself; Embedding in favour of
     # the intmat.Matrix that the lattice functions take and return;
     # tangle_alpha_beta in favour of montesinos._reduced_pair, the one
-    # tangle reducer.
+    # tangle reducer.  gram_matrix and is_symmetric had one caller each,
+    # gram_matches and negative_definite_det, which now compute them
+    # inline; _in_vertex_order folded into _canonical_rows, the one map
+    # from a leaf to an embedding.
     namespace = importlib.import_module(module)
     assert [name for name in MOVED_TO_TESTS if hasattr(namespace, name)] == []
 

@@ -6,11 +6,11 @@ import pytest
 
 from conftest import random_star_graph
 from qamont.errors import NotNegativeDefiniteError
-from qamont.intmat import Definite, freeze, is_symmetric, negative_definite_det
+from qamont.intmat import Definite, freeze, negative_definite_det
 from qamont.lattice import embeddings_by_rank
 from qamont.laufer import LauferVerdict, laufer_run
 from qamont.plumbing import PlumbingGraph, adjacency_matrix
-from references import det
+from references import det, is_symmetric
 from smith_form import invariant_factors, matmul, transpose
 
 

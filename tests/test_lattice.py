@@ -22,7 +22,8 @@ from qamont.montesinos import (MontesinosLink, determinant, to_negative_form,
 from qamont.plumbing import PlumbingGraph, adjacency_matrix, build_graph, oriented_graph
 from paper_lemmas import minor_check, rigidity_check, support_set, truncate_legs
 from references import canonical_rows as canonical_rows_of_columns
-from references import det, is_negative_definite_matrix, leg_tuple_ties, prefix_r
+from references import (det, gram_matrix, is_negative_definite_matrix, leg_tuple_ties,
+                        prefix_r)
 from smith_form import invariant_factors
 
 D4_GRAPH = PlumbingGraph(-2, ((-2,), (-2,), (-2,)))
@@ -126,9 +127,9 @@ class TestEnumerate:
     def test_only_the_leaves_read_are_canonicalised(self, monkeypatch):
         calls = Counter()
 
-        def counting_rows(cols, n, rows=lattice._canonical_rows):
+        def counting_rows(slots, n, cols, rows=lattice._canonical_rows):
             calls[n] += 1
-            return rows(cols, n)
+            return rows(slots, n, cols)
 
         monkeypatch.setattr(lattice, "_canonical_rows", counting_rows)
         q = adjacency_matrix(PlumbingGraph(-3, ((-2, -2), (-4,))))
@@ -152,9 +153,15 @@ class TestEnumerate:
                 if rng.random() < 0.2:
                     rows[r] = tuple(-x for x in rows[r])
             cols = list(zip(*rows))
+            # column v of the embedding is cols[slots[v]]
+            slots = list(range(k))
+            shuffled = rng.sample(slots, k)
             for n in range(m + 1):
                 expected = canonical_rows_of_columns(cols, n)
-                assert lattice._canonical_rows(cols, n) == expected, (cols, n)
+                assert lattice._canonical_rows(slots, n, cols) == expected, (cols, n)
+                permuted = canonical_rows_of_columns([cols[s] for s in shuffled], n)
+                assert lattice._canonical_rows(shuffled, n, cols) == permuted, \
+                    (cols, shuffled, n)
 
     def test_streams_keep_their_rank_when_read_late(self):
         q = adjacency_matrix(PlumbingGraph(-3, ((-2, -2), (-4,))))
@@ -395,10 +402,10 @@ class TestMatrixContract:
 
     def test_functions_take_a_plain_tuple_matrix(self):
         emb = ((1, -1, -1, 0), (1, 0, 0, -1), (0, 1, -1, 0), (0, 0, 0, 1))
-        assert lattice.gram_matrix(emb) == D4_Q
+        assert gram_matrix(emb) == D4_Q
         assert gram_matches(emb, D4_Q)
         assert transpose_surjective(emb) is False
-        assert lattice.gram_matrix(((1,), (1,))) == ((-2,),)
+        assert gram_matrix(((1,), (1,))) == ((-2,),)
         assert gram_matches(((1,), (1,)), ((-2,),))
         assert transpose_surjective(((1,), (1,))) is True
         assert transpose_surjective(()) is True  # k = 0: Z^0 is always reached
