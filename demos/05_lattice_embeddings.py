@@ -3,21 +3,21 @@
 An embedding sends the plumbing lattice into a negative diagonal lattice;
 quasi-alternating links must admit one whose transpose is onto (all
 invariant factors 1).  The search is exhaustive up to the sum of absolute
-weights, one representative per signed-permutation orbit.
+weights, one representative per signed-permutation orbit, and
+``all_embeddings`` yields each one as its walk reaches it, with its rank.
 Run: python3 demos/05_lattice_embeddings.py
 """
 
-from qamont import (PlumbingGraph, embeddings_by_rank, gram_matches, qa_lattice_obstruction,
+from qamont import (PlumbingGraph, all_embeddings, gram_matches, qa_lattice_obstruction,
                     transpose_surjective)
 
 D4 = PlumbingGraph(-2, ((-2,), (-2,), (-2,)))
 q = D4.definite_form  # the adjacency matrix, eliminated once, with its det
 print("All embeddings of the three-legged -2 star (D4 form) into rank 4:")
 print("(the tree's label, read off its bases mod 2, beside the integer test)")
-for _, embeddings in embeddings_by_rank(q, 4):
-    for emb, surjective in embeddings:
-        print(f"  rows {emb}  gram ok: {gram_matches(emb, q)}  "
-              f"label: {surjective}  transpose_surjective: {transpose_surjective(emb)}")
+for n, emb, surjective in all_embeddings(q, 4):
+    print(f"  n={n} rows {emb}  gram ok: {gram_matches(emb, q)}  "
+          f"label: {surjective}  transpose_surjective: {transpose_surjective(emb)}")
 
 result = qa_lattice_obstruction(D4)
 print(f"\nExhausting ranks 4 to {-sum(q[i][i] for i in range(len(q)))}: "

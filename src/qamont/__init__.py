@@ -15,9 +15,9 @@ from .classifier import (Branch, Evidence, Reason, Status, Verdict, classify,
                          enumerate_family, explain, render_explain, verify)
 from .errors import (InternalError, NotNegativeDefiniteError, ParseError,
                      StepLimitError)
-from .lattice import (ObstructionResult, embeddings_by_rank,
-                      enumerate_embeddings, gram_matches,
-                      qa_lattice_obstruction, transpose_surjective)
+from .lattice import (ObstructionResult, all_embeddings, enumerate_embeddings,
+                      gram_matches, qa_lattice_obstruction,
+                      transpose_surjective)
 from .laufer import LauferResult, LauferVerdict, laufer_run
 from .montesinos import (MontesinosLink, StandardForm, canonical_form,
                          determinant, epsilon, format_link, parse_link,
@@ -35,7 +35,7 @@ __all__ = [
     "PlumbingGraph", "build_graph", "oriented_graph", "adjacency_matrix",
     "parse_graph", "format_graph",
     "LauferResult", "LauferVerdict", "laufer_run",
-    "ObstructionResult", "enumerate_embeddings", "embeddings_by_rank",
+    "ObstructionResult", "all_embeddings", "enumerate_embeddings",
     "gram_matches", "transpose_surjective", "qa_lattice_obstruction",
     "Status", "Reason", "Branch", "Verdict", "Evidence",
     "classify", "verify", "enumerate_family", "explain", "render_explain",

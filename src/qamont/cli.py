@@ -9,7 +9,9 @@ precondition error (e.g. an indefinite graph), 4 internal guard tripped.
 
 Records are bit-exact across runs and worker counts; per-record timing is
 therefore only emitted when ``--timing`` is requested.  jsonl and tsv
-print each record as soon as it is built, in input order.
+print each record as soon as it is built, in input order, and
+``embed --all`` prints each embedding as the search reaches it, in walk
+order, so neither holds what it has printed.
 
 A jsonl line is ``json.dumps(record)`` with the ``json`` defaults, then a
 newline, in one write: ``", "`` between fields and ``": "`` after each
@@ -43,7 +45,7 @@ from typing import Iterable, Iterator
 
 from .classifier import classify, enumerate_family, explain, render_explain, verify
 from .errors import InternalError, NotNegativeDefiniteError, ParseError
-from .lattice import embeddings_by_rank, qa_lattice_obstruction
+from .lattice import all_embeddings, qa_lattice_obstruction
 from .laufer import laufer_run
 from .montesinos import _INTEGER, MontesinosLink, canonical_form, format_link, parse_link
 from .plumbing import parse_graph
@@ -256,14 +258,13 @@ def cmd_embed(args) -> int:
         raise ValueError(f"--n-max must be at least 1, got {args.n_max}")
     graph = _read_graph(args.graph_file)
     if args.all:
-        # embeddings_by_rank takes the graph's cross-checked q as it is.
+        # all_embeddings takes the graph's cross-checked q as it is.
         total = 0
-        for n, embeddings in embeddings_by_rank(graph.definite_form, args.n_max):
-            for emb, surjective in embeddings:
-                total += 1
-                flag = "true" if surjective else "false"
-                print("\n".join([f"embedding n={n} index={total} surjective={flag}",
-                                 *(" ".join(map(str, row)) for row in emb), ""]))
+        for n, emb, surjective in all_embeddings(graph.definite_form, args.n_max):
+            total += 1
+            flag = "true" if surjective else "false"
+            print("\n".join([f"embedding n={n} index={total} surjective={flag}",
+                             *(" ".join(map(str, row)) for row in emb), ""]))
         print(f"total: {total}")
         return 0
     result = qa_lattice_obstruction(graph)

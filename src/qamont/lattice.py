@@ -18,19 +18,21 @@ right after the touched rows.
 
 Every leaf is a new orbit, so nothing is stored to deduplicate; each leaf
 that is reported is mapped back to the caller's vertex order and
-canonicalised the same way.  ``_OrderlyTree`` states the completeness
+canonicalised the same way, as the walk reaches it, so nothing is stored
+between leaves either.  ``_OrderlyTree`` states the completeness
 argument.
 
 Rows of yielded embeddings are therefore sorted; coordinates never touched
 by any column are not represented, so enumeration at ambient rank n only
 yields matrices with no zero row.  ``_rank_bound`` is the rank that makes
-the search complete, and states why it loses nothing; ``embeddings_by_rank``
+the search complete, and states why it loses nothing; ``all_embeddings``
 and ``qa_lattice_obstruction`` each walk one tree for all the ranks from k
-up to it.  Both keep the placed columns in echelon form mod each prime
-whose square divides det q (``_OrderlyTree``): the obstruction search
+up to it, and ``all_embeddings`` yields its leaves in that walk's order,
+ranks interleaved.  Both keep the placed columns in echelon form mod each
+prime whose square divides det q (``_OrderlyTree``): the obstruction search
 prunes every column set that is dependent mod one of them, so that every
-leaf it reaches has surjective transpose, and ``embeddings_by_rank`` keeps
-it and labels each leaf with whether its transpose is surjective.  The
+leaf it reaches has surjective transpose, and ``all_embeddings`` keeps it
+and labels each leaf with whether its transpose is surjective.  The
 obstruction search runs once per placement form, which every leg order of
 a star shares.  Coordinate and vertex indices are 0-based throughout.
 """
@@ -38,7 +40,7 @@ a star shares.  Coordinate and vertex indices are 0-based throughout.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import islice
 from math import isqrt
 from operator import itemgetter
@@ -50,8 +52,8 @@ from .plumbing import PlumbingGraph
 __all__ = [
     "ObstructionResult",
     "gram_matches",
+    "all_embeddings",
     "enumerate_embeddings",
-    "embeddings_by_rank",
     "transpose_surjective",
     "qa_lattice_obstruction",
 ]
@@ -94,15 +96,16 @@ class _OrderlyTree:
     A leaf places every column; its rank is the number of coordinates its
     columns touch, always the first ones.  ``leaves`` walks the tree depth
     first and yields the rank of each leaf, with ``cols`` holding the leaf's
-    columns in placement order.  ``high`` starts at n and may be lowered
-    between leaves: from then on every node and every fresh block that would
-    touch more than ``high`` coordinates is pruned.  ``nodes`` counts the
-    columns placed.  Given ``primes``, the tree keeps the placed columns in
-    echelon form mod each of them, and a candidate column that would make
-    them dependent mod one of them is dropped, and counted in ``pruned``:
-    the leaves are then exactly the surjective ones (below).  Given
-    ``label`` as well, such a column is kept, and ``onto`` says at each
-    leaf whether its transpose is surjective.
+    columns in placement order until the walk resumes, so a caller maps a
+    leaf before it asks for the next one, or copies it.  ``high`` starts at
+    n and may be lowered between leaves: from then on every node and every
+    fresh block that would touch more than ``high`` coordinates is pruned.
+    ``nodes`` counts the columns placed.  Given ``primes``, the tree keeps
+    the placed columns in echelon form mod each of them, and a candidate
+    column that would make them dependent mod one of them is dropped, and
+    counted in ``pruned``: the leaves are then exactly the surjective ones
+    (below).  Given ``label`` as well, such a column is kept, and ``onto``
+    says at each leaf whether its transpose is surjective.
 
     The tree walks the form it is given, placing vertex i as column i;
     ``_placement`` chooses that order and maps the leaves back.
@@ -160,8 +163,8 @@ class _OrderlyTree:
     mod-p bases decide which leaves have a transpose that is onto, and no
     leaf is tested.  The same bases prune one search and label the other:
     the obstruction search keeps exactly the onto leaves, in the same
-    order, and ``embeddings_by_rank`` (``label``) keeps every leaf and
-    labels it:
+    order, and ``all_embeddings`` (``label``) keeps every leaf and labels
+    it:
 
     * Lemma.  Let A be a leaf's matrix, on the rank rows it touches, and d
       the index in Z^k of the lattice L its rows generate (full rank, since
@@ -369,11 +372,11 @@ def _placement(q: Matrix, ties: Sequence) -> tuple[Matrix, list[int]]:
     fixed vertex permutation is a bijection on column assignments that
     commutes with the action on rows, so it maps orbits to orbits: a leaf's
     columns taken back in vertex order through ``slots`` and canonicalised,
-    both by ``_canonical_rows``, give, at every rank, the same set of
-    orbits as a search in vertex order would, and satisfy the Gram
-    condition against ``q``.
+    both by ``_canonical_rows`` as the walk reaches the leaf, give, at every
+    rank, the same set of orbits as a search in vertex order would, and
+    satisfy the Gram condition against ``q``.
     The rank bound depends only on the norms, so it is untouched.
-    ``embeddings_by_rank`` breaks ties by vertex index;
+    ``all_embeddings`` breaks ties by vertex index;
     ``qa_lattice_obstruction`` breaks them so that every leg order of a star
     gets one form.
     """
@@ -387,15 +390,15 @@ def _placement(q: Matrix, ties: Sequence) -> tuple[Matrix, list[int]]:
 def enumerate_embeddings(q: Matrix, n: int) -> Iterator[Matrix]:
     """All embeddings of (Z^k, q) into (Z^n, -Id) touching every coordinate,
     one representative per signed-permutation orbit, in a deterministic
-    order: the matrices of the rank-n stream of ``embeddings_by_rank(q, n)``.
-    The stream is empty when no embedding exists.
+    order: the matrices of rank n in ``all_embeddings(q, n)``.  The stream
+    is empty when no embedding exists.
 
     No program path calls it: ``perfbench/tracing.py`` wraps it by name
     (``INTRA_MODULE``), and it goes once the tracer stops naming it.
     """
     if n < 1:
         raise ValueError("ambient rank must be positive")
-    return map(itemgetter(0), dict(embeddings_by_rank(q, n)).get(n, ()))
+    return (emb for rank, emb, _ in all_embeddings(q, n) if rank == n)
 
 
 def _rank_bound(q: Matrix) -> int:
@@ -412,36 +415,34 @@ def _rank_bound(q: Matrix) -> int:
     return sum(-q[i][i] for i in range(len(q)))
 
 
-def embeddings_by_rank(q: Matrix, n_max: int | None = None
-                       ) -> Iterator[tuple[int, Iterator[tuple[Matrix, bool]]]]:
-    """``(n, stream)`` for each ambient rank n from the vertex count k up to
-    N = ``_rank_bound(q)`` (complete; ``n_max`` lowers N), each stream
-    yielding ``(matrix, surjective)`` for the embeddings that touch all n
-    coordinates, one per signed-permutation orbit (``_OrderlyTree``), in a
-    deterministic order.  ``surjective`` is whether the matrix's transpose
-    is onto, read off the tree's bases mod the critical primes of q: the
-    walk keeps each column that is dependent mod one of them, and labels
-    every leaf below it not surjective (``_OrderlyTree``, ``label``).
+def all_embeddings(q: Matrix, n_max: int | None = None
+                   ) -> Iterator[tuple[int, Matrix, bool]]:
+    """``(n, matrix, surjective)`` for every embedding of (Z^k, q) into
+    (Z^n, -Id) that touches all n coordinates, for each ambient rank n from
+    the vertex count k up to N = ``_rank_bound(q)`` (complete; ``n_max``
+    lowers N), one per signed-permutation orbit (``_OrderlyTree``), in the
+    walk order of one orderly tree at rank N.  ``surjective`` is whether the
+    matrix's transpose is onto, read off the tree's bases mod the critical
+    primes of q: the walk keeps each column that is dependent mod one of
+    them, and labels every leaf below it not surjective (``_OrderlyTree``,
+    ``label``).
 
-    One walk of the orderly tree at rank N files each leaf under its rank.
-    Its leaves of rank n are the rank-n tree's, in the same depth-first
-    order: the walk, the orderly cap and the Cauchy-Schwarz prune do not
-    depend on n, except that the walk stops at ``high``, so the rank-n
-    candidates are the N tree's that touch at most n coordinates, and the
-    stable sort by fresh-block size keeps them in the same order; and
-    touched counts only grow along a path, so a node cut for touching more
-    than n coordinates has no leaf of rank n.
+    Each leaf is canonicalised by ``_canonical_rows`` and yielded as the
+    walk reaches it, so nothing is held between leaves: memory stays flat
+    in the number of embeddings, and a caller that stops reading stops the
+    walk.  The ranks come interleaved.  The tree's leaves of rank n are the
+    rank-n tree's, in the same depth-first order: the walk, the orderly cap
+    and the Cauchy-Schwarz prune do not depend on n, except that the walk
+    stops at ``high``, so the rank-n candidates are the N tree's that touch
+    at most n coordinates, and the stable sort by fresh-block size keeps
+    them in the same order; and touched counts only grow along a path, so a
+    node cut for touching more than n coordinates has no leaf of rank n.
+    So the stream restricted to one rank is that rank's own search.
 
-    The leaves' raw columns are held until the walk ends, so a caller
-    printing the streams prints nothing before the search is done.  A leaf
-    is mapped to its matrix by ``_canonical_rows`` only when its stream
-    reaches it, so a caller that reads one rank pays for that rank alone.
-    Each stream binds its rank with ``partial`` when it is made, so the
-    streams are independent, consumable in any order.  ``q`` is guarded by
-    ``Definite(q)`` before the rank range is computed: a ``Definite`` passes
-    as it is, any other matrix (list rows included) is frozen and
-    eliminated, and a form that is not negative definite is rejected even
-    when the range is empty.
+    ``q`` is guarded by ``Definite(q)`` before the rank range is computed:
+    a ``Definite`` passes as it is, any other matrix (list rows included)
+    is frozen and eliminated, and a form that is not negative definite is
+    rejected even when the range is empty.
     """
     q = Definite(q)
     top = _rank_bound(q) if n_max is None else min(_rank_bound(q), n_max)
@@ -449,13 +450,8 @@ def embeddings_by_rank(q: Matrix, n_max: int | None = None
         return
     form, slots = _placement(q, range(len(q)))
     tree = _OrderlyTree(form, top, _critical_primes(q.det), label=True)
-    found: list[list[list[tuple[int, ...]]]] = [[] for _ in range(top + 1)]
-    labels: list[list[bool]] = [[] for _ in range(top + 1)]
-    for rank in tree.leaves():
-        found[rank].append(tree.cols[:])
-        labels[rank].append(tree.onto)
-    for n in range(len(q), top + 1):
-        yield n, zip(map(partial(_canonical_rows, slots, n), found[n]), labels[n])
+    for n in tree.leaves():
+        yield n, _canonical_rows(slots, n, tree.cols), tree.onto
 
 
 def transpose_surjective(emb: Matrix) -> bool:
@@ -595,20 +591,19 @@ def _obstruction_search(q: Matrix, d: int) -> tuple[
     negative definite, with d = det q, walked as it is:
     ``(witness columns or None, witness_n, nodes, leaves, pruned)``.
 
-    Its norms ascend, so ``embeddings_by_rank(q)`` places it as it is, and
-    the result is that of searching the ranks k, k + 1, ... of that
-    ``embeddings_by_rank`` in turn and testing each embedding with
-    ``transpose_surjective``: the witness is the first surjective embedding
-    of the stream at the minimal ambient rank, and the stream is
-    deterministic, so the witness is too.  Exhausting every rank without
-    one gives the obstructed outcome.
+    Its norms ascend, so ``all_embeddings(q)`` places it as it is, and the
+    result is that of reading that whole stream and testing each embedding
+    with ``transpose_surjective``: the witness is the first surjective leaf
+    of minimal rank in the walk order of ``all_embeddings(q)``, and the
+    walk is deterministic, so the witness is too.  A stream with no
+    surjective leaf gives the obstructed outcome.
 
     It is computed in one traversal of the orderly tree at the top rank
     N = ``_rank_bound``, where a leaf's rank is the number of coordinates it
     touches, pruned mod the critical primes of q, the primes p with
     p^2 | det q.  Nothing is lost and nothing changes:
 
-    * The rank-n tree is its subtree of rank-n leaves (``embeddings_by_rank``).
+    * The rank-n tree is its subtree of rank-n leaves (``all_embeddings``).
     * The mod-p prune cuts exactly the subtrees that hold no surjective
       leaf, and the leaves it keeps are exactly the surjective ones
       (``_OrderlyTree``), met in the same order.  So no leaf is tested.
@@ -621,8 +616,8 @@ def _obstruction_search(q: Matrix, d: int) -> tuple[
     The order of the walk decides how much is cut, not what is found.
     Siblings are met by fresh-block size, ascending (``_OrderlyTree``), so
     the first leaves the walk meets tend to have low rank, and the subtrees
-    they cut are never entered.  It is the order of the streams of
-    ``embeddings_by_rank`` too, so the witness is the one stated above.
+    they cut are never entered.  It is the walk order of ``all_embeddings``
+    too, so the witness is the one stated above.
 
     So the search is obstructed exactly when it reaches no leaf.  The
     witness's columns, copied when it was found, are returned in placement

@@ -2,7 +2,8 @@
 leg truncation (r + s = 1) and support rigidity.  No program path needs
 them: ``verify`` decides through Laufer's sequence and the exhaustive
 embedding search.  Acceptance criteria 5-7 and ``tests/test_lattice.py``
-hold the embeddings that ``embeddings_by_rank`` yields to them."""
+hold the embeddings that ``all_embeddings`` yields to them, in its walk
+order."""
 
 from __future__ import annotations
 

@@ -6,8 +6,8 @@ tangle's ``Fraction``, the tangle order and the family walk sorted as
 determinants by
 Bareiss elimination with row pivoting, the boolean definiteness test, the
 symmetry test, the matrix-vector product, the form -A^T A of an embedding
-A, and canonical rows read one index at a time.  No program path needs
-them: ``cfrac.cf_expand``,
+A, canonical rows read one index at a time, and an embedding stream
+grouped by rank.  No program path needs them: ``cfrac.cf_expand``,
 ``plumbing.negative_definite_by_sign``, ``montesinos._reduced_pair``,
 ``montesinos.format_link``, ``montesinos._TANGLE_ORDER`` and
 ``Verdict.epsilon_text`` run on integers,
@@ -157,6 +157,17 @@ def canonical_rows(cols: Sequence[Sequence[int]], n: int) -> Matrix:
         rows.append(row)
     rows.sort(reverse=True)
     return tuple(rows)
+
+
+def by_rank(stream, low: int, high: int) -> dict[int, list[tuple[Matrix, bool]]]:
+    """The ``(n, matrix, surjective)`` items of a ``lattice.all_embeddings``
+    stream grouped by rank: ``(matrix, surjective)`` per item, in stream
+    order, under each rank from ``low`` to ``high``, empty ranks included.
+    An item of any other rank raises ``KeyError``."""
+    ranks: dict[int, list[tuple[Matrix, bool]]] = {n: [] for n in range(low, high + 1)}
+    for n, emb, surjective in stream:
+        ranks[n].append((emb, surjective))
+    return ranks
 
 
 def det(m: Matrix) -> int:

@@ -15,7 +15,7 @@ from paper_lemmas import minor_check, rigidity_check, support_set, truncate_legs
 from qamont.classifier import Branch, Status, classify, enumerate_family, verify
 from qamont.cli import main
 from qamont.intmat import freeze
-from qamont.lattice import embeddings_by_rank, transpose_surjective
+from qamont.lattice import all_embeddings, transpose_surjective
 from qamont.laufer import LauferVerdict, laufer_run
 from qamont.montesinos import (MontesinosLink, canonical_form, determinant,
                                epsilon, format_link, reflect, slide,
@@ -120,11 +120,13 @@ def test_criterion_5_unit_minors_whenever_surjective():
                 if abs(minor_check(emb, cols)) != 1:
                     violations += 1
 
-    # Replay the family's obstruction searches, inspecting every examined
-    # embedding.  The minimal-rank witnesses of connected three-leg graphs
-    # never split off a supported column subset (a supported chain would
-    # force a minor of size alpha >= 2, which surjectivity forbids), so the
-    # family contributes surjective embeddings but no supported subsets.
+    # Replay the family's obstruction searches, inspecting each witness: the
+    # first surjective embedding of minimal rank in walk order, with every
+    # label checked on the way.  The minimal-rank witnesses of connected
+    # three-leg graphs never split off a supported column subset (a
+    # supported chain would force a minor of size alpha >= 2, which
+    # surjectivity forbids), so the family contributes surjective
+    # embeddings but no supported subsets.
     for link in FAMILY:
         if determinant(link) == 0:
             continue
@@ -132,16 +134,13 @@ def test_criterion_5_unit_minors_whenever_surjective():
         q = adjacency_matrix(graph)
         if laufer_run(q).verdict is not LauferVerdict.RATIONAL:
             continue
-        for _, embeddings in embeddings_by_rank(q):
-            witness = None
-            for emb, surjective in embeddings:
-                assert surjective == transpose_surjective(emb), emb
-                if surjective:
-                    witness = emb
-                    break
-            if witness is not None:
-                inspect(witness)
-                break  # the pipeline stops at the first witness
+        witness, witness_n = None, None
+        for n, emb, surjective in all_embeddings(q):
+            assert surjective == transpose_surjective(emb), emb
+            if surjective and (witness is None or n < witness_n):
+                witness, witness_n = emb, n
+        if witness is not None:
+            inspect(witness)
 
     # Supplementary sweep where supported subsets do occur: every embedding
     # of every one-tangle (lens space) graph, across the full rank range.
@@ -150,11 +149,10 @@ def test_criterion_5_unit_minors_whenever_surjective():
             continue
         _, graph = oriented_graph(link)
         q = adjacency_matrix(graph)
-        for _, embeddings in embeddings_by_rank(q):
-            for emb, surjective in embeddings:
-                assert surjective == transpose_surjective(emb), emb
-                if surjective:
-                    inspect(emb)
+        for _, emb, surjective in all_embeddings(q):
+            assert surjective == transpose_surjective(emb), emb
+            if surjective:
+                inspect(emb)
 
     report(5, surjective_seen > 0 and subsets_checked > 0 and violations == 0,
            f"{subsets_checked} supported minors on {surjective_seen} surjective "
@@ -201,13 +199,12 @@ def test_criterion_7_rigidity_property():
         q = freeze(q)
         psi1 = tuple(range(k1))
         psi2 = tuple(range(k1, k1 + k2))
-        for _, embeddings in embeddings_by_rank(q):
-            for emb, _ in embeddings:
-                if not (support_set(emb, (psi1[0],)) & support_set(emb, (psi2[0],))):
-                    continue
-                embeddings_checked += 1
-                if rigidity_check(emb, psi1, psi2) is not True:
-                    failures += 1
+        for _, emb, _ in all_embeddings(q):
+            if not (support_set(emb, (psi1[0],)) & support_set(emb, (psi2[0],))):
+                continue
+            embeddings_checked += 1
+            if rigidity_check(emb, psi1, psi2) is not True:
+                failures += 1
     report(7, embeddings_checked > 0 and failures == 0,
            f"rigidity held on {embeddings_checked} hypothesis-satisfying "
            f"embeddings across {instances} instances")

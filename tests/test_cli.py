@@ -2,6 +2,7 @@ import concurrent.futures
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -899,15 +900,28 @@ def test_verify_guard_failure_exits_4_naming_the_link(capsys, monkeypatch):
     assert err.startswith("internal error:") and "M(0; 5/2, 7/3)" in err
 
 
+def order_free(out):
+    """One ``embed --all`` output with its blocks' ``index=`` removed and
+    the blocks sorted, then its total line: the same text for every order
+    in which the search lists the same embeddings and flags."""
+    *blocks, total = out.split("\n\n")
+    return "\n\n".join(sorted(re.sub(r" index=\d+", "", block) for block in blocks)
+                       + [total])
+
+
 class TestEmbedAll:
-    """``embed --all`` prints the label ``embeddings_by_rank`` reads off the
+    """``embed --all`` prints the label ``all_embeddings`` reads off the
     tree's bases mod the critical primes of det q (the Lemma of
     ``lattice._OrderlyTree``), and runs ``transpose_surjective`` on no
-    embedding."""
+    embedding.  It prints the embeddings in the search's walk order."""
 
-    # sha256 of the concatenated ``embed --all`` outputs of GRAPHS, taken
-    # while every listed embedding was still tested.
-    DIGEST = "109586c53654b4743c0ed7e7e8c19029c3a6722ba9c9c3eeeddb5ebb4ea5f2f5"
+    # sha256 of the concatenated ``embed --all`` outputs of GRAPHS, in walk
+    # order.
+    DIGEST = "8ac0357e8ae66eab572cdb2616e60a69804e474e9391ec45e92b320ef1b35d7a"
+    # sha256 of the concatenated ``order_free`` texts of the same outputs,
+    # taken when each rank was listed in turn and every listed embedding
+    # was still tested: walk order lists the same embeddings and flags.
+    ORDER_FREE_DIGEST = "bc674d681c42adb40488a2953205a4d584aa853d3b482ed67c5dd5fc9367b241"
 
     # The distinct oriented graphs of p=2, alpha<=5 and p=3, alpha<=3,
     # e in [-2,3], with zero determinant links left out.
@@ -919,18 +933,20 @@ class TestEmbedAll:
 
     def test_flags_are_the_test_and_the_output_is_pinned(self, tmp_path, capsys):
         path = tmp_path / "g.graph"
-        digest = hashlib.sha256()
+        digest, order_free_digest = hashlib.sha256(), hashlib.sha256()
         flags = {}
         for graph in self.GRAPHS:
             path.write_text(format_graph(graph))
             code, out, _ = run(capsys, "embed", str(path), "--all")
             assert code == 0
             digest.update(out.encode())
+            order_free_digest.update(order_free(out).encode())
             critical = bool(_critical_primes(graph.definite_form.det))
-            for block in out.split("\n\n")[:-1]:
+            for index, block in enumerate(out.split("\n\n")[:-1], 1):
                 head, *lines = block.splitlines()
                 rows = tuple(tuple(map(int, line.split())) for line in lines)
-                flag = head.split()[-1]
+                rank, number, flag = head.split()[1:]
+                assert (rank, number) == (f"n={len(rows)}", f"index={index}")
                 assert flag == f"surjective={str(transpose_surjective(rows)).lower()}"
                 flags[critical, flag] = flags.get((critical, flag), 0) + 1
         assert len(self.GRAPHS) == 296
@@ -939,6 +955,7 @@ class TestEmbedAll:
         assert flags[False, "surjective=true"] and flags[True, "surjective=true"]
         assert flags[True, "surjective=false"] == 160
         assert (False, "surjective=false") not in flags
+        assert order_free_digest.hexdigest() == self.ORDER_FREE_DIGEST
         assert digest.hexdigest() == self.DIGEST
 
     def test_no_graph_runs_a_surjectivity_test(self, tmp_path, capsys, monkeypatch):
@@ -956,9 +973,37 @@ class TestEmbedAll:
             assert out.count(f"surjective={flags}") == 3 and out.count("surjective=") == 3
             assert out.endswith("total: 3\n")
 
+    @pytest.mark.slow
+    def test_memory_stays_flat_on_a_large_star(self, tmp_path):
+        # The plumbing of M(-3; 9/4, 38/25, 19/7, 5/2): 409,610 embeddings.
+        # Holding each leaf until the walk ended took a 247 MB peak here;
+        # streaming them holds none.  The process reports its own peak RSS
+        # as VmHWM, the high-water mark of its own address space: Linux's
+        # RUSAGE_SELF ru_maxrss also counts the forking process's RSS at
+        # exec, and this test's process is larger than the bound.
+        path = tmp_path / "star.graph"
+        path.write_text("central: -7\nleg: -2 -5\nleg: -3 -13\nleg: -2 -3 -2 -3\n"
+                        "leg: -2 -3\n")
+        proc = cli_process("embed", str(path), "--all", code=(
+            "import sys; from qamont.cli import main; code = main(); sys.stdout.flush(); "
+            "print(*[line for line in open('/proc/self/status') "
+            "if line.startswith('VmHWM:')], file=sys.stderr, end=''); "
+            "sys.exit(code)"))
+        try:
+            tail = b""
+            for chunk in iter(lambda: proc.stdout.read(1 << 16), b""):
+                tail = (tail + chunk)[-64:]
+            _, err = proc.communicate(timeout=600)
+        finally:
+            proc.kill()
+        assert proc.returncode == 0
+        assert tail.endswith(b"\n\ntotal: 409610\n")
+        name, peak, unit = err.split()
+        assert (name, unit) == (b"VmHWM:", b"kB") and int(peak) < 40 * 1024
+
     def test_one_elimination_per_graph(self, tmp_path, capsys, monkeypatch):
         # The cross-checked guard's elimination gives det q, and its Definite
-        # q passes embeddings_by_rank's guard as it is: no second guard.
+        # q passes all_embeddings's guard as it is: no second guard.
         calls = []
 
         def counting(m, eliminate=intmat.negative_definite_det):
@@ -976,9 +1021,30 @@ class TestEmbedAll:
                 assert calls == [graph.vertex_count], graph
 
 
+def cli_process(*argv, code="import sys; from qamont.cli import main; sys.exit(main())"):
+    """The CLI, or ``code``, in a fresh interpreter on this checkout's
+    ``src``, with stdout and stderr piped."""
+    src = str(Path(qamont.__file__).resolve().parent.parent)
+    return subprocess.Popen([sys.executable, "-c", code, *argv], stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, env=dict(os.environ, PYTHONPATH=src))
+
+
 class TestClosedOutput:
     """A reader that closes standard output early (``| head -1``) ends the
-    command with exit code 1 and no traceback, with or without a pool."""
+    command with exit code 1 and no traceback, with or without a pool, and
+    while ``embed --all`` is still searching."""
+
+    def first_line_then_close(self, *argv):
+        proc = cli_process(*argv)
+        try:
+            first = proc.stdout.readline()
+            proc.stdout.close()
+            _, err = proc.communicate(timeout=60)
+        finally:
+            proc.kill()
+        assert proc.returncode == 1
+        assert b"Traceback" not in err and b"Exception ignored" not in err
+        return first
 
     @pytest.mark.parametrize("argv", [
         ("enumerate", "--p", "4", "--alpha-max", "7", "--e-min", "-2", "--e-max", "5"),
@@ -986,20 +1052,16 @@ class TestClosedOutput:
          "--verify", "--jobs", "2"),
     ], ids=["classify-only", "verify-pool"])
     def test_closed_stdout_exits_1(self, argv):
-        src = str(Path(qamont.__file__).resolve().parent.parent)
-        env = dict(os.environ, PYTHONPATH=src)
-        proc = subprocess.Popen(
-            [sys.executable, "-c", "import sys; from qamont.cli import main; sys.exit(main())",
-             *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
-        try:
-            first = proc.stdout.readline()
-            proc.stdout.close()
-            _, err = proc.communicate(timeout=60)
-        finally:
-            proc.kill()
+        first = self.first_line_then_close(*argv)
         assert json.loads(first)["link"].startswith("M(")
-        assert proc.returncode == 1
-        assert b"Traceback" not in err and b"Exception ignored" not in err
+
+    def test_closed_stdout_ends_embed_all(self, tmp_path):
+        # The plumbing of M(-2; 38/25, 5/2, 7/3): 7,247 embeddings, far more
+        # output than a pipe holds.
+        path = tmp_path / "star.graph"
+        path.write_text("central: -5\nleg: -3 -13\nleg: -2 -3\nleg: -2 -4\n")
+        first = self.first_line_then_close("embed", str(path), "--all")
+        assert first.startswith(b"embedding n=") and b" index=1 " in first
 
 
 def test_importing_the_cli_loads_no_process_pool():

@@ -112,6 +112,7 @@ MOVED_TO_TESTS = ["minor_check", "support_set", "truncate_legs", "rigidity_check
                   "is_negative_definite", "Embedding", "mat_vec",
                   "is_negative_definite_matrix", "definite_det", "_sorted_star", "definite",
                   "tangle_alpha_beta", "gram_matrix", "is_symmetric", "_in_vertex_order",
+                  "embeddings_by_rank",
                   # the unguarded private twin of each guarded entry
                   *("_" + name for name in ("laufer_run", "embeddings_by_rank",
                                             "qa_lattice_obstruction", "definite_det"))]
@@ -134,7 +135,8 @@ def test_paper_lemma_checks_stay_in_the_tests(module):
     # tangle reducer.  gram_matrix and is_symmetric had one caller each,
     # gram_matches and negative_definite_det, which now compute them
     # inline; _in_vertex_order folded into _canonical_rows, the one map
-    # from a leaf to an embedding.
+    # from a leaf to an embedding; embeddings_by_rank, which held every leaf
+    # until its walk ended, in favour of all_embeddings, which streams them.
     namespace = importlib.import_module(module)
     assert [name for name in MOVED_TO_TESTS if hasattr(namespace, name)] == []
 

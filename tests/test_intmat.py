@@ -7,10 +7,10 @@ import pytest
 from conftest import random_star_graph
 from qamont.errors import NotNegativeDefiniteError
 from qamont.intmat import Definite, freeze, negative_definite_det
-from qamont.lattice import embeddings_by_rank
+from qamont.lattice import all_embeddings
 from qamont.laufer import LauferVerdict, laufer_run
 from qamont.plumbing import PlumbingGraph, adjacency_matrix
-from references import det, is_symmetric
+from references import by_rank, det, is_symmetric
 from smith_form import invariant_factors, matmul, transpose
 
 
@@ -123,8 +123,8 @@ def test_definite_freezes_list_rows():
     assert hash(form) == hash(((-2, 1), (1, -2)))
     # The guarded entries take list rows through the same constructor.
     assert laufer_run([[-2, 1], [1, -2]]).verdict is LauferVerdict.RATIONAL
-    ranks = {n: len(list(embs)) for n, embs in embeddings_by_rank([[-2, 1], [1, -2]])}
-    assert ranks == {2: 0, 3: 1, 4: 0}
+    ranks = by_rank(all_embeddings([[-2, 1], [1, -2]]), 2, 4)
+    assert {n: len(embs) for n, embs in ranks.items()} == {2: 0, 3: 1, 4: 0}
 
 
 @pytest.mark.parametrize("rows", [

@@ -2,6 +2,7 @@ import gc
 import hashlib
 import itertools
 import random
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from math import isqrt
@@ -12,9 +13,8 @@ from conftest import random_cf, random_star_graph
 from qamont import intmat, lattice
 from qamont.errors import NotNegativeDefiniteError
 from qamont.intmat import freeze
-from qamont.lattice import (embeddings_by_rank, enumerate_embeddings,
-                            gram_matches, qa_lattice_obstruction,
-                            transpose_surjective)
+from qamont.lattice import (all_embeddings, enumerate_embeddings, gram_matches,
+                            qa_lattice_obstruction, transpose_surjective)
 from qamont.classifier import enumerate_family
 from qamont.laufer import LauferVerdict, laufer_run
 from qamont.montesinos import (MontesinosLink, determinant, to_negative_form,
@@ -22,8 +22,8 @@ from qamont.montesinos import (MontesinosLink, determinant, to_negative_form,
 from qamont.plumbing import PlumbingGraph, adjacency_matrix, build_graph, oriented_graph
 from paper_lemmas import minor_check, rigidity_check, support_set, truncate_legs
 from references import canonical_rows as canonical_rows_of_columns
-from references import (det, gram_matrix, is_negative_definite_matrix, leg_tuple_ties,
-                        prefix_r)
+from references import (by_rank, det, gram_matrix, is_negative_definite_matrix,
+                        leg_tuple_ties, prefix_r)
 from smith_form import invariant_factors
 
 D4_GRAPH = PlumbingGraph(-2, ((-2,), (-2,), (-2,)))
@@ -81,29 +81,34 @@ class TestEnumerate:
                   PlumbingGraph(-1, ((-3,), (-2,)))]
         for graph in graphs:
             q = adjacency_matrix(graph)
-            for _, embeddings in embeddings_by_rank(q):
-                embeddings = [emb for emb, _ in embeddings]
-                assert len(set(embeddings)) == len(embeddings)
-                for emb in embeddings:
-                    assert gram_matches(emb, q)
-                    assert all(any(row) for row in emb)
-                    assert emb == canonical_rows(emb)
+            embeddings = [emb for _, emb, _ in all_embeddings(q)]
+            assert len(set(embeddings)) == len(embeddings)
+            for emb in embeddings:
+                assert gram_matches(emb, q)
+                assert all(any(row) for row in emb)
+                assert emb == canonical_rows(emb)
 
-    def test_embeddings_by_rank_runs_to_the_norm_sum(self):
+    def test_all_embeddings_runs_to_the_norm_sum(self):
+        # Each rank of the stream, read off one walk, is that rank's own
+        # search, from k up to the norm sum (or n_max), empty ranks included;
+        # a lower n_max keeps the walk order of the ranks it keeps.
         q = adjacency_matrix(PlumbingGraph(-3, ((-2, -2), (-4,))))  # k = 4, sum 11
-        assert [n for n, _ in embeddings_by_rank(q)] == list(range(4, 12))
-        assert [n for n, _ in embeddings_by_rank(q, 6)] == [4, 5, 6]
-        assert list(embeddings_by_rank(q, 3)) == []
+        full = list(all_embeddings(q))
+        assert [n for n, _, _ in full] == [4, 7, 6, 8]  # walk order, not rank order
+        assert list(all_embeddings(q, 6)) == [item for item in full if item[0] <= 6]
+        assert list(all_embeddings(q, 3)) == []
         graphs = oriented_graphs(2, 5, -2, 3) + oriented_graphs(3, 3, -2, 3)
         assert len(set(graphs)) == 296
         for graph in graphs:
             q = adjacency_matrix(graph)
             for n_max in (None, len(q) + 1):
-                for n, embeddings in embeddings_by_rank(q, n_max):
+                top = lattice._rank_bound(q) if n_max is None else n_max
+                ranks = by_rank(all_embeddings(q, n_max), len(q), top)
+                for n, embeddings in ranks.items():
                     assert [emb for emb, _ in embeddings] == \
                         list(enumerate_embeddings(q, n)), (graph, n)
 
-    def test_embeddings_by_rank_walks_one_tree(self, monkeypatch):
+    def test_all_embeddings_walks_one_tree(self, monkeypatch):
         counts = Counter()
 
         class CountingTree(lattice._OrderlyTree):
@@ -120,11 +125,13 @@ class TestEnumerate:
         q = adjacency_matrix(PlumbingGraph(-3, ((-2, -2), (-4,))))
         for n_max in (None, 6):
             counts.clear()
-            ranks = [(n, list(embeddings)) for n, embeddings in embeddings_by_rank(q, n_max)]
+            ranks = {n for n, _, _ in all_embeddings(q, n_max)}
             assert len(ranks) > 1
             assert counts == {"trees": 1, "eliminations": 1}
 
-    def test_only_the_leaves_read_are_canonicalised(self, monkeypatch):
+    def test_each_yielded_leaf_is_canonicalised_exactly_once(self, monkeypatch):
+        # A leaf is mapped to its matrix when it is yielded: never twice,
+        # and never ahead of the reader.
         calls = Counter()
 
         def counting_rows(slots, n, cols, rows=lattice._canonical_rows):
@@ -134,11 +141,42 @@ class TestEnumerate:
         monkeypatch.setattr(lattice, "_canonical_rows", counting_rows)
         q = adjacency_matrix(PlumbingGraph(-3, ((-2, -2), (-4,))))
         yielded = Counter()
-        for n in range(len(q), lattice._rank_bound(q) + 1):
-            calls.clear()
-            yielded[n] = sum(1 for _ in enumerate_embeddings(q, n))
-            assert calls == Counter({n: yielded[n]}), n
-        assert sum(yielded.values()) > max(yielded.values())  # several ranks hold leaves
+        for n, emb, _ in all_embeddings(q):
+            yielded[n] += 1
+            assert len(emb) == n and calls == yielded, n
+        assert len(yielded) > 1  # several ranks hold leaves
+
+    def test_the_first_embedding_comes_before_the_walk_ends(self, monkeypatch):
+        trees = []
+
+        class RecordedTree(lattice._OrderlyTree):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                trees.append(self)
+
+        monkeypatch.setattr(lattice, "_OrderlyTree", RecordedTree)
+        q = adjacency_matrix(PlumbingGraph(-3, ((-2, -2), (-4,))))
+        stream = all_embeddings(q)
+        next(stream)
+        [tree] = trees
+        first = tree.nodes
+        assert sum(1 for _ in stream) > 0
+        assert first < tree.nodes
+
+    def test_memory_stays_flat_in_the_number_of_embeddings(self):
+        # The plumbing of M(-2; 38/25, 5/2, 7/3): 7,247 embeddings, none of
+        # them held once the next one is read.  The peak here is about
+        # 0.5 MB, much of it in the tuple free list; holding each leaf's
+        # columns until the walk ended peaked at 3.4 MB.
+        q = adjacency_matrix(PlumbingGraph(-5, ((-3, -13), (-2, -3), (-2, -4))))
+        tracemalloc.start()
+        try:
+            count = sum(1 for _ in all_embeddings(q))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert count == 7247
+        assert peak < 1_000_000
 
     def test_canonical_rows_match_the_reference(self):
         # Random columns whose leading entries are often negative, and
@@ -163,14 +201,6 @@ class TestEnumerate:
                 assert lattice._canonical_rows(shuffled, n, cols) == permuted, \
                     (cols, shuffled, n)
 
-    def test_streams_keep_their_rank_when_read_late(self):
-        q = adjacency_matrix(PlumbingGraph(-3, ((-2, -2), (-4,))))
-        in_order = {n: list(stream) for n, stream in embeddings_by_rank(q)}
-        streams = list(embeddings_by_rank(q))
-        late = {n: list(stream) for n, stream in reversed(streams)}
-        assert late == in_order
-        assert all(len(emb) == n for n, embs in late.items() for emb, _ in embs)
-
     def test_deterministic_order(self):
         first = list(enumerate_embeddings(D4_Q, 4))
         second = list(enumerate_embeddings(D4_Q, 4))
@@ -180,15 +210,14 @@ class TestEnumerate:
         with pytest.raises(NotNegativeDefiniteError):
             list(enumerate_embeddings(freeze([[1]]), 1))
         with pytest.raises(NotNegativeDefiniteError):
-            for _, embeddings in embeddings_by_rank(freeze([[-2, 3], [3, -2]])):
-                list(embeddings)
+            list(all_embeddings(freeze([[-2, 3], [3, -2]])))
 
     def test_rejects_a_bad_form_whatever_its_rank_range(self):
         # Both rank ranges are empty (the norm sum, or n_max, is below k).
         with pytest.raises(NotNegativeDefiniteError):
-            list(embeddings_by_rank(((1,),)))
+            list(all_embeddings(((1,),)))
         with pytest.raises(ValueError, match="symmetric"):
-            list(embeddings_by_rank(((-2, 1), (0, -2)), 1))
+            list(all_embeddings(((-2, 1), (0, -2)), 1))
 
     def test_every_public_entry_guards_a_raw_input(self, monkeypatch):
         # Each entry guards what it is given before any search work, and the
@@ -204,7 +233,7 @@ class TestEnumerate:
         monkeypatch.setattr(lattice, "_cached_search", unreachable)
         asymmetric = ((-2, 1), (0, -2))
         indefinite = PlumbingGraph(0, ((-2,),) * 4)
-        for run in (laufer_run, lambda q: list(embeddings_by_rank(q))):
+        for run in (laufer_run, lambda q: list(all_embeddings(q))):
             with pytest.raises(ValueError, match="symmetric"):
                 run(asymmetric)
             with pytest.raises(NotNegativeDefiniteError):
@@ -232,8 +261,7 @@ class TestEnumerate:
             laufer_run(q)
             assert calls == eliminations
             calls.clear()
-            assert sum(len(list(embeddings))
-                       for _, embeddings in embeddings_by_rank(q)) == 3
+            assert sum(1 for _ in all_embeddings(q)) == 3
             assert calls == eliminations
         fresh = PlumbingGraph(-2, ((-2,), (-2,), (-2,)))
         calls.clear()
@@ -330,10 +358,9 @@ class TestCompleteness:
         assert len(graphs) == 243
         yielded = 0
         for graph in graphs:
-            for n, embeddings in embeddings_by_rank(adjacency_matrix(graph)):
-                matrices = [emb for emb, _ in embeddings]
-                assert len(set(matrices)) == len(matrices), (graph, n)
-                yielded += len(matrices)
+            matrices = [emb for _, emb, _ in all_embeddings(adjacency_matrix(graph))]
+            assert len(set(matrices)) == len(matrices), graph
+            yielded += len(matrices)
         assert yielded > 0
 
     def test_leg_relabelling_permutes_the_orbits(self):
@@ -348,8 +375,9 @@ class TestCompleteness:
             starts = [1]
             for leg in graph.legs:
                 starts.append(starts[-1] + len(leg))
-            reference = {n: {emb for emb, _ in embeddings}
-                         for n, embeddings in embeddings_by_rank(base)}
+            reference = {n: {emb for emb, _ in embeddings} for n, embeddings
+                         in by_rank(all_embeddings(base), len(base),
+                                    lattice._rank_bound(base)).items()}
             assert any(reference.values()), graph
             for perm in itertools.permutations(range(len(graph.legs))):
                 relabelled = PlumbingGraph(graph.central_weight,
@@ -386,12 +414,11 @@ class TestMatrixContract:
         streamed = witnesses = 0
         for graph in graphs():
             q = adjacency_matrix(graph)
-            for n, embeddings in embeddings_by_rank(q):
-                for emb, surjective in embeddings:
-                    assert is_frozen_matrix(emb), (graph, n)
-                    assert type(surjective) is bool
-                    assert len(emb) == n and all(len(row) == len(q) for row in emb)
-                    streamed += 1
+            for n, emb, surjective in all_embeddings(q):
+                assert is_frozen_matrix(emb), (graph, n)
+                assert type(surjective) is bool
+                assert len(emb) == n and all(len(row) == len(q) for row in emb)
+                streamed += 1
             result = qa_lattice_obstruction(graph)
             if result.witness is not None:
                 assert is_frozen_matrix(result.witness), graph
@@ -451,14 +478,12 @@ class TestSurjectivity:
         for graph in oriented_graphs(2, 5, -2, 3):
             q = adjacency_matrix(graph)
             primes = primes_with_square_dividing(det(q))
-            for _, embeddings in embeddings_by_rank(q):
-                for emb, surjective in embeddings:
-                    expected = all(rank_mod(emb, p) == len(emb[0])
-                                   for p in primes)
-                    assert transpose_surjective(emb) == surjective == expected, emb
-                    square_free += not primes
-                    onto += expected
-                    not_onto += not expected
+            for _, emb, surjective in all_embeddings(q):
+                expected = all(rank_mod(emb, p) == len(emb[0]) for p in primes)
+                assert transpose_surjective(emb) == surjective == expected, emb
+                square_free += not primes
+                onto += expected
+                not_onto += not expected
         assert (square_free, onto, not_onto) == (556, 826, 75)
 
     def test_critical_primes_match_brute_force(self):
@@ -507,10 +532,9 @@ class TestSurjectivity:
                 continue
             stars += 1
             legs = max(legs, len(graph.legs))
-            for _, embeddings in embeddings_by_rank(adjacency_matrix(graph)):
-                for emb, surjective in embeddings:
-                    assert surjective and transpose_surjective(emb), (graph, emb)
-                    total += 1
+            for _, emb, surjective in all_embeddings(adjacency_matrix(graph)):
+                assert surjective and transpose_surjective(emb), (graph, emb)
+                total += 1
         assert legs == 4 and total > 2000
 
     @pytest.mark.parametrize("family, counts", [
@@ -526,17 +550,15 @@ class TestSurjectivity:
         for graph in oriented_graphs(*family):
             q = adjacency_matrix(graph)
             primes = lattice._critical_primes(det(q))
-            for n, embeddings in embeddings_by_rank(q):
-                for emb, surjective in embeddings:
-                    tree = lattice._OrderlyTree(q, n, primes)
-                    independent = all(tree._extend_bases(col, n)
-                                      for col in zip(*emb))
-                    assert independent == all(rank_mod(emb, p) == len(emb[0])
-                                              for p in primes)
-                    assert transpose_surjective(emb) == surjective == independent, emb
-                    square_free += not primes
-                    onto += independent
-                    not_onto += not independent
+            for n, emb, surjective in all_embeddings(q):
+                tree = lattice._OrderlyTree(q, n, primes)
+                independent = all(tree._extend_bases(col, n) for col in zip(*emb))
+                assert independent == all(rank_mod(emb, p) == len(emb[0])
+                                          for p in primes)
+                assert transpose_surjective(emb) == surjective == independent, emb
+                square_free += not primes
+                onto += independent
+                not_onto += not independent
         assert (square_free, onto, not_onto) == counts
 
     def test_matches_the_smith_form_on_random_matrices(self):
@@ -574,11 +596,10 @@ class TestSurjectivity:
     def test_matches_the_smith_form_on_every_embedding(self):
         checked = 0
         for graph in oriented_graphs(2, 5, -2, 3):
-            for _, embeddings in embeddings_by_rank(adjacency_matrix(graph)):
-                for emb, surjective in embeddings:
-                    expected = all(f == 1 for f in invariant_factors(emb))
-                    assert transpose_surjective(emb) == surjective == expected, emb
-                    checked += 1
+            for _, emb, surjective in all_embeddings(adjacency_matrix(graph)):
+                expected = all(f == 1 for f in invariant_factors(emb))
+                assert transpose_surjective(emb) == surjective == expected, emb
+                checked += 1
         assert checked == 901
 
     def test_invariant_under_signed_row_permutations(self, rng):
@@ -704,16 +725,16 @@ class TestRigidity:
 
 def replay_obstruction(graph):
     """The obstruction search rank by rank, with no mod-p prune: each
-    rank's stream in turn, from a tree cut at that rank, stopping at the
-    first embedding with surjective transpose.  Each label it reads is
-    checked against ``transpose_surjective`` first."""
+    rank's embeddings in turn, in the walk order of a tree cut at that rank,
+    stopping at the first one with surjective transpose.  Each label it
+    reads is checked against ``transpose_surjective`` first."""
     q = adjacency_matrix(graph)
     for n in range(len(q), lattice._rank_bound(q) + 1):
-        *_, (_, embeddings) = embeddings_by_rank(q, n)
-        for emb, surjective in embeddings:
-            assert surjective == transpose_surjective(emb), emb
-            if surjective:
-                return False, emb, n
+        for rank, emb, surjective in all_embeddings(q, n):
+            if rank == n:
+                assert surjective == transpose_surjective(emb), emb
+                if surjective:
+                    return False, emb, n
     return True, None, None
 
 
@@ -886,7 +907,7 @@ class TestObstruction:
         lambda: critical_prime_stars(40, 20261036),
     ], ids=["acceptance", "random-critical"])
     def test_labels_are_the_test_and_the_witness_is_the_first_onto_label(self, graphs):
-        # Every label embeddings_by_rank reads off the tree's bases is
+        # Every label all_embeddings reads off the tree's bases is
         # transpose_surjective's verdict, on the graph and on its leg-sorted
         # star; the obstruction search's witness is the star's first
         # embedding labelled surjective at the lowest rank that has one,
@@ -896,12 +917,11 @@ class TestObstruction:
             star, position = leg_sorted(graph)
             first = {}
             for searched in dict.fromkeys((graph, star)):
-                for n, embeddings in embeddings_by_rank(adjacency_matrix(searched)):
-                    for emb, surjective in embeddings:
-                        assert surjective == transpose_surjective(emb), (searched, emb)
-                        labels[surjective] += 1
-                        if surjective and searched == star:
-                            first.setdefault(n, emb)
+                for n, emb, surjective in all_embeddings(adjacency_matrix(searched)):
+                    assert surjective == transpose_surjective(emb), (searched, emb)
+                    labels[surjective] += 1
+                    if surjective and searched == star:
+                        first.setdefault(n, emb)
             result = qa_lattice_obstruction(graph)
             assert result.obstructed == (not first), graph
             if first:
@@ -979,11 +999,10 @@ class TestObstruction:
             stream = enumerate_embeddings(D4_Q, 4)
             next(stream)
             del stream
-            assert sum(len(list(embeddings))
-                       for _, embeddings in embeddings_by_rank(D4_Q)) == 3
-            ranks = embeddings_by_rank(D4_Q)
-            next(next(ranks)[1])
-            del ranks
+            assert sum(1 for _ in all_embeddings(D4_Q)) == 3
+            stream = all_embeddings(D4_Q)
+            next(stream)
+            del stream
             assert gc.collect() == 0
         finally:
             gc.enable()
