@@ -39,6 +39,7 @@ a star shares.  Coordinate and vertex indices are 0-based throughout.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice
@@ -46,6 +47,7 @@ from math import isqrt
 from operator import itemgetter
 from typing import Iterator, Sequence
 
+from .errors import InternalError
 from .intmat import Definite, Matrix, freeze
 from .plumbing import PlumbingGraph
 
@@ -87,6 +89,16 @@ def _canonical_rows(slots: Sequence[int], n: int,
 
 
 _fresh = itemgetter(1)  # a candidate's fresh-block size
+
+# A walk nests one ``_place`` generator per vertex and one ``walk`` frame
+# per coordinate on top of its caller's frames, which keep the 1,000 that
+# Python's default recursion limit gives them.
+_CALLER_FRAMES = 1000
+# Resuming a nested generator recurses on the C stack.  With an 8 MB stack
+# (Linux, Python 3.11.7) 20,000 nested generators ran and 30,000 crashed the
+# interpreter.  A tree needs k + N + _CALLER_FRAMES frames with k <= N, so
+# under this cap it nests at most 4,500 generators.
+_MAX_RECURSION = 10_000
 
 
 class _OrderlyTree:
@@ -195,10 +207,21 @@ class _OrderlyTree:
     Nothing the walk builds refers to itself (``_candidates`` drops its
     recursive closure before it returns), so a finished or abandoned walk is
     freed by reference counting, not left to the cyclic collector.
+
+    The walk recurses once per vertex and once per coordinate, so a tree
+    raises the recursion limit to cover its k + n frames and never lowers
+    it; one that would need more than ``_MAX_RECURSION`` raises
+    ``InternalError`` before it walks.
     """
 
     def __init__(self, q: Matrix, n: int, primes: tuple[int, ...] = (),
                  label: bool = False):
+        depth = len(q) + n + _CALLER_FRAMES
+        if depth > _MAX_RECURSION:
+            raise InternalError(f"the search on {len(q)} vertices up to rank {n} needs "
+                                f"{depth} frames, above the cap of {_MAX_RECURSION}")
+        if depth > sys.getrecursionlimit():
+            sys.setrecursionlimit(depth)
         self.q = q
         self.n = n
         self.high = n
@@ -539,14 +562,18 @@ def qa_lattice_obstruction(graph: PlumbingGraph) -> ObstructionResult:
     """Search every ambient rank for an embedding with surjective transpose.
 
     The search runs on q in placement order (``_placement``), ties broken by
-    each vertex's position in the star with its legs stably sorted
-    (``_star_ties``).  That position map is a weight-preserving isomorphism
-    of the graph onto the sorted star, so every leg order of a star gets the
-    sorted star's own placement form.  The search reads nothing but that
-    form and det q, and its result is cached under them (one bounded cache,
-    ``cache_info`` and ``cache_clear`` as with ``lru_cache``), so every leg
-    order of a star shares one search.  det q is a function of the form, so
-    the cache hits and misses exactly as one keyed on the form alone.
+    the legs themselves: in the vertex order ``plumbing._adjacency_rows``
+    lays out, the centre has the key () and vertex j of leg i the key
+    (leg i, i, j).  The keys order the vertices by their position in the
+    star with its legs stably sorted, since that sort orders the legs as
+    (leg i, i) does, and () comes before every other key.  That position
+    map is a weight-preserving isomorphism of the graph onto the sorted
+    star, so every leg order of a star gets the sorted star's own placement
+    form.  The search reads nothing but that form and det q, and its result
+    is cached under them (one bounded cache, ``cache_info`` and
+    ``cache_clear`` as with ``lru_cache``), so every leg order of a star
+    shares one search.  det q is a function of the form, so the cache hits
+    and misses exactly as one keyed on the form alone.
 
     A vertex permutation maps the embeddings of one form to those of the
     other, a bijection at each rank that keeps the rows touched and keeps
@@ -563,26 +590,11 @@ def qa_lattice_obstruction(graph: PlumbingGraph) -> ObstructionResult:
     rejected whatever the cache holds.
     """
     q = graph.definite_form
-    form, slots = _placement(q, _star_ties(graph.legs))
+    ties = [(), *((leg, i, j) for i, leg in enumerate(graph.legs) for j in range(len(leg)))]
+    form, slots = _placement(q, ties)
     cols, witness_n, nodes, leaves, pruned = _cached_search(form, q.det)
     witness = None if cols is None else _canonical_rows(slots, witness_n, cols)
     return ObstructionResult(cols is None, witness, witness_n, nodes, leaves, pruned)
-
-
-def _star_ties(legs: Sequence[tuple[int, ...]]) -> list[tuple[int, ...]]:
-    """Each vertex's position in the star with its legs stably sorted, in
-    vertex order (the centre, then each leg outward): vertex j of leg i has
-    the key (rank of leg i in the stable sort of the legs, j), and the
-    centre has (), which comes first.  The ranks order the legs as the
-    tuples (leg i, i) do, so these keys order the vertices as (leg i, i, j)
-    would, with small ints in place of leg tuples."""
-    rank = [0] * len(legs)
-    for r, i in enumerate(sorted(range(len(legs)), key=legs.__getitem__)):
-        rank[i] = r
-    ties: list[tuple[int, ...]] = [()]
-    for i, leg in enumerate(legs):
-        ties += ((rank[i], j) for j in range(len(leg)))
-    return ties
 
 
 def _obstruction_search(q: Matrix, d: int) -> tuple[

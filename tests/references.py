@@ -107,16 +107,6 @@ def format_link_by_fractions(link: MontesinosLink) -> str:
     return f"M({link.e}; " + ", ".join(map(str, link.tangles)) + ")"
 
 
-def leg_tuple_ties(legs: Sequence[tuple[int, ...]]) -> list[tuple]:
-    """Tie keys of a star's vertices keyed by whole leg tuples: vertex j of
-    leg i has (leg i, i, j) and the centre (), the reference for
-    ``lattice._star_ties``, whose leg ranks stand in for the tuples."""
-    ties: list[tuple] = [()]
-    for i, leg in enumerate(legs):
-        ties += ((leg, i, j) for j in range(len(leg)))
-    return ties
-
-
 def epsilon_text_by_fraction(link: MontesinosLink) -> str:
     """eps = e - sum(1/t_i), summed as ``Fraction`` values over the link's
     tangles and printed as ``numerator/denominator``: ``0/1`` for eps = 0,

@@ -900,6 +900,41 @@ def test_verify_guard_failure_exits_4_naming_the_link(capsys, monkeypatch):
     assert err.startswith("internal error:") and "M(0; 5/2, 7/3)" in err
 
 
+class TestDeepStars:
+    """A search nests one generator per vertex and one frame per coordinate,
+    so a long chain needs more than Python's default recursion limit: the
+    search raises the limit up to ``lattice._MAX_RECURSION`` and refuses a
+    tree that needs more, with exit 4."""
+
+    def test_a_search_past_the_cap_exits_4(self, capsys, monkeypatch):
+        monkeypatch.setattr(lattice, "_MAX_RECURSION", 1000)
+        qa_lattice_obstruction.cache_clear()
+        code, out, err = run(capsys, "classify", "M(0; 61, 2)", "--verify")
+        assert (code, out) == (4, "")
+        assert err.startswith("internal error:") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("command", ["classify", "embed"])
+    def test_a_502_vertex_chain_is_searched(self, tmp_path, command):
+        # M(0; 501, 2) and the graph file of its plumbing: a chain of 502
+        # vertices, k + N = 1,506 frames.
+        path = tmp_path / "chain.graph"
+        path.write_text("central: -2\nleg:" + " -2" * 500 + "\n")
+        argv = ((command, "M(0; 501, 2)", "--verify") if command == "classify"
+                else (command, str(path)))
+        proc = cli_process(*argv)
+        try:
+            out, err = proc.communicate(timeout=600)
+        finally:
+            proc.kill()
+        assert (proc.returncode, err) == (0, b"")
+        if command == "classify":
+            assert json.loads(out)["evidence"] == "PositiveCheck"
+        else:
+            assert out.startswith(b"NotObstructed n=502\n")
+
+
 def order_free(out):
     """One ``embed --all`` output with its blocks' ``index=`` removed and
     the blocks sorted, then its total line: the same text for every order

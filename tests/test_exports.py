@@ -106,13 +106,56 @@ def test_every_export_has_a_caller():
     assert uncalled == [], f"exported names no program or benchmark path uses: {uncalled}"
 
 
+def orphaned_private_definitions(sources):
+    """(module, name) of each private function, method or class defined in
+    ``sources``, a mapping from module name to source, that no module reads
+    as a ``Name`` or an ``Attribute`` outside the definition itself; dunder
+    names are left out."""
+    definitions, reads = [], []
+    for module, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                    and node.name.startswith("_") and not node.name.endswith("__")):
+                definitions.append((module, node.name, node.lineno, node.end_lineno))
+            elif isinstance(node, ast.Name):
+                reads.append((module, node.id, node.lineno))
+            elif isinstance(node, ast.Attribute):
+                reads.append((module, node.attr, node.lineno))
+    return [(module, name) for module, name, first, last in definitions
+            if not any(read == name and (where != module or not first <= line <= last)
+                       for where, read, line in reads)]
+
+
+def test_orphaned_private_definitions_are_found():
+    source = ("def _used():\n"
+              "    return 1\n"
+              "def _recursive(n):\n"
+              "    return _recursive(n - 1)\n"
+              "class _Orphan:\n"
+              "    def _method(self):\n"
+              "        return self._method()\n"
+              "    def __len__(self):\n"
+              "        return 0\n"
+              "_alias = _used\n")
+    assert orphaned_private_definitions({"m": source}) == [
+        ("m", "_recursive"), ("m", "_Orphan"), ("m", "_method")]
+    assert orphaned_private_definitions({"m": source, "n": "m._Orphan()._method\n"}) == [
+        ("m", "_recursive")]
+
+
+def test_no_private_definition_is_orphaned():
+    # A private helper that a change leaves without a caller goes with it.
+    sources = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    assert orphaned_private_definitions(sources) == []
+
+
 MOVED_TO_TESTS = ["minor_check", "support_set", "truncate_legs", "rigidity_check",
                   "TruncationNotFoundError", "check_coeffs", "cf_eval", "prefix_r",
                   "seifert_euler_number", "det", "h1_order", "is_lspace",
                   "is_negative_definite", "Embedding", "mat_vec",
                   "is_negative_definite_matrix", "definite_det", "_sorted_star", "definite",
                   "tangle_alpha_beta", "gram_matrix", "is_symmetric", "_in_vertex_order",
-                  "embeddings_by_rank",
+                  "embeddings_by_rank", "_star_ties",
                   # the unguarded private twin of each guarded entry
                   *("_" + name for name in ("laufer_run", "embeddings_by_rank",
                                             "qa_lattice_obstruction", "definite_det"))]
@@ -136,7 +179,9 @@ def test_paper_lemma_checks_stay_in_the_tests(module):
     # gram_matches and negative_definite_det, which now compute them
     # inline; _in_vertex_order folded into _canonical_rows, the one map
     # from a leaf to an embedding; embeddings_by_rank, which held every leaf
-    # until its walk ended, in favour of all_embeddings, which streams them.
+    # until its walk ended, in favour of all_embeddings, which streams them;
+    # _star_ties, which ranked the legs to key the placement ties, in favour
+    # of the legs themselves as keys.
     namespace = importlib.import_module(module)
     assert [name for name in MOVED_TO_TESTS if hasattr(namespace, name)] == []
 

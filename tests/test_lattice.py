@@ -1,7 +1,9 @@
 import gc
 import hashlib
+import inspect
 import itertools
 import random
+import sys
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
@@ -15,15 +17,14 @@ from qamont.errors import NotNegativeDefiniteError
 from qamont.intmat import freeze
 from qamont.lattice import (all_embeddings, enumerate_embeddings, gram_matches,
                             qa_lattice_obstruction, transpose_surjective)
-from qamont.classifier import enumerate_family
+from qamont.classifier import Branch, enumerate_family, verify
 from qamont.laufer import LauferVerdict, laufer_run
-from qamont.montesinos import (MontesinosLink, determinant, to_negative_form,
+from qamont.montesinos import (MontesinosLink, determinant, parse_link, to_negative_form,
                                to_standard_form)
 from qamont.plumbing import PlumbingGraph, adjacency_matrix, build_graph, oriented_graph
 from paper_lemmas import minor_check, rigidity_check, support_set, truncate_legs
 from references import canonical_rows as canonical_rows_of_columns
-from references import (by_rank, det, gram_matrix, is_negative_definite_matrix,
-                        leg_tuple_ties, prefix_r)
+from references import by_rank, det, gram_matrix, is_negative_definite_matrix, prefix_r
 from smith_form import invariant_factors
 
 D4_GRAPH = PlumbingGraph(-2, ((-2,), (-2,), (-2,)))
@@ -941,6 +942,20 @@ class TestObstruction:
         result = qa_lattice_obstruction(D4_GRAPH)
         assert result.leaves == 0 and result.pruned > 0
 
+    def test_a_deep_chain_raises_the_recursion_limit_and_never_lowers_it(self):
+        # M(0; 61, 2) is a chain of 62 vertices with rank bound 124: its walk
+        # nests one generator per vertex and one frame per coordinate, more
+        # than 100 frames past its caller's.
+        link = parse_link("M(0; 61, 2)")
+        limit = sys.getrecursionlimit()
+        try:
+            for start in (len(inspect.stack(0)) + 100, limit + 5000):
+                sys.setrecursionlimit(start)
+                qa_lattice_obstruction.cache_clear()
+                assert verify(link).branch is Branch.POSITIVE_CHECK
+                assert sys.getrecursionlimit() >= start
+        finally:
+            sys.setrecursionlimit(limit)
 
     def test_verdicts_are_pinned_on_the_acceptance_family(self):
         # Pinned under another sibling order: no order of the search may
@@ -1049,27 +1064,6 @@ class TestLegOrder:
             q_star = adjacency_matrix(star)
             assert set(forms) == {lattice._placement(q_star, range(k))[0]}, graph
         assert repeated > 10
-
-    def test_rank_ties_order_vertices_as_leg_tuple_ties(self):
-        # (rank of leg i, j) orders a star's vertices as (leg i, i, j) does,
-        # so both keys give one placement form and one set of slots.
-        rng = random.Random(20261020)
-        repeated = 0
-        for _ in range(300):
-            graph = random_star_graph(rng, max_legs=5, max_leg_len=3,
-                                      central_range=(-4, -1), leg_range=(-3, -2))
-            if graph.legs and rng.random() < 0.5:  # equal legs
-                graph = PlumbingGraph(graph.central_weight,
-                                      graph.legs + (rng.choice(graph.legs),))
-            repeated += len(set(graph.legs)) < len(graph.legs)
-            ties, reference = lattice._star_ties(graph.legs), leg_tuple_ties(graph.legs)
-            k = 1 + sum(map(len, graph.legs))
-            assert len(ties) == len(reference) == k
-            assert sorted(range(k), key=ties.__getitem__) == \
-                sorted(range(k), key=reference.__getitem__), graph
-            q = adjacency_matrix(graph)
-            assert lattice._placement(q, ties) == lattice._placement(q, reference), graph
-        assert repeated > 100
 
     @pytest.mark.parametrize("graphs", [
         lambda: oriented_graphs(3, 4, -3, 4),
