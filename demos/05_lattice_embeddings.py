@@ -12,7 +12,7 @@ from qamont import (PlumbingGraph, all_embeddings, gram_matches, qa_lattice_obst
                     transpose_surjective)
 
 D4 = PlumbingGraph(-2, ((-2,), (-2,), (-2,)))
-q = D4.definite_form  # the adjacency matrix, eliminated once, with its det
+q = D4.definite_form  # the adjacency matrix, tested once along the tree, with its det
 print("All embeddings of the three-legged -2 star (D4 form) into rank 4:")
 print("(the tree's label, read off its bases mod 2, beside the integer test)")
 for n, emb, surjective in all_embeddings(q, 4):

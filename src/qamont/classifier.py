@@ -185,8 +185,11 @@ def verify(link: MontesinosLink) -> Evidence:
     check.  The evidence carries the oriented side and its graph, so
     callers such as ``explain`` need not derive them again.
 
-    The plumbing's q is eliminated once per link, by the graph's guard
-    ``definite_form``, and both halves take it from there.  eps < 0 makes
+    The plumbing's q is tested once per link, by the graph's guard
+    ``definite_form``: one O(k) elimination along the tree gives its
+    definiteness and det q, and no dense elimination runs.  Both halves
+    take the guarded q from there, and the search reads det q for its
+    critical primes.  eps < 0 makes
     the plumbing negative definite, so a ``NotNegativeDefiniteError`` from
     the guard is a bug, not a bad input, and is raised again as an
     ``InternalError`` naming the link.

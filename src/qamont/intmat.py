@@ -7,10 +7,14 @@ Negative definiteness is one fraction-free (Bareiss) elimination without
 row exchanges.  By Sylvester's identity (Bareiss 1968) its j-th pivot is the
 j-th leading principal minor, so the sign alternation of all the minors is
 read off a single O(k^3) pass instead of k separate determinants, and the
-last pivot is the determinant itself.  ``Definite(m)`` is the one guard:
-it freezes m, runs the elimination and carries the determinant, and it
-returns a ``Definite`` it is given unchanged, so a form that has passed the
-test is never eliminated again.
+last pivot is the determinant itself.  ``Definite(m)`` is the guard of a
+matrix from outside: it freezes m, runs the elimination and carries the
+determinant, and it returns a ``Definite`` it is given unchanged, so a form
+that has passed the test is never eliminated again.  A plumbing graph's
+guard, ``PlumbingGraph.definite_form``, runs the same test in O(k) along
+the tree instead (``plumbing.tree_det``) and builds its ``Definite``
+through the trusted constructor ``Definite._from_validated``, so neither
+``freeze`` nor this elimination runs on a graph's form.
 """
 
 from __future__ import annotations
@@ -83,9 +87,10 @@ class Definite(tuple):
     is frozen (``freeze``: ``ValueError`` on a non-integer entry or ragged
     rows) and ``negative_definite_det`` runs on it: a matrix that is not
     symmetric raises ``ValueError``, one that is not negative definite
-    ``NotNegativeDefiniteError``.  So every ``Definite`` is a ``Matrix`` that
-    has passed the test, and the functions that require a negative definite
-    form take one as it is."""
+    ``NotNegativeDefiniteError``.  The one other way in is
+    ``_from_validated``, for a caller that has run an equivalent test.  So
+    every ``Definite`` is a ``Matrix`` that has passed the test, and the
+    functions that require a negative definite form take one as it is."""
 
     det: int
 
@@ -96,6 +101,17 @@ class Definite(tuple):
         d = negative_definite_det(m)
         if d is None:
             raise NotNegativeDefiniteError("the form is not negative definite")
+        return cls._from_validated(m, d)
+
+    @classmethod
+    def _from_validated(cls, m: Matrix, det: int) -> Definite:
+        """m, a ``Matrix`` known to be negative definite, with its
+        determinant det: nothing is frozen or tested again.  Besides
+        ``Definite(m)``, its one caller is ``PlumbingGraph.definite_form``,
+        which lays q out as a ``Matrix`` of the graph's validated ints and
+        has run the tree elimination on it: the test of
+        ``negative_definite_det`` in another vertex order, which gives the
+        same verdict and det q as the product of its pivots."""
         form = super().__new__(cls, m)
-        form.det = d
+        form.det = det
         return form

@@ -6,7 +6,7 @@ condition column_i . column_j = -Q[i][j] in the ordinary dot product.
 Signed permutations of the coordinates act on the rows, and the
 enumeration yields exactly one representative per orbit by orderly
 generation: the backtracking search places columns in one placement order
-(``_placement``: ascending norm, ties broken as the caller says) and its
+(``_slots``: ascending norm, ties broken as the caller says) and its
 tree holds exactly one matrix per orbit, the orbit's lex leader in
 placement order (rows sign-normalised so their first nonzero entry is
 positive, then sorted in decreasing order).  One rule makes it so: a new
@@ -33,8 +33,9 @@ prime whose square divides det q (``_OrderlyTree``): the obstruction search
 prunes every column set that is dependent mod one of them, so that every
 leaf it reaches has surjective transpose, and ``all_embeddings`` keeps it
 and labels each leaf with whether its transpose is surjective.  The
-obstruction search runs once per placement form, which every leg order of
-a star shares.  Coordinate and vertex indices are 0-based throughout.
+obstruction search runs once per star with its legs sorted, which every leg
+order of a star shares, and builds that star's placement form only then.
+Coordinate and vertex indices are 0-based throughout.
 """
 
 from __future__ import annotations
@@ -73,7 +74,7 @@ def _canonical_rows(slots: Sequence[int], n: int,
                     cols: Sequence[Sequence[int]]) -> Matrix:
     """A leaf's columns ``cols``, in placement order, as an embedding of
     rank n in vertex order, column v being ``cols[slots[v]]``
-    (``_placement``), canonicalised: its first n rows, each
+    (``_slots``), canonicalised: its first n rows, each
     sign-normalised (first nonzero entry positive), sorted descending."""
     rows = []
     for row in islice(zip(*map(cols.__getitem__, slots)), n):
@@ -120,7 +121,8 @@ class _OrderlyTree:
     says at each leaf whether its transpose is surjective.
 
     The tree walks the form it is given, placing vertex i as column i;
-    ``_placement`` chooses that order and maps the leaves back.
+    ``_slots`` chooses that order, and ``_canonical_rows`` maps the leaves
+    back.
 
     The tree is pruned to one matrix per orbit by lex-leader symmetry
     breaking (Crawford, Ginsberg, Luks and Roy, "Symmetry-breaking
@@ -384,30 +386,62 @@ class _OrderlyTree:
         return out
 
 
-def _placement(q: Matrix, ties: Sequence) -> tuple[Matrix, list[int]]:
-    """``q`` permuted into placement order, the order in which
-    ``_OrderlyTree`` places columns, and ``slots``, each vertex's place in
-    it: ``form[slots[u]][slots[v]] == q[u][v]``.
+def _slots(weights: Sequence[int], ties: Sequence) -> list[int]:
+    """Each vertex's place in placement order, the order in which
+    ``_OrderlyTree`` places columns: ascending norm -weights[v], ties by
+    ``ties[v]``.
 
-    Columns are placed in ascending norm order (-q[v][v], ties by
-    ``ties[v]``): a low-norm vertex has few images, and once placed it
-    constrains every later neighbour, so the search tree stays small.  A
-    fixed vertex permutation is a bijection on column assignments that
+    A low-norm vertex has few images, and once placed it constrains every
+    later neighbour, so the search tree stays small.
+    """
+    order = sorted(range(len(weights)), key=lambda v: (-weights[v], ties[v]))
+    slots = [0] * len(order)
+    for place, v in enumerate(order):
+        slots[v] = place
+    return slots
+
+
+def _placement(q: Matrix, ties: Sequence) -> tuple[Matrix, list[int]]:
+    """``q`` permuted into placement order (``_slots`` on its diagonal) and
+    ``slots``, each vertex's place in it: ``form[slots[u]][slots[v]] ==
+    q[u][v]``.
+
+    A fixed vertex permutation is a bijection on column assignments that
     commutes with the action on rows, so it maps orbits to orbits: a leaf's
     columns taken back in vertex order through ``slots`` and canonicalised,
     both by ``_canonical_rows`` as the walk reaches the leaf, give, at every
     rank, the same set of orbits as a search in vertex order would, and
     satisfy the Gram condition against ``q``.
     The rank bound depends only on the norms, so it is untouched.
-    ``all_embeddings`` breaks ties by vertex index;
-    ``qa_lattice_obstruction`` breaks them so that every leg order of a star
-    gets one form.
+    ``all_embeddings`` breaks ties by vertex index; ``qa_lattice_obstruction``
+    places by the same rule without building this form (``_star_form``).
     """
-    order = sorted(range(len(q)), key=lambda v: (-q[v][v], ties[v]))
-    slots = [0] * len(q)
-    for place, v in enumerate(order):
-        slots[v] = place
+    slots = _slots([row[v] for v, row in enumerate(q)], ties)
+    order = sorted(range(len(q)), key=slots.__getitem__)
     return tuple(tuple(q[u][v] for v in order) for u in order), slots
+
+
+def _star_form(central_weight: int, legs: tuple[tuple[int, ...], ...]) -> Matrix:
+    """The placement form of the star with these legs, ties by vertex
+    index: ``_placement(adjacency_matrix(star), range(k))[0]``, laid out
+    straight from the weights, with no q in vertex order.  Vertex indices
+    are those of ``plumbing._adjacency_rows``: the centre 0, then each leg
+    from its central end outward."""
+    weights = [central_weight]
+    edges = []
+    for leg in legs:
+        u = 0
+        for w in leg:
+            edges.append((u, len(weights)))
+            u = len(weights)
+            weights.append(w)
+    slots = _slots(weights, range(len(weights)))
+    rows = [[0] * len(weights) for _ in weights]
+    for v, w in enumerate(weights):
+        rows[slots[v]][slots[v]] = w
+    for u, v in edges:
+        rows[slots[u]][slots[v]] = rows[slots[v]][slots[u]] = 1
+    return tuple(map(tuple, rows))
 
 
 def enumerate_embeddings(q: Matrix, n: int) -> Iterator[Matrix]:
@@ -561,19 +595,25 @@ class ObstructionResult:
 def qa_lattice_obstruction(graph: PlumbingGraph) -> ObstructionResult:
     """Search every ambient rank for an embedding with surjective transpose.
 
-    The search runs on q in placement order (``_placement``), ties broken by
-    the legs themselves: in the vertex order ``plumbing._adjacency_rows``
-    lays out, the centre has the key () and vertex j of leg i the key
-    (leg i, i, j).  The keys order the vertices by their position in the
-    star with its legs stably sorted, since that sort orders the legs as
-    (leg i, i) does, and () comes before every other key.  That position
-    map is a weight-preserving isomorphism of the graph onto the sorted
-    star, so every leg order of a star gets the sorted star's own placement
-    form.  The search reads nothing but that form and det q, and its result
-    is cached under them (one bounded cache, ``cache_info`` and
-    ``cache_clear`` as with ``lru_cache``), so every leg order of a star
-    shares one search.  det q is a function of the form, so the cache hits
-    and misses exactly as one keyed on the form alone.
+    The search runs on q in placement order, ties broken by the legs
+    themselves: in the vertex order ``plumbing._adjacency_rows`` lays out,
+    the centre has the key () and vertex j of leg i the key (leg i, i, j).
+    The keys order the vertices by their position in the star with its legs
+    stably sorted, since that sort orders the legs as (leg i, i) does, and
+    () comes before every other key.  That position map is a
+    weight-preserving isomorphism of the graph onto the sorted star, so the
+    caller's q placed by (norm, key) is the sorted star's q placed by
+    (norm, index): every leg order of a star gets the sorted star's own
+    placement form (``_star_form``).
+
+    So the search is a function of the sorted star, and its result is
+    cached under it: ``(central weight, sorted legs)``, with det q, itself
+    a function of the sorted star, riding along for the critical primes
+    (one bounded cache, ``cache_info`` and ``cache_clear`` as with
+    ``lru_cache``).  Only a miss builds the form, and a hit returns what
+    the miss would compute, since the form and det q are the same.  Two
+    sorted stars with one form (a path read from two centres) only miss
+    each other; neither gets a wrong answer.
 
     A vertex permutation maps the embeddings of one form to those of the
     other, a bijection at each rank that keeps the rows touched and keeps
@@ -581,25 +621,39 @@ def qa_lattice_obstruction(graph: PlumbingGraph) -> ObstructionResult:
     ``obstructed`` and ``witness_n`` do not depend on the leg order.  The
     witness is the form's first surjective embedding
     (``_obstruction_search``), with its columns mapped back to the caller's
-    vertex order through ``slots`` and canonicalised on every call, cache
-    hits included; it satisfies the Gram condition against the caller's q.
-    ``nodes``, ``leaves`` and ``pruned`` count the search on the form.
+    vertex order and canonicalised on every call, cache hits included,
+    through ``slots``, each vertex's place: the sort of the caller's
+    vertices by (norm, key), with no permuted matrix.  It satisfies the
+    Gram condition against the caller's q.  ``nodes``, ``leaves`` and
+    ``pruned`` count the search on the form.
 
     The graph's guard, ``PlumbingGraph.definite_form``, is read on every
     call, a cache hit included, so a graph that is not negative definite is
-    rejected whatever the cache holds.
+    rejected whatever the cache holds; it also gives det q.
     """
-    q = graph.definite_form
-    ties = [(), *((leg, i, j) for i, leg in enumerate(graph.legs) for j in range(len(leg)))]
-    form, slots = _placement(q, ties)
-    cols, witness_n, nodes, leaves, pruned = _cached_search(form, q.det)
-    witness = None if cols is None else _canonical_rows(slots, witness_n, cols)
+    d = graph.definite_form.det
+    legs = graph.legs
+    cols, witness_n, nodes, leaves, pruned = _cached_search(
+        graph.central_weight, tuple(sorted(legs)), d)
+    witness = None
+    if cols is not None:
+        weights = [graph.central_weight, *(w for leg in legs for w in leg)]
+        ties = [(), *((leg, i, j) for i, leg in enumerate(legs) for j in range(len(leg)))]
+        witness = _canonical_rows(_slots(weights, ties), witness_n, cols)
     return ObstructionResult(cols is None, witness, witness_n, nodes, leaves, pruned)
+
+
+def _star_search(central_weight: int, legs: tuple[tuple[int, ...], ...], d: int) -> tuple[
+        tuple[tuple[int, ...], ...] | None, int | None, int, int, int]:
+    """``_obstruction_search`` on the placement form of the star with these
+    legs, sorted, and its det q = d: the cached search behind
+    ``qa_lattice_obstruction``, which builds the form only here."""
+    return _obstruction_search(_star_form(central_weight, legs), d)
 
 
 def _obstruction_search(q: Matrix, d: int) -> tuple[
         tuple[tuple[int, ...], ...] | None, int | None, int, int, int]:
-    """The obstruction search on a placement form ``q`` (``_placement``),
+    """The obstruction search on a placement form ``q`` (``_star_form``),
     negative definite, with d = det q, walked as it is:
     ``(witness columns or None, witness_n, nodes, leaves, pruned)``.
 
@@ -648,9 +702,9 @@ def _obstruction_search(q: Matrix, d: int) -> tuple[
     return witness, witness_n, tree.nodes, leaves, tree.pruned
 
 
-# The one cache, keyed on the placement form and its det q, all that the
-# search reads; bounded so that a long enumeration does not keep every
-# search it meets.
-_cached_search = lru_cache(maxsize=1024)(_obstruction_search)
+# The one cache, keyed on the sorted star and its det q, all that the search
+# reads; bounded so that a long enumeration does not keep every search it
+# meets.
+_cached_search = lru_cache(maxsize=1024)(_star_search)
 qa_lattice_obstruction.cache_info = _cached_search.cache_info
 qa_lattice_obstruction.cache_clear = _cached_search.cache_clear

@@ -24,6 +24,7 @@ __all__ = [
     "build_graph",
     "oriented_graph",
     "adjacency_matrix",
+    "tree_det",
     "negative_definite_by_sign",
     "parse_graph",
     "format_graph",
@@ -55,16 +56,21 @@ class PlumbingGraph:
 
     @property
     def definite_form(self) -> Definite:
-        """``adjacency_matrix(self)`` as a ``Definite``, computed at most once
-        per graph object; a plumbing that is not negative definite raises
-        ``NotNegativeDefiniteError``.
+        """``adjacency_matrix(self)`` as a ``Definite`` carrying det q,
+        computed at most once per graph object; a plumbing that is not
+        negative definite raises ``NotNegativeDefiniteError``.
 
-        When every leg entry is <= -2 the Seifert sign test applies as well
-        and must agree with the matrix test; a mismatch would be a bug, not
-        a property of the input, and raises ``InternalError``.  The sign
-        test decides whether it applies (``ValueError`` when it does not),
-        so the legs are scanned once.  ``Definite`` freezes the list rows of
-        q, its one tuple copy before the elimination.
+        Definiteness and det q come from ``tree_det``, one O(k) elimination
+        along the tree, and the ``Definite`` is built from them by the
+        trusted constructor ``Definite._from_validated``: q is laid out once
+        as a ``Matrix``, and neither ``freeze`` nor the dense elimination
+        runs on it.  When every leg entry is <= -2 the Seifert sign test
+        applies as well and must agree; a mismatch would be a bug, not a
+        property of the input, and raises ``InternalError``.  The sign test
+        decides whether it applies (``ValueError`` when it does not), so the
+        legs are scanned once.  It is kept as an independent check of the
+        verdict that the tree elimination gives: it costs one more pass of
+        the same continuants.
 
         A read that raises stores nothing, so it raises again on the next
         read.  The memo is a plain entry of the instance ``__dict__``,
@@ -73,18 +79,16 @@ class PlumbingGraph:
         form = self.__dict__.get("_definite_form")
         if form is not None:
             return form
+        d = tree_det(self)
         try:
-            form = Definite(_adjacency_rows(self))
-        except NotNegativeDefiniteError:
-            form = None
-        try:
-            agree = negative_definite_by_sign(self) == (form is not None)
-        except ValueError:  # a leg weight above -2: only the matrix test applies
+            agree = negative_definite_by_sign(self) == (d is not None)
+        except ValueError:  # a leg weight above -2: only the tree elimination applies
             agree = True
         if not agree:
             raise InternalError(f"definiteness checks disagree on {format_graph(self)!r}")
-        if form is None:
+        if d is None:
             raise NotNegativeDefiniteError("the plumbing is not negative definite")
+        form = Definite._from_validated(adjacency_matrix(self), d)
         self.__dict__["_definite_form"] = form
         return form
 
@@ -140,8 +144,7 @@ def adjacency_matrix(graph: PlumbingGraph) -> Matrix:
 
 def _adjacency_rows(graph: PlumbingGraph) -> list[list[int]]:
     """The rows of ``adjacency_matrix(graph)`` as lists, the one place that
-    lays out q: ``definite_form`` hands them to ``Definite``, whose freeze
-    makes the only tuple copy."""
+    lays out q."""
     k = graph.vertex_count
     m = [[0] * k for _ in range(k)]
     m[0][0] = graph.central_weight
@@ -154,6 +157,41 @@ def _adjacency_rows(graph: PlumbingGraph) -> list[list[int]]:
             prev = idx
             idx += 1
     return m
+
+
+def tree_det(graph: PlumbingGraph) -> int | None:
+    """det q when the graph's q is negative definite, None when it is not:
+    one symmetric elimination along the tree, in O(k) steps.
+
+    Each leg is eliminated from its far end toward the centre, and the
+    centre last.  Eliminating a vertex with one uneliminated neighbour
+    changes only that neighbour's diagonal entry, so on a tree nothing is
+    filled in.  The pivots of a leg a1, ..., ah (a1 next to the centre) are
+    its tails ah, a(h-1) - 1/ah, ..., the ratios p/q of consecutive
+    continuants, carried as integers by the recurrence of
+    ``negative_definite_by_sign``: p, q = a*p - q, p from p, q = 1, 0.  The
+    centre's pivot is e minus q/p over the legs, summed as one fraction
+    num/den the way the sign test sums it.  No pivot is ever divided by.
+
+    The pivots of a symmetric elimination are the ratios of the leading
+    principal minors of q in the elimination order, a congruent form, so
+    by Sylvester's criterion q is negative definite exactly when every
+    pivot is negative: p * q < 0 for each leg pivot and num * den < 0 for
+    the centre's.  This holds for any weights, not only legs <= -2.  The
+    test returns None at the first pivot that is not negative.  det q is
+    the product of the pivots.  A leg's telescopes to its last p, den is
+    the product of those, so det q = num.  Demo 03 prints it beside the
+    dense minor test and the sign test.
+    """
+    num, den = graph.central_weight, 1
+    for leg in graph.legs:
+        p, q = 1, 0
+        for a in reversed(leg):
+            p, q = a * p - q, p
+            if p * q >= 0:
+                return None
+        num, den = num * p - q * den, den * p
+    return num if num * den < 0 else None
 
 
 def negative_definite_by_sign(graph: PlumbingGraph) -> bool:

@@ -162,15 +162,21 @@ class TestVerify:
         assert positive > 0
 
     def test_one_elimination_per_link(self, monkeypatch):
-        # One cross-checked elimination of q guards both halves, Laufer's
-        # sequence and the search, on a cache miss as on a hit.
+        # One cross-checked tree elimination of q guards both halves,
+        # Laufer's sequence and the search, on a cache miss as on a hit, and
+        # the dense elimination never runs on the graph.
         calls = Counter()
 
-        def counting(m, eliminate=intmat.negative_definite_det):
-            calls["eliminations"] += 1
+        def counting_tree(graph, eliminate=plumbing.tree_det):
+            calls["tree"] += 1
+            return eliminate(graph)
+
+        def counting_dense(m, eliminate=intmat.negative_definite_det):
+            calls["dense"] += 1
             return eliminate(m)
 
-        monkeypatch.setattr(intmat, "negative_definite_det", counting)
+        monkeypatch.setattr(plumbing, "tree_det", counting_tree)
+        monkeypatch.setattr(intmat, "negative_definite_det", counting_dense)
         qa_lattice_obstruction.cache_clear()
         for warm in (False, True):
             misses = searched = 0
@@ -180,18 +186,18 @@ class TestVerify:
                 evidence = verify(link)
                 misses += qa_lattice_obstruction.cache_info().misses - before
                 searched += evidence.obstruction is not None
-                assert calls["eliminations"] == (evidence.graph is not None), link
+                assert calls == Counter(tree=evidence.graph is not None), link
             assert searched == 270
             assert misses == (0 if warm else 170)
 
     def test_one_graph_and_one_matrix_per_link(self, monkeypatch):
-        # A cold verify builds the oriented plumbing and its q once, and the
-        # search reads that q: a cache miss builds no second matrix, and a
-        # cache hit builds neither a graph nor a matrix.  Every graph goes
-        # through __post_init__, the one constructor.  Every matrix is laid
-        # out by _adjacency_rows, which definite_form calls and
-        # adjacency_matrix wraps, and every module that binds either is
-        # counted.
+        # A cold verify builds the oriented plumbing and its q once: a cache
+        # miss lays out the sorted star's placement form straight from its
+        # weights, with no second graph or q, and a cache hit builds neither
+        # a graph nor a matrix.  Every graph goes through __post_init__, the
+        # one constructor.  Every q is laid out by _adjacency_rows, which
+        # adjacency_matrix wraps and definite_form calls through it, and
+        # every module that binds either is counted.
         counts = Counter()
         post_init = PlumbingGraph.__post_init__
         rows = plumbing._adjacency_rows

@@ -914,11 +914,10 @@ class TestDeepStars:
         assert err.startswith("internal error:") and err.count("\n") == 1
         assert "Traceback" not in err
 
-    @pytest.mark.slow
     @pytest.mark.parametrize("command", ["classify", "embed"])
     def test_a_502_vertex_chain_is_searched(self, tmp_path, command):
-        # M(0; 501, 2) and the graph file of its plumbing: a chain of 502
-        # vertices, k + N = 1,506 frames.
+        # M(0; 501, 2), whose plumbing is a chain of 502 vertices (k + N =
+        # 1,506 frames), and a graph file of a chain of 501.
         path = tmp_path / "chain.graph"
         path.write_text("central: -2\nleg:" + " -2" * 500 + "\n")
         argv = ((command, "M(0; 501, 2)", "--verify") if command == "classify"
@@ -933,6 +932,19 @@ class TestDeepStars:
             assert json.loads(out)["evidence"] == "PositiveCheck"
         else:
             assert out.startswith(b"NotObstructed n=502\n")
+
+    def test_laufer_on_a_1002_vertex_chain(self, tmp_path, capsys):
+        # The plumbing of M(0; 1001, 2).  The guard is linear in the chain,
+        # so the command runs in a fraction of a second; its stdout is the
+        # one the dense guard printed, pinned by sha256.
+        path = tmp_path / "chain.graph"
+        path.write_text("central: -2\nleg:" + " -2" * 1000 + "\nleg: -2\n")
+        code, out, err = run(capsys, "laufer", str(path))
+        assert (code, err) == (0, "")
+        assert out == ("verdict: Rational\nsteps: 0\ncycle: " + " ".join(["1"] * 1002)
+                       + "\nwitness: none\n")
+        assert hashlib.sha256(out.encode()).hexdigest() == \
+            "05019684dadb5c540a2fe3b38eb159f8b417d87afeb3f647b9a7a52111dc7ed1"
 
 
 def order_free(out):
@@ -1037,23 +1049,31 @@ class TestEmbedAll:
         assert (name, unit) == (b"VmHWM:", b"kB") and int(peak) < 40 * 1024
 
     def test_one_elimination_per_graph(self, tmp_path, capsys, monkeypatch):
-        # The cross-checked guard's elimination gives det q, and its Definite
-        # q passes all_embeddings's guard as it is: no second guard.
+        # Each command reads the graph's cross-checked guard once: one tree
+        # elimination gives det q, and its Definite q passes the guards of
+        # laufer_run and all_embeddings as it is.  The dense elimination
+        # never runs on a graph file.
         calls = []
 
-        def counting(m, eliminate=intmat.negative_definite_det):
-            calls.append(len(m))
+        def counting_tree(graph, eliminate=plumbing.tree_det):
+            calls.append(graph.vertex_count)
+            return eliminate(graph)
+
+        def counting_dense(m, eliminate=intmat.negative_definite_det):
+            calls.append("dense")
             return eliminate(m)
 
-        monkeypatch.setattr(intmat, "negative_definite_det", counting)
+        monkeypatch.setattr(plumbing, "tree_det", counting_tree)
+        monkeypatch.setattr(intmat, "negative_definite_det", counting_dense)
         path = tmp_path / "g.graph"
         for graph in self.GRAPHS[::7]:
             path.write_text(format_graph(graph))
-            for extra in ((), ("--n-max", "5")):
+            for command, *extra in (("laufer",), ("embed",), ("embed", "--all"),
+                                    ("embed", "--all", "--n-max", "5")):
                 calls.clear()
-                code, _, _ = run(capsys, "embed", str(path), "--all", *extra)
+                code, _, _ = run(capsys, command, str(path), *extra)
                 assert code == 0
-                assert calls == [graph.vertex_count], graph
+                assert calls == [graph.vertex_count], (graph, command, extra)
 
 
 def cli_process(*argv, code="import sys; from qamont.cli import main; sys.exit(main())"):

@@ -279,21 +279,25 @@ def test_only_montesinos_imports_fractions():
 
 
 def test_one_trusted_constructor():
-    # A graph is built only by the validating PlumbingGraph(...).  The one
-    # constructor that checks nothing is StandardForm._from_validated, kept
-    # for the family walk, the two standard-form rewrites and the sort of
-    # canonical_form, which meet its premise by construction.
+    # A graph is built only by the validating PlumbingGraph(...).  Each
+    # type has at most one constructor that checks nothing.
+    # StandardForm._from_validated is kept for the family walk, the two
+    # standard-form rewrites and the sort of canonical_form, which meet its
+    # premise by construction.  Definite._from_validated is the end of
+    # Definite(m), after the dense test, and of a graph's guard
+    # definite_form, after the tree elimination.
     assert not hasattr(PlumbingGraph, "_from_validated")
     definitions = [(path.stem, cls.name) for path in sorted(PACKAGE.glob("*.py"))
                    for cls in ast.walk(ast.parse(path.read_text()))
                    if isinstance(cls, ast.ClassDef)
                    for node in cls.body
                    if isinstance(node, ast.FunctionDef) and node.name == "_from_validated"]
-    assert definitions == [("montesinos", "StandardForm")]
+    assert definitions == [("intmat", "Definite"), ("montesinos", "StandardForm")]
     callers = {(path.stem, function) for path in sorted(PACKAGE.glob("*.py"))
                for function, _ in attribute_reads(path, ("_from_validated",))}
     assert callers == {("classifier", "_family"), ("montesinos", "to_standard_form"),
-                       ("montesinos", "reflect"), ("montesinos", "canonical_form")}
+                       ("montesinos", "reflect"), ("montesinos", "canonical_form"),
+                       ("intmat", "__new__"), ("plumbing", "definite_form")}
 
 
 # All arithmetic is exact: the package holds no float or complex literal, no

@@ -12,7 +12,7 @@ from math import isqrt
 import pytest
 
 from conftest import random_cf, random_star_graph
-from qamont import intmat, lattice
+from qamont import intmat, lattice, plumbing
 from qamont.errors import NotNegativeDefiniteError
 from qamont.intmat import freeze
 from qamont.lattice import (all_embeddings, enumerate_embeddings, gram_matches,
@@ -244,20 +244,26 @@ class TestEnumerate:
                 qa_lattice_obstruction(graph)
 
     def test_a_guarded_form_is_eliminated_once(self, monkeypatch):
-        # A Definite passes the guards as it is; a plain matrix equal to it
-        # is eliminated on each call.  The graph's guard is memoised on the
-        # graph object, so the graphs here are built fresh.
+        # A graph's guard runs one tree elimination and no dense one; its
+        # Definite passes the guards as it is, and a plain matrix equal to it
+        # is eliminated densely on each call.  The graph's guard is memoised
+        # on the graph object, so the graphs here are built fresh.
         calls = []
 
-        def counting(m, eliminate=intmat.negative_definite_det):
-            calls.append(len(m))
+        def counting_tree(graph, eliminate=plumbing.tree_det):
+            calls.append(("tree", graph.vertex_count))
+            return eliminate(graph)
+
+        def counting_dense(m, eliminate=intmat.negative_definite_det):
+            calls.append(("dense", len(m)))
             return eliminate(m)
 
-        monkeypatch.setattr(intmat, "negative_definite_det", counting)
+        monkeypatch.setattr(plumbing, "tree_det", counting_tree)
+        monkeypatch.setattr(intmat, "negative_definite_det", counting_dense)
         graph = PlumbingGraph(-2, ((-2,), (-2,), (-2,)))
         form = graph.definite_form
-        assert calls == [4] and form == D4_Q and form.det == 4
-        for q, eliminations in ((form, []), (tuple(form), [4])):
+        assert calls == [("tree", 4)] and form == D4_Q and form.det == 4
+        for q, eliminations in ((form, []), (tuple(form), [("dense", 4)])):
             calls.clear()
             laufer_run(q)
             assert calls == eliminations
@@ -269,11 +275,11 @@ class TestEnumerate:
         laufer_run(fresh.definite_form)
         qa_lattice_obstruction(fresh)
         qa_lattice_obstruction(fresh)
-        assert calls == [4]
+        assert calls == [("tree", 4)]
         equal = PlumbingGraph(-2, ((-2,), (-2,), (-2,)))
         assert equal == fresh and hash(equal) == hash(fresh)
         qa_lattice_obstruction(equal)
-        assert calls == [4, 4]
+        assert calls == [("tree", 4)] * 2
 
     def test_rejects_a_rank_below_one(self):
         for n in (0, -1):
@@ -1026,15 +1032,19 @@ class TestObstruction:
 class TestLegOrder:
     def test_placement_permutes_q_and_every_leg_order_gets_one_form(self, monkeypatch):
         # ``_placement`` permutes q into ascending norm, ties ascending, with
-        # form[slots[u]][slots[v]] == q[u][v]; the form the obstruction search
-        # is keyed on is the leg-sorted star's, whatever the order of the legs.
+        # form[slots[u]][slots[v]] == q[u][v].  The obstruction search builds
+        # its form only on a cache miss, from the sorted star: the forms
+        # built on misses are recorded, and every leg order of a star makes
+        # one miss whose form is the leg-sorted star's placement form, the
+        # form its own q placed by the leg keys gives too.  A witness is
+        # mapped through the slots of that placement, sorted without it.
         forms = []
 
-        def recording(form, d, search=lattice._cached_search):
-            forms.append(form)
-            return search(form, d)
+        def recording(central_weight, legs, build=lattice._star_form):
+            forms.append(build(central_weight, legs))
+            return forms[-1]
 
-        monkeypatch.setattr(lattice, "_cached_search", recording)
+        monkeypatch.setattr(lattice, "_star_form", recording)
         rng = random.Random(20261019)
         stars = repeated = 0
         while stars < 60:
@@ -1057,13 +1067,57 @@ class TestLegOrder:
                 keys = sorted((-q[v][v], ties[v]) for v in range(k))
                 assert [(-q[u][u], ties[u]) for u in sorted(range(k), key=slots.__getitem__)] \
                     == keys
+            star, _ = leg_sorted(graph)
+            expected = lattice._placement(adjacency_matrix(star), range(k))[0]
+            qa_lattice_obstruction.cache_clear()
             forms.clear()
             for typed in leg_permutations(graph):
                 qa_lattice_obstruction(typed)
-            star, _ = leg_sorted(graph)
-            q_star = adjacency_matrix(star)
-            assert set(forms) == {lattice._placement(q_star, range(k))[0]}, graph
+                q_typed = adjacency_matrix(typed)
+                weights = [q_typed[v][v] for v in range(k)]
+                keys = [(), *((leg, i, j) for i, leg in enumerate(typed.legs)
+                              for j in range(len(leg)))]
+                form, slots = lattice._placement(q_typed, keys)
+                assert form == expected and lattice._slots(weights, keys) == slots, typed
+            assert forms == [expected], graph
+            assert qa_lattice_obstruction.cache_info().misses == 1
         assert repeated > 10
+
+    def test_forms_are_built_on_misses_only(self, monkeypatch):
+        # Over the acceptance family's verify, the forms built are the cache
+        # misses, 170, and a warm pass builds none.  Every leg order of a
+        # star maps to one key.
+        built = []
+        keys = []
+
+        def recording_form(central_weight, legs, build=lattice._star_form):
+            built.append(legs)
+            return build(central_weight, legs)
+
+        def recording_search(*key, search=lattice._cached_search):
+            keys.append(key)
+            return search(*key)
+
+        monkeypatch.setattr(lattice, "_star_form", recording_form)
+        monkeypatch.setattr(lattice, "_cached_search", recording_search)
+        family = list(enumerate_family(3, 4, -3, 4, p_min=3))
+        qa_lattice_obstruction.cache_clear()
+        graphs = []
+        for link in family:
+            evidence = verify(link)
+            if evidence.obstruction is not None:
+                graphs.append(evidence.graph)
+        assert len(graphs) == 270
+        assert len(built) == qa_lattice_obstruction.cache_info().misses == 170
+        built.clear()
+        for link in family:
+            verify(link)
+        assert built == [] and qa_lattice_obstruction.cache_info().misses == 170
+        for graph in graphs[::9]:
+            keys.clear()
+            for typed in leg_permutations(graph):
+                qa_lattice_obstruction(typed)
+            assert len(set(keys)) == 1 and built == [], graph
 
     @pytest.mark.parametrize("graphs", [
         lambda: oriented_graphs(3, 4, -3, 4),

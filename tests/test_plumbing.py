@@ -1,18 +1,22 @@
+import random
+from collections import Counter
 from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_star_graph
 from qamont.classifier import enumerate_family
 from qamont.errors import NotNegativeDefiniteError, ParseError
 from qamont import intmat, plumbing
-from qamont.intmat import freeze
+from qamont.intmat import freeze, negative_definite_det
 from qamont.montesinos import (MontesinosLink, StandardForm, determinant, epsilon,
                                reflect, to_negative_form)
 from qamont.plumbing import (PlumbingGraph, adjacency_matrix, build_graph,
                              format_graph, negative_definite_by_sign,
-                             oriented_graph, parse_graph)
+                             oriented_graph, parse_graph, tree_det)
 from references import (cf_eval, det, h1_order, is_negative_definite_matrix,
                         seifert_euler_number)
 
@@ -169,38 +173,33 @@ class TestDefiniteness:
         (PlumbingGraph(0, ((-2,),) * 4), False),
     ], ids=["e8", "leg-above-minus-2", "indefinite"])
     def test_the_guard_does_each_step_once(self, monkeypatch, graph, definite):
-        # One scan of the legs (inside the sign test), one freeze of q's list
-        # rows (the only tuple copy before the elimination), one elimination.
+        # One scan of the legs (inside the sign test) and one tree
+        # elimination per read, and q laid out once, only when it is
+        # definite; neither freeze nor the dense elimination runs.
         graph = PlumbingGraph(graph.central_weight, graph.legs)  # no memo yet
-        counts = {"legs": 0, "eliminations": 0}
-        frozen = []
-        scan, freeze_rows = plumbing._legs_are_continued_fractions, intmat.freeze
-        eliminate = intmat.negative_definite_det
+        expected = adjacency_matrix(graph)
+        counts = Counter()
 
-        def counting_scan(g):
-            counts["legs"] += 1
-            return scan(g)
+        def counting(name, function):
+            def counted(*args):
+                counts[name] += 1
+                return function(*args)
+            return counted
 
-        def counting_freeze(rows):
-            frozen.append(type(rows[0]) if rows else None)
-            return freeze_rows(rows)
-
-        def counting_elimination(m):
-            counts["eliminations"] += 1
-            return eliminate(m)
-
-        monkeypatch.setattr(plumbing, "_legs_are_continued_fractions", counting_scan)
-        monkeypatch.setattr(intmat, "freeze", counting_freeze)
-        monkeypatch.setattr(intmat, "negative_definite_det", counting_elimination)
+        for module, name, key in ((plumbing, "_legs_are_continued_fractions", "legs"),
+                                  (plumbing, "tree_det", "tree"),
+                                  (plumbing, "_adjacency_rows", "layout"),
+                                  (intmat, "freeze", "freeze"),
+                                  (intmat, "negative_definite_det", "dense")):
+            monkeypatch.setattr(module, name, counting(key, getattr(module, name)))
         for _ in range(2):
             if definite:
-                assert graph.definite_form == adjacency_matrix(graph)
+                assert graph.definite_form == expected
             else:
                 with pytest.raises(NotNegativeDefiniteError):
                     graph.definite_form
         reads = 1 if definite else 2  # a read that raises stores nothing
-        assert counts == {"legs": reads, "eliminations": reads}
-        assert frozen == [list] * reads
+        assert counts == Counter(legs=reads, tree=reads, layout=definite)
 
     def test_the_memo_is_an_instance_entry(self):
         # No cached_property, whose first read takes a class-wide lock on
@@ -271,6 +270,58 @@ class TestDefiniteness:
                 assert negative_definite_by_sign(graph)
                 assert negative_definite_by_matrix(graph)
 
+
+class TestTreeElimination:
+    """``tree_det`` against the dense elimination of the same q: the same
+    det, or None on both sides."""
+
+    @staticmethod
+    def agree(graph):
+        assert tree_det(graph) == negative_definite_det(adjacency_matrix(graph)), graph
+
+    @pytest.mark.parametrize("family", [
+        (3, 4, -3, 4, 3),  # the acceptance family
+        (2, 5, -2, 3, 2),  # embed-exhaustive's two families
+        (3, 3, -2, 3, 3),
+    ], ids=["acceptance", "embed-p2", "embed-p3"])
+    def test_agrees_on_the_oriented_graphs(self, family):
+        # Every oriented graph is definite; raising its central weight by 1
+        # and by 2 reaches graphs that are not.
+        *bounds, p_min = family
+        verdicts = set()
+        for link in enumerate_family(*bounds, p_min=p_min):
+            if determinant(link) == 0:
+                continue
+            graph = oriented_graph(link)[1]
+            assert tree_det(graph) == graph.definite_form.det
+            for raised in range(3):
+                shifted = PlumbingGraph(graph.central_weight + raised, graph.legs)
+                self.agree(shifted)
+                verdicts.add(tree_det(shifted) is None)
+        assert verdicts == {False, True}
+
+    def test_agrees_on_random_stars(self):
+        # Leg weights in [-5, 0], so legs that are not continued fractions,
+        # zero pivots and positive tails all occur.
+        rng = random.Random(20261021)
+        definite = 0
+        for _ in range(20000):
+            graph = random_star_graph(rng, max_legs=4, max_leg_len=4,
+                                      central_range=(-8, 3), leg_range=(-5, 0))
+            self.agree(graph)
+            definite += tree_det(graph) is not None
+        assert 2000 < definite < 18000
+
+    @given(st.integers(-12, 4), st.lists(st.integers(-8, 1), max_size=8))
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    def test_agrees_on_single_vertex_legs(self, central, weights):
+        self.agree(PlumbingGraph(central, tuple((w,) for w in weights)))
+
+    def test_a_long_chain(self):
+        # The plumbing of M(0; 1001, 2) is a chain of k = 1,002 vertices of
+        # weight -2, with det q = (-1)^k (k + 1); no dense pass runs on it.
+        graph = PlumbingGraph(-2, ((-2,) * 1000, (-2,)))
+        assert tree_det(graph) == graph.definite_form.det == 1003
 
 class TestH1Order:
     def test_examples(self):
