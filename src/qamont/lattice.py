@@ -50,7 +50,7 @@ from typing import Iterator, Sequence
 
 from .errors import InternalError
 from .intmat import Definite, Matrix, freeze
-from .plumbing import PlumbingGraph
+from .plumbing import PlumbingGraph, adjacency_matrix
 
 __all__ = [
     "ObstructionResult",
@@ -413,35 +413,13 @@ def _placement(q: Matrix, ties: Sequence) -> tuple[Matrix, list[int]]:
     rank, the same set of orbits as a search in vertex order would, and
     satisfy the Gram condition against ``q``.
     The rank bound depends only on the norms, so it is untouched.
-    ``all_embeddings`` breaks ties by vertex index; ``qa_lattice_obstruction``
-    places by the same rule without building this form (``_star_form``).
+    ``all_embeddings`` and a search cache miss break ties by vertex index.
     """
     slots = _slots([row[v] for v, row in enumerate(q)], ties)
-    order = sorted(range(len(q)), key=slots.__getitem__)
+    order = [0] * len(slots)
+    for v, place in enumerate(slots):
+        order[place] = v
     return tuple(tuple(q[u][v] for v in order) for u in order), slots
-
-
-def _star_form(central_weight: int, legs: tuple[tuple[int, ...], ...]) -> Matrix:
-    """The placement form of the star with these legs, ties by vertex
-    index: ``_placement(adjacency_matrix(star), range(k))[0]``, laid out
-    straight from the weights, with no q in vertex order.  Vertex indices
-    are those of ``plumbing._adjacency_rows``: the centre 0, then each leg
-    from its central end outward."""
-    weights = [central_weight]
-    edges = []
-    for leg in legs:
-        u = 0
-        for w in leg:
-            edges.append((u, len(weights)))
-            u = len(weights)
-            weights.append(w)
-    slots = _slots(weights, range(len(weights)))
-    rows = [[0] * len(weights) for _ in weights]
-    for v, w in enumerate(weights):
-        rows[slots[v]][slots[v]] = w
-    for u, v in edges:
-        rows[slots[u]][slots[v]] = rows[slots[v]][slots[u]] = 1
-    return tuple(map(tuple, rows))
 
 
 def enumerate_embeddings(q: Matrix, n: int) -> Iterator[Matrix]:
@@ -604,7 +582,7 @@ def qa_lattice_obstruction(graph: PlumbingGraph) -> ObstructionResult:
     weight-preserving isomorphism of the graph onto the sorted star, so the
     caller's q placed by (norm, key) is the sorted star's q placed by
     (norm, index): every leg order of a star gets the sorted star's own
-    placement form (``_star_form``).
+    placement form, the one ``_star_search`` builds.
 
     So the search is a function of the sorted star, and its result is
     cached under it: ``(central weight, sorted legs)``, with det q, itself
@@ -648,12 +626,13 @@ def _star_search(central_weight: int, legs: tuple[tuple[int, ...], ...], d: int)
     """``_obstruction_search`` on the placement form of the star with these
     legs, sorted, and its det q = d: the cached search behind
     ``qa_lattice_obstruction``, which builds the form only here."""
-    return _obstruction_search(_star_form(central_weight, legs), d)
+    q = adjacency_matrix(PlumbingGraph(central_weight, legs))
+    return _obstruction_search(_placement(q, range(len(q)))[0], d)
 
 
 def _obstruction_search(q: Matrix, d: int) -> tuple[
         tuple[tuple[int, ...], ...] | None, int | None, int, int, int]:
-    """The obstruction search on a placement form ``q`` (``_star_form``),
+    """The obstruction search on a placement form ``q`` (``_star_search``),
     negative definite, with d = det q, walked as it is:
     ``(witness columns or None, witness_n, nodes, leaves, pruned)``.
 

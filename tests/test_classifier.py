@@ -191,10 +191,10 @@ class TestVerify:
             assert misses == (0 if warm else 170)
 
     def test_one_graph_and_one_matrix_per_link(self, monkeypatch):
-        # A cold verify builds the oriented plumbing and its q once: a cache
-        # miss lays out the sorted star's placement form straight from its
-        # weights, with no second graph or q, and a cache hit builds neither
-        # a graph nor a matrix.  Every graph goes through __post_init__, the
+        # A cold verify builds the oriented plumbing and its q once, and a
+        # cache miss builds one more of each, the sorted star and its q, to
+        # lay out the placement form; a search that hits builds neither a
+        # graph nor a matrix.  Every graph goes through __post_init__, the
         # one constructor.  Every q is laid out by _adjacency_rows, which
         # adjacency_matrix wraps and definite_form calls through it, and
         # every module that binds either is counted.
@@ -227,8 +227,10 @@ class TestVerify:
         graphs = []
         for link in FAMILY:
             counts.clear()
+            before = qa_lattice_obstruction.cache_info().misses
             evidence = verify(link)
-            built = evidence.graph is not None
+            built = (evidence.graph is not None) + (
+                qa_lattice_obstruction.cache_info().misses - before)
             assert (counts["graphs"], counts["matrices"]) == (built, built), link
             if evidence.obstruction is not None:
                 graphs.append(evidence.graph)

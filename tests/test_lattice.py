@@ -1040,11 +1040,11 @@ class TestLegOrder:
         # mapped through the slots of that placement, sorted without it.
         forms = []
 
-        def recording(central_weight, legs, build=lattice._star_form):
-            forms.append(build(central_weight, legs))
-            return forms[-1]
+        def recording(form, d, search=lattice._obstruction_search):
+            forms.append(form)
+            return search(form, d)
 
-        monkeypatch.setattr(lattice, "_star_form", recording)
+        monkeypatch.setattr(lattice, "_obstruction_search", recording)
         rng = random.Random(20261019)
         stars = repeated = 0
         while stars < 60:
@@ -1084,21 +1084,22 @@ class TestLegOrder:
         assert repeated > 10
 
     def test_forms_are_built_on_misses_only(self, monkeypatch):
-        # Over the acceptance family's verify, the forms built are the cache
-        # misses, 170, and a warm pass builds none.  Every leg order of a
+        # Over the acceptance family's verify, the forms searched, each
+        # built just before, are the cache misses, 170, and a warm pass
+        # builds none.  Every leg order of a
         # star maps to one key.
         built = []
         keys = []
 
-        def recording_form(central_weight, legs, build=lattice._star_form):
-            built.append(legs)
-            return build(central_weight, legs)
+        def recording_form(form, d, search=lattice._obstruction_search):
+            built.append(form)
+            return search(form, d)
 
         def recording_search(*key, search=lattice._cached_search):
             keys.append(key)
             return search(*key)
 
-        monkeypatch.setattr(lattice, "_star_form", recording_form)
+        monkeypatch.setattr(lattice, "_obstruction_search", recording_form)
         monkeypatch.setattr(lattice, "_cached_search", recording_search)
         family = list(enumerate_family(3, 4, -3, 4, p_min=3))
         qa_lattice_obstruction.cache_clear()
