@@ -258,7 +258,7 @@ def cmd_embed(args) -> int:
         raise ValueError(f"--n-max must be at least 1, got {args.n_max}")
     graph = _read_graph(args.graph_file)
     if args.all:
-        # all_embeddings takes the graph's cross-checked q as it is.
+        # all_embeddings takes the graph's guarded q as it is.
         total = 0
         for n, emb, surjective in all_embeddings(graph.definite_form, args.n_max):
             total += 1

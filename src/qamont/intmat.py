@@ -12,9 +12,10 @@ matrix from outside: it freezes m, runs the elimination and carries the
 determinant, and it returns a ``Definite`` it is given unchanged, so a form
 that has passed the test is never eliminated again.  A plumbing graph's
 guard, ``PlumbingGraph.definite_form``, runs the same test in O(k) along
-the tree instead (``plumbing.tree_det``) and builds its ``Definite``
-through the trusted constructor ``Definite._from_validated``, so neither
-``freeze`` nor this elimination runs on a graph's form.
+the tree instead (``plumbing.tree_det``, a graph's one definiteness rule)
+and builds its ``Definite`` through the trusted constructor
+``Definite._from_validated``, so neither ``freeze`` nor this elimination
+runs on a graph's form; the tests compare the two eliminations.
 """
 
 from __future__ import annotations
@@ -108,8 +109,9 @@ class Definite(tuple):
         """m, a ``Matrix`` known to be negative definite, with its
         determinant det: nothing is frozen or tested again.  Besides
         ``Definite(m)``, its one caller is ``PlumbingGraph.definite_form``,
-        which lays q out as a ``Matrix`` of the graph's validated ints and
-        has run the tree elimination on it: the test of
+        which has run ``plumbing.tree_det`` on the graph and then lays q out
+        with ``plumbing.adjacency_matrix`` as a ``Matrix`` of the graph's
+        validated ints: the tree elimination is the test of
         ``negative_definite_det`` in another vertex order, which gives the
         same verdict and det q as the product of its pivots."""
         form = super().__new__(cls, m)

@@ -574,7 +574,7 @@ def qa_lattice_obstruction(graph: PlumbingGraph) -> ObstructionResult:
     """Search every ambient rank for an embedding with surjective transpose.
 
     The search runs on q in placement order, ties broken by the legs
-    themselves: in the vertex order ``plumbing._adjacency_rows`` lays out,
+    themselves: in the vertex order ``plumbing.adjacency_matrix`` lays out,
     the centre has the key () and vertex j of leg i the key (leg i, i, j).
     The keys order the vertices by their position in the star with its legs
     stably sorted, since that sort orders the legs as (leg i, i) does, and

@@ -5,7 +5,12 @@ plumbing on a star: one central vertex carrying e, and one linear leg per
 tangle carrying its continued fraction coefficients, the entry adjacent to
 the central vertex first.  Vertices are indexed central first, then the
 legs in order, each from the central end outward, so matrices are
-reproducible.
+reproducible; ``adjacency_matrix`` is the one function that lays q out in
+that order.
+
+A graph's definiteness has one rule, ``tree_det``: one elimination along
+the tree in O(k), for any weights, which also gives det q.  The graph's
+guard ``PlumbingGraph.definite_form`` reads it and nothing else.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from itertools import repeat
 from operator import index
 
 from .cfrac import _expand, cf_expand
-from .errors import InternalError, NotNegativeDefiniteError, ParseError
+from .errors import NotNegativeDefiniteError, ParseError
 from .intmat import Definite, Matrix
 from .montesinos import _INTEGER, MontesinosLink, StandardForm, _scaled_epsilon, reflect
 
@@ -25,7 +30,6 @@ __all__ = [
     "oriented_graph",
     "adjacency_matrix",
     "tree_det",
-    "negative_definite_by_sign",
     "parse_graph",
     "format_graph",
 ]
@@ -61,16 +65,11 @@ class PlumbingGraph:
         negative definite raises ``NotNegativeDefiniteError``.
 
         Definiteness and det q come from ``tree_det``, one O(k) elimination
-        along the tree, and the ``Definite`` is built from them by the
-        trusted constructor ``Definite._from_validated``: q is laid out once
-        as a ``Matrix``, and neither ``freeze`` nor the dense elimination
-        runs on it.  When every leg entry is <= -2 the Seifert sign test
-        applies as well and must agree; a mismatch would be a bug, not a
-        property of the input, and raises ``InternalError``.  The sign test
-        decides whether it applies (``ValueError`` when it does not), so the
-        legs are scanned once.  It is kept as an independent check of the
-        verdict that the tree elimination gives: it costs one more pass of
-        the same continuants.
+        along the tree and the one definiteness rule for a graph, and the
+        ``Definite`` is built from them by the trusted constructor
+        ``Definite._from_validated``: q is laid out once, only when it is
+        definite, and neither ``freeze`` nor the dense elimination runs on
+        it.
 
         A read that raises stores nothing, so it raises again on the next
         read.  The memo is a plain entry of the instance ``__dict__``,
@@ -80,12 +79,6 @@ class PlumbingGraph:
         if form is not None:
             return form
         d = tree_det(self)
-        try:
-            agree = negative_definite_by_sign(self) == (d is not None)
-        except ValueError:  # a leg weight above -2: only the tree elimination applies
-            agree = True
-        if not agree:
-            raise InternalError(f"definiteness checks disagree on {format_graph(self)!r}")
         if d is None:
             raise NotNegativeDefiniteError("the plumbing is not negative definite")
         form = Definite._from_validated(adjacency_matrix(self), d)
@@ -134,17 +127,13 @@ def oriented_graph(link: StandardForm) -> tuple[StandardForm, PlumbingGraph]:
 
 def adjacency_matrix(graph: PlumbingGraph) -> Matrix:
     """Symmetric k x k weighted adjacency matrix: weights on the diagonal,
-    an entry 1 for every tree edge, 0 elsewhere.
+    an entry 1 for every tree edge, 0 elsewhere.  It is the one function
+    that lays out q, for the graph's guard and for the search's sorted
+    star alike, in the vertex order of the module docstring.
 
     It needs no ``freeze``: the graph's weights were validated as ``int``s
     when it was built, every other entry is the literal 0 or 1, and every
     row has k entries, so the rows are already a ``Matrix``."""
-    return tuple(map(tuple, _adjacency_rows(graph)))
-
-
-def _adjacency_rows(graph: PlumbingGraph) -> list[list[int]]:
-    """The rows of ``adjacency_matrix(graph)`` as lists, the one place that
-    lays out q."""
     k = graph.vertex_count
     m = [[0] * k for _ in range(k)]
     m[0][0] = graph.central_weight
@@ -156,7 +145,7 @@ def _adjacency_rows(graph: PlumbingGraph) -> list[list[int]]:
             m[prev][idx] = m[idx][prev] = 1
             prev = idx
             idx += 1
-    return m
+    return tuple(map(tuple, m))
 
 
 def tree_det(graph: PlumbingGraph) -> int | None:
@@ -168,10 +157,10 @@ def tree_det(graph: PlumbingGraph) -> int | None:
     changes only that neighbour's diagonal entry, so on a tree nothing is
     filled in.  The pivots of a leg a1, ..., ah (a1 next to the centre) are
     its tails ah, a(h-1) - 1/ah, ..., the ratios p/q of consecutive
-    continuants, carried as integers by the recurrence of
-    ``negative_definite_by_sign``: p, q = a*p - q, p from p, q = 1, 0.  The
-    centre's pivot is e minus q/p over the legs, summed as one fraction
-    num/den the way the sign test sums it.  No pivot is ever divided by.
+    continuants, carried as integers by the recurrence p, q = a*p - q, p
+    from p, q = 1, 0.  The centre's pivot is e minus q/p over the legs,
+    summed as one fraction num/den of integers.  No pivot is ever divided
+    by.
 
     The pivots of a symmetric elimination are the ratios of the leading
     principal minors of q in the elimination order, a congruent form, so
@@ -180,8 +169,15 @@ def tree_det(graph: PlumbingGraph) -> int | None:
     the centre's.  This holds for any weights, not only legs <= -2.  The
     test returns None at the first pivot that is not negative.  det q is
     the product of the pivots.  A leg's telescopes to its last p, den is
-    the product of those, so det q = num.  Demo 03 prints it beside the
-    dense minor test and the sign test.
+    the product of those, so det q = num.
+
+    When every leg weight is <= -2, each leg's pivots are continued-fraction
+    tails below -1, so they all pass, and the centre's pivot is the Euler
+    number of the Seifert fibration, e - sum of 1/value(leg): the Seifert
+    sign test is this function's last step, not a second rule.  Its
+    ``Fraction`` value is the tests' reference
+    (``tests/references.seifert_euler_number``).  Demo 03 prints det q
+    beside the dense minor test and the link's eps.
     """
     num, den = graph.central_weight, 1
     for leg in graph.legs:
@@ -192,31 +188,6 @@ def tree_det(graph: PlumbingGraph) -> int | None:
                 return None
         num, den = num * p - q * den, den * p
     return num if num * den < 0 else None
-
-
-def negative_definite_by_sign(graph: PlumbingGraph) -> bool:
-    """Sign test: all legs evaluate below -1 and the Euler number is negative.
-
-    The Euler number e - sum of 1/value(leg) is summed as one fraction
-    num/den of integers.  A leg a1, ..., ah evaluates to p/q by the
-    continuant recurrence, right to left from p/q = ah/1: a - 1/(p/q) =
-    (a*p - q)/p.  Then num/den - q/p = (num*p - q*den)/(den*p).  Neither
-    den nor a leg's q keeps one sign, so the Euler number is negative
-    exactly when num * den < 0; it is 0, and the test False, when num is.
-    """
-    if not _legs_are_continued_fractions(graph):
-        raise ValueError("leg weights above -2: the Seifert sign test does not apply")
-    num, den = graph.central_weight, 1
-    for leg in graph.legs:
-        p, q = leg[-1], 1
-        for a in leg[-2::-1]:
-            p, q = a * p - q, p
-        num, den = num * p - q * den, den * p
-    return num * den < 0
-
-
-def _legs_are_continued_fractions(graph: PlumbingGraph) -> bool:
-    return all(w <= -2 for leg in graph.legs for w in leg)
 
 
 # Text format, one graph per file, each weight in ASCII digits:

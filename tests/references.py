@@ -8,7 +8,7 @@ Bareiss elimination with row pivoting, the boolean definiteness test, the
 symmetry test, the matrix-vector product, the form -A^T A of an embedding
 A, canonical rows read one index at a time, and an embedding stream
 grouped by rank.  No program path needs them: ``cfrac.cf_expand``,
-``plumbing.negative_definite_by_sign``, ``montesinos._reduced_pair``,
+``plumbing.tree_det``, ``montesinos._reduced_pair``,
 ``montesinos.format_link``, ``montesinos._TANGLE_ORDER`` and
 ``Verdict.epsilon_text`` run on integers,
 ``intmat.Definite`` reads det Q off the last pivot of its definiteness
@@ -28,7 +28,7 @@ from typing import Sequence
 
 from qamont.intmat import Matrix, negative_definite_det
 from qamont.montesinos import MontesinosLink, StandardForm
-from qamont.plumbing import PlumbingGraph, _legs_are_continued_fractions, adjacency_matrix
+from qamont.plumbing import PlumbingGraph, adjacency_matrix
 
 
 def check_coeffs(coeffs: Sequence[int]) -> tuple[int, ...]:
@@ -66,10 +66,10 @@ def prefix_r(coeffs: Sequence[int], length: int) -> Fraction:
 def seifert_euler_number(graph: PlumbingGraph) -> Fraction:
     """central weight - sum of 1/value(leg); needs every leg entry <= -2.
 
-    This is the ``Fraction`` reference; ``negative_definite_by_sign``
-    decides its sign on integers."""
-    if not _legs_are_continued_fractions(graph):
-        raise ValueError("leg weights above -2: the Seifert sign test does not apply")
+    This is the ``Fraction`` reference; ``plumbing.tree_det`` decides its
+    sign on integers, as the pivot of the centre."""
+    if not all(w <= -2 for leg in graph.legs for w in leg):
+        raise ValueError("leg weights above -2: the legs are not continued fractions")
     return Fraction(graph.central_weight) - sum(1 / cf_eval(leg) for leg in graph.legs)
 
 

@@ -10,7 +10,7 @@ from math import gcd
 import pytest
 from conftest import EPSILON_CASES, epsilon_cases, random_raw_links
 
-from qamont import classifier, intmat, montesinos, plumbing
+from qamont import classifier, intmat, lattice, montesinos, plumbing
 from qamont.classifier import (Branch, Reason, Status, _strict_pair, classify,
                                enumerate_family, explain, render_explain,
                                verify)
@@ -162,9 +162,9 @@ class TestVerify:
         assert positive > 0
 
     def test_one_elimination_per_link(self, monkeypatch):
-        # One cross-checked tree elimination of q guards both halves,
-        # Laufer's sequence and the search, on a cache miss as on a hit, and
-        # the dense elimination never runs on the graph.
+        # One tree elimination of q guards both halves, Laufer's sequence
+        # and the search, on a cache miss as on a hit, and the dense
+        # elimination never runs on the graph.
         calls = Counter()
 
         def counting_tree(graph, eliminate=plumbing.tree_det):
@@ -195,34 +195,28 @@ class TestVerify:
         # cache miss builds one more of each, the sorted star and its q, to
         # lay out the placement form; a search that hits builds neither a
         # graph nor a matrix.  Every graph goes through __post_init__, the
-        # one constructor.  Every q is laid out by _adjacency_rows, which
-        # adjacency_matrix wraps and definite_form calls through it, and
-        # every module that binds either is counted.
+        # one constructor.  Every q is laid out by adjacency_matrix, the one
+        # layout function, which definite_form and the search's miss both
+        # call, and every module that binds it is counted.
         counts = Counter()
         post_init = PlumbingGraph.__post_init__
-        rows = plumbing._adjacency_rows
+        layout = plumbing.adjacency_matrix
 
         def checked(graph):
             counts["graphs"] += 1
             post_init(graph)
 
-        def counting_rows(graph):
-            counts["matrices"] += 1
-            return rows(graph)
-
         def counting_matrix(graph):
-            return tuple(map(tuple, counting_rows(graph)))
+            counts["matrices"] += 1
+            return layout(graph)
 
         monkeypatch.setattr(PlumbingGraph, "__post_init__", checked)
-        for name, counting in (("_adjacency_rows", counting_rows),
-                               ("adjacency_matrix", counting_matrix)):
-            real = getattr(plumbing, name)
-            bindings = [module for module_name, module in list(sys.modules.items())
-                        if module_name.split(".")[0] == "qamont"
-                        and getattr(module, name, None) is real]
-            assert plumbing in bindings
-            for module in bindings:
-                monkeypatch.setattr(module, name, counting)
+        bindings = [module for module_name, module in list(sys.modules.items())
+                    if module_name.split(".")[0] == "qamont"
+                    and getattr(module, "adjacency_matrix", None) is layout]
+        assert {plumbing, lattice} <= set(bindings)
+        for module in bindings:
+            monkeypatch.setattr(module, "adjacency_matrix", counting_matrix)
         qa_lattice_obstruction.cache_clear()
         graphs = []
         for link in FAMILY:
@@ -394,6 +388,67 @@ def fraction_strict_pair(std, bigger_reflected):
             if i != j and ((reflected > t_j) if bigger_reflected else (reflected < t_j)):
                 return (i, j)
     return None
+
+
+def seeded_sample():
+    """320 links drawn with ``random.Random(42)``, in this order: for each p
+    in 2..5, 40 links with e uniform in [-p, p], then 40 with e uniform in
+    [1, max(1, p - 1)], the range of conditions (2) and (4).  Each link
+    draws its p tangles first, then e.  A tangle draws alpha uniform in
+    [2, 12] and beta uniform in [1, alpha - 1], and draws both again until
+    gcd(alpha, beta) = 1."""
+    rng = random.Random(42)
+
+    def tangle():
+        while True:
+            alpha = rng.randint(2, 12)
+            beta = rng.randint(1, alpha - 1)
+            if gcd(alpha, beta) == 1:
+                return Fraction(alpha, beta)
+
+    links = []
+    for p in range(2, 6):
+        for low, high in [(-p, p)] * 40 + [(1, max(1, p - 1))] * 40:
+            tangles = tuple(tangle() for _ in range(p))
+            links.append((p, MontesinosLink(rng.randint(low, high), tangles)))
+    return links
+
+
+SAMPLE = seeded_sample()
+
+
+class TestSampledEquivalence:
+    """classify says QA exactly when verify reaches PositiveCheck, beyond
+    the acceptance family: on a seeded sample of p = 2..5, alpha <= 12
+    (``seeded_sample``).  Over all four p the sample has 253 PositiveCheck,
+    59 LauferNotLSpace and 8 LatticeObstructed links, and no DetZero."""
+
+    BRANCHES = {
+        2: {Branch.POSITIVE_CHECK: 80},
+        3: {Branch.POSITIVE_CHECK: 66, Branch.LAUFER_NOT_LSPACE: 8,
+            Branch.LATTICE_OBSTRUCTED: 6},
+        4: {Branch.POSITIVE_CHECK: 55, Branch.LAUFER_NOT_LSPACE: 23,
+            Branch.LATTICE_OBSTRUCTED: 2},
+        5: {Branch.POSITIVE_CHECK: 52, Branch.LAUFER_NOT_LSPACE: 28},
+    }
+
+    def test_the_pins_cover_the_sample(self):
+        totals = sum(map(Counter, self.BRANCHES.values()), Counter())
+        assert totals == {Branch.POSITIVE_CHECK: 253, Branch.LAUFER_NOT_LSPACE: 59,
+                          Branch.LATTICE_OBSTRUCTED: 8}
+        assert Counter(p for p, _ in SAMPLE) == {p: 80 for p in self.BRANCHES}
+
+    @pytest.mark.parametrize("p", [2, 3, 4, 5])
+    def test_classify_agrees_with_verify(self, p):
+        branches = Counter()
+        for link_p, link in SAMPLE:
+            if link_p != p:
+                continue
+            verdict, branch = classify(link), verify(link).branch
+            assert (verdict.status is Status.QA) == (branch is Branch.POSITIVE_CHECK), link
+            assert (verdict.reason is Reason.DET_ZERO) == (branch is Branch.DET_ZERO), link
+            branches[branch] += 1
+        assert branches == self.BRANCHES[p]
 
 
 class TestIntegerForms:

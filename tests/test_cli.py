@@ -24,7 +24,7 @@ from qamont.lattice import (_critical_primes, gram_matches, qa_lattice_obstructi
                             transpose_surjective)
 from qamont.montesinos import canonical_form, determinant, parse_link
 from qamont.plumbing import adjacency_matrix, format_graph, oriented_graph, parse_graph
-from references import epsilon_text_by_fraction, is_negative_definite_matrix
+from references import epsilon_text_by_fraction
 
 E8_TEXT = "central: -2\nleg: -2\nleg: -2 -2\nleg: -2 -2 -2 -2\n"
 SIGMA_237_TEXT = "central: -1\nleg: -2\nleg: -3\nleg: -7\n"
@@ -727,13 +727,6 @@ class TestGraphCommands:
         assert "steps: 0" in out
         assert "witness: 0 (central)" in out
 
-    def test_laufer_indefinite_exits_3(self, tmp_path, capsys):
-        path = tmp_path / "bad.graph"
-        path.write_text(INDEFINITE_TEXT)
-        code, _, err = run(capsys, "laufer", str(path))
-        assert code == 3
-        assert "negative definite" in err
-
     def test_laufer_malformed_exits_2(self, tmp_path, capsys):
         path = tmp_path / "nonsense.graph"
         path.write_text("central: q\n")
@@ -838,40 +831,18 @@ class TestGraphCommands:
         assert "embedding n=2 index=1 surjective=true" in out
         assert "total: 1" in out
 
-    def test_embed_indefinite_exits_3(self, tmp_path, capsys):
+    def test_embed_all_not_definite_exits_3(self, tmp_path, capsys):
+        # n_max below k: the guard is read before the empty rank range.  An
+        # indefinite and a positive graph are checked with the other graph
+        # commands in test_graph_commands_share_one_definiteness_error.
         path = tmp_path / "bad.graph"
-        path.write_text(INDEFINITE_TEXT)
-        code, _, err = run(capsys, "embed", str(path))
-        assert code == 3
-
-    @pytest.mark.parametrize("text,extra", [
-        ("central: 1\n", ()),  # the rank range is empty: norm sum below k
-        ("central: 0\nleg: -2\n", ("--n-max", "1")),  # n_max below k
-        (INDEFINITE_TEXT, ()),
-    ], ids=["positive", "below-k", "indefinite"])
-    def test_embed_all_not_definite_exits_3(self, tmp_path, capsys, text, extra):
-        path = tmp_path / "bad.graph"
-        path.write_text(text)
-        code, out, err = run(capsys, "embed", str(path), "--all", *extra)
+        path.write_text("central: 0\nleg: -2\n")
+        code, out, err = run(capsys, "embed", str(path), "--all", "--n-max", "1")
         assert code == 3
         assert out == ""
         assert "negative definite" in err
 
     GRAPH_COMMANDS = [("laufer",), ("embed",), ("embed", "--all")]
-
-    @pytest.mark.parametrize("command", GRAPH_COMMANDS, ids=["laufer", "embed", "embed-all"])
-    def test_definiteness_disagreement_exits_4(self, tmp_path, capsys, monkeypatch,
-                                               command):
-        path = tmp_path / "d4.graph"
-        path.write_text(D4_TEXT)
-        monkeypatch.setattr(
-            plumbing, "negative_definite_by_sign",
-            lambda graph: not is_negative_definite_matrix(adjacency_matrix(graph)))
-        qa_lattice_obstruction.cache_clear()  # force the definiteness check
-        code, out, err = run(capsys, command[0], str(path), *command[1:])
-        assert code == 4
-        assert out == ""
-        assert err.startswith("internal error:") and "disagree" in err
 
     def test_graph_commands_share_one_definiteness_error(self, tmp_path, capsys):
         # Every graph command reads the graph's one guard, so an indefinite
@@ -1049,10 +1020,10 @@ class TestEmbedAll:
         assert (name, unit) == (b"VmHWM:", b"kB") and int(peak) < 40 * 1024
 
     def test_one_elimination_per_graph(self, tmp_path, capsys, monkeypatch):
-        # Each command reads the graph's cross-checked guard once: one tree
-        # elimination gives det q, and its Definite q passes the guards of
-        # laufer_run and all_embeddings as it is.  The dense elimination
-        # never runs on a graph file.
+        # Each command reads the graph's guard once: one tree elimination
+        # gives det q, and its Definite q passes the guards of laufer_run
+        # and all_embeddings as it is.  The dense elimination never runs on
+        # a graph file.
         calls = []
 
         def counting_tree(graph, eliminate=plumbing.tree_det):

@@ -155,7 +155,7 @@ MOVED_TO_TESTS = ["minor_check", "support_set", "truncate_legs", "rigidity_check
                   "is_negative_definite", "Embedding", "mat_vec",
                   "is_negative_definite_matrix", "definite_det", "_sorted_star", "definite",
                   "tangle_alpha_beta", "gram_matrix", "is_symmetric", "_in_vertex_order",
-                  "embeddings_by_rank", "_star_ties",
+                  "embeddings_by_rank", "_star_ties", "negative_definite_by_sign",
                   # the unguarded private twin of each guarded entry
                   *("_" + name for name in ("laufer_run", "embeddings_by_rank",
                                             "qa_lattice_obstruction", "definite_det"))]
@@ -181,7 +181,9 @@ def test_paper_lemma_checks_stay_in_the_tests(module):
     # from a leaf to an embedding; embeddings_by_rank, which held every leaf
     # until its walk ended, in favour of all_embeddings, which streams them;
     # _star_ties, which ranked the legs to key the placement ties, in favour
-    # of the legs themselves as keys.
+    # of the legs themselves as keys; negative_definite_by_sign, the Seifert
+    # sign test, in favour of plumbing.tree_det, whose centre pivot is the
+    # same Euler number (its Fraction reference is seifert_euler_number).
     namespace = importlib.import_module(module)
     assert [name for name in MOVED_TO_TESTS if hasattr(namespace, name)] == []
 

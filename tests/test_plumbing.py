@@ -15,8 +15,7 @@ from qamont.intmat import freeze, negative_definite_det
 from qamont.montesinos import (MontesinosLink, StandardForm, determinant, epsilon,
                                reflect, to_negative_form)
 from qamont.plumbing import (PlumbingGraph, adjacency_matrix, build_graph,
-                             format_graph, negative_definite_by_sign,
-                             oriented_graph, parse_graph, tree_det)
+                             format_graph, oriented_graph, parse_graph, tree_det)
 from references import (cf_eval, det, h1_order, is_negative_definite_matrix,
                         seifert_euler_number)
 
@@ -169,12 +168,12 @@ class TestDefiniteness:
 
     @pytest.mark.parametrize("graph,definite", [
         (PlumbingGraph(-2, ((-2,), (-2, -2), (-2, -2, -2, -2))), True),  # E8
-        (PlumbingGraph(-9, ((-1,),)), True),  # a leg above -2: no sign test
+        (PlumbingGraph(-9, ((-1,),)), True),  # a leg above -2
         (PlumbingGraph(0, ((-2,),) * 4), False),
     ], ids=["e8", "leg-above-minus-2", "indefinite"])
     def test_the_guard_does_each_step_once(self, monkeypatch, graph, definite):
-        # One scan of the legs (inside the sign test) and one tree
-        # elimination per read, and q laid out once, only when it is
+        # One tree elimination per read, the one definiteness rule, and q
+        # laid out once by the one layout function, only when it is
         # definite; neither freeze nor the dense elimination runs.
         graph = PlumbingGraph(graph.central_weight, graph.legs)  # no memo yet
         expected = adjacency_matrix(graph)
@@ -186,9 +185,8 @@ class TestDefiniteness:
                 return function(*args)
             return counted
 
-        for module, name, key in ((plumbing, "_legs_are_continued_fractions", "legs"),
-                                  (plumbing, "tree_det", "tree"),
-                                  (plumbing, "_adjacency_rows", "layout"),
+        for module, name, key in ((plumbing, "tree_det", "tree"),
+                                  (plumbing, "adjacency_matrix", "layout"),
                                   (intmat, "freeze", "freeze"),
                                   (intmat, "negative_definite_det", "dense")):
             monkeypatch.setattr(module, name, counting(key, getattr(module, name)))
@@ -199,7 +197,7 @@ class TestDefiniteness:
                 with pytest.raises(NotNegativeDefiniteError):
                     graph.definite_form
         reads = 1 if definite else 2  # a read that raises stores nothing
-        assert counts == Counter(legs=reads, tree=reads, layout=definite)
+        assert counts == Counter(tree=reads, layout=definite)
 
     def test_the_memo_is_an_instance_entry(self):
         # No cached_property, whose first read takes a class-wide lock on
@@ -219,10 +217,12 @@ class TestDefiniteness:
         assert seifert_euler_number(PlumbingGraph(-2, ((-2,), (-2,), (-2,)))) == \
             Fraction(-1, 2)
 
-    def test_sign_test_needs_cf_legs(self):
+    def test_the_euler_number_needs_cf_legs(self):
+        # The Fraction reference applies only to legs <= -2 ...
         with pytest.raises(ValueError):
-            negative_definite_by_sign(PlumbingGraph(-9, ((-1,),)))
-        # ... but the matrix test still decides it
+            seifert_euler_number(PlumbingGraph(-9, ((-1,),)))
+        # ... but the tree elimination decides any weights, as the matrix does
+        assert tree_det(PlumbingGraph(-9, ((-1,),))) == 8
         assert negative_definite_by_matrix(PlumbingGraph(-9, ((-1,),)))
 
     def test_methods_agree_on_random_graphs(self, rng):
@@ -230,24 +230,61 @@ class TestDefiniteness:
             graph = random_star_graph(rng, max_legs=4, max_leg_len=4,
                                       central_range=(-7, -1))
             definite = negative_definite_by_matrix(graph)
-            assert negative_definite_by_sign(graph) == definite
+            assert (tree_det(graph) is not None) == definite
+            assert (seifert_euler_number(graph) < 0) == definite
             if definite:
                 assert graph.definite_form.det == det(adjacency_matrix(graph))
             else:
                 with pytest.raises(NotNegativeDefiniteError):
                     graph.definite_form
 
-    def test_sign_test_matches_the_euler_number_on_random_stars(self, rng):
-        # the integer sign test against the Fraction reference, on central
-        # weights that make the Euler number negative, zero and positive
-        signs = set()
+    @staticmethod
+    def matches_the_euler_number(graph):
+        """On legs <= -2, the guard's verdict is the sign of the Fraction
+        Euler number: ``tree_det`` and ``definite_form`` both say definite
+        exactly when it is negative.  Returns its sign."""
+        euler = seifert_euler_number(graph)
+        definite = tree_det(graph) is not None
+        assert definite == (euler < 0), graph
+        fresh = PlumbingGraph(graph.central_weight, graph.legs)  # no memo yet
+        if definite:
+            assert fresh.definite_form.det == tree_det(graph), graph
+        else:
+            with pytest.raises(NotNegativeDefiniteError):
+                fresh.definite_form
+        return (euler > 0) - (euler < 0)
+
+    def test_the_guard_matches_the_euler_number_on_random_stars(self, rng):
+        # On central weights that make the Euler number negative, zero and
+        # positive.
+        signs = Counter()
         for _ in range(2000):
             graph = random_star_graph(rng, max_legs=5, max_leg_len=4,
                                       central_range=(-4, 2), leg_range=(-4, -2))
-            euler = seifert_euler_number(graph)
-            signs.add((euler > 0) - (euler < 0))
-            assert negative_definite_by_sign(graph) == (euler < 0), graph
-        assert signs == {-1, 0, 1}
+            signs[self.matches_the_euler_number(graph)] += 1
+        assert set(signs) == {-1, 0, 1} and min(signs.values()) >= 20, signs
+
+    @pytest.mark.parametrize("family", [
+        (3, 4, -3, 4, 3),  # the acceptance family
+        (2, 5, -2, 3, 2),  # embed-exhaustive's two families
+        (3, 3, -2, 3, 3),
+    ], ids=["acceptance", "embed-p2", "embed-p3"])
+    def test_the_guard_matches_the_euler_number_on_the_oriented_graphs(self, family):
+        # Every oriented graph has legs <= -2 and a negative Euler number;
+        # raising its central weight by 1 and by 2 reaches zero and positive
+        # ones, which are not definite.
+        *bounds, p_min = family
+        signs = Counter()
+        for link in enumerate_family(*bounds, p_min=p_min):
+            if determinant(link) == 0:
+                continue
+            graph = oriented_graph(link)[1]
+            for raised in range(3):
+                sign = self.matches_the_euler_number(
+                    PlumbingGraph(graph.central_weight + raised, graph.legs))
+                signs[raised, sign] += 1
+        assert {sign for raised, sign in signs if raised == 0} == {-1}
+        assert {sign for _, sign in signs} == {-1, 0, 1}, signs
 
     @pytest.mark.parametrize("graph", [
         PlumbingGraph(-1, ((-3,),) * 3),
@@ -255,10 +292,10 @@ class TestDefiniteness:
         PlumbingGraph(-1, ((-3,), (-2, -2))),
     ], ids=["three-legs-of-3", "two-legs-of-2", "3-and-2-2"])
     def test_zero_euler_number_is_not_definite(self, graph):
-        # num = 0 with a denominator of either sign: not negative, and the
-        # two definiteness checks in definite_form agree (det Q = 0)
+        # num = 0 with a denominator of either sign: the centre's pivot is
+        # not negative, so the tree elimination refuses, and det Q = 0
         assert seifert_euler_number(graph) == 0
-        assert not negative_definite_by_sign(graph)
+        assert tree_det(graph) is None
         with pytest.raises(NotNegativeDefiniteError):
             graph.definite_form
         assert det(adjacency_matrix(graph)) == 0
@@ -267,7 +304,8 @@ class TestDefiniteness:
         for link in enumerate_family(3, 4, -2, 3):
             if determinant(link) != 0 and epsilon(link) < 0:
                 graph = build_graph(to_negative_form(link))
-                assert negative_definite_by_sign(graph)
+                assert seifert_euler_number(graph) < 0
+                assert tree_det(graph) is not None
                 assert negative_definite_by_matrix(graph)
 
 
