@@ -6,12 +6,11 @@ otherwise unit pairings are absorbed until the fundamental cycle appears.
 Run: python3 demos/04_laufer_algorithm.py
 """
 
-from qamont import (LauferVerdict, PlumbingGraph, adjacency_matrix, laufer_run,
-                    parse_link, verify)
+from qamont import LauferVerdict, PlumbingGraph, laufer_run, parse_link, verify
 
 E8 = PlumbingGraph(-2, ((-2,), (-2, -2), (-2, -2, -2, -2)))
 print("E8 plumbing (central -2; legs [-2], [-2,-2], [-2,-2,-2,-2]):")
-result = laufer_run(adjacency_matrix(E8))
+result = laufer_run(E8.definite_form)  # the graph's q, tested negative definite
 print(f"  verdict: {result.verdict.value} after {result.steps} steps")
 print(f"  fundamental cycle: {list(result.cycle)}  "
       "(the highest-root coefficients, 6 at the branch vertex)")
@@ -19,7 +18,7 @@ print(f"  fundamental cycle: {list(result.cycle)}  "
 print()
 sigma = PlumbingGraph(-1, ((-2,), (-3,), (-7,)))
 print("Brieskorn sphere plumbing (central -1; legs [-2], [-3], [-7]):")
-result = laufer_run(adjacency_matrix(sigma))
+result = laufer_run(sigma.definite_form)
 print(f"  verdict: {result.verdict.value} at step {result.steps}, "
       f"witness vertex {result.witness} (central pairing -1 + 3 = 2)")
 

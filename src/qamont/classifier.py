@@ -187,7 +187,7 @@ def verify(link: MontesinosLink) -> Evidence:
 
     The plumbing's q is tested once per link, by the graph's guard
     ``definite_form``: one O(k) elimination along the tree gives its
-    definiteness and det q, and no dense elimination runs.  Both halves
+    definiteness and det q, the library's one definiteness rule.  Both halves
     take the guarded q from there, and the search reads det q for its
     critical primes.  eps < 0 makes
     the plumbing negative definite, so a ``NotNegativeDefiniteError`` from

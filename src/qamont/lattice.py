@@ -422,11 +422,11 @@ def _placement(q: Matrix, ties: Sequence) -> tuple[Matrix, list[int]]:
     return tuple(tuple(q[u][v] for v in order) for u in order), slots
 
 
-def enumerate_embeddings(q: Matrix, n: int) -> Iterator[Matrix]:
+def enumerate_embeddings(q: Definite, n: int) -> Iterator[Matrix]:
     """All embeddings of (Z^k, q) into (Z^n, -Id) touching every coordinate,
     one representative per signed-permutation orbit, in a deterministic
-    order: the matrices of rank n in ``all_embeddings(q, n)``.  The stream
-    is empty when no embedding exists.
+    order: the matrices of rank n in ``all_embeddings(q, n)``, which takes
+    only a ``Definite`` q.  The stream is empty when no embedding exists.
 
     No program path calls it: ``perfbench/tracing.py`` wraps it by name
     (``INTRA_MODULE``), and it goes once the tracer stops naming it.
@@ -450,7 +450,7 @@ def _rank_bound(q: Matrix) -> int:
     return sum(-q[i][i] for i in range(len(q)))
 
 
-def all_embeddings(q: Matrix, n_max: int | None = None
+def all_embeddings(q: Definite, n_max: int | None = None
                    ) -> Iterator[tuple[int, Matrix, bool]]:
     """``(n, matrix, surjective)`` for every embedding of (Z^k, q) into
     (Z^n, -Id) that touches all n coordinates, for each ambient rank n from
@@ -474,12 +474,12 @@ def all_embeddings(q: Matrix, n_max: int | None = None
     node cut for touching more than n coordinates has no leaf of rank n.
     So the stream restricted to one rank is that rank's own search.
 
-    ``q`` is guarded by ``Definite(q)`` before the rank range is computed:
-    a ``Definite`` passes as it is, any other matrix (list rows included)
-    is frozen and eliminated, and a form that is not negative definite is
-    rejected even when the range is empty.
+    ``q`` is a ``Definite``, a graph's ``definite_form``, taken as it is;
+    any other matrix, list or tuple rows alike, raises ``TypeError`` on the
+    stream's first read, before the rank range is computed.
     """
-    q = Definite(q)
+    if not isinstance(q, Definite):
+        raise TypeError("all_embeddings takes a Definite: a graph's definite_form")
     top = _rank_bound(q) if n_max is None else min(_rank_bound(q), n_max)
     if top < len(q):
         return

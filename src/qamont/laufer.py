@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .errors import StepLimitError
-from .intmat import Definite, Matrix
+from .intmat import Definite
 
 __all__ = ["LauferVerdict", "LauferResult", "laufer_run"]
 
@@ -50,14 +50,12 @@ class LauferResult:
     witness: int | None  # vertex with pairing >= 2 when NOT_RATIONAL
 
 
-def laufer_run(q: Matrix) -> LauferResult:
+def laufer_run(q: Definite) -> LauferResult:
     """Run the computation sequence on a symmetric negative definite matrix.
 
-    ``q`` is guarded by ``Definite(q)``: a ``Definite``, such as a graph's
-    ``definite_form``, passes as it is, and any other matrix (list rows
-    included) is frozen and eliminated once, raising ``ValueError`` when it
-    is not an integer symmetric matrix and ``NotNegativeDefiniteError``
-    when it is not negative definite.
+    ``q`` is a ``Definite``, a graph's ``definite_form``, taken as it is;
+    any other matrix, list or tuple rows alike, raises ``TypeError`` before
+    anything is computed.
 
     Each step increments the lowest vertex with pairing 1, and a
     non-rational verdict reports the lowest vertex with pairing >= 2.  The
@@ -65,7 +63,8 @@ def laufer_run(q: Matrix) -> LauferResult:
     which eligible vertex is incremented (Laufer 1972).  ``pairing`` is Q * K:
     the row sums of Q, plus row i (column i of the symmetric Q) per E_i added.
     """
-    q = Definite(q)
+    if not isinstance(q, Definite):
+        raise TypeError("laufer_run takes a Definite: a graph's definite_form")
     cycle = [1] * len(q)
     pairing = [sum(row) for row in q]
     for step in range(STEP_LIMIT + 1):

@@ -8,14 +8,16 @@ legs in order, each from the central end outward, so matrices are
 reproducible; ``adjacency_matrix`` is the one function that lays q out in
 that order.
 
-A graph's definiteness has one rule, ``tree_det``: one elimination along
-the tree in O(k), for any weights, which also gives det q.  The graph's
-guard ``PlumbingGraph.definite_form`` reads it and nothing else.
+A graph's definiteness has one rule, the library's only one, ``tree_det``:
+one elimination along the tree in O(k), for any weights, which also gives
+det q.  The graph's guard ``PlumbingGraph.definite_form`` reads it and
+nothing else, and it is the one way to build an ``intmat.Definite``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import repeat
 from operator import index
 
@@ -58,32 +60,27 @@ class PlumbingGraph:
     def vertex_count(self) -> int:
         return 1 + sum(len(leg) for leg in self.legs)
 
-    @property
+    @cached_property
     def definite_form(self) -> Definite:
         """``adjacency_matrix(self)`` as a ``Definite`` carrying det q,
         computed at most once per graph object; a plumbing that is not
         negative definite raises ``NotNegativeDefiniteError``.
 
         Definiteness and det q come from ``tree_det``, one O(k) elimination
-        along the tree and the one definiteness rule for a graph, and the
+        along the tree and the one definiteness rule of the library, and the
         ``Definite`` is built from them by the trusted constructor
-        ``Definite._from_validated``: q is laid out once, only when it is
-        definite, and neither ``freeze`` nor the dense elimination runs on
-        it.
+        ``Definite._from_validated``, the one way to build one: q is laid
+        out once, only when it is definite.
 
         A read that raises stores nothing, so it raises again on the next
-        read.  The memo is a plain entry of the instance ``__dict__``,
-        outside the fields, so it changes neither equality nor hashing.
+        read.  ``cached_property`` keeps the form in the instance
+        ``__dict__``, outside the fields, so it changes neither equality nor
+        hashing, and a pickled or copied graph carries it along.
         """
-        form = self.__dict__.get("_definite_form")
-        if form is not None:
-            return form
         d = tree_det(self)
         if d is None:
             raise NotNegativeDefiniteError("the plumbing is not negative definite")
-        form = Definite._from_validated(adjacency_matrix(self), d)
-        self.__dict__["_definite_form"] = form
-        return form
+        return Definite._from_validated(adjacency_matrix(self), d)
 
 
 def build_graph(link: MontesinosLink) -> PlumbingGraph:
@@ -176,8 +173,9 @@ def tree_det(graph: PlumbingGraph) -> int | None:
     number of the Seifert fibration, e - sum of 1/value(leg): the Seifert
     sign test is this function's last step, not a second rule.  Its
     ``Fraction`` value is the tests' reference
-    (``tests/references.seifert_euler_number``).  Demo 03 prints det q
-    beside the dense minor test and the link's eps.
+    (``tests/references.seifert_euler_number``), and the tests hold the
+    whole function to a dense Bareiss elimination of q.  Demo 03 prints
+    det q beside the link's eps.
     """
     num, den = graph.central_weight, 1
     for leg in graph.legs:

@@ -11,13 +11,14 @@ grouped by rank.  No program path needs them: ``cfrac.cf_expand``,
 ``plumbing.tree_det``, ``montesinos._reduced_pair``,
 ``montesinos.format_link``, ``montesinos._TANGLE_ORDER`` and
 ``Verdict.epsilon_text`` run on integers,
-``intmat.Definite`` reads det Q off the last pivot of its definiteness
-test and keeps it with the form, ``intmat.negative_definite_det`` tests
-symmetry inline, ``lattice.gram_matches`` compares -A^T A with q inline,
+``lattice.gram_matches`` compares -A^T A with q inline,
 ``laufer_run`` keeps Q * K by
 adding one row of Q per step, and ``lattice._canonical_rows`` reads its rows
 off one transpose.
-The tests hold that code to these references."""
+The tests hold that code to these references.  The dense definiteness test
+``negative_definite_det`` lives here too: it is the reference for
+``tree_det``, and ``definite`` builds through it the ``intmat.Definite``
+forms that no plumbing graph gives, such as disconnected ones."""
 
 from __future__ import annotations
 
@@ -26,7 +27,8 @@ from itertools import combinations_with_replacement
 from math import gcd
 from typing import Sequence
 
-from qamont.intmat import Matrix, negative_definite_det
+from qamont.errors import NotNegativeDefiniteError
+from qamont.intmat import Definite, Matrix, freeze
 from qamont.montesinos import MontesinosLink, StandardForm
 from qamont.plumbing import PlumbingGraph, adjacency_matrix
 
@@ -188,6 +190,55 @@ def det(m: Matrix) -> int:
             row_j[i] = 0
         prev = piv
     return sign * a[n - 1][n - 1]
+
+
+def negative_definite_det(m: Matrix) -> int | None:
+    """det m when m is negative definite, None when it is not: strict sign
+    alternation of the leading principal minors, starting negative.
+
+    Bareiss elimination without row exchanges: when row j is reached, its
+    pivot a[j][j] is the determinant of the top-left (j+1) x (j+1) block,
+    and each elimination step divides exactly by the pivot before it, so
+    the last pivot is det m (1 for the empty matrix).  The test returns
+    None at the first pivot of the wrong sign, before that pivot is ever
+    used as a divisor, so a zero minor never reaches a division.  The
+    trailing block stays symmetric, so only its upper triangle is updated.
+    A matrix that is not its own transpose raises ``ValueError``; one that
+    is not square never is.
+    """
+    if tuple(zip(*m)) != m:
+        raise ValueError("definiteness test requires a symmetric matrix")
+    n = len(m)
+    a = [list(row) for row in m]
+    prev = 1
+    sign = -1
+    for i in range(n):
+        row_i = a[i]
+        piv = row_i[i]
+        if piv * sign <= 0:
+            return None
+        for j in range(i + 1, n):
+            row_j = a[j]
+            aij = row_i[j]
+            for c in range(j, n):
+                row_j[c] = (row_j[c] * piv - aij * row_i[c]) // prev
+        prev = piv
+        sign = -sign
+    return prev
+
+
+def definite(rows) -> Definite:
+    """rows as a ``Definite`` carrying its det, by the dense test: frozen
+    (``ValueError`` on a non-integer entry or ragged rows), then
+    ``negative_definite_det`` (``ValueError`` on a matrix that is not
+    symmetric, ``NotNegativeDefiniteError`` on one that is not negative
+    definite), then the trusted ``Definite._from_validated``.  The tests
+    build here the forms that are not a graph's ``definite_form``."""
+    m = freeze(rows)
+    d = negative_definite_det(m)
+    if d is None:
+        raise NotNegativeDefiniteError("the form is not negative definite")
+    return Definite._from_validated(m, d)
 
 
 def is_negative_definite_matrix(m: Matrix) -> bool:

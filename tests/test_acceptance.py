@@ -14,14 +14,13 @@ from conftest import random_cf
 from paper_lemmas import minor_check, rigidity_check, support_set, truncate_legs
 from qamont.classifier import Branch, Status, classify, enumerate_family, verify
 from qamont.cli import main
-from qamont.intmat import freeze
 from qamont.lattice import all_embeddings, transpose_surjective
 from qamont.laufer import LauferVerdict, laufer_run
 from qamont.montesinos import (MontesinosLink, canonical_form, determinant,
                                epsilon, format_link, reflect, slide,
                                to_negative_form)
 from qamont.plumbing import PlumbingGraph, adjacency_matrix, build_graph, oriented_graph
-from references import h1_order, is_negative_definite_matrix, mat_vec, prefix_r
+from references import definite, h1_order, is_negative_definite_matrix, mat_vec, prefix_r
 
 FAMILY = list(enumerate_family(3, 4, -3, 4, p_min=3))
 
@@ -72,7 +71,7 @@ def test_criterion_3_immediate_laufer_witness():
             continue
         checked += 1
         graph = build_graph(to_negative_form(reflect(pos)))
-        q = adjacency_matrix(graph)
+        q = graph.definite_form
         pairing = mat_vec(q, [1] * len(q))
         result = laufer_run(q)
         ok = (pairing[0] == pos.p - pos.e and pairing[0] >= 2
@@ -89,14 +88,14 @@ def test_criterion_3_immediate_laufer_witness():
 def test_criterion_4_singularity_anchors():
     e8 = PlumbingGraph(-2, ((-2,), (-2, -2), (-2, -2, -2, -2)))
     sigma = PlumbingGraph(-1, ((-2,), (-3,), (-7,)))
-    ok = laufer_run(adjacency_matrix(e8)).verdict is LauferVerdict.RATIONAL
-    ok = ok and laufer_run(adjacency_matrix(sigma)).verdict is LauferVerdict.NOT_RATIONAL
+    ok = laufer_run(e8.definite_form).verdict is LauferVerdict.RATIONAL
+    ok = ok and laufer_run(sigma.definite_form).verdict is LauferVerdict.NOT_RATIONAL
     chains = 0
     for length in range(1, 7):
         for weights in itertools.product(range(-5, -1), repeat=length):
             graph = PlumbingGraph(weights[0],
                                   (weights[1:],) if weights[1:] else ())
-            verdict = laufer_run(adjacency_matrix(graph)).verdict
+            verdict = laufer_run(graph.definite_form).verdict
             chains += 1
             if verdict is not LauferVerdict.RATIONAL:
                 ok = False
@@ -131,7 +130,7 @@ def test_criterion_5_unit_minors_whenever_surjective():
         if determinant(link) == 0:
             continue
         _, graph = oriented_graph(link)
-        q = adjacency_matrix(graph)
+        q = graph.definite_form
         if laufer_run(q).verdict is not LauferVerdict.RATIONAL:
             continue
         witness, witness_n = None, None
@@ -148,7 +147,7 @@ def test_criterion_5_unit_minors_whenever_surjective():
         if determinant(link) == 0:
             continue
         _, graph = oriented_graph(link)
-        q = adjacency_matrix(graph)
+        q = graph.definite_form
         for _, emb, surjective in all_embeddings(q):
             assert surjective == transpose_surjective(emb), emb
             if surjective:
@@ -196,7 +195,7 @@ def test_criterion_7_rigidity_property():
                 if pos + 1 < len(chain):
                     q[offset + pos][offset + pos + 1] = 1
                     q[offset + pos + 1][offset + pos] = 1
-        q = freeze(q)
+        q = definite(q)  # two chains: no graph's form
         psi1 = tuple(range(k1))
         psi2 = tuple(range(k1, k1 + k2))
         for _, emb, _ in all_embeddings(q):

@@ -10,7 +10,7 @@ from math import gcd
 import pytest
 from conftest import EPSILON_CASES, epsilon_cases, random_raw_links
 
-from qamont import classifier, intmat, lattice, montesinos, plumbing
+from qamont import classifier, lattice, montesinos, plumbing
 from qamont.classifier import (Branch, Reason, Status, _strict_pair, classify,
                                enumerate_family, explain, render_explain,
                                verify)
@@ -163,20 +163,14 @@ class TestVerify:
 
     def test_one_elimination_per_link(self, monkeypatch):
         # One tree elimination of q guards both halves, Laufer's sequence
-        # and the search, on a cache miss as on a hit, and the dense
-        # elimination never runs on the graph.
+        # and the search, on a cache miss as on a hit.
         calls = Counter()
 
         def counting_tree(graph, eliminate=plumbing.tree_det):
             calls["tree"] += 1
             return eliminate(graph)
 
-        def counting_dense(m, eliminate=intmat.negative_definite_det):
-            calls["dense"] += 1
-            return eliminate(m)
-
         monkeypatch.setattr(plumbing, "tree_det", counting_tree)
-        monkeypatch.setattr(intmat, "negative_definite_det", counting_dense)
         qa_lattice_obstruction.cache_clear()
         for warm in (False, True):
             misses = searched = 0

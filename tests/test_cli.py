@@ -16,7 +16,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import qamont
-from qamont import classifier, cli, intmat, lattice, montesinos, plumbing
+from qamont import classifier, cli, lattice, montesinos, plumbing
 from qamont.classifier import classify, enumerate_family, verify
 from qamont.cli import main
 from qamont.errors import InternalError, NotNegativeDefiniteError
@@ -1021,21 +1021,15 @@ class TestEmbedAll:
 
     def test_one_elimination_per_graph(self, tmp_path, capsys, monkeypatch):
         # Each command reads the graph's guard once: one tree elimination
-        # gives det q, and its Definite q passes the guards of laufer_run
-        # and all_embeddings as it is.  The dense elimination never runs on
-        # a graph file.
+        # gives det q, and laufer_run and all_embeddings take its Definite q
+        # as it is.
         calls = []
 
         def counting_tree(graph, eliminate=plumbing.tree_det):
             calls.append(graph.vertex_count)
             return eliminate(graph)
 
-        def counting_dense(m, eliminate=intmat.negative_definite_det):
-            calls.append("dense")
-            return eliminate(m)
-
         monkeypatch.setattr(plumbing, "tree_det", counting_tree)
-        monkeypatch.setattr(intmat, "negative_definite_det", counting_dense)
         path = tmp_path / "g.graph"
         for graph in self.GRAPHS[::7]:
             path.write_text(format_graph(graph))

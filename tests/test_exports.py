@@ -5,6 +5,7 @@ test-only oracles do not drift back into the package."""
 import ast
 import importlib
 import pkgutil
+import re
 from pathlib import Path
 
 import pytest
@@ -38,6 +39,60 @@ def test_package_exports_import():
     namespace = {}
     exec("from qamont import *", namespace)  # raises on a name that is missing
     assert set(qamont.__all__) <= set(namespace)
+
+
+README = ROOT / "README.md"
+
+
+def readme_paths(text, modules):
+    """Each backticked ``module.name`` or ``qamont.module.name`` in a
+    Markdown text, with ``module`` one of ``modules``, as the dotted path
+    after ``qamont.``, in text order; a bare ``qamont.module`` is one too,
+    and a call's parentheses end the path.  Code spans lie on one line, and
+    fenced code blocks are skipped."""
+    text = re.sub(r"^```.*?^```", "", text, flags=re.M | re.S)
+    paths = []
+    for span in re.findall(r"`([^`\n]+)`", text):
+        match = re.match(r"(?:qamont\.)?(\w+(?:\.\w+)*)", span)
+        path = match and match.group(1)
+        if path and path.split(".")[0] in modules and (
+                "." in path or span.startswith("qamont.")):
+            paths.append(path)
+    return paths
+
+
+def unresolved(paths):
+    """The dotted paths that are not a module of the package, or a chain of
+    attributes of one."""
+    missing = []
+    for path in paths:
+        module, *attrs = path.split(".")
+        target = importlib.import_module(f"qamont.{module}")
+        for attr in attrs:
+            if not hasattr(target, attr):
+                missing.append(path)
+                break
+            target = getattr(target, attr)
+    return missing
+
+
+def test_readme_paths_are_found():
+    text = ("| `qamont.intmat` | `freeze`, `intmat.Definite(m)`, `intmat.nope` |\n"
+            "```\nqamont `laufer.fenced` graph.g\n```\n"
+            "`lattice.qa_lattice_obstruction.cache_info` and `PlumbingGraph.definite_form`,\n"
+            "`tests/references.py`, `lattice`, `qamont.plumbing.gone` and `os.path`.\n")
+    paths = readme_paths(text, MODULES)
+    assert paths == ["intmat", "intmat.Definite", "intmat.nope",
+                     "lattice.qa_lattice_obstruction.cache_info", "plumbing.gone"]
+    assert unresolved(paths) == ["intmat.nope", "plumbing.gone"]
+
+
+def test_readme_names_resolve():
+    # A README row that names a function the code has moved or deleted is
+    # caught here.
+    paths = readme_paths(README.read_text(), MODULES)
+    assert len(paths) >= 20
+    assert unresolved(paths) == []
 
 
 def referenced_names(path, with_strings):
@@ -156,6 +211,7 @@ MOVED_TO_TESTS = ["minor_check", "support_set", "truncate_legs", "rigidity_check
                   "is_negative_definite_matrix", "definite_det", "_sorted_star", "definite",
                   "tangle_alpha_beta", "gram_matrix", "is_symmetric", "_in_vertex_order",
                   "embeddings_by_rank", "_star_ties", "negative_definite_by_sign",
+                  "negative_definite_det",
                   # the unguarded private twin of each guarded entry
                   *("_" + name for name in ("laufer_run", "embeddings_by_rank",
                                             "qa_lattice_obstruction", "definite_det"))]
@@ -183,7 +239,11 @@ def test_paper_lemma_checks_stay_in_the_tests(module):
     # _star_ties, which ranked the legs to key the placement ties, in favour
     # of the legs themselves as keys; negative_definite_by_sign, the Seifert
     # sign test, in favour of plumbing.tree_det, whose centre pivot is the
-    # same Euler number (its Fraction reference is seifert_euler_number).
+    # same Euler number (its Fraction reference is seifert_euler_number);
+    # negative_definite_det, the dense Bareiss test behind Definite(m), in
+    # favour of tree_det too: no program path or benchmark built a
+    # Definite but a graph's guard, and the dense test is tree_det's
+    # reference and the tests' builder of other forms (references.definite).
     namespace = importlib.import_module(module)
     assert [name for name in MOVED_TO_TESTS if hasattr(namespace, name)] == []
 
@@ -285,9 +345,10 @@ def test_one_trusted_constructor():
     # type has at most one constructor that checks nothing.
     # StandardForm._from_validated is kept for the family walk, the two
     # standard-form rewrites and the sort of canonical_form, which meet its
-    # premise by construction.  Definite._from_validated is the end of
-    # Definite(m), after the dense test, and of a graph's guard
-    # definite_form, after the tree elimination.
+    # premise by construction.  Definite._from_validated is the one way to
+    # build a Definite: its one caller is a graph's guard definite_form,
+    # after the tree elimination, and Definite.__reduce__ names it for
+    # pickle and copy to rebuild a form that has passed that test.
     assert not hasattr(PlumbingGraph, "_from_validated")
     definitions = [(path.stem, cls.name) for path in sorted(PACKAGE.glob("*.py"))
                    for cls in ast.walk(ast.parse(path.read_text()))
@@ -299,7 +360,7 @@ def test_one_trusted_constructor():
                for function, _ in attribute_reads(path, ("_from_validated",))}
     assert callers == {("classifier", "_family"), ("montesinos", "to_standard_form"),
                        ("montesinos", "reflect"), ("montesinos", "canonical_form"),
-                       ("intmat", "__new__"), ("plumbing", "definite_form")}
+                       ("intmat", "__reduce__"), ("plumbing", "definite_form")}
 
 
 # All arithmetic is exact: the package holds no float or complex literal, no

@@ -6,11 +6,11 @@ import pytest
 
 from conftest import random_star_graph
 from qamont.errors import NotNegativeDefiniteError
-from qamont.intmat import Definite, freeze, negative_definite_det
-from qamont.lattice import all_embeddings
+from qamont.intmat import Definite, freeze
+from qamont.lattice import all_embeddings, enumerate_embeddings
 from qamont.laufer import LauferVerdict, laufer_run
 from qamont.plumbing import PlumbingGraph, adjacency_matrix
-from references import by_rank, det, is_symmetric
+from references import by_rank, definite, det, is_symmetric, negative_definite_det
 from smith_form import invariant_factors, matmul, transpose
 
 
@@ -108,22 +108,21 @@ def test_negative_definite_matches_leading_minor_signs():
 @pytest.mark.parametrize("rows", [
     [[-2, 1], [1, -2]], [[-2, 1, 0], [1, -2, 1], [0, 1, -2]], []])
 def test_definite_carries_the_determinant(rows):
-    form = Definite(rows)
+    form = definite(rows)
     assert type(form) is Definite
     assert form == freeze(rows) and form.det == det(freeze(rows))
-    assert Definite(form) is form  # passed through, not eliminated again
 
 
 def test_definite_freezes_list_rows():
-    # The constructor is the one guard, so it freezes what it is given: list
-    # rows come out a hashable Matrix, equal to the tuple of tuples.
-    form = Definite([[-2, 1], [1, -2]])
+    # The tests' builder freezes what it is given: list rows come out a
+    # hashable Matrix, equal to the tuple of tuples, which the guarded
+    # entries take as it is.
+    form = definite([[-2, 1], [1, -2]])
     assert all(type(row) is tuple for row in form)
     assert form == ((-2, 1), (1, -2)) and form.det == 3
     assert hash(form) == hash(((-2, 1), (1, -2)))
-    # The guarded entries take list rows through the same constructor.
-    assert laufer_run([[-2, 1], [1, -2]]).verdict is LauferVerdict.RATIONAL
-    ranks = by_rank(all_embeddings([[-2, 1], [1, -2]]), 2, 4)
+    assert laufer_run(form).verdict is LauferVerdict.RATIONAL
+    ranks = by_rank(all_embeddings(form), 2, 4)
     assert {n: len(embs) for n, embs in ranks.items()} == {2: 0, 3: 1, 4: 0}
 
 
@@ -136,37 +135,73 @@ def test_definite_freezes_list_rows():
 ])
 def test_definite_rejects_a_form_that_is_not_negative_definite(rows):
     with pytest.raises(NotNegativeDefiniteError):
-        Definite(rows)
+        definite(rows)
     with pytest.raises(NotNegativeDefiniteError):
-        Definite(freeze(rows))
+        definite(freeze(rows))
 
 
 @pytest.mark.parametrize("rows", [[[0, 1], [2, 0]], [[-2, 1, 0], [1, -2, 0]]])
 def test_definite_rejects_a_matrix_that_is_not_symmetric(rows):
     with pytest.raises(ValueError, match="symmetric"):
-        Definite(rows)
+        definite(rows)
     with pytest.raises(ValueError, match="symmetric"):
-        Definite(freeze(rows))
+        definite(freeze(rows))
 
 
-def test_the_constructor_proves_the_form(rng):
-    # Every Definite has passed the test: the constructor keeps exactly the
+def test_the_guard_proves_the_form(rng):
+    # Every Definite has passed the test: a graph's guard keeps exactly the
     # forms the leading-minor reference calls negative definite, E8 and
     # random stars among them, with their determinant.
-    e8 = adjacency_matrix(PlumbingGraph(-2, ((-2,), (-2, -2), (-2, -2, -2, -2))))
-    assert Definite(e8).det == det(e8) == 1
+    e8 = PlumbingGraph(-2, ((-2,), (-2, -2), (-2, -2, -2, -2)))
+    assert e8.definite_form.det == det(adjacency_matrix(e8)) == 1
     kept = 0
     for _ in range(300):
-        q = adjacency_matrix(random_star_graph(rng, central_range=(-4, 0)))
+        graph = random_star_graph(rng, central_range=(-4, 0))
+        q = adjacency_matrix(graph)
         if not negative_definite_by_leading_dets(q):
             with pytest.raises(NotNegativeDefiniteError):
-                Definite(q)
+                graph.definite_form
             continue
-        form = Definite(q)
-        assert form == q and form.det == det(q)
-        assert Definite(form) is form
+        form = graph.definite_form
+        assert type(form) is Definite and form == q and form.det == det(q)
         kept += 1
     assert 50 < kept < 250
+
+
+class Untouchable(tuple):
+    """A matrix that fails on any read of its rows, to show that it is
+    refused before anything is computed from it."""
+
+    def __iter__(self, *args):
+        raise AssertionError("a refused matrix was read")
+
+    __len__ = __getitem__ = __iter__
+
+
+D4_Q = adjacency_matrix(PlumbingGraph(-2, ((-2,), (-2,), (-2,))))
+PLAIN = {
+    "list-rows": [[-2, 1], [1, -2]],
+    "tuple-rows": ((-2, 1), (1, -2)),
+    "adjacency-matrix": D4_Q,
+    "unread": Untouchable(D4_Q),
+}
+REFUSERS = {
+    "Definite": Definite,
+    "laufer_run": laufer_run,
+    "all_embeddings": lambda q: next(all_embeddings(q)),
+    "enumerate_embeddings": lambda q: next(enumerate_embeddings(q, 4)),
+}
+
+
+@pytest.mark.parametrize("refuser", REFUSERS)
+@pytest.mark.parametrize("kind", PLAIN)
+def test_a_plain_matrix_is_refused(kind, refuser):
+    # Only a graph's guard builds a Definite, so a matrix that has not
+    # passed its test reaches no function that needs a negative definite
+    # form: each raises TypeError before reading it, even when the matrix
+    # is the graph's own q.
+    with pytest.raises(TypeError, match="definite_form"):
+        REFUSERS[refuser](PLAIN[kind])
 
 
 @pytest.mark.parametrize("rows", [[[-2.9, 1], [1, -2]], [[-2, "1"], [1, -2]]],
@@ -175,7 +210,7 @@ def test_freeze_rejects_non_integer_entries(rows):
     with pytest.raises(ValueError, match="integers"):
         freeze(rows)
     with pytest.raises(ValueError, match="integers"):
-        Definite(rows)
+        definite(rows)
 
 
 def test_invariant_factors_known():

@@ -12,7 +12,7 @@ from math import isqrt
 import pytest
 
 from conftest import random_cf, random_star_graph
-from qamont import intmat, lattice, plumbing
+from qamont import lattice, plumbing
 from qamont.errors import NotNegativeDefiniteError
 from qamont.intmat import freeze
 from qamont.lattice import (all_embeddings, enumerate_embeddings, gram_matches,
@@ -24,11 +24,12 @@ from qamont.montesinos import (MontesinosLink, determinant, parse_link, to_negat
 from qamont.plumbing import PlumbingGraph, adjacency_matrix, build_graph, oriented_graph
 from paper_lemmas import minor_check, rigidity_check, support_set, truncate_legs
 from references import canonical_rows as canonical_rows_of_columns
-from references import by_rank, det, gram_matrix, is_negative_definite_matrix, prefix_r
+from references import (by_rank, definite, det, gram_matrix, is_negative_definite_matrix,
+                        negative_definite_det, prefix_r)
 from smith_form import invariant_factors
 
 D4_GRAPH = PlumbingGraph(-2, ((-2,), (-2,), (-2,)))
-D4_Q = adjacency_matrix(D4_GRAPH)
+D4_Q = D4_GRAPH.definite_form
 
 # Columns (1,1,0,0), (-1,0,1,0), (-1,0,-1,0), (0,-1,0,1): the spec-level
 # sample embedding of the D4 form, checked by direct dot products.
@@ -66,11 +67,11 @@ def canonical_rows(matrix):
 
 class TestEnumerate:
     def test_norm_two_vector_in_rank_two(self):
-        found = list(enumerate_embeddings(((-2,),), 2))
+        found = list(enumerate_embeddings(PlumbingGraph(-2, ()).definite_form, 2))
         assert found == [((1,), (1,))]
 
     def test_norm_two_vector_needs_two_coordinates(self):
-        assert list(enumerate_embeddings(((-2,),), 1)) == []
+        assert list(enumerate_embeddings(PlumbingGraph(-2, ()).definite_form, 1)) == []
 
     def test_d4_sample_orbit_is_found(self):
         assert gram_matches(D4_SAMPLE, D4_Q)
@@ -81,7 +82,7 @@ class TestEnumerate:
         graphs = [D4_GRAPH, PlumbingGraph(-3, ((-2, -2), (-4,))),
                   PlumbingGraph(-1, ((-3,), (-2,)))]
         for graph in graphs:
-            q = adjacency_matrix(graph)
+            q = graph.definite_form
             embeddings = [emb for _, emb, _ in all_embeddings(q)]
             assert len(set(embeddings)) == len(embeddings)
             for emb in embeddings:
@@ -93,7 +94,7 @@ class TestEnumerate:
         # Each rank of the stream, read off one walk, is that rank's own
         # search, from k up to the norm sum (or n_max), empty ranks included;
         # a lower n_max keeps the walk order of the ranks it keeps.
-        q = adjacency_matrix(PlumbingGraph(-3, ((-2, -2), (-4,))))  # k = 4, sum 11
+        q = PlumbingGraph(-3, ((-2, -2), (-4,))).definite_form  # k = 4, sum 11
         full = list(all_embeddings(q))
         assert [n for n, _, _ in full] == [4, 7, 6, 8]  # walk order, not rank order
         assert list(all_embeddings(q, 6)) == [item for item in full if item[0] <= 6]
@@ -101,7 +102,7 @@ class TestEnumerate:
         graphs = oriented_graphs(2, 5, -2, 3) + oriented_graphs(3, 3, -2, 3)
         assert len(set(graphs)) == 296
         for graph in graphs:
-            q = adjacency_matrix(graph)
+            q = graph.definite_form
             for n_max in (None, len(q) + 1):
                 top = lattice._rank_bound(q) if n_max is None else n_max
                 ranks = by_rank(all_embeddings(q, n_max), len(q), top)
@@ -110,6 +111,8 @@ class TestEnumerate:
                         list(enumerate_embeddings(q, n)), (graph, n)
 
     def test_all_embeddings_walks_one_tree(self, monkeypatch):
+        # One tree for every rank, and no definiteness test: the stream
+        # takes the guarded form as it is.
         counts = Counter()
 
         class CountingTree(lattice._OrderlyTree):
@@ -117,18 +120,19 @@ class TestEnumerate:
                 counts["trees"] += 1
                 super().__init__(*args, **kwargs)
 
-        def counting(m, eliminate=intmat.negative_definite_det):
+        def counting(graph, eliminate=plumbing.tree_det):
             counts["eliminations"] += 1
-            return eliminate(m)
+            return eliminate(graph)
 
         monkeypatch.setattr(lattice, "_OrderlyTree", CountingTree)
-        monkeypatch.setattr(intmat, "negative_definite_det", counting)
-        q = adjacency_matrix(PlumbingGraph(-3, ((-2, -2), (-4,))))
+        monkeypatch.setattr(plumbing, "tree_det", counting)
+        q = PlumbingGraph(-3, ((-2, -2), (-4,))).definite_form
+        assert counts == {"eliminations": 1}
         for n_max in (None, 6):
             counts.clear()
             ranks = {n for n, _, _ in all_embeddings(q, n_max)}
             assert len(ranks) > 1
-            assert counts == {"trees": 1, "eliminations": 1}
+            assert counts == {"trees": 1}
 
     def test_each_yielded_leaf_is_canonicalised_exactly_once(self, monkeypatch):
         # A leaf is mapped to its matrix when it is yielded: never twice,
@@ -140,7 +144,7 @@ class TestEnumerate:
             return rows(slots, n, cols)
 
         monkeypatch.setattr(lattice, "_canonical_rows", counting_rows)
-        q = adjacency_matrix(PlumbingGraph(-3, ((-2, -2), (-4,))))
+        q = PlumbingGraph(-3, ((-2, -2), (-4,))).definite_form
         yielded = Counter()
         for n, emb, _ in all_embeddings(q):
             yielded[n] += 1
@@ -156,7 +160,7 @@ class TestEnumerate:
                 trees.append(self)
 
         monkeypatch.setattr(lattice, "_OrderlyTree", RecordedTree)
-        q = adjacency_matrix(PlumbingGraph(-3, ((-2, -2), (-4,))))
+        q = PlumbingGraph(-3, ((-2, -2), (-4,))).definite_form
         stream = all_embeddings(q)
         next(stream)
         [tree] = trees
@@ -169,7 +173,7 @@ class TestEnumerate:
         # them held once the next one is read.  The peak here is about
         # 0.5 MB, much of it in the tuple free list; holding each leaf's
         # columns until the walk ended peaked at 3.4 MB.
-        q = adjacency_matrix(PlumbingGraph(-5, ((-3, -13), (-2, -3), (-2, -4))))
+        q = PlumbingGraph(-5, ((-3, -13), (-2, -3), (-2, -4))).definite_form
         tracemalloc.start()
         try:
             count = sum(1 for _ in all_embeddings(q))
@@ -208,21 +212,28 @@ class TestEnumerate:
         assert first == second
 
     def test_rejects_indefinite(self):
+        # An indefinite form has no Definite, so it never reaches a search:
+        # a graph's guard and the tests' builder refuse it, and the streams
+        # refuse the plain matrix by its type.
         with pytest.raises(NotNegativeDefiniteError):
-            list(enumerate_embeddings(freeze([[1]]), 1))
+            list(enumerate_embeddings(PlumbingGraph(1, ()).definite_form, 1))
         with pytest.raises(NotNegativeDefiniteError):
+            list(all_embeddings(definite([[-2, 3], [3, -2]])))
+        with pytest.raises(TypeError, match="definite_form"):
             list(all_embeddings(freeze([[-2, 3], [3, -2]])))
 
     def test_rejects_a_bad_form_whatever_its_rank_range(self):
         # Both rank ranges are empty (the norm sum, or n_max, is below k).
-        with pytest.raises(NotNegativeDefiniteError):
+        with pytest.raises(TypeError, match="definite_form"):
             list(all_embeddings(((1,),)))
-        with pytest.raises(ValueError, match="symmetric"):
+        with pytest.raises(TypeError, match="definite_form"):
             list(all_embeddings(((-2, 1), (0, -2)), 1))
 
     def test_every_public_entry_guards_a_raw_input(self, monkeypatch):
         # Each entry guards what it is given before any search work, and the
-        # obstruction search does so whatever its cache holds.
+        # obstruction search does so whatever its cache holds: a matrix that
+        # is not a Definite is refused by its type, and a graph that is not
+        # negative definite by its guard.
         for graph in oriented_graphs(2, 3, -1, 1):
             qa_lattice_obstruction(graph)
         assert qa_lattice_obstruction.cache_info().currsize > 0
@@ -235,41 +246,35 @@ class TestEnumerate:
         asymmetric = ((-2, 1), (0, -2))
         indefinite = PlumbingGraph(0, ((-2,),) * 4)
         for run in (laufer_run, lambda q: list(all_embeddings(q))):
-            with pytest.raises(ValueError, match="symmetric"):
-                run(asymmetric)
-            with pytest.raises(NotNegativeDefiniteError):
-                run(adjacency_matrix(indefinite))
+            for q in (asymmetric, adjacency_matrix(indefinite)):
+                with pytest.raises(TypeError, match="definite_form"):
+                    run(q)
         for graph in (indefinite, PlumbingGraph(1, ()), PlumbingGraph(-1, ((-2,),) * 3)):
             with pytest.raises(NotNegativeDefiniteError):
                 qa_lattice_obstruction(graph)
 
     def test_a_guarded_form_is_eliminated_once(self, monkeypatch):
-        # A graph's guard runs one tree elimination and no dense one; its
-        # Definite passes the guards as it is, and a plain matrix equal to it
-        # is eliminated densely on each call.  The graph's guard is memoised
-        # on the graph object, so the graphs here are built fresh.
+        # A graph's guard runs one tree elimination; its Definite passes
+        # laufer_run and all_embeddings as it is, with no elimination, and a
+        # plain matrix equal to it is refused.  The graph's guard is
+        # memoised on the graph object, so the graphs here are built fresh.
         calls = []
 
         def counting_tree(graph, eliminate=plumbing.tree_det):
             calls.append(("tree", graph.vertex_count))
             return eliminate(graph)
 
-        def counting_dense(m, eliminate=intmat.negative_definite_det):
-            calls.append(("dense", len(m)))
-            return eliminate(m)
-
         monkeypatch.setattr(plumbing, "tree_det", counting_tree)
-        monkeypatch.setattr(intmat, "negative_definite_det", counting_dense)
         graph = PlumbingGraph(-2, ((-2,), (-2,), (-2,)))
         form = graph.definite_form
         assert calls == [("tree", 4)] and form == D4_Q and form.det == 4
-        for q, eliminations in ((form, []), (tuple(form), [("dense", 4)])):
-            calls.clear()
-            laufer_run(q)
-            assert calls == eliminations
-            calls.clear()
-            assert sum(1 for _ in all_embeddings(q)) == 3
-            assert calls == eliminations
+        calls.clear()
+        laufer_run(form)
+        assert sum(1 for _ in all_embeddings(form)) == 3
+        assert calls == []
+        for run in (laufer_run, lambda q: next(all_embeddings(q))):
+            with pytest.raises(TypeError, match="definite_form"):
+                run(tuple(form))
         fresh = PlumbingGraph(-2, ((-2,), (-2,), (-2,)))
         calls.clear()
         laufer_run(fresh.definite_form)
@@ -314,13 +319,13 @@ def brute_force_orbits(q, n, bound=2):
 
 class TestCompleteness:
     def test_matches_brute_force_small(self):
-        qs = [((w,),) for w in (-1, -2, -3, -4)]
+        qs = [definite(((w,),)) for w in (-1, -2, -3, -4)]
         for a in range(-4, 0):
             for b in range(-4, 0):
                 for off in (0, 1):
                     q = freeze([[a, off], [off, b]])
                     if is_negative_definite_matrix(q):
-                        qs.append(q)
+                        qs.append(definite(q))
         for q in qs:
             for n in range(1, 5):
                 mine = list(enumerate_embeddings(q, n))
@@ -335,7 +340,7 @@ class TestCompleteness:
                  PlumbingGraph(-2, ((-2,), (-3,), (-2,))),
                  PlumbingGraph(-4, ((-2, -2),))]
         for graph in stars:
-            q = adjacency_matrix(graph)
+            q = graph.definite_form
             found = 0
             for n in range(len(q), 6):
                 mine = list(enumerate_embeddings(q, n))
@@ -351,7 +356,7 @@ class TestCompleteness:
         # they differ on an earlier column, so no cap may order them.  These
         # are the two orbits brute_force_orbits(q, 5) finds; it takes
         # seconds, so they are pinned.
-        q = adjacency_matrix(PlumbingGraph(-6, ((-3,), (-3,), (-4,))))
+        q = PlumbingGraph(-6, ((-3,), (-3,), (-4,))).definite_form
         assert set(enumerate_embeddings(q, 5)) == {
             ((2, -1, 0, -1), (1, 1, -1, 0), (1, 0, 0, 1), (0, 1, 1, -1),
              (0, 0, 1, 1)),
@@ -365,7 +370,7 @@ class TestCompleteness:
         assert len(graphs) == 243
         yielded = 0
         for graph in graphs:
-            matrices = [emb for _, emb, _ in all_embeddings(adjacency_matrix(graph))]
+            matrices = [emb for _, emb, _ in all_embeddings(graph.definite_form)]
             assert len(set(matrices)) == len(matrices), graph
             yielded += len(matrices)
         assert yielded > 0
@@ -378,7 +383,7 @@ class TestCompleteness:
                  PlumbingGraph(-2, ((-3,), (-2, -2), (-5,))),
                  PlumbingGraph(-3, ((-2,), (-4,), (-2, -2)))]
         for graph in stars:
-            base = adjacency_matrix(graph)
+            base = graph.definite_form
             starts = [1]
             for leg in graph.legs:
                 starts.append(starts[-1] + len(leg))
@@ -392,7 +397,7 @@ class TestCompleteness:
                 # old vertex index of each vertex of the relabelled graph
                 source = [0] + [v for i in perm
                                 for v in range(starts[i], starts[i + 1])]
-                q = adjacency_matrix(relabelled)
+                q = relabelled.definite_form
                 for n, orbits in reference.items():
                     back = set()
                     for emb in enumerate_embeddings(q, n):
@@ -420,7 +425,7 @@ class TestMatrixContract:
     def test_streams_and_witnesses_are_plain_matrices(self, graphs):
         streamed = witnesses = 0
         for graph in graphs():
-            q = adjacency_matrix(graph)
+            q = graph.definite_form
             for n, emb, surjective in all_embeddings(q):
                 assert is_frozen_matrix(emb), (graph, n)
                 assert type(surjective) is bool
@@ -483,7 +488,7 @@ class TestSurjectivity:
         # det q square-free every embedding is onto.
         square_free = onto = not_onto = 0
         for graph in oriented_graphs(2, 5, -2, 3):
-            q = adjacency_matrix(graph)
+            q = graph.definite_form
             primes = primes_with_square_dividing(det(q))
             for _, emb, surjective in all_embeddings(q):
                 expected = all(rank_mod(emb, p) == len(emb[0]) for p in primes)
@@ -534,12 +539,12 @@ class TestSurjectivity:
         while stars < 40:
             graph = random_star_graph(rng, max_legs=4, max_leg_len=2,
                                       central_range=(-5, -1), leg_range=(-4, -2))
-            d = intmat.negative_definite_det(adjacency_matrix(graph))
+            d = negative_definite_det(adjacency_matrix(graph))
             if d is None or lattice._critical_primes(d):
                 continue
             stars += 1
             legs = max(legs, len(graph.legs))
-            for _, emb, surjective in all_embeddings(adjacency_matrix(graph)):
+            for _, emb, surjective in all_embeddings(graph.definite_form):
                 assert surjective and transpose_surjective(emb), (graph, emb)
                 total += 1
         assert legs == 4 and total > 2000
@@ -555,7 +560,7 @@ class TestSurjectivity:
         # rank over each field.  With det q square-free both always hold.
         square_free = onto = not_onto = 0
         for graph in oriented_graphs(*family):
-            q = adjacency_matrix(graph)
+            q = graph.definite_form
             primes = lattice._critical_primes(det(q))
             for n, emb, surjective in all_embeddings(q):
                 tree = lattice._OrderlyTree(q, n, primes)
@@ -603,7 +608,7 @@ class TestSurjectivity:
     def test_matches_the_smith_form_on_every_embedding(self):
         checked = 0
         for graph in oriented_graphs(2, 5, -2, 3):
-            for _, emb, surjective in all_embeddings(adjacency_matrix(graph)):
+            for _, emb, surjective in all_embeddings(graph.definite_form):
                 expected = all(f == 1 for f in invariant_factors(emb))
                 assert transpose_surjective(emb) == surjective == expected, emb
                 checked += 1
@@ -611,8 +616,8 @@ class TestSurjectivity:
 
     def test_invariant_under_signed_row_permutations(self, rng):
         embeddings = list(enumerate_embeddings(D4_Q, 4))
-        embeddings += list(enumerate_embeddings(adjacency_matrix(
-            PlumbingGraph(-1, ((-3,), (-2,)))), 3))
+        embeddings += list(enumerate_embeddings(
+            PlumbingGraph(-1, ((-3,), (-2,))).definite_form, 3))
         for emb in embeddings:
             expected = transpose_surjective(emb)
             for _ in range(10):
@@ -633,7 +638,7 @@ class TestMinorCheck:
 
     def test_unit_minors_on_surjective_embeddings(self):
         graph = PlumbingGraph(-1, ((-3,), (-2,)))
-        q = adjacency_matrix(graph)
+        q = graph.definite_form
         checked = 0
         for n in range(3, 7):
             for emb in enumerate_embeddings(q, n):
@@ -652,7 +657,7 @@ class TestMinorCheck:
         # Two -2 vertices with no edge.  When both columns squeeze into two
         # rows the minor is forced to +-2 (B^T B = 2I), so by the unit-minor
         # requirement no such embedding can have a surjective transpose.
-        q = freeze([[-2, 0], [0, -2]])
+        q = definite([[-2, 0], [0, -2]])  # no edge: no graph's form
         squeezed = 0
         for n in range(2, 5):
             for emb in enumerate_embeddings(q, n):
@@ -704,7 +709,7 @@ class TestRigidity:
 
     def test_enumerated_instances(self):
         # chains [-3] and [-2, -2]: r = 1/3, s = 2/3
-        q = freeze([[-3, 0, 0], [0, -2, 1], [0, 1, -2]])
+        q = definite([[-3, 0, 0], [0, -2, 1], [0, 1, -2]])
         hits = 0
         for n in range(3, 8):
             for emb in enumerate_embeddings(q, n):
@@ -735,7 +740,7 @@ def replay_obstruction(graph):
     rank's embeddings in turn, in the walk order of a tree cut at that rank,
     stopping at the first one with surjective transpose.  Each label it
     reads is checked against ``transpose_surjective`` first."""
-    q = adjacency_matrix(graph)
+    q = graph.definite_form
     for n in range(len(q), lattice._rank_bound(q) + 1):
         for rank, emb, surjective in all_embeddings(q, n):
             if rank == n:
@@ -805,7 +810,7 @@ def critical_prime_stars(count, seed):
     while len(stars) < count:
         graph = random_star_graph(rng, max_legs=4, max_leg_len=2,
                                   central_range=(-5, -1), leg_range=(-4, -2))
-        d = intmat.negative_definite_det(adjacency_matrix(graph))
+        d = negative_definite_det(adjacency_matrix(graph))
         if d is not None and lattice._critical_primes(d):
             stars.append(graph)
     return stars
@@ -924,7 +929,7 @@ class TestObstruction:
             star, position = leg_sorted(graph)
             first = {}
             for searched in dict.fromkeys((graph, star)):
-                for n, emb, surjective in all_embeddings(adjacency_matrix(searched)):
+                for n, emb, surjective in all_embeddings(searched.definite_form):
                     assert surjective == transpose_surjective(emb), (searched, emb)
                     labels[surjective] += 1
                     if surjective and searched == star:
@@ -998,7 +1003,7 @@ class TestObstruction:
             if determinant(std) == 0:
                 continue
             graph = oriented_graph(std)[1]
-            laufer = laufer_run(adjacency_matrix(graph))
+            laufer = laufer_run(graph.definite_form)
             if laufer.verdict is not LauferVerdict.NOT_RATIONAL:
                 stars.setdefault(leg_sorted(graph)[0])
         assert len(stars) == 1001

@@ -46,12 +46,12 @@ def oriented_forms():
     for p, alpha_max, e_min, e_max in ((3, 4, -3, 4), (4, 5, -2, 5)):
         for link in enumerate_family(p, alpha_max, e_min, e_max, p_min=p):
             if determinant(link) != 0:
-                yield adjacency_matrix(oriented_graph(link)[1])
+                yield oriented_graph(link)[1].definite_form
 
 
 class TestRun:
     def test_e8_is_rational_with_the_known_fundamental_cycle(self):
-        result = laufer_run(adjacency_matrix(E8))
+        result = laufer_run(E8.definite_form)
         assert result.verdict is LauferVerdict.RATIONAL
         # highest-root coefficients: 6 at the branch vertex, then the legs
         assert result.cycle == (6, 3, 4, 2, 5, 4, 3, 2)
@@ -59,7 +59,7 @@ class TestRun:
         assert all(v <= 0 for v in mat_vec(adjacency_matrix(E8), list(result.cycle)))
 
     def test_sigma_2_3_7_stops_immediately(self):
-        q = adjacency_matrix(SIGMA_2_3_7)
+        q = SIGMA_2_3_7.definite_form
         assert mat_vec(q, [1, 1, 1, 1])[0] == 2  # central pairing w + deg
         result = laufer_run(q)
         assert result.verdict is LauferVerdict.NOT_RATIONAL
@@ -68,7 +68,7 @@ class TestRun:
         assert result.cycle == (1, 1, 1, 1)
 
     def test_single_vertex(self):
-        result = laufer_run(((-2,),))
+        result = laufer_run(PlumbingGraph(-2, ()).definite_form)
         assert result.verdict is LauferVerdict.RATIONAL
         assert result.steps == 0
         assert result.cycle == (1,)
@@ -78,7 +78,7 @@ class TestRun:
             graph = random_star_graph(rng)
             if not is_negative_definite_matrix(adjacency_matrix(graph)):
                 continue
-            result = laufer_run(adjacency_matrix(graph))
+            result = laufer_run(graph.definite_form)
             if result.verdict is LauferVerdict.RATIONAL:
                 assert result.steps == sum(result.cycle) - len(result.cycle)
                 assert all(c >= 1 for c in result.cycle)
@@ -95,7 +95,7 @@ class TestRun:
                 found += 1
         seeded = random.Random(99)
         for graph in graphs:
-            q = adjacency_matrix(graph)
+            q = graph.definite_form
             low = laufer_run(q)
             for pick in (max, seeded.choice):
                 other = reference_sequence(q, pick)
@@ -113,9 +113,9 @@ class TestRun:
         while len(stars) < 200:
             graph = random_star_graph(rng)
             if is_negative_definite_matrix(adjacency_matrix(graph)):
-                stars.append(adjacency_matrix(graph))
+                stars.append(graph.definite_form)
         verdicts = set()
-        for q in forms + stars + [adjacency_matrix(E8)]:
+        for q in forms + stars + [E8.definite_form]:
             result = laufer_run(q)
             assert result == reference_sequence(q, min), q
             verdicts.add(result.verdict)
@@ -133,21 +133,25 @@ class TestRun:
         for length in range(1, 4):
             for weights in chains(length):
                 graph = PlumbingGraph(weights[0], (weights[1:],) if weights[1:] else ())
-                result = laufer_run(adjacency_matrix(graph))
+                result = laufer_run(graph.definite_form)
                 assert result.verdict is LauferVerdict.RATIONAL
 
     def test_rejects_asymmetric(self):
-        with pytest.raises(ValueError):
+        # An asymmetric matrix is no graph's form, so it cannot be a
+        # Definite: the run refuses it by type.
+        with pytest.raises(TypeError, match="definite_form"):
             laufer_run(freeze([[-2, 1], [0, -2]]))
 
     def test_rejects_indefinite(self):
+        # The graph's guard refuses an indefinite plumbing, so its q never
+        # reaches the run.
         with pytest.raises(NotNegativeDefiniteError):
-            laufer_run(adjacency_matrix(PlumbingGraph(0, ((-2,),) * 4)))
+            laufer_run(PlumbingGraph(0, ((-2,),) * 4).definite_form)
 
     def test_step_guard(self, monkeypatch):
         monkeypatch.setattr(laufer, "STEP_LIMIT", 0)
         with pytest.raises(StepLimitError):
-            laufer_run(adjacency_matrix(D4))
+            laufer_run(D4.definite_form)
 
 
 class TestIsLspace:
@@ -168,7 +172,7 @@ class TestIsLspace:
             if not 1 <= pos.e <= pos.p - 2:
                 continue
             graph = build_graph(to_negative_form(reflect(pos)))
-            q = adjacency_matrix(graph)
+            q = graph.definite_form
             assert mat_vec(q, [1] * len(q))[0] == pos.p - pos.e >= 2
             result = laufer_run(q)
             assert result.verdict is LauferVerdict.NOT_RATIONAL

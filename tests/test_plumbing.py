@@ -1,6 +1,9 @@
+import copy
+import pickle
 import random
 from collections import Counter
 from fractions import Fraction
+from functools import cached_property
 from math import gcd
 
 import pytest
@@ -11,13 +14,13 @@ from conftest import random_star_graph
 from qamont.classifier import enumerate_family
 from qamont.errors import NotNegativeDefiniteError, ParseError
 from qamont import intmat, plumbing
-from qamont.intmat import freeze, negative_definite_det
+from qamont.intmat import Definite, freeze
 from qamont.montesinos import (MontesinosLink, StandardForm, determinant, epsilon,
                                reflect, to_negative_form)
 from qamont.plumbing import (PlumbingGraph, adjacency_matrix, build_graph,
                              format_graph, oriented_graph, parse_graph, tree_det)
 from references import (cf_eval, det, h1_order, is_negative_definite_matrix,
-                        seifert_euler_number)
+                        negative_definite_det, seifert_euler_number)
 
 
 def M(e, *tangles):
@@ -159,6 +162,12 @@ class TestAdjacency:
                         assert all(m[i][j] == 0 for i in span_a for j in span_b)
 
 
+COPIERS = {**{f"pickle-{protocol}": lambda x, protocol=protocol: pickle.loads(
+                  pickle.dumps(x, protocol))
+              for protocol in range(pickle.HIGHEST_PROTOCOL + 1)},
+           "copy": copy.copy, "deepcopy": copy.deepcopy}
+
+
 class TestDefiniteness:
     def test_examples(self):
         assert PlumbingGraph(-1, ((-2,), (-3,), (-7,))).definite_form.det == 1
@@ -174,7 +183,7 @@ class TestDefiniteness:
     def test_the_guard_does_each_step_once(self, monkeypatch, graph, definite):
         # One tree elimination per read, the one definiteness rule, and q
         # laid out once by the one layout function, only when it is
-        # definite; neither freeze nor the dense elimination runs.
+        # definite; freeze does not run.
         graph = PlumbingGraph(graph.central_weight, graph.legs)  # no memo yet
         expected = adjacency_matrix(graph)
         counts = Counter()
@@ -187,8 +196,7 @@ class TestDefiniteness:
 
         for module, name, key in ((plumbing, "tree_det", "tree"),
                                   (plumbing, "adjacency_matrix", "layout"),
-                                  (intmat, "freeze", "freeze"),
-                                  (intmat, "negative_definite_det", "dense")):
+                                  (intmat, "freeze", "freeze")):
             monkeypatch.setattr(module, name, counting(key, getattr(module, name)))
         for _ in range(2):
             if definite:
@@ -200,16 +208,30 @@ class TestDefiniteness:
         assert counts == Counter(tree=reads, layout=definite)
 
     def test_the_memo_is_an_instance_entry(self):
-        # No cached_property, whose first read takes a class-wide lock on
-        # Python 3.11: a plain property reads and fills the instance dict.
-        assert type(vars(PlumbingGraph)["definite_form"]) is property
+        # A cached_property: its first read fills the instance dict under
+        # the property's name, and later reads find the form there.
+        assert type(vars(PlumbingGraph)["definite_form"]) is cached_property
         graph = PlumbingGraph(-2, ((-2,), (-2,), (-2,)))
         fields = dict(vars(graph))
         form = graph.definite_form
         assert graph.definite_form is form
-        assert vars(graph) == {**fields, "_definite_form": form}
+        assert vars(graph) == {**fields, "definite_form": form}
         assert graph == PlumbingGraph(-2, ((-2,), (-2,), (-2,)))
         assert hash(graph) == hash(PlumbingGraph(-2, ((-2,), (-2,), (-2,))))
+
+    @pytest.mark.parametrize("copier", COPIERS.values(), ids=COPIERS)
+    def test_a_guarded_graph_and_its_form_survive_copying(self, monkeypatch, copier):
+        # A graph whose guard has been read, and its form, come back equal,
+        # with det, and the graph's copy finds the form without running the
+        # tree elimination again.
+        graph = PlumbingGraph(-2, ((-2,), (-2, -2), (-2, -2, -2, -2)))
+        form = graph.definite_form
+        copied_form, copied = copier(form), copier(graph)
+        monkeypatch.setattr(plumbing, "tree_det", None)
+        for again in (copied_form, copied.definite_form):
+            assert type(again) is Definite and again == form and again.det == form.det == 1
+            assert all(type(row) is tuple for row in again)
+        assert copied == graph and hash(copied) == hash(graph)
 
     def test_euler_number_values(self):
         graph = PlumbingGraph(-1, ((-2,), (-3,), (-7,)))
